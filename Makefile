@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-parallel bench-wal bench-read bench-smoke experiments examples check clean serve loadtest loadtest-matrix loadtest-pipeline recovery-smoke fuzz-wal fuzz-checkpoint torture torture-smoke obs-smoke
+.PHONY: all build vet test race cover bench bench-parallel bench-wal bench-read bench-smoke bench-e2e bench-e2e-smoke experiments examples check clean serve loadtest loadtest-matrix loadtest-pipeline recovery-smoke fuzz-wal fuzz-checkpoint torture torture-smoke obs-smoke
 
 all: build vet test
 
@@ -57,6 +57,16 @@ bench-smoke:
 	$(MAKE) bench-parallel BENCHTIME=1x
 	$(MAKE) bench-wal BENCHTIME=1x
 	$(MAKE) bench-read BENCHTIME=1x
+
+# The repository's benchmark (BENCHMARK.json, bench/README.md): four
+# workloads through the whole stack, end-to-end metrics to stdout. bench/
+# is a module of its own, hence -C. The smoke compiles it and runs its
+# tests, which drive every workload for a moment.
+bench-e2e:
+	$(GO) run -C bench .
+
+bench-e2e-smoke:
+	$(GO) test -C bench ./...
 
 # Run the networked HDD service in the foreground (Ctrl-C drains).
 serve:

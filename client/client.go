@@ -98,7 +98,7 @@ type Client struct {
 	mu     sync.Mutex
 	free   []*conn
 	conns  map[*conn]struct{} // every live connection, pooled or pinned
-	closed bool
+	closed atomic.Bool        // written under mu
 
 	// The protocol-v2 multiplexed connection set: a fixed slot array,
 	// picked round-robin, redialed lazily when a conn dies.
@@ -347,7 +347,7 @@ func (c *Client) Stats() (map[string]int64, error) {
 // idempotent.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	c.closed = true
+	c.closed.Store(true)
 	all := make([]*conn, 0, len(c.conns))
 	for cn := range c.conns {
 		all = append(all, cn)
@@ -383,15 +383,14 @@ func (c *Client) Close() error {
 func (c *Client) slot() (*mconn, error) {
 	i := int(c.next.Add(1) % uint64(len(c.slots)))
 	c.smu.Lock()
-	if c.isClosed() {
-		c.smu.Unlock()
+	m := c.slots[i]
+	c.smu.Unlock()
+	if c.closed.Load() {
 		return nil, errClientClosed
 	}
-	if m := c.slots[i]; m != nil && !m.isDead() {
-		c.smu.Unlock()
+	if m != nil && !m.dead.Load() {
 		return m, nil
 	}
-	c.smu.Unlock()
 
 	// Dial outside the slot lock so one slow dial doesn't serialize every
 	// other slot's traffic.
@@ -399,14 +398,14 @@ func (c *Client) slot() (*mconn, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := newMconn(c, nc, bufio.NewReader(nc), c.opt.requestTimeout)
+	m = newMconn(c, nc, bufio.NewReader(nc), c.opt.requestTimeout)
 	c.smu.Lock()
-	if c.isClosed() {
+	if c.closed.Load() {
 		c.smu.Unlock()
 		nc.Close()
 		return nil, errClientClosed
 	}
-	if cur := c.slots[i]; cur != nil && !cur.isDead() {
+	if cur := c.slots[i]; cur != nil && !cur.dead.Load() {
 		// A racing caller already replaced the slot; use theirs.
 		c.smu.Unlock()
 		nc.Close()
@@ -430,13 +429,6 @@ func (c *Client) dropSlot(m *mconn) {
 	c.smu.Unlock()
 }
 
-func (c *Client) isClosed() bool {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	return closed
-}
-
 // untrack forgets a connection that is being closed.
 func (c *Client) untrack(cn *conn) {
 	c.mu.Lock()
@@ -449,7 +441,7 @@ func (c *Client) untrack(cn *conn) {
 func (c *Client) get() (*conn, error) {
 	for {
 		c.mu.Lock()
-		if c.closed {
+		if c.closed.Load() {
 			c.mu.Unlock()
 			return nil, errClientClosed
 		}
@@ -474,7 +466,7 @@ func (c *Client) get() (*conn, error) {
 // be handed out again, whatever the calling code path did with it.
 func (c *Client) put(cn *conn) {
 	c.mu.Lock()
-	if c.closed || cn.broken || len(c.free) >= c.opt.maxIdle {
+	if c.closed.Load() || cn.broken || len(c.free) >= c.opt.maxIdle {
 		c.mu.Unlock()
 		cn.close()
 		return
@@ -504,7 +496,7 @@ func (c *Client) dial() (*conn, error) {
 	cn := newConn(nc, c.opt.requestTimeout)
 	cn.cl = c
 	c.mu.Lock()
-	if c.closed {
+	if c.closed.Load() {
 		c.mu.Unlock()
 		nc.Close()
 		return nil, errClientClosed

@@ -25,18 +25,20 @@ type mconn struct {
 	cl      *Client // owner, for slot eviction (nil in tests)
 	nc      net.Conn
 	br      *bufio.Reader
-	bw      *bufio.Writer
-	wmu     sync.Mutex   // serializes frame writes
-	wwait   atomic.Int32 // writers currently waiting on wmu (group-flush)
+	fw      *wire.FrameWriter // coalesces concurrent callers' frames
 	timeout time.Duration
 
 	tags atomic.Uint64 // tag allocator; tags are unique per conn lifetime
 
 	pmu     sync.Mutex
 	pending map[uint64]*mcall
-	dead    bool
+	dead    atomic.Bool // written under pmu, with deadErr
 	deadErr error
 }
+
+// writeBuf sizes a conn's write buffer. Request frames are small; a burst
+// of them fits, and a large value passes through unbuffered.
+const writeBuf = 4096
 
 // mcall is one in-flight request awaiting its tagged response.
 type mcall struct {
@@ -54,7 +56,7 @@ func newMconn(cl *Client, nc net.Conn, br *bufio.Reader, timeout time.Duration) 
 		cl:      cl,
 		nc:      nc,
 		br:      br,
-		bw:      bufio.NewWriter(nc),
+		fw:      wire.NewFrameWriter(nc, writeBuf, timeout, nil),
 		timeout: timeout,
 		pending: make(map[uint64]*mcall),
 	}
@@ -70,31 +72,21 @@ func (m *mconn) roundTrip(req *wire.Request) (wire.Response, error) {
 	req.Tag = tag
 	call := &mcall{op: req.Op, ch: make(chan mresult, 1)}
 	m.pmu.Lock()
-	if m.dead {
+	if m.dead.Load() {
 		err := m.deadErr
 		m.pmu.Unlock()
 		return wire.Response{}, err
 	}
 	m.pending[tag] = call
+	// Other calls in flight: whoever was woken by the same burst of
+	// responses is about to send too, so let the frame writer yield for
+	// them before it flushes. Alone, it flushes at once.
+	shared := len(m.pending) > 1
 	m.pmu.Unlock()
 
-	// Group flush: frames accumulate in the shared write buffer, and a
-	// writer flushes only when no other writer is waiting for the lock —
-	// the last one out carries everyone's frames in one syscall. The skip
-	// is safe because the observed waiter must itself reach this code and
-	// either flush or observe a later waiter; the chain always terminates
-	// at a writer who sees no one waiting.
 	bp := wire.GetBuffer()
 	*bp = wire.AppendRequest2((*bp)[:0], req)
-	m.wwait.Add(1)
-	m.wmu.Lock()
-	m.wwait.Add(-1)
-	m.nc.SetWriteDeadline(time.Now().Add(m.timeout))
-	err := wire.WriteFrame(m.bw, *bp)
-	if err == nil && m.wwait.Load() == 0 {
-		err = m.bw.Flush()
-	}
-	m.wmu.Unlock()
+	err := m.fw.Send(*bp, shared)
 	wire.PutBuffer(bp)
 	if err != nil {
 		m.fail(fmt.Errorf("client: sending %v: %w", req.Op, err))
@@ -159,12 +151,12 @@ func (m *mconn) readLoop() {
 // drops the conn from its slot table so the next request redials.
 func (m *mconn) fail(err error) {
 	m.pmu.Lock()
-	if m.dead {
+	if m.dead.Load() {
 		m.pmu.Unlock()
 		return
 	}
-	m.dead = true
 	m.deadErr = err
+	m.dead.Store(true)
 	pend := m.pending
 	m.pending = make(map[uint64]*mcall)
 	m.pmu.Unlock()
@@ -175,14 +167,6 @@ func (m *mconn) fail(err error) {
 	if m.cl != nil {
 		m.cl.dropSlot(m)
 	}
-}
-
-// isDead reports whether the conn has been failed.
-func (m *mconn) isDead() bool {
-	m.pmu.Lock()
-	d := m.dead
-	m.pmu.Unlock()
-	return d
 }
 
 // errClientClosed is the terminal error Close leaves on every conn.

@@ -1,0 +1,161 @@
+package client
+
+// The multiplexed connection against a real server: the frame writer both
+// ends share must never strand a caller, must coalesce when callers share
+// a connection, and must cost a lone caller nothing.
+
+import (
+	"fmt"
+	"net"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"hdd"
+	"hdd/internal/enginereg"
+	"hdd/internal/server"
+)
+
+// serveHDD boots an HDD engine behind a loopback server and dials it with
+// a single multiplexed connection.
+func serveHDD(t *testing.T) *Client {
+	t.Helper()
+	part, err := enginereg.ChainPartition(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := enginereg.Build("HDD", enginereg.Options{Partition: part, TxnTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(eng, server.Options{})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
+	c, err := Dial(l.Addr().String(), WithConns(1), WithRequestTimeout(20*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		srv.Close()
+		if err := <-done; err != nil {
+			t.Errorf("Serve returned %v", err)
+		}
+	})
+	return c
+}
+
+// flushStats returns the server's (response frames, socket flushes).
+func flushStats(t *testing.T, c *Client) (frames, flushes int64) {
+	t.Helper()
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats["flushed_frames"], stats["writer_flushes"]
+}
+
+// TestFrameWriterLiveness: 16 callers × 30 transactions over one mconn,
+// on one P and on four, through the inline path (read-only transactions)
+// and the handler path (update transactions). Every call returns — a
+// frame whose sender skipped its flush is always carried by someone
+// else's — and on one P the yield makes both ends coalesce.
+func TestFrameWriterLiveness(t *testing.T) {
+	const callers, txns = 16, 30
+	for _, procs := range []int{1, 4} {
+		for _, path := range []string{"inline", "handlers"} {
+			t.Run(fmt.Sprintf("procs=%d/%s", procs, path), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				c := serveHDD(t)
+				class := hdd.NoClass
+				if path == "handlers" {
+					class = 0
+				}
+				frames0, flushes0 := flushStats(t, c)
+
+				var wg sync.WaitGroup
+				errs := make(chan error, callers)
+				for w := 0; w < callers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for i := 0; i < txns; i++ {
+							err := hdd.Run(c, class, func(tx hdd.Txn) error {
+								// Distinct keys per caller: no engine conflicts, only wire traffic.
+								g := hdd.GranuleID{Segment: 0, Key: uint64(w)}
+								if _, err := tx.Read(g); err != nil {
+									return err
+								}
+								_, err := tx.Read(g)
+								return err
+							}, hdd.RetryPolicy{})
+							if err != nil {
+								errs <- fmt.Errorf("caller %d txn %d: %w", w, i, err)
+								return
+							}
+						}
+					}(w)
+				}
+				finished := make(chan struct{})
+				go func() { wg.Wait(); close(finished) }()
+				select {
+				case <-finished:
+				case <-time.After(60 * time.Second):
+					t.Fatal("callers still waiting after 60s: a frame was appended and never flushed")
+				}
+				close(errs)
+				for err := range errs {
+					t.Fatal(err)
+				}
+
+				frames1, flushes1 := flushStats(t, c)
+				frames, flushes := frames1-frames0, flushes1-flushes0
+				if want := int64(callers * txns * 4); frames < want {
+					t.Fatalf("server flushed %d response frames for %d round trips", frames, want)
+				}
+				m := c.slots[0]
+				t.Logf("server: %d frames in %d flushes (%.1f per flush); client yields: %d",
+					frames, flushes, float64(frames)/float64(flushes), m.fw.Yields())
+				if procs == 1 && frames < 4*flushes {
+					t.Fatalf("%d callers on one P: %d response frames took %d socket flushes, want at least 4 per flush", callers, frames, flushes)
+				}
+				if m.fw.Yields() == 0 {
+					t.Fatal("16 concurrent callers never yielded to each other before flushing")
+				}
+			})
+		}
+	}
+}
+
+// TestLoneCallerFlushesEveryFrameAtOnce: at depth 1 there is nobody to
+// wait for — one socket flush per frame on both ends, and no yield.
+func TestLoneCallerFlushesEveryFrameAtOnce(t *testing.T) {
+	c := serveHDD(t)
+	frames0, flushes0 := flushStats(t, c)
+	const txns = 50
+	for i := 0; i < txns; i++ {
+		class := hdd.ClassID(i % 2) // alternate the handler path and...
+		if i%4 >= 2 {
+			class = hdd.NoClass // ...the inline path
+		}
+		err := hdd.Run(c, class, func(tx hdd.Txn) error {
+			_, err := tx.Read(hdd.GranuleID{Segment: 0, Key: 1})
+			return err
+		}, hdd.RetryPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames1, flushes1 := flushStats(t, c)
+	if frames, flushes := frames1-frames0, flushes1-flushes0; frames != flushes || frames < 3*txns {
+		t.Fatalf("a lone caller's %d transactions: server sent %d frames in %d flushes, want one flush per frame", txns, frames, flushes)
+	}
+	if y := c.slots[0].fw.Yields(); y != 0 {
+		t.Fatalf("a lone caller yielded %d times before flushing", y)
+	}
+}

@@ -6,7 +6,7 @@ package main
 // operations a small fixed connection set can sustain. Depth 1 is the
 // classic one-round-trip-at-a-time client; depth D keeps D readers in
 // flight over the same multiplexed sockets, so responses pipeline and the
-// server's session writer coalesces them into large writes.
+// server's frame writer coalesces them into large writes.
 //
 // Each depth emits one bench line,
 //

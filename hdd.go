@@ -96,6 +96,9 @@ const (
 	CapDurability = cc.CapDurability
 	// CapCheckpoint: explicit snapshot/checkpointing of committed state.
 	CapCheckpoint = cc.CapCheckpoint
+	// CapWaitFreeReadOnly: read-only transactions never wait on anything,
+	// so a server executes them without a goroutine hand-off.
+	CapWaitFreeReadOnly = cc.CapWaitFreeReadOnly
 )
 
 // NoClass marks read-only transactions, which belong to no update class.

@@ -102,6 +102,15 @@ type Checkpointer interface {
 	Snapshot() error
 }
 
+// WaitFreeReadOnly is declared by an engine whose read-only transactions
+// synchronise with nobody: neither BeginReadOnly(For) nor any Read, Commit
+// or Abort on what it returns ever waits on a transaction, lock or
+// storage (HDD's Protocol C, Theorem 2). The server runs such transactions
+// on the goroutine that read the request. The method does nothing.
+type WaitFreeReadOnly interface {
+	WaitFreeReadOnly()
+}
+
 // Capability is a bitmask of the optional backend interfaces an engine
 // implements, the form capability bits take on the wire (hello payload)
 // and in stats output.
@@ -124,6 +133,9 @@ const (
 	// CapCheckpoint: the engine implements Checkpointer and durability is
 	// enabled (a checkpoint of a memory-only engine is meaningless).
 	CapCheckpoint
+	// CapWaitFreeReadOnly: the engine declares WaitFreeReadOnly — a
+	// property, not a method: a wrapper that can stall calls must clear it.
+	CapWaitFreeReadOnly
 )
 
 var capNames = []struct {
@@ -137,6 +149,7 @@ var capNames = []struct {
 	{CapActiveTxns, "active-txns"},
 	{CapDurability, "durability"},
 	{CapCheckpoint, "checkpoint"},
+	{CapWaitFreeReadOnly, "waitfree-readonly"},
 }
 
 // Has reports whether every bit of want is set.
@@ -194,6 +207,9 @@ func CapabilitiesOf(e Engine) Capability {
 				c |= CapCheckpoint
 			}
 		}
+	}
+	if _, ok := e.(WaitFreeReadOnly); ok {
+		c |= CapWaitFreeReadOnly
 	}
 	return c
 }

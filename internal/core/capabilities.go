@@ -16,7 +16,13 @@ var (
 	_ cc.ActiveTxnCounter       = (*Engine)(nil)
 	_ cc.DurabilityIntrospector = (*Engine)(nil)
 	_ cc.Checkpointer           = (*Engine)(nil)
+	_ cc.WaitFreeReadOnly       = (*Engine)(nil)
 )
+
+// WaitFreeReadOnly implements cc.WaitFreeReadOnly: read-only transactions
+// read below a released time wall or thresholds pinned at begin, so none
+// of their operations waits on anything (§5.2, Theorem 2).
+func (e *Engine) WaitFreeReadOnly() {}
 
 // DurabilityState implements cc.DurabilityIntrospector: the durability
 // counters as an engine-neutral flat list, and whether durability is

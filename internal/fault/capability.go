@@ -27,8 +27,11 @@ var (
 )
 
 // Capabilities implements cc.CapabilityReporter: the wrapper backs exactly
-// what the inner engine backs.
-func (f *Engine) Capabilities() cc.Capability { return cc.CapabilitiesOf(f.inner) }
+// what the inner engine backs — except the wait-free promise, which no
+// engine keeps once a fault plan may stall any of its calls.
+func (f *Engine) Capabilities() cc.Capability {
+	return cc.CapabilitiesOf(f.inner) &^ cc.CapWaitFreeReadOnly
+}
 
 // ForceAbort implements cc.ForceAborter by delegation; it reports false
 // when the inner engine lacks the capability.

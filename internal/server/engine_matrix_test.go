@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -317,5 +318,117 @@ func checkStats(t *testing.T, c *client.Client, info client.ServerInfo) {
 	_, hasWAL := stats["wal_records"]
 	if hasWAL != info.Caps.Has(hdd.CapDurability) {
 		t.Fatalf("wal_records stat present=%v, durability capability=%v", hasWAL, info.Caps.Has(hdd.CapDurability))
+	}
+	// The mixed workload ran read-only transactions: the session goroutine
+	// executed them exactly where the engine declared they cannot block.
+	if inline := stats["inline_requests"] > 0; inline != info.Caps.Has(hdd.CapWaitFreeReadOnly) {
+		t.Fatalf("inline_requests = %d with capabilities %v", stats["inline_requests"], info.Caps)
+	}
+}
+
+// TestWaitFreeReadOnlyByEngine: only the HDD engine declares that its
+// read-only transactions cannot block, and the wire reports it by name.
+func TestWaitFreeReadOnlyByEngine(t *testing.T) {
+	for _, name := range enginereg.Names() {
+		part, err := enginereg.ChainPartition(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := enginereg.Build(name, enginereg.Options{Partition: part})
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps := server.New(eng, server.Options{}).Capabilities()
+		eng.Close()
+		if got, want := caps.Has(cc.CapWaitFreeReadOnly), name == "HDD"; got != want {
+			t.Errorf("%s: wait-free read-only = %v (capabilities %v), want %v", name, got, caps, want)
+		}
+		if got, want := strings.Contains(caps.String(), "waitfree-readonly"), name == "HDD"; got != want {
+			t.Errorf("%s: capabilities print as %q", name, caps)
+		}
+	}
+}
+
+// TestBlockedReadOnlyDoesNotStallSession: a strict-2PL read-only
+// transaction locks like any other, so its read can park behind a writer.
+// The engine does not declare wait-free read-only transactions, the read
+// therefore leaves the session goroutine, and sibling transactions on the
+// same connection keep being served while it waits.
+func TestBlockedReadOnlyDoesNotStallSession(t *testing.T) {
+	_, addr := startEngineServer(t, "2PL", 2)
+	c := dial(t, addr, client.WithConns(1))
+	hot := hdd.GranuleID{Segment: 0, Key: 1}
+
+	writer, err := c.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Write(hot, []byte("held")); err != nil {
+		t.Fatal(err)
+	}
+	reader, err := c.BeginReadOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type readResult struct {
+		val []byte
+		err error
+	}
+	parked := make(chan readResult, 1)
+	go func() {
+		v, err := reader.Read(hot)
+		parked <- readResult{v, err}
+	}()
+	// The engine counts a read on entry and a blocked read once its wait
+	// is over: reads=1 means the read is inside the engine, at the lock.
+	waitFor(t, 5*time.Second, func() bool {
+		stats, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats["reads"] >= 1
+	})
+
+	// Same connection, same session: a sibling read-only transaction runs
+	// start to finish while the first is parked on the lock.
+	sibling, err := c.BeginReadOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sibling.Read(hdd.GranuleID{Segment: 0, Key: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sibling.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-parked:
+		t.Fatalf("the parked read returned (%q, %v) before the writer released its lock", r.val, r.err)
+	default:
+	}
+
+	if err := writer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-parked:
+		if r.err != nil || string(r.val) != "held" {
+			t.Fatalf("parked read after the writer committed: (%q, %v)", r.val, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the parked read never resumed")
+	}
+	if err := reader.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats["blocked_reads"] != 1 {
+		t.Fatalf("blocked_reads = %d: the read never waited on the writer's lock", stats["blocked_reads"])
+	}
+	if stats["inline_requests"] != 0 {
+		t.Fatalf("inline_requests = %d against an engine that may block", stats["inline_requests"])
 	}
 }

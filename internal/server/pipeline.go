@@ -1,35 +1,40 @@
 package server
 
-// The version-2 pipelined session path (DESIGN.md §15). A v2 session
-// stops being one synchronous request–response loop: the reader goroutine
-// decodes frames and hands them off, handlers run concurrently where the
-// protocol allows it, and a dedicated writer goroutine coalesces whatever
-// responses have queued up into single large socket writes — the PR 4
-// group-commit idiom applied at the socket.
+// The version-2 pipelined session path (DESIGN.md §15). The session
+// goroutine decodes frames and sorts them by one question: can this
+// operation block?
+//
+// It cannot when it begins, or belongs to, a read-only transaction of an
+// engine that declared cc.CapWaitFreeReadOnly (HDD's Protocol C reads
+// synchronise with nobody — Theorem 2). Those run inline, on the session
+// goroutine; the response is flushed once the read buffer holds no further
+// complete frame, so a burst of pipelined reads costs one read(2), no
+// goroutine hand-off and one write(2). Everything else may wait — on a
+// lock, a pending version, the log, a gate — and leaves the reader: a
+// per-transaction FIFO drained by at most one goroutine at a time, or a
+// goroutine of its own for requests that name no transaction.
 //
 // Ordering contract: operations addressing the same transaction execute
-// (and are answered) in arrival order, via a per-transaction FIFO drained
-// by at most one goroutine at a time. Everything else — begins, Hello,
-// Stats, ops on distinct transactions — runs concurrently and may be
-// answered out of order; the tag is the client's correlation handle. A
-// client cannot address a transaction before it has seen the begin
-// response that names it, so concurrent begins need no ordering.
+// (and are answered) in arrival order. An operation goes inline only when
+// its transaction's FIFO is empty and idle, and only the session goroutine
+// enqueues, so the rule holds across both paths. Everything else may be
+// answered out of order; the tag is the client's correlation handle.
 //
-// Backpressure: a session admits at most MaxPipeline requests in flight
-// (sem). The response queue's capacity matches, so a handler's enqueue
-// never blocks — which is what makes teardown's inflight.Wait() safe.
+// Backpressure: at most MaxPipeline handler requests in flight per session
+// (sem); past that the reader stops reading. Responses are bounded by the
+// frame writer's buffer, not the request count: a peer that stops reading
+// blocks its senders in write until WriteTimeout, which fails the writer,
+// closes the connection and ends the session.
 
 import (
-	"bufio"
 	"errors"
-	"time"
 
 	"hdd/internal/cc"
 	"hdd/internal/wire"
 )
 
 // pipeWriteBuf sizes the v2 session's socket write buffer: large enough
-// that one flush carries many coalesced response frames.
+// that one flush carries the responses to a deep burst of reads.
 const pipeWriteBuf = 64 << 10
 
 // sessTxn is one open transaction plus its FIFO of pending requests. The
@@ -37,6 +42,9 @@ const pipeWriteBuf = 64 << 10
 // them in arrival order.
 type sessTxn struct {
 	t cc.Txn
+	// waitFree: no read, commit or abort of t can block (set at begin,
+	// from the engine's declared capability, never changed).
+	waitFree bool
 
 	// q and running are guarded by the owning session's tmu (the queues
 	// are touched only at enqueue/dequeue, never during engine calls, so
@@ -46,47 +54,114 @@ type sessTxn struct {
 }
 
 // startPipeline latches the session into version-2 mode: from here on
-// every frame must be v2, and responses flow through the writer
-// goroutine. Called by the session goroutine on the first v2 frame.
+// every frame must be v2, and responses go through the frame writer.
+// Called by the session goroutine on the first v2 frame; the v1 path
+// flushes after every response, so nothing is buffered at the latch.
 func (s *session) startPipeline() {
 	s.v2 = true
-	n := s.srv.opts.MaxPipeline
-	s.sem = make(chan struct{}, n)
-	// +1 leaves room for the single protocol-error response the reader
-	// itself may enqueue before tearing down.
-	s.wq = make(chan *[]byte, n+1)
-	s.writerDone = make(chan struct{})
-	// The v1 path flushes after every response, so nothing is buffered
-	// when the session latches; swap in a buffer sized for coalescing.
-	s.bw = bufio.NewWriterSize(s.conn, pipeWriteBuf)
-	go s.writeLoop()
+	s.sem = make(chan struct{}, s.srv.opts.MaxPipeline)
+	s.fw = wire.NewFrameWriter(s.conn, pipeWriteBuf, s.srv.opts.WriteTimeout, s.srv.observeFlush)
 }
 
-// dispatch admits one decoded v2 request into the pipeline. It blocks
-// (applying backpressure on the socket) when MaxPipeline requests are
-// already in flight.
+// dispatch routes one decoded v2 request: inline when it cannot block,
+// otherwise through admission (blocking when MaxPipeline are in flight)
+// into its transaction's FIFO or a goroutine of its own.
 func (s *session) dispatch(req *wire.Request) {
-	s.sem <- struct{}{}
-	s.inflight.Add(1)
-	s.srv.pipelineDepth.Add(1)
 	switch req.Op {
 	case wire.OpRead, wire.OpWrite, wire.OpCommit, wire.OpAbort, wire.OpBatch:
 		s.tmu.Lock()
 		st, ok := s.txns[req.Txn]
+		if ok && st.waitFree && !st.running && len(st.q) == 0 && !writes(req) {
+			s.tmu.Unlock()
+			s.runInline(req, st.t)
+			return
+		}
+		if !s.admit(false) { // full: wait for a slot without holding tmu
+			s.tmu.Unlock()
+			s.admit(true)
+			s.tmu.Lock()
+			st, ok = s.txns[req.Txn]
+		}
 		if !ok {
 			s.tmu.Unlock()
 			s.complete(req, unknownTxn(req.Txn))
 			return
 		}
-		st.q = append(st.q, req)
+		st.q = append(st.q, clone(req))
 		if !st.running {
 			st.running = true
 			go s.drainTxn(st)
 		}
 		s.tmu.Unlock()
+	case wire.OpBeginReadOnly, wire.OpBeginReadOnlyFor:
+		if s.srv.waitFreeRO {
+			s.runInline(req, nil)
+			return
+		}
+		fallthrough
 	default:
-		go s.run(req)
+		s.admit(true)
+		go s.run(clone(req), nil)
 	}
+}
+
+// clone copies a request header for a handler to own (decoded
+// variable-length fields are already fresh allocations).
+func clone(req *wire.Request) *wire.Request {
+	r := *req
+	return &r
+}
+
+// writes reports whether a request carries a write: how one fails on a
+// read-only transaction is the engine's business, so it takes the FIFO.
+func writes(req *wire.Request) bool {
+	for i := range req.Batch {
+		if req.Batch[i].Write {
+			return true
+		}
+	}
+	return req.Op == wire.OpWrite
+}
+
+// admit takes an in-flight slot. With wait unset it reports false when
+// MaxPipeline are taken; with wait set it waits for one, flushing first:
+// the handlers holding the slots may be blocked on something the peer will
+// only do once it has seen a response this goroutine still buffers.
+func (s *session) admit(wait bool) bool {
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		if !wait {
+			return false
+		}
+		_ = s.flushInline() // a failed writer ends the session at its next read
+		s.sem <- struct{}{}
+	}
+	s.inflight.Add(1)
+	s.srv.pipelineDepth.Add(1)
+	return true
+}
+
+// runInline executes a request that cannot block on the session goroutine
+// and buffers its response; serve flushes when the burst ends.
+func (s *session) runInline(req *wire.Request, t cc.Txn) {
+	resp := s.timed(req, t)
+	resp.Tag = req.Tag
+	s.wbuf = wire.AppendResponse2(s.wbuf[:0], req.Op, resp)
+	s.srv.inlineRequests.Inc()
+	// A failed writer has closed the connection: the next read ends serve.
+	if s.fw.Append(s.wbuf) == nil {
+		s.unflushed = true
+	}
+}
+
+// flushInline flushes the responses the session goroutine has buffered.
+func (s *session) flushInline() error {
+	if !s.unflushed {
+		return nil
+	}
+	s.unflushed = false
+	return s.fw.Flush()
 }
 
 // drainTxn executes one transaction's queued requests in order until the
@@ -105,100 +180,39 @@ func (s *session) drainTxn(st *sessTxn) {
 		req := st.q[0]
 		st.q = st.q[1:]
 		s.tmu.Unlock()
-		s.run1(req)
+		s.run(req, st.t)
 	}
 }
 
-// run executes one non-transactional request in its own goroutine.
-func (s *session) run(req *wire.Request) {
-	s.run1(req)
+// run executes one admitted request and sends its response.
+func (s *session) run(req *wire.Request, t cc.Txn) {
+	s.complete(req, s.timed(req, t))
 }
 
-func (s *session) run1(req *wire.Request) {
-	start := time.Now()
-	resp := s.handle(req)
-	if h := s.srv.latencyFor(req.Op); h != nil {
-		h.Observe(time.Since(start))
-	}
-	s.complete(req, resp)
-}
-
-// complete encodes a response — tag echoed — and queues it for the
-// writer. The enqueue cannot block (see the capacity invariant above);
-// in-flight accounting is released only after the frame is queued, so
-// teardown's inflight.Wait() → close(wq) sequence never loses a response.
+// complete sends an admitted request's response, tag echoed. With other
+// requests in flight the send yields before it flushes, so handlers
+// finishing together share one socket write. The slot is released only
+// after the frame is sent, so teardown's inflight.Wait() loses nothing. A
+// send error has closed the connection, which ends serve.
 func (s *session) complete(req *wire.Request, resp *wire.Response) {
 	resp.Tag = req.Tag
 	bp := wire.GetBuffer()
 	*bp = wire.AppendResponse2((*bp)[:0], req.Op, resp)
-	s.wq <- bp
+	_ = s.fw.Send(*bp, len(s.sem) > 1)
+	wire.PutBuffer(bp)
 	s.srv.pipelineDepth.Add(-1)
 	s.inflight.Done()
 	<-s.sem
 }
 
-// writeLoop is the session's writer goroutine: it blocks for the next
-// queued response frame, then greedily drains everything else already
-// queued into the same buffered write and flushes once — one syscall
-// carrying as many responses as the pipeline produced since the last
-// flush. On a write error it severs the connection (unblocking the
-// reader) and keeps consuming the queue so handlers never block.
-func (s *session) writeLoop() {
-	defer close(s.writerDone)
-	failed := false
-	for bp := range s.wq {
-		if failed {
-			wire.PutBuffer(bp)
-			continue
-		}
-		s.conn.SetWriteDeadline(time.Now().Add(s.srv.opts.WriteTimeout))
-		err := wire.WriteFrame(s.bw, *bp)
-		wire.PutBuffer(bp)
-		frames := 1
-		closed := false
-	coalesce:
-		for err == nil {
-			select {
-			case more, ok := <-s.wq:
-				if !ok {
-					closed = true
-					break coalesce
-				}
-				err = wire.WriteFrame(s.bw, *more)
-				wire.PutBuffer(more)
-				frames++
-			default:
-				break coalesce
-			}
-		}
-		if err == nil {
-			err = s.bw.Flush()
-		}
-		s.srv.writerFlushes.Inc()
-		s.srv.flushedFrames.Add(int64(frames))
-		if frames > 1 {
-			s.srv.coalescedWrites.Inc()
-		}
-		if err != nil {
-			failed = true
-			s.closeOnce.Do(func() { s.conn.Close() })
-		}
-		if closed {
-			return
-		}
-	}
-}
-
 // pipelineProtoErr answers a protocol violation on a latched v2 session —
-// an undecodable frame, or a v1 frame after the latch — through the
-// writer queue (the reserved +1 slot), so the peer sees a diagnostic
-// before the connection drops. The caller returns from serve afterwards;
-// teardown flushes and closes.
+// an undecodable frame, or a v1 frame after the latch — so the peer sees a
+// diagnostic before the connection drops. The caller returns from serve
+// afterwards; teardown flushes and closes.
 func (s *session) pipelineProtoErr(tag uint64, err error) {
 	resp := &wire.Response{Status: wire.StatusError, Tag: tag, Message: err.Error()}
-	bp := wire.GetBuffer()
-	*bp = wire.AppendResponse2((*bp)[:0], 0, resp)
-	s.wq <- bp
+	s.wbuf = wire.AppendResponse2(s.wbuf[:0], 0, resp)
+	_ = s.fw.Append(s.wbuf) // best effort on a connection about to close
 }
 
 // errVersionDowngrade is the protocol violation a session reports when a

@@ -17,11 +17,21 @@
 //
 // # Session model
 //
-// A connection is a session. Requests on a session are processed in order
-// by a dedicated goroutine, and the transactions it begins are addressable
-// only by that session — there is no cross-connection transaction handoff.
-// A session may interleave several open transactions (the pooled client
-// keeps it to one per connection, but the protocol does not require that).
+// A connection is a session, and the transactions it begins are
+// addressable only by that session — there is no cross-connection
+// transaction handoff. One goroutine per session reads and decodes frames.
+// A version-1 session answers each request before reading the next. A
+// version-2 session (tagged frames, the default client) pipelines:
+// requests naming the same transaction execute and are answered in arrival
+// order, everything else may overtake. The session goroutine itself
+// executes what cannot block — a read-only transaction's operations when
+// the engine declares cc.CapWaitFreeReadOnly — and flushes the responses
+// when the burst it read is exhausted; anything that may wait goes through
+// a per-transaction FIFO to a handler goroutine, at most
+// Options.MaxPipeline in flight. Both paths write through one
+// wire.FrameWriter, which coalesces concurrent responses into single
+// socket writes and drops a peer that stops reading after
+// Options.WriteTimeout (pipeline.go, DESIGN.md §15).
 //
 // # Orphaned transactions
 //
@@ -65,7 +75,9 @@ type Options struct {
 	// 0 means no idle limit (orphan cleanup then relies on the engine
 	// reaper after TCP teardown, or on Shutdown).
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write. Defaults to 10s.
+	// WriteTimeout bounds how long a response (on a v2 session: a burst of
+	// responses) may take to reach the socket; a peer that stops reading
+	// is dropped when it expires. Defaults to 10s.
 	WriteTimeout time.Duration
 	// MaxPipeline caps how many version-2 requests one session may have in
 	// flight; further frames block in the socket (backpressure). Defaults
@@ -103,6 +115,7 @@ type Server struct {
 	// does not back the capability, and every use is nil-guarded — the
 	// missing-capability answer is a typed status, never a panic.
 	caps       cc.Capability
+	waitFreeRO bool // caps has CapWaitFreeReadOnly: read-only txns run inline
 	forceAbort cc.ForceAborter
 	adhoc      cc.AdHocBeginner
 	scopedRO   cc.ScopedReadOnlyBeginner
@@ -119,9 +132,11 @@ type Server struct {
 	reqLat [wire.OpBatch + 1]*obs.Histogram
 
 	// Pipeline instrumentation (DESIGN.md §15): current admitted-request
-	// depth across all v2 sessions, writer flush accounting, and the
-	// batch-size distribution.
+	// depth across all v2 sessions, requests executed inline on session
+	// goroutines, frame-writer flush accounting, and the batch-size
+	// distribution.
 	pipelineDepth   atomic.Int64
+	inlineRequests  *obs.Counter
 	coalescedWrites *obs.Counter
 	writerFlushes   *obs.Counter
 	flushedFrames   *obs.Counter
@@ -154,6 +169,7 @@ func New(eng cc.Engine, opts Options) *Server {
 		sessions:  make(map[*session]struct{}),
 		drained:   make(chan struct{}),
 	}
+	s.waitFreeRO = s.caps.Has(cc.CapWaitFreeReadOnly)
 	s.forceAbort, _ = cc.AsForceAborter(eng)
 	s.adhoc, _ = cc.AsAdHocBeginner(eng)
 	s.scopedRO, _ = cc.AsScopedReadOnlyBeginner(eng)
@@ -207,14 +223,26 @@ func (s *Server) registerMetrics() {
 	r.GaugeFunc("hdd_server_pipeline_depth",
 		"Version-2 requests currently admitted and unanswered, across all sessions.",
 		s.pipelineDepth.Load)
+	s.inlineRequests = r.Counter("hdd_server_inline_requests_total",
+		"Version-2 requests executed on the session goroutine because they cannot block (the rest take a handler goroutine).")
 	s.coalescedWrites = r.Counter("hdd_server_coalesced_writes_total",
-		"Writer flushes that carried more than one response frame.")
+		"Socket flushes that carried more than one response frame.")
 	s.writerFlushes = r.Counter("hdd_server_writer_flushes_total",
-		"Socket flushes by v2 session writers.")
+		"Socket flushes by v2 sessions.")
 	s.flushedFrames = r.Counter("hdd_server_flushed_frames_total",
-		"Response frames written by v2 session writers (flushed_frames/writer_flushes = mean coalescing factor).")
+		"Response frames written by v2 sessions (flushed_frames/writer_flushes = mean coalescing factor).")
 	s.batchOps = r.ValueHistogram("hdd_server_batch_ops",
 		"Operations per OpBatch request.")
+}
+
+// observeFlush is every v2 session's frame-writer hook: one socket flush
+// carried this many response frames.
+func (s *Server) observeFlush(frames int) {
+	s.writerFlushes.Inc()
+	s.flushedFrames.Add(int64(frames))
+	if frames > 1 {
+		s.coalescedWrites.Inc()
+	}
 }
 
 // latencyFor returns the request-latency histogram for an opcode, nil for
@@ -450,6 +478,7 @@ func (s *Server) statEntries() []wire.StatEntry {
 		{Name: "txns_open", Value: s.txnsOpen.Load()},
 		{Name: "force_aborts", Value: s.forceAborts.Load()},
 		{Name: "pipeline_depth", Value: s.pipelineDepth.Load()},
+		{Name: "inline_requests", Value: s.inlineRequests.Value()},
 		{Name: "writer_flushes", Value: s.writerFlushes.Value()},
 		{Name: "coalesced_writes", Value: s.coalescedWrites.Value()},
 		{Name: "flushed_frames", Value: s.flushedFrames.Value()},

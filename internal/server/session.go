@@ -1,11 +1,12 @@
 package server
 
 // One session per connection: a goroutine that reads request frames in
-// order, dispatches them against the engine, and writes one response frame
-// per request. The session owns the transactions it began; teardown — for
-// any reason: disconnect, protocol error, idle timeout, shutdown —
-// force-aborts whatever is still open so an abandoned client can never
-// wedge walls, GC, or ad-hoc admission gates.
+// order and — on a version-1 session — answers each before reading the
+// next; a version-2 session pipelines (pipeline.go). The session owns the
+// transactions it began; teardown — for any reason: disconnect, protocol
+// error, idle timeout, shutdown — force-aborts whatever is still open so
+// an abandoned client can never wedge walls, GC, or ad-hoc admission
+// gates.
 
 import (
 	"bufio"
@@ -43,21 +44,18 @@ type session struct {
 	// its read is interrupted and exits instead of continuing the drain.
 	forced atomic.Bool
 
-	// closeOnce guards conn.Close so interrupt/forceClose (server
-	// goroutine), the v2 writer goroutine, and teardown (session
-	// goroutine) compose.
-	closeOnce sync.Once
-
 	rbuf []byte // reused frame read buffer
-	wbuf []byte // reused response encode buffer (v1 path)
+	wbuf []byte // reused response encode buffer (session goroutine only)
 
 	// Version-2 pipeline state (see pipeline.go); zero until the session
 	// latches to v2 at its first version-2 frame.
-	v2         bool
-	sem        chan struct{}  // in-flight admission, cap MaxPipeline
-	wq         chan *[]byte   // encoded responses awaiting the writer
-	writerDone chan struct{}  // closed when writeLoop exits
-	inflight   sync.WaitGroup // admitted requests not yet queued to wq
+	v2       bool
+	fw       *wire.FrameWriter // the socket's write side, shared with handlers
+	sem      chan struct{}     // in-flight admission, cap MaxPipeline
+	inflight sync.WaitGroup    // admitted requests whose response is not yet sent
+	// unflushed: the session goroutine appended inline responses it has
+	// not flushed yet. Touched by that goroutine only.
+	unflushed bool
 }
 
 func newSession(s *Server, conn net.Conn) *session {
@@ -87,21 +85,28 @@ func (s *session) forceClose() {
 // serve is the session goroutine. A version-1 session is one synchronous
 // loop: request frame in, response frame out, in order. The first
 // version-2 frame latches the session into pipelined mode (pipeline.go):
-// this goroutine then only reads and decodes, handlers run concurrently
-// under the per-transaction ordering rules, and the writer goroutine owns
-// the socket's write side. The loop runs until the peer hangs up, errs,
-// times out, violates the protocol, or the server drains.
+// this goroutine then decodes, executes what cannot block itself and hands
+// the rest to per-transaction handlers. The loop runs until the peer hangs
+// up, errs, times out, violates the protocol, or the server drains.
 func (s *session) serve() {
 	defer s.srv.wg.Done()
 	defer s.teardown()
 	for {
+		// While the read buffer holds another complete frame the next
+		// read cannot block: keep the responses buffered and the deadline
+		// as armed. Otherwise flush the burst before waiting for more.
+		if !s.v2 || !wire.FrameBuffered(s.br) {
+			if s.flushInline() != nil {
+				return
+			}
+			s.setReadDeadline()
+		}
 		if s.forced.Load() {
 			return
 		}
 		if s.srv.isDraining() && s.txnCount() == 0 && !s.hasInflight() {
 			return
 		}
-		s.setReadDeadline()
 		payload, err := wire.ReadFrame(s.br, s.rbuf)
 		if err != nil {
 			if isTimeout(err) && s.srv.isDraining() && !s.forced.Load() && (s.txnCount() > 0 || s.hasInflight()) {
@@ -133,11 +138,7 @@ func (s *session) serve() {
 				s.srv.logf("server: %v: %v", s.conn.RemoteAddr(), errVersionDowngrade)
 				return
 			}
-			// The frame buffer is reused by the next read; hand the
-			// pipeline its own copy of the request header (decoded
-			// variable-length fields are already fresh allocations).
-			r := req
-			s.dispatch(&r)
+			s.dispatch(&req)
 			continue
 		}
 		req, err := wire.DecodeRequest(payload)
@@ -148,12 +149,7 @@ func (s *session) serve() {
 			s.srv.logf("server: %v: %v", s.conn.RemoteAddr(), err)
 			return
 		}
-		start := time.Now()
-		resp := s.handle(&req)
-		if h := s.srv.latencyFor(req.Op); h != nil {
-			h.Observe(time.Since(start))
-		}
-		if err := s.writeResponse(req.Op, resp); err != nil {
+		if err := s.writeResponse(req.Op, s.timed(&req, nil)); err != nil {
 			return
 		}
 	}
@@ -168,10 +164,11 @@ func (s *session) txnCount() int {
 }
 
 // hasInflight reports whether a v2 session still has admitted requests
-// that have not produced a response yet — a draining session must not
-// exit under them (their begins may still register transactions).
+// that have not produced a response yet, or responses it has not flushed —
+// a draining session must not exit under them (their begins may still
+// register transactions).
 func (s *session) hasInflight() bool {
-	return s.v2 && len(s.sem) > 0
+	return s.v2 && (len(s.sem) > 0 || s.unflushed)
 }
 
 // setReadDeadline arms the next frame read: the idle timeout normally, a
@@ -187,22 +184,35 @@ func (s *session) setReadDeadline() {
 	}
 }
 
-// handle dispatches one decoded request. It never returns nil.
-func (s *session) handle(req *wire.Request) *wire.Response {
+// timed runs handle under the opcode's request-latency histogram.
+func (s *session) timed(req *wire.Request, t cc.Txn) *wire.Response {
+	start := time.Now()
+	resp := s.handle(req, t)
+	if h := s.srv.latencyFor(req.Op); h != nil {
+		h.Observe(time.Since(start))
+	}
+	return resp
+}
+
+// handle dispatches one decoded request. t is the transaction a
+// transaction-addressed request names when the caller has already
+// resolved it (the v2 dispatcher has), nil otherwise. It never returns
+// nil.
+func (s *session) handle(req *wire.Request, t cc.Txn) *wire.Response {
 	switch req.Op {
 	case wire.OpBegin:
 		if s.srv.isDraining() {
 			return errResponse(cc.ErrEngineClosed)
 		}
 		t, err := s.srv.eng.Begin(schema.ClassID(req.Class))
-		return s.beginResponse(t, err)
+		return s.beginResponse(t, err, false)
 
 	case wire.OpBeginReadOnly:
 		if s.srv.isDraining() {
 			return errResponse(cc.ErrEngineClosed)
 		}
 		t, err := s.srv.eng.BeginReadOnly()
-		return s.beginResponse(t, err)
+		return s.beginResponse(t, err, s.srv.waitFreeRO)
 
 	case wire.OpBeginAdHocFor:
 		if s.srv.isDraining() {
@@ -216,7 +226,7 @@ func (s *session) handle(req *wire.Request) *wire.Response {
 			reads[i] = schema.SegmentID(r)
 		}
 		t, err := s.srv.adhoc.BeginAdHocFor(schema.SegmentID(req.WriteSeg), reads...)
-		return s.beginResponse(t, err)
+		return s.beginResponse(t, err, false)
 
 	case wire.OpBeginReadOnlyFor:
 		if s.srv.isDraining() {
@@ -230,26 +240,40 @@ func (s *session) handle(req *wire.Request) *wire.Response {
 			segs[i] = schema.SegmentID(r)
 		}
 		t, err := s.srv.scopedRO.BeginReadOnlyFor(segs...)
-		return s.beginResponse(t, err)
+		return s.beginResponse(t, err, s.srv.waitFreeRO)
 
 	case wire.OpHello:
 		return &wire.Response{Status: wire.StatusOK,
 			EngineName: s.srv.eng.Name(), Caps: uint64(s.srv.caps)}
 
-	case wire.OpRead:
-		t, ok := s.lookupTxn(req.Txn)
-		if !ok {
-			return unknownTxn(req.Txn)
+	case wire.OpRead, wire.OpWrite, wire.OpCommit, wire.OpAbort, wire.OpBatch:
+		if t == nil {
+			var ok bool
+			if t, ok = s.lookupTxn(req.Txn); !ok {
+				return unknownTxn(req.Txn)
+			}
 		}
+		return s.handleTxnOp(req, t)
+
+	case wire.OpStats:
+		return &wire.Response{Status: wire.StatusOK, Stats: s.srv.statEntries()}
+	}
+	return &wire.Response{Status: wire.StatusError,
+		Message: fmt.Sprintf("server: unhandled opcode %v", req.Op)}
+}
+
+// handleTxnOp executes one operation on an open transaction.
+func (s *session) handleTxnOp(req *wire.Request, t cc.Txn) *wire.Response {
+	var err error
+	switch req.Op {
+	case wire.OpRead:
 		g := schema.GranuleID{Segment: schema.SegmentID(req.Seg), Key: req.Key}
 		// Zero-copy when the engine offers it: the shared slice aliases
 		// immutable engine memory and is consumed immediately — encoded
-		// into this session's response buffer by writeResponse before the
-		// next request can touch the transaction. The defensive copy the
-		// public API owes its callers happens client-side, in the wire
-		// decoder.
+		// into the response frame before the next request can touch the
+		// transaction. The defensive copy the public API owes its callers
+		// happens client-side, in the wire decoder.
 		var val []byte
-		var err error
 		if sr, ok := t.(cc.SharedReader); ok {
 			val, err = sr.ReadShared(g)
 		} else {
@@ -263,51 +287,26 @@ func (s *session) handle(req *wire.Request) *wire.Response {
 		return &wire.Response{Status: wire.StatusOK, Found: val != nil, Value: val}
 
 	case wire.OpWrite:
-		t, ok := s.lookupTxn(req.Txn)
-		if !ok {
-			return unknownTxn(req.Txn)
-		}
 		if len(req.Value) > wire.MaxValue {
 			return errResponse(fmt.Errorf("server: value of %d bytes exceeds MaxValue (%d)", len(req.Value), wire.MaxValue))
 		}
-		err := t.Write(schema.GranuleID{Segment: schema.SegmentID(req.Seg), Key: req.Key}, req.Value)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &wire.Response{Status: wire.StatusOK}
+		err = t.Write(schema.GranuleID{Segment: schema.SegmentID(req.Seg), Key: req.Key}, req.Value)
 
 	case wire.OpCommit:
-		t, ok := s.lookupTxn(req.Txn)
-		if !ok {
-			return unknownTxn(req.Txn)
-		}
-		err := t.Commit()
+		err = t.Commit()
 		s.dropTxn(req.Txn)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &wire.Response{Status: wire.StatusOK}
 
 	case wire.OpAbort:
-		t, ok := s.lookupTxn(req.Txn)
-		if !ok {
-			return unknownTxn(req.Txn)
-		}
-		err := t.Abort()
+		err = t.Abort()
 		s.dropTxn(req.Txn)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &wire.Response{Status: wire.StatusOK}
 
 	case wire.OpBatch:
-		return s.handleBatch(req)
-
-	case wire.OpStats:
-		return &wire.Response{Status: wire.StatusOK, Stats: s.srv.statEntries()}
+		return s.handleBatch(req, t)
 	}
-	return &wire.Response{Status: wire.StatusError,
-		Message: fmt.Sprintf("server: unhandled opcode %v", req.Op)}
+	if err != nil {
+		return errResponse(err)
+	}
+	return &wire.Response{Status: wire.StatusOK}
 }
 
 // handleBatch executes an OpBatch request: the declared operations run in
@@ -317,11 +316,7 @@ func (s *session) handle(req *wire.Request) *wire.Response {
 // individually). The accumulated response size is guarded against
 // MaxFrame so a batch of large reads degrades into a typed error, not a
 // dead connection.
-func (s *session) handleBatch(req *wire.Request) *wire.Response {
-	t, ok := s.lookupTxn(req.Txn)
-	if !ok {
-		return unknownTxn(req.Txn)
-	}
+func (s *session) handleBatch(req *wire.Request, t cc.Txn) *wire.Response {
 	sr, shared := t.(cc.SharedReader)
 	results := make([]wire.BatchResult, 0, len(req.Batch))
 	respSize := 32 // header + count headroom
@@ -340,7 +335,7 @@ func (s *session) handleBatch(req *wire.Request) *wire.Response {
 			continue
 		}
 		// Zero-copy read, same contract as OpRead: the shared slice is
-		// encoded by complete() inside this transaction's serial section.
+		// encoded inside this transaction's serial section.
 		var val []byte
 		var err error
 		if shared {
@@ -370,14 +365,15 @@ func batchErrResponse(i int, err error) *wire.Response {
 }
 
 // beginResponse registers a freshly begun transaction with the session and
-// encodes the handle the client will use to address it.
-func (s *session) beginResponse(t cc.Txn, err error) *wire.Response {
+// encodes the handle the client will use to address it. waitFree marks a
+// read-only transaction of an engine that declared cc.CapWaitFreeReadOnly.
+func (s *session) beginResponse(t cc.Txn, err error, waitFree bool) *wire.Response {
 	if err != nil {
 		return errResponse(err)
 	}
 	id := uint64(t.ID())
 	s.tmu.Lock()
-	s.txns[id] = &sessTxn{t: t}
+	s.txns[id] = &sessTxn{t: t, waitFree: waitFree}
 	s.tmu.Unlock()
 	s.srv.txnsOpen.Add(1)
 	return &wire.Response{Status: wire.StatusOK, Txn: id, Class: int32(t.Class())}
@@ -424,17 +420,17 @@ func (s *session) teardown() {
 		// reaper machinery and is safe against concurrently running
 		// operations on the same transaction.
 		s.reapOpenTxns()
-		// Quiesce the pipeline: every admitted request finishes and
-		// queues its response, the writer drains the queue (flushing what
-		// the peer can still receive), then exits.
+		// Quiesce the pipeline: every admitted request finishes and sends
+		// its response; then flush what the session goroutine itself
+		// buffered, so whatever exit serve took, the peer gets every
+		// response it can still receive.
 		s.inflight.Wait()
-		close(s.wq)
-		<-s.writerDone
+		s.fw.Flush()
 		// Second pass: an in-flight begin that completed after the first
 		// reap registered a fresh transaction nobody will ever finish.
 	}
 	s.reapOpenTxns()
-	s.closeOnce.Do(func() { s.conn.Close() })
+	s.conn.Close()
 	s.srv.removeSession(s)
 }
 

@@ -65,6 +65,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -318,6 +319,17 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// FrameBuffered reports whether r already holds one complete frame, so
+// that the next ReadFrame cannot block.
+func FrameBuffered(r *bufio.Reader) bool {
+	n := r.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := r.Peek(4)
+	return uint32(n-4) >= binary.BigEndian.Uint32(hdr)
 }
 
 // PayloadVersion peeks the protocol version byte of a payload (0 when
