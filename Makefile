@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-parallel bench-wal bench-read bench-smoke bench-e2e bench-e2e-smoke experiments examples check clean serve loadtest loadtest-matrix loadtest-pipeline recovery-smoke fuzz-wal fuzz-checkpoint torture torture-smoke obs-smoke
+.PHONY: all build vet test race cover bench bench-parallel bench-wal bench-read bench-smoke bench-e2e bench-e2e-smoke experiments examples check clean serve loadtest loadtest-matrix recovery-smoke fuzz-wal fuzz-checkpoint fuzz-wire torture torture-smoke obs-smoke
 
 all: build vet test
 
@@ -83,15 +83,6 @@ loadtest:
 loadtest-matrix:
 	sh scripts/loadtest_matrix.sh
 
-# Pipelined wire-protocol sweep: the loadtest plus a read-heavy depth
-# sweep over the multiplexed v2 client (DESIGN.md §15). The
-# BenchmarkNetPipelineDepth<D> lines land in BENCH_net.json and the
-# depth comparison in pipeline_compare.json. PIPELINE_DEPTHS tunes the
-# sweep.
-PIPELINE_DEPTHS ?= 1,4,16,64
-loadtest-pipeline:
-	PIPELINE="$(PIPELINE_DEPTHS)" sh scripts/loadtest.sh
-
 # Crash-recovery smoke: SIGKILL hddserver mid-load, restart on the same
 # -data-dir, verify WAL replay and a clean follow-up load.
 recovery-smoke:
@@ -115,6 +106,13 @@ fuzz-wal:
 # internal/mvstore/testdata runs on every `go test`).
 fuzz-checkpoint:
 	$(GO) test ./internal/mvstore/ -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME)
+
+# Fixed-budget fuzz of the wire decoders — the one parser that faces the
+# network (corpus under internal/wire/testdata runs on every `go test`).
+fuzz-wire:
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz 'FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz 'FuzzDecodeResponse2$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime $(FUZZTIME)
 
 # Crash-point torture: re-run the durability workload crashing at every
 # filesystem operation in turn, reboot, audit the recovery invariants.

@@ -48,12 +48,10 @@ type BatchResult struct {
 }
 
 // Do executes the batch against the transaction: every operation in
-// declaration order, one round trip on a protocol-v2 connection. The
-// first failing operation aborts the batch with its error (typed exactly
-// as the single-op API would type it, message prefixed with the failing
-// index); operations before it have been applied, exactly as if sent
-// individually. On a v1 connection Do degrades to sequential round trips
-// with the same semantics.
+// declaration order, one round trip. The first failing operation aborts
+// the batch with its error (typed exactly as the single-op API would type
+// it, message prefixed with the failing index); operations before it have
+// been applied, exactly as if sent individually.
 func (t *Txn) Do(b *Batch) ([]BatchResult, error) {
 	if t.done {
 		return nil, cc.ErrTxnDone
@@ -66,9 +64,6 @@ func (t *Txn) Do(b *Batch) ([]BatchResult, error) {
 			return nil, fmt.Errorf("client: batch op %d: value of %d bytes exceeds MaxValue (%d)",
 				i, len(b.ops[i].Value), wire.MaxValue)
 		}
-	}
-	if t.mc == nil {
-		return t.doSequential(b)
 	}
 	resp, err := t.op(&wire.Request{Op: wire.OpBatch, Txn: t.id, Batch: b.ops})
 	if err != nil {
@@ -87,29 +82,6 @@ func (t *Txn) Do(b *Batch) ([]BatchResult, error) {
 		if r.Found && out[i].Value == nil {
 			out[i].Value = []byte{}
 		}
-	}
-	return out, nil
-}
-
-// doSequential is the v1 fallback: the same operations as individual
-// round trips on the pinned connection.
-func (t *Txn) doSequential(b *Batch) ([]BatchResult, error) {
-	out := make([]BatchResult, 0, len(b.ops))
-	for i := range b.ops {
-		op := &b.ops[i]
-		g := hdd.GranuleID{Segment: hdd.SegmentID(op.Seg), Key: op.Key}
-		if op.Write {
-			if err := t.Write(g, op.Value); err != nil {
-				return nil, fmt.Errorf("batch op %d: %w", i, err)
-			}
-			out = append(out, BatchResult{})
-			continue
-		}
-		v, err := t.Read(g)
-		if err != nil {
-			return nil, fmt.Errorf("batch op %d: %w", i, err)
-		}
-		out = append(out, BatchResult{Found: v != nil, Value: v})
 	}
 	return out, nil
 }

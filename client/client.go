@@ -21,17 +21,21 @@
 //
 // # Connections
 //
-// The client pools TCP connections. A transaction pins one connection from
-// Begin until Commit/Abort (requests on a connection are serialized by the
-// server), after which the connection returns to the pool; Stats and
-// concurrent transactions draw their own connections. Dropping the client
-// (or crashing) closes the connections, and the server force-aborts any
-// transactions left open — no explicit hand-off is required, though
-// calling Abort promptly is kinder to walls and GC.
+// The client multiplexes every transaction over a small fixed set of TCP
+// connections (WithConns): each request carries a fresh tag, one reader
+// goroutine per connection hands each response to the caller its tag
+// names, and concurrent callers' frames share socket writes. A transaction
+// stays on the connection that began it — the server scopes a transaction
+// to its session — but never owns it, so any number of concurrent
+// transactions ride the same few sockets. A connection that fails is
+// closed, every call waiting on it gets the error, and the next call that
+// lands on its slot redials. Dropping the client (or crashing) closes the
+// connections, and the server force-aborts any transactions left open — no
+// explicit hand-off is required, though calling Abort promptly is kinder
+// to walls and GC.
 package client
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"time"
@@ -49,9 +53,7 @@ type Option func(*options)
 type options struct {
 	dialTimeout    time.Duration
 	requestTimeout time.Duration
-	maxIdle        int
 	conns          int
-	forceV1        bool
 }
 
 // WithDialTimeout bounds each TCP dial. Default 5s.
@@ -63,45 +65,26 @@ func WithDialTimeout(d time.Duration) Option { return func(o *options) { o.dialT
 // transaction timeout.
 func WithRequestTimeout(d time.Duration) Option { return func(o *options) { o.requestTimeout = d } }
 
-// WithMaxIdleConns caps the pooled idle connections (protocol v1 mode
-// only; a v2 client uses the fixed multiplexed set — see WithConns).
-// Default 8.
-func WithMaxIdleConns(n int) Option { return func(o *options) { o.maxIdle = n } }
-
-// WithConns sets how many multiplexed connections a protocol-v2 client
-// spreads its transactions over. A handful is plenty: every transaction
+// WithConns sets how many multiplexed connections the client spreads its
+// transactions over. A handful is plenty: every transaction
 // shares them via tagged frames, and more sockets mostly just dilute the
 // server's write coalescing. Default 4.
 func WithConns(n int) Option { return func(o *options) { o.conns = n } }
 
-// WithProtocolV1 pins the client to wire protocol version 1 — one
-// synchronous request–response per round trip, one pinned connection per
-// transaction — skipping version negotiation. Mainly for interop tests
-// and talking to old servers through picky middleboxes; negotiation
-// normally handles old servers by itself.
-func WithProtocolV1() Option { return func(o *options) { o.forceV1 = true } }
-
-// Client is a pooled connection to one HDD server. It is safe for
-// concurrent use; the transactions it returns are not (a transaction
+// Client is a multiplexed connection set to one HDD server. It is safe
+// for concurrent use; the transactions it returns are not (a transaction
 // belongs to one goroutine, as with the embedded engine).
 type Client struct {
 	addr string
 	opt  options
 
-	// proto is the negotiated wire protocol version: 2 when the server
-	// answered the v2 Hello in kind, 1 otherwise (old server, or
-	// WithProtocolV1). Fixed at Dial.
-	proto int
-	// info caches the Hello exchanged during negotiation.
+	// info caches the Hello exchanged at Dial.
 	info ServerInfo
 
-	mu     sync.Mutex
-	free   []*conn
-	conns  map[*conn]struct{} // every live connection, pooled or pinned
-	closed atomic.Bool        // written under mu
+	closed atomic.Bool // written under smu
 
-	// The protocol-v2 multiplexed connection set: a fixed slot array,
-	// picked round-robin, redialed lazily when a conn dies.
+	// The multiplexed connection set: a fixed slot array, picked
+	// round-robin, redialed lazily when a conn dies.
 	smu   sync.Mutex
 	slots []*mconn
 	next  atomic.Uint64
@@ -110,103 +93,30 @@ type Client struct {
 // Client satisfies hdd.Beginner, so hdd.Run / hdd.RunCtx accept it.
 var _ hdd.Beginner = (*Client)(nil)
 
-// Dial connects to an HDD server and negotiates the protocol version: it
-// sends a version-2 Hello on the first connection. A v2 server answers in
-// kind and the client runs multiplexed — many concurrent transactions
-// tag-demultiplexed over a small fixed connection set. A v1 server
-// rejects the tagged frame (and drops the connection, which is expected
-// and harmless); the client then redials and speaks classic v1, one
-// pinned connection per transaction — so old servers work unchanged.
+// Dial connects to an HDD server: it opens the first multiplexed
+// connection and exchanges Hello on it, which both identifies the backend
+// (ServerInfo) and proves the peer speaks this client's wire version. The
+// remaining connections are opened on demand.
 func Dial(addr string, opts ...Option) (*Client, error) {
-	o := options{dialTimeout: 5 * time.Second, requestTimeout: 30 * time.Second, maxIdle: 8, conns: 4}
+	o := options{dialTimeout: 5 * time.Second, requestTimeout: 30 * time.Second, conns: 4}
 	for _, f := range opts {
 		f(&o)
 	}
 	if o.conns < 1 {
 		o.conns = 1
 	}
-	c := &Client{addr: addr, opt: o, conns: make(map[*conn]struct{})}
-	if o.forceV1 {
-		c.proto = 1
-		cn, err := c.dial()
-		if err != nil {
-			return nil, fmt.Errorf("client: dialing %s: %w", addr, err)
-		}
-		c.put(cn)
-		return c, nil
-	}
-	if err := c.negotiate(); err != nil {
+	c := &Client{addr: addr, opt: o, slots: make([]*mconn, o.conns)}
+	_, resp, err := c.call(&wire.Request{Op: wire.OpHello})
+	if err != nil {
+		c.Close()
 		return nil, fmt.Errorf("client: dialing %s: %w", addr, err)
 	}
+	c.info = ServerInfo{Engine: resp.EngineName, Caps: hdd.Capability(resp.Caps)}
 	return c, nil
 }
 
-// negotiate performs the version handshake on a fresh connection (see
-// Dial). On the v2 path the handshake socket is kept as the first
-// multiplexed slot.
-func (c *Client) negotiate() error {
-	nc, err := c.dialRaw()
-	if err != nil {
-		return err
-	}
-	br := bufio.NewReader(nc)
-	bw := bufio.NewWriter(nc)
-	nc.SetDeadline(time.Now().Add(c.opt.requestTimeout))
-	hello := wire.AppendRequest2(nil, &wire.Request{Op: wire.OpHello, Tag: 1})
-	if err := wire.WriteFrame(bw, hello); err == nil {
-		err = bw.Flush()
-	} else {
-		nc.Close()
-		return err
-	}
-	if err != nil {
-		nc.Close()
-		return err
-	}
-	payload, err := wire.ReadFrame(br, nil)
-	if err != nil {
-		nc.Close()
-		return err
-	}
-	if wire.PayloadVersion(payload) == wire.Version2 {
-		resp, err := wire.DecodeResponse2(wire.OpHello, payload)
-		if err != nil {
-			nc.Close()
-			return err
-		}
-		if err := resp.Err(); err != nil {
-			nc.Close()
-			return err
-		}
-		c.proto = 2
-		c.info = ServerInfo{Engine: resp.EngineName, Caps: hdd.Capability(resp.Caps)}
-		c.slots = make([]*mconn, c.opt.conns)
-		nc.SetDeadline(time.Time{})
-		m := newMconn(c, nc, br, c.opt.requestTimeout)
-		c.slots[0] = m
-		go m.readLoop()
-		return nil
-	}
-	// A version-1 payload answering a version-2 Hello: an old server,
-	// which reported a protocol error and is dropping this connection.
-	// Expected — fall back to v1 on a fresh connection.
-	if _, err := wire.DecodeResponse(wire.OpHello, payload); err != nil {
-		nc.Close()
-		return err
-	}
-	nc.Close()
-	c.proto = 1
-	cn, err := c.dial()
-	if err != nil {
-		return err
-	}
-	c.put(cn)
-	return nil
-}
-
-// ProtocolVersion reports the wire protocol version negotiated at Dial
-// (1 or 2).
-func (c *Client) ProtocolVersion() int { return c.proto }
+// ProtocolVersion reports the wire protocol version the client speaks.
+func (c *Client) ProtocolVersion() int { return wire.Version2 }
 
 // Begin starts an update transaction of the given class on the server.
 func (c *Client) Begin(class hdd.ClassID) (hdd.Txn, error) {
@@ -250,58 +160,31 @@ type ServerInfo struct {
 	Caps hdd.Capability
 }
 
-// ServerInfo asks the server (via the Hello request) which engine it
-// serves and which optional capabilities that engine backs. On a v2
-// client this is answered from the Hello exchanged at negotiation.
-func (c *Client) ServerInfo() (ServerInfo, error) {
-	if c.proto == 2 {
-		return c.info, nil
-	}
-	cn, err := c.get()
+// ServerInfo reports which engine the server fronts and which optional
+// capabilities that engine backs, from the Hello exchanged at Dial.
+func (c *Client) ServerInfo() (ServerInfo, error) { return c.info, nil }
+
+// call sends a request that names no transaction over the next connection
+// in the round-robin and returns that connection with the response; a
+// non-OK response is returned as its error.
+func (c *Client) call(req *wire.Request) (*mconn, wire.Response, error) {
+	m, err := c.slot()
 	if err != nil {
-		return ServerInfo{}, err
+		return nil, wire.Response{}, err
 	}
-	resp, err := cn.roundTrip(&wire.Request{Op: wire.OpHello})
-	if err != nil {
-		cn.close()
-		return ServerInfo{}, err
+	resp, err := m.roundTrip(req)
+	if err == nil {
+		err = resp.Err()
 	}
-	c.put(cn)
-	if err := resp.Err(); err != nil {
-		return ServerInfo{}, err
-	}
-	return ServerInfo{Engine: resp.EngineName, Caps: hdd.Capability(resp.Caps)}, nil
+	return m, resp, err
 }
 
 func (c *Client) begin(req *wire.Request) (hdd.Txn, error) {
-	if c.proto == 2 {
-		m, err := c.slot()
-		if err != nil {
-			return nil, err
-		}
-		resp, err := m.roundTrip(req)
-		if err != nil {
-			return nil, err
-		}
-		if err := resp.Err(); err != nil {
-			return nil, err
-		}
-		return &Txn{cl: c, mc: m, id: resp.Txn, class: hdd.ClassID(resp.Class)}, nil
-	}
-	cn, err := c.get()
+	m, resp, err := c.call(req)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := cn.roundTrip(req)
-	if err != nil {
-		cn.close()
-		return nil, err
-	}
-	if err := resp.Err(); err != nil {
-		c.put(cn)
-		return nil, err
-	}
-	return &Txn{cl: c, cn: cn, id: resp.Txn, class: hdd.ClassID(resp.Class)}, nil
+	return &Txn{mc: m, id: resp.Txn, class: hdd.ClassID(resp.Class)}, nil
 }
 
 // Stats fetches the server's counter snapshot: engine counters (begins,
@@ -309,29 +192,8 @@ func (c *Client) begin(req *wire.Request) (hdd.Txn, error) {
 // txns_open, force_aborts, …), and request-latency histogram summaries
 // (commit_p99_ns, read_mean_ns, …). Durations are in nanoseconds.
 func (c *Client) Stats() (map[string]int64, error) {
-	var resp wire.Response
-	if c.proto == 2 {
-		m, err := c.slot()
-		if err != nil {
-			return nil, err
-		}
-		resp, err = m.roundTrip(&wire.Request{Op: wire.OpStats})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		cn, err := c.get()
-		if err != nil {
-			return nil, err
-		}
-		resp, err = cn.roundTrip(&wire.Request{Op: wire.OpStats})
-		if err != nil {
-			cn.close()
-			return nil, err
-		}
-		c.put(cn)
-	}
-	if err := resp.Err(); err != nil {
+	_, resp, err := c.call(&wire.Request{Op: wire.OpStats})
+	if err != nil {
 		return nil, err
 	}
 	out := make(map[string]int64, len(resp.Stats))
@@ -341,24 +203,12 @@ func (c *Client) Stats() (map[string]int64, error) {
 	return out, nil
 }
 
-// Close closes every connection the client owns — pooled and pinned alike
-// — so the server promptly force-aborts any transactions still in flight;
-// their Txn handles fail with transport errors afterwards. Close is
-// idempotent.
+// Close closes every connection the client owns, so the server promptly
+// force-aborts any transactions still in flight; their Txn handles fail
+// with transport errors afterwards. Close is idempotent.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed.Store(true)
-	all := make([]*conn, 0, len(c.conns))
-	for cn := range c.conns {
-		all = append(all, cn)
-	}
-	c.conns = make(map[*conn]struct{})
-	c.free = nil
-	c.mu.Unlock()
-	for _, cn := range all {
-		cn.nc.Close()
-	}
 	c.smu.Lock()
+	c.closed.Store(true)
 	slots := make([]*mconn, 0, len(c.slots))
 	for i, m := range c.slots {
 		if m != nil {
@@ -376,12 +226,12 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// slot picks the next multiplexed connection round-robin, lazily
-// redialing a slot whose conn died. Unlike the v1 pool there is no
-// health probe: a live mconn has a reader goroutine pinned to the socket,
-// so silent death surfaces as a failed conn, not a stale pool entry.
+// slot picks the next multiplexed connection round-robin (slot 0 first),
+// lazily dialing a slot that is empty or whose conn died. No health probe
+// is needed: a live mconn has a reader goroutine pinned to the socket, so
+// silent death surfaces as a failed conn, not a stale entry.
 func (c *Client) slot() (*mconn, error) {
-	i := int(c.next.Add(1) % uint64(len(c.slots)))
+	i := int((c.next.Add(1) - 1) % uint64(len(c.slots)))
 	c.smu.Lock()
 	m := c.slots[i]
 	c.smu.Unlock()
@@ -398,7 +248,7 @@ func (c *Client) slot() (*mconn, error) {
 	if err != nil {
 		return nil, err
 	}
-	m = newMconn(c, nc, bufio.NewReader(nc), c.opt.requestTimeout)
+	m = newMconn(c, nc, c.opt.requestTimeout)
 	c.smu.Lock()
 	if c.closed.Load() {
 		c.smu.Unlock()
@@ -429,52 +279,6 @@ func (c *Client) dropSlot(m *mconn) {
 	c.smu.Unlock()
 }
 
-// untrack forgets a connection that is being closed.
-func (c *Client) untrack(cn *conn) {
-	c.mu.Lock()
-	delete(c.conns, cn)
-	c.mu.Unlock()
-}
-
-// get pops a pooled connection — health-checking it first, so a restarted
-// server never hands a caller a dead socket — or dials a fresh one.
-func (c *Client) get() (*conn, error) {
-	for {
-		c.mu.Lock()
-		if c.closed.Load() {
-			c.mu.Unlock()
-			return nil, errClientClosed
-		}
-		n := len(c.free)
-		if n == 0 {
-			c.mu.Unlock()
-			return c.dial()
-		}
-		cn := c.free[n-1]
-		c.free = c.free[:n-1]
-		c.mu.Unlock()
-		if cn.healthy() {
-			return cn, nil
-		}
-		cn.close()
-	}
-}
-
-// put returns a connection to the pool (closing it when it is broken, the
-// pool is full, or the client closed). The broken check is the pool-level
-// eviction guarantee: a conn that saw any wire or decode error can never
-// be handed out again, whatever the calling code path did with it.
-func (c *Client) put(cn *conn) {
-	c.mu.Lock()
-	if c.closed.Load() || cn.broken || len(c.free) >= c.opt.maxIdle {
-		c.mu.Unlock()
-		cn.close()
-		return
-	}
-	c.free = append(c.free, cn)
-	c.mu.Unlock()
-}
-
 // dialRaw opens one TCP connection with Nagle disabled (the protocol is
 // request–response; coalescing happens explicitly, server-side).
 func (c *Client) dialRaw() (net.Conn, error) {
@@ -486,22 +290,4 @@ func (c *Client) dialRaw() (net.Conn, error) {
 		tc.SetNoDelay(true)
 	}
 	return nc, nil
-}
-
-func (c *Client) dial() (*conn, error) {
-	nc, err := c.dialRaw()
-	if err != nil {
-		return nil, err
-	}
-	cn := newConn(nc, c.opt.requestTimeout)
-	cn.cl = c
-	c.mu.Lock()
-	if c.closed.Load() {
-		c.mu.Unlock()
-		nc.Close()
-		return nil, errClientClosed
-	}
-	c.conns[cn] = struct{}{}
-	c.mu.Unlock()
-	return cn, nil
 }

@@ -1,11 +1,9 @@
 package client
 
-// The multiplexed connection for protocol version 2: many goroutines
-// share one socket, each request carries a fresh tag, a single reader
-// goroutine demultiplexes responses back to their callers by tag. This is
-// what lets the client run many concurrent Txns over a small fixed
-// connection set instead of pinning one pooled connection per
-// transaction.
+// The multiplexed connection: many goroutines share one socket, each
+// request carries a fresh tag, a single reader goroutine demultiplexes
+// responses back to their callers by tag. This is what lets the client run
+// many concurrent Txns over a small fixed connection set.
 
 import (
 	"errors"
@@ -20,7 +18,7 @@ import (
 	"hdd/internal/wire"
 )
 
-// mconn is one multiplexed version-2 connection.
+// mconn is one multiplexed connection.
 type mconn struct {
 	cl      *Client // owner, for slot eviction (nil in tests)
 	nc      net.Conn
@@ -51,11 +49,11 @@ type mresult struct {
 	err  error
 }
 
-func newMconn(cl *Client, nc net.Conn, br *bufio.Reader, timeout time.Duration) *mconn {
+func newMconn(cl *Client, nc net.Conn, timeout time.Duration) *mconn {
 	return &mconn{
 		cl:      cl,
 		nc:      nc,
-		br:      br,
+		br:      bufio.NewReader(nc),
 		fw:      wire.NewFrameWriter(nc, writeBuf, timeout, nil),
 		timeout: timeout,
 		pending: make(map[uint64]*mcall),
@@ -123,6 +121,10 @@ func (m *mconn) readLoop() {
 			return
 		}
 		rbuf = payload[:cap(payload)]
+		if len(payload) > 0 && payload[0] != wire.Version2 {
+			m.fail(fmt.Errorf("client: server speaks wire version %d, this client requires %d", payload[0], wire.Version2))
+			return
+		}
 		tag, err := wire.ResponseTag(payload)
 		if err != nil {
 			m.fail(fmt.Errorf("client: %w", err))

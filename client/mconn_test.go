@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,11 +16,12 @@ import (
 	"hdd"
 	"hdd/internal/enginereg"
 	"hdd/internal/server"
+	"hdd/internal/wire"
 )
 
-// serveHDD boots an HDD engine behind a loopback server and dials it with
-// a single multiplexed connection.
-func serveHDD(t *testing.T) *Client {
+// startHDD serves a fresh HDD engine on addr (a loopback listener) and
+// returns the server and the address it bound.
+func startHDD(t *testing.T, addr string) (*server.Server, string) {
 	t.Helper()
 	part, err := enginereg.ChainPartition(2)
 	if err != nil {
@@ -30,23 +32,31 @@ func serveHDD(t *testing.T) *Client {
 		t.Fatal(err)
 	}
 	srv := server.New(eng, server.Options{})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
-	c, err := Dial(l.Addr().String(), WithConns(1), WithRequestTimeout(20*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() {
-		c.Close()
 		srv.Close()
 		if err := <-done; err != nil {
 			t.Errorf("Serve returned %v", err)
 		}
 	})
+	return srv, l.Addr().String()
+}
+
+// serveHDD boots an HDD engine behind a loopback server and dials it with
+// a single multiplexed connection.
+func serveHDD(t *testing.T) *Client {
+	t.Helper()
+	_, addr := startHDD(t, "127.0.0.1:0")
+	c, err := Dial(addr, WithConns(1), WithRequestTimeout(20*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
 	return c
 }
 
@@ -157,5 +167,72 @@ func TestLoneCallerFlushesEveryFrameAtOnce(t *testing.T) {
 	}
 	if y := c.slots[0].fw.Yields(); y != 0 {
 		t.Fatalf("a lone caller yielded %d times before flushing", y)
+	}
+}
+
+// TestClientSurvivesServerRestart: the server goes away and comes back on
+// the same address. The transaction that was open is lost with its
+// session; at most the first call afterwards fails (it can reach the dead
+// connection before its reader has seen the close), and every later call
+// is served over a redialed connection.
+func TestClientSurvivesServerRestart(t *testing.T) {
+	srv, addr := startHDD(t, "127.0.0.1:0")
+	c, err := Dial(addr, WithConns(1), WithRequestTimeout(20*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	orphan, err := c.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv.Close()
+	startHDD(t, addr)
+
+	if _, err := orphan.Read(hdd.GranuleID{Segment: 0, Key: 1}); err == nil {
+		t.Fatal("a transaction of the closed server still answers")
+	}
+	c.Stats() // the one call that may still fail
+	tx, err := c.Begin(0)
+	if err != nil {
+		t.Fatalf("Begin after the restart: %v", err)
+	}
+	if tx.(*Txn).mc == orphan.(*Txn).mc {
+		t.Fatal("Begin after the restart was served by the old connection")
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("Commit after the restart: %v", err)
+	}
+	if _, err := c.Stats(); err != nil {
+		t.Fatalf("Stats after the restart: %v", err)
+	}
+}
+
+// TestDialRejectsOtherWireVersion: a peer that answers Hello with a frame
+// of another protocol version (here what a version-1 server sent for a
+// frame it could not decode) fails Dial with an error that says so.
+func TestDialRejectsOtherWireVersion(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		nc, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		if _, err := wire.ReadFrame(nc, nil); err != nil {
+			return
+		}
+		msg := "wire: protocol version 2, want 1"
+		v1 := append([]byte{1, byte(wire.StatusError), 0, 0, 0, byte(len(msg))}, msg...)
+		wire.WriteFrame(nc, v1)
+	}()
+	_, err = Dial(l.Addr().String(), WithRequestTimeout(10*time.Second))
+	if err == nil || !strings.Contains(err.Error(), "server speaks wire version 1, this client requires 2") {
+		t.Fatalf("Dial against a version-1 peer: %v", err)
 	}
 }

@@ -1,114 +1,25 @@
 package client
 
-// The wire-level connection and the remote transaction handle.
+// The remote transaction handle.
 
 import (
-	"bufio"
 	"fmt"
-	"net"
-	"time"
 
 	"hdd"
 	"hdd/internal/cc"
 	"hdd/internal/wire"
 )
 
-// conn is one pooled wire connection: a TCP stream plus reused buffers.
-// Requests on a conn are strictly sequential (one round-trip at a time),
-// matching the server's one-goroutine-per-session model.
-type conn struct {
-	cl      *Client // owner, for live-connection tracking (nil in tests)
-	nc      net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	timeout time.Duration
-	rbuf    []byte
-	wbuf    []byte
-	// broken latches any wire/decode failure: the stream may be left
-	// mid-frame, so the conn must never re-enter the pool — Client.put
-	// closes it instead, whatever the calling code path did.
-	broken bool
-	// lastOK is when the conn last completed a successful round-trip;
-	// healthy() skips its probe syscall while this is fresh.
-	lastOK time.Time
-}
-
-func newConn(nc net.Conn, timeout time.Duration) *conn {
-	return &conn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc), timeout: timeout}
-}
-
-// roundTrip sends one request and decodes its response. Any transport or
-// protocol error marks the conn broken (Client.put then refuses to pool
-// it); callers should still close it promptly.
-func (cn *conn) roundTrip(req *wire.Request) (wire.Response, error) {
-	cn.nc.SetDeadline(time.Now().Add(cn.timeout))
-	cn.wbuf = wire.AppendRequest(cn.wbuf[:0], req)
-	if err := wire.WriteFrame(cn.bw, cn.wbuf); err != nil {
-		cn.broken = true
-		return wire.Response{}, fmt.Errorf("client: sending %v: %w", req.Op, err)
-	}
-	if err := cn.bw.Flush(); err != nil {
-		cn.broken = true
-		return wire.Response{}, fmt.Errorf("client: sending %v: %w", req.Op, err)
-	}
-	payload, err := wire.ReadFrame(cn.br, cn.rbuf)
-	if err != nil {
-		cn.broken = true
-		return wire.Response{}, fmt.Errorf("client: awaiting %v response: %w", req.Op, err)
-	}
-	cn.rbuf = payload[:cap(payload)]
-	resp, err := wire.DecodeResponse(req.Op, payload)
-	if err != nil {
-		// A decode failure is as fatal as a transport one: the stream can no
-		// longer be trusted to be frame-aligned.
-		cn.broken = true
-		return wire.Response{}, fmt.Errorf("client: %w", err)
-	}
-	cn.lastOK = time.Now()
-	return resp, nil
-}
-
-// connFreshFor is how long after a successful round-trip healthy() trusts
-// the conn without probing: long enough to skip the syscall on every
-// hot-path checkout, short enough that a restarted server is still caught
-// before a stale pooled conn is handed out.
-const connFreshFor = time.Second
-
-// healthy probes an idle connection for silent death (server restart, RST
-// from a middlebox) with one non-blocking read on the raw socket (see
-// probeIdle). A conn that completed a round-trip within connFreshFor is
-// trusted without the probe — no syscall at all on a busy pool. One
-// syscall otherwise, no round-trip.
-func (cn *conn) healthy() bool {
-	if cn.broken || cn.br.Buffered() > 0 {
-		return false
-	}
-	if !cn.lastOK.IsZero() && time.Since(cn.lastOK) < connFreshFor {
-		return true
-	}
-	return probeIdle(cn.nc)
-}
-
-func (cn *conn) close() {
-	if cn.cl != nil {
-		cn.cl.untrack(cn)
-	}
-	cn.nc.Close()
-}
-
-// Txn is a transaction open on the server. On a protocol-v1 client it is
-// pinned to one pooled connection; on a v2 client it shares a multiplexed
-// connection with every other transaction, so dozens of concurrent Txns
-// ride a handful of sockets. Either way it implements hdd.Txn with the
-// embedded API's semantics: abort errors satisfy hdd.IsAbort, operations
-// after Commit/Abort fail, and the value returned by Read is owned by the
-// caller.
+// Txn is a transaction open on the server. It shares a multiplexed
+// connection with every other transaction begun on it, so dozens of
+// concurrent Txns ride a handful of sockets. It implements hdd.Txn with
+// the embedded API's semantics: abort errors satisfy hdd.IsAbort,
+// operations after Commit/Abort fail, and the value returned by Read is
+// owned by the caller.
 //
 // Like embedded transactions, a Txn is not safe for concurrent use.
 type Txn struct {
-	cl    *Client
-	cn    *conn  // v1: pinned pooled connection (nil on v2)
-	mc    *mconn // v2: shared multiplexed connection (nil on v1)
+	mc    *mconn // the connection whose server session owns the transaction
 	id    uint64
 	class hdd.ClassID
 	done  bool
@@ -158,13 +69,11 @@ func (t *Txn) Write(g hdd.GranuleID, value []byte) error {
 	return err
 }
 
-// Commit commits the transaction on the server and releases the pinned
-// connection back to the pool.
+// Commit commits the transaction on the server.
 func (t *Txn) Commit() error { return t.finish(wire.OpCommit) }
 
-// Abort aborts the transaction on the server and releases the pinned
-// connection. Aborting a finished transaction is a no-op, as with the
-// embedded engine.
+// Abort aborts the transaction on the server. Aborting a finished
+// transaction is a no-op, as with the embedded engine.
 func (t *Txn) Abort() error {
 	if t.done {
 		return nil
@@ -173,49 +82,27 @@ func (t *Txn) Abort() error {
 }
 
 // op runs one mid-transaction round-trip. A transport failure finishes
-// the transaction locally: the server's session teardown (v1: this conn's
-// session; v2: the shared conn's session) force-aborts the remote side.
+// the transaction locally: the teardown of the connection's server session
+// force-aborts the remote side.
 func (t *Txn) op(req *wire.Request) (wire.Response, error) {
-	if t.mc != nil {
-		resp, err := t.mc.roundTrip(req)
-		if err != nil {
-			t.done = true
-			return wire.Response{}, err
-		}
-		return resp, resp.Err()
-	}
-	resp, err := t.cn.roundTrip(req)
+	resp, err := t.mc.roundTrip(req)
 	if err != nil {
 		t.done = true
-		t.cn.close()
 		return wire.Response{}, err
 	}
 	return resp, resp.Err()
 }
 
-// finish sends Commit or Abort, after which the transaction is done. On
-// v1 its pinned connection is pooled again whatever the engine answered
-// (the session keeps the connection healthy across engine-level errors;
-// only transport errors poison it); on v2 the shared connection needs no
-// handoff.
+// finish sends Commit or Abort, after which the transaction is done
+// whatever the engine answered.
 func (t *Txn) finish(op wire.Op) error {
 	if t.done {
 		return cc.ErrTxnDone
 	}
-	if t.mc != nil {
-		resp, err := t.mc.roundTrip(&wire.Request{Op: op, Txn: t.id})
-		t.done = true
-		if err != nil {
-			return err
-		}
-		return resp.Err()
-	}
-	resp, err := t.cn.roundTrip(&wire.Request{Op: op, Txn: t.id})
+	resp, err := t.mc.roundTrip(&wire.Request{Op: op, Txn: t.id})
 	t.done = true
 	if err != nil {
-		t.cn.close()
 		return err
 	}
-	t.cl.put(t.cn)
 	return resp.Err()
 }

@@ -1,5 +1,5 @@
 // Command hddload is a closed-loop load generator for hddserver: N client
-// goroutines, each with its own pooled connection set, drive a mixed
+// goroutines, each with its own multiplexed connection set, drive a mixed
 // update / read-only workload through the public client package and the
 // unchanged hdd.RunCtx retry loop, then verify the server drained cleanly
 // (no leaked sessions or transactions).
@@ -23,14 +23,6 @@
 //
 //	hddload -addr ... | benchjson -out BENCH_net.json
 //	hddload -engines HDD,2PL,MVTO | benchjson -out BENCH_engines.json
-//
-// With -pipeline, hddload instead sweeps protocol-v2 pipeline depths: for
-// each depth D it keeps D read operations in flight over a small
-// multiplexed connection set (-pipeline-conns) and reports aggregate
-// throughput as BenchmarkNetPipelineDepth<D> lines, plus an optional
-// -pipeline-out comparison artifact:
-//
-//	hddload -addr ... -pipeline 1,4,16,64 | benchjson -out BENCH_net.json
 //
 // Everything human-readable goes to stderr. Exit status is non-zero on
 // client errors or a failed drain check.
@@ -96,10 +88,6 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "server's -metrics-addr endpoint to scrape after the run (single-server mode); folds WAL fsync and per-class commit series into the bench output")
 		metricsOut  = flag.String("metrics-out", "", "write the raw end-of-run /metrics snapshot to this file")
 		mutexOut    = flag.String("mutex-profile-out", "", "fetch /debug/pprof/mutex from -metrics-addr after the run and write the pprof profile here (server must run with -mutex-profile-fraction > 0)")
-
-		pipeline      = flag.String("pipeline", "", "comma-separated pipeline depths (e.g. 1,4,16,64): run the read-heavy pipelined sweep instead of the closed-loop workload; -txns becomes reads per in-flight worker")
-		pipelineConns = flag.Int("pipeline-conns", 4, "multiplexed connections per client in the pipeline sweep")
-		pipelineOut   = flag.String("pipeline-out", "", "write the depth-comparison JSON artifact here (pipeline mode)")
 	)
 	flag.Parse()
 	if *clients < 1 || *txns < 1 || *classes < 1 {
@@ -112,29 +100,6 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-
-	if *pipeline != "" {
-		depths, err := parseDepths(*pipeline)
-		if err != nil {
-			fatal(err)
-		}
-		if *pipelineConns < 1 {
-			fatal(fmt.Errorf("-pipeline-conns must be >= 1"))
-		}
-		ok := runPipelineSweep(ctx, *addr, cfg, depths, *pipelineConns, *pipelineOut)
-		if !*skipDrain {
-			if err := checkDrain(*addr, ""); err != nil {
-				fmt.Fprintf(os.Stderr, "hddload: drain check FAILED: %v\n", err)
-				ok = false
-			} else {
-				fmt.Fprintln(os.Stderr, "hddload: drain check ok — zero leaked sessions/transactions")
-			}
-		}
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *engines != "" {
 		ok := true
@@ -508,26 +473,6 @@ func checkDrain(addr, engineName string) error {
 		}
 	}
 	return nil
-}
-
-// parseDepths parses the -pipeline depth list.
-func parseDepths(s string) ([]int, error) {
-	var depths []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		d, err := strconv.Atoi(f)
-		if err != nil || d < 1 {
-			return nil, fmt.Errorf("-pipeline: bad depth %q", f)
-		}
-		depths = append(depths, d)
-	}
-	if len(depths) == 0 {
-		return nil, fmt.Errorf("-pipeline: no depths given")
-	}
-	return depths, nil
 }
 
 // fillValue stamps a worker/iteration-distinguishable payload.

@@ -60,7 +60,7 @@ func main() {
 		wallInterval = flag.Int64("wall-interval", 256, "time-wall release interval in logical ticks")
 		gcEvery      = flag.Int64("gc-every", 64, "run GC every N commits; 0 disables")
 		idleTimeout  = flag.Duration("idle-timeout", 5*time.Minute, "close sessions idle for this long; 0 disables")
-		maxPipeline  = flag.Int("max-pipeline", 0, "max in-flight pipelined requests per v2 session; 0 uses the server default")
+		maxPipeline  = flag.Int("max-pipeline", 0, "max in-flight pipelined requests per session; 0 uses the server default")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget before force-closing sessions")
 		quiet        = flag.Bool("quiet", false, "suppress connection-level diagnostics")
 

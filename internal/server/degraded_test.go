@@ -104,8 +104,7 @@ func TestDegradedModeOverTheWire(t *testing.T) {
 	}
 
 	// Restart against repaired storage: every acked commit is back and the
-	// server takes writes again. (The pooled client survives the restart:
-	// its health check evicts the dead sockets.)
+	// server takes writes again.
 	c.Close()
 	srv.Close()
 	_, addr2 := startServer(t, 2, core.Config{

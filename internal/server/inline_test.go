@@ -1,6 +1,6 @@
 package server_test
 
-// Tests of the inline path (DESIGN.md §15.2): requests of a wait-free
+// Tests of the inline path (DESIGN.md §15.1): requests of a wait-free
 // read-only transaction run on the session goroutine, and their responses
 // leave when the burst ends. What must survive that: per-transaction
 // order across the inline and FIFO paths, every response reaching the

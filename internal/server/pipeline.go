@@ -1,8 +1,7 @@
 package server
 
-// The version-2 pipelined session path (DESIGN.md §15). The session
-// goroutine decodes frames and sorts them by one question: can this
-// operation block?
+// The pipelined session path (DESIGN.md §15). The session goroutine
+// decodes frames and sorts them by one question: can this operation block?
 //
 // It cannot when it begins, or belongs to, a read-only transaction of an
 // engine that declared cc.CapWaitFreeReadOnly (HDD's Protocol C reads
@@ -27,13 +26,11 @@ package server
 // closes the connection and ends the session.
 
 import (
-	"errors"
-
 	"hdd/internal/cc"
 	"hdd/internal/wire"
 )
 
-// pipeWriteBuf sizes the v2 session's socket write buffer: large enough
+// pipeWriteBuf sizes the session's socket write buffer: large enough
 // that one flush carries the responses to a deep burst of reads.
 const pipeWriteBuf = 64 << 10
 
@@ -53,17 +50,7 @@ type sessTxn struct {
 	running bool
 }
 
-// startPipeline latches the session into version-2 mode: from here on
-// every frame must be v2, and responses go through the frame writer.
-// Called by the session goroutine on the first v2 frame; the v1 path
-// flushes after every response, so nothing is buffered at the latch.
-func (s *session) startPipeline() {
-	s.v2 = true
-	s.sem = make(chan struct{}, s.srv.opts.MaxPipeline)
-	s.fw = wire.NewFrameWriter(s.conn, pipeWriteBuf, s.srv.opts.WriteTimeout, s.srv.observeFlush)
-}
-
-// dispatch routes one decoded v2 request: inline when it cannot block,
+// dispatch routes one decoded request: inline when it cannot block,
 // otherwise through admission (blocking when MaxPipeline are in flight)
 // into its transaction's FIFO or a goroutine of its own.
 func (s *session) dispatch(req *wire.Request) {
@@ -204,17 +191,3 @@ func (s *session) complete(req *wire.Request, resp *wire.Response) {
 	s.inflight.Done()
 	<-s.sem
 }
-
-// pipelineProtoErr answers a protocol violation on a latched v2 session —
-// an undecodable frame, or a v1 frame after the latch — so the peer sees a
-// diagnostic before the connection drops. The caller returns from serve
-// afterwards; teardown flushes and closes.
-func (s *session) pipelineProtoErr(tag uint64, err error) {
-	resp := &wire.Response{Status: wire.StatusError, Tag: tag, Message: err.Error()}
-	s.wbuf = wire.AppendResponse2(s.wbuf[:0], 0, resp)
-	_ = s.fw.Append(s.wbuf) // best effort on a connection about to close
-}
-
-// errVersionDowngrade is the protocol violation a session reports when a
-// version-1 frame arrives after the session latched to version 2.
-var errVersionDowngrade = errors.New("wire: version 1 frame on a version 2 session")

@@ -1,14 +1,15 @@
 package server_test
 
-// End-to-end tests of the version-2 pipelined service path (DESIGN.md
-// §15): many concurrent transactions multiplexed over a small connection
-// set, out-of-order responses, batched operations, orphan cleanup when a
-// pipelined client vanishes, and version-1 interoperability against a v2
-// server. Everything here runs under -race in CI (make check).
+// End-to-end tests of the pipelined service path (DESIGN.md §15): many
+// concurrent transactions multiplexed over a small connection set,
+// out-of-order responses, batched operations, orphan cleanup when a
+// pipelined client vanishes, and the rejection of version-1 frames.
+// Everything here runs under -race in CI (make check).
 
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -31,9 +32,6 @@ import (
 func TestPipelinedSessionTorture(t *testing.T) {
 	srv, addr := startServer(t, 3, core.Config{WallInterval: 4, TxnTimeout: 10 * time.Second}, server.Options{})
 	c := dial(t, addr, client.WithConns(2))
-	if v := c.ProtocolVersion(); v != 2 {
-		t.Fatalf("negotiated protocol %d, want 2", v)
-	}
 
 	const (
 		workers   = 8
@@ -50,7 +48,7 @@ func TestPipelinedSessionTorture(t *testing.T) {
 				cls := hdd.ClassID(i % 2)
 				key := uint64((w*perWorker + i) % keySpan)
 				val := []byte(fmt.Sprintf("w%d-i%d", w, i))
-				// Update transaction through the retry runner, as v1 tests do.
+				// Update transaction through the retry runner.
 				err := hdd.Run(c, cls, func(tx hdd.Txn) error {
 					if cls > 0 {
 						if _, err := tx.Read(hdd.GranuleID{Segment: 0, Key: key}); err != nil {
@@ -277,115 +275,57 @@ func TestOutOfOrderResponses(t *testing.T) {
 	}
 }
 
-// TestV1ClientAgainstV2Server pins interoperability in both directions a
-// v1 peer can exercise: the public client forced to v1 runs a full
-// workload, and a hand-rolled byte-level v1 conversation gets pure v1
-// frames back — every response's version byte is 1, never 2, and known
-// exchanges match the historical encoding byte for byte.
-func TestV1ClientAgainstV2Server(t *testing.T) {
-	srv, addr := startServer(t, 2, core.Config{WallInterval: 4, TxnTimeout: 10 * time.Second}, server.Options{})
-
-	c := dial(t, addr, client.WithProtocolV1())
-	if v := c.ProtocolVersion(); v != 1 {
-		t.Fatalf("forced-v1 client reports protocol %d", v)
+// expectV1Rejected sends one version-1 payload and requires the server's
+// whole answer to be one StatusError frame — encoded as version 2, tag 0,
+// naming the offending version — followed by a clean close.
+func expectV1Rejected(t *testing.T, nc net.Conn, br *bufio.Reader, v1 []byte) {
+	t.Helper()
+	if err := wire.WriteFrame(nc, v1); err != nil {
+		t.Fatal(err)
 	}
-	g := hdd.GranuleID{Segment: 0, Key: 7}
-	err := hdd.Run(c, 0, func(tx hdd.Txn) error {
-		return tx.Write(g, []byte("v1-value"))
-	}, hdd.RetryPolicy{MaxAttempts: 10})
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	payload, err := wire.ReadFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = hdd.Run(c, hdd.NoClass, func(tx hdd.Txn) error {
-		v, err := tx.Read(g)
-		if err != nil {
-			return err
-		}
-		if v != nil && string(v) != "v1-value" {
-			t.Errorf("v1 read-only saw %q", v)
-		}
-		return nil
-	}, hdd.RetryPolicy{})
+	resp, err := wire.DecodeResponse2(0, payload)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("rejection is not a version-2 frame: %v (% x)", err, payload)
 	}
-
-	// Byte-level conversation: hand-encoded v1 frames, exact-byte asserts
-	// where the response is deterministic.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	if resp.Status != wire.StatusError || resp.Tag != 0 || !strings.Contains(resp.Message, "version 1") {
+		t.Fatalf("rejection: %+v", resp)
 	}
-	defer nc.Close()
-	br := bufio.NewReader(nc)
-	exchange := func(reqPayload []byte) []byte {
-		t.Helper()
-		if err := wire.WriteFrame(nc, reqPayload); err != nil {
-			t.Fatal(err)
-		}
-		nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-		payload, err := wire.ReadFrame(br, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return payload
-	}
-
-	// Hello: historical request bytes {1, 9}.
-	payload := exchange([]byte{1, 9})
-	if payload[0] != 1 {
-		t.Fatalf("hello response version byte = %d, want 1", payload[0])
-	}
-	hello, err := wire.DecodeResponse(wire.OpHello, payload)
-	if err != nil {
-		t.Fatalf("hello response not strict v1: %v", err)
-	}
-	if hello.Status != wire.StatusOK || hello.EngineName == "" {
-		t.Fatalf("hello over v1: %+v", hello)
-	}
-
-	// Write to an unknown transaction: deterministic error, deterministic
-	// bytes. {1, 5, txn=99, seg=0, key=0, len=0}.
-	req := wire.AppendRequest(nil, &wire.Request{Op: wire.OpWrite, Txn: 99})
-	payload = exchange(req)
-	want := wire.AppendResponse(nil, wire.OpWrite, &wire.Response{
-		Status:  wire.StatusError,
-		Message: "server: no open transaction 99 on this connection",
-	})
-	if string(payload) != string(want) {
-		t.Fatalf("unknown-txn error response changed:\n got %x\nwant %x", payload, want)
-	}
-
-	// Full v1 transaction: begin, write, read back, commit — all frames
-	// strict v1.
-	payload = exchange(wire.AppendRequest(nil, &wire.Request{Op: wire.OpBegin, Class: 1}))
-	begun, err := wire.DecodeResponse(wire.OpBegin, payload)
-	if err != nil || begun.Status != wire.StatusOK {
-		t.Fatalf("v1 begin: %v %+v", err, begun)
-	}
-	payload = exchange(wire.AppendRequest(nil, &wire.Request{
-		Op: wire.OpWrite, Txn: begun.Txn, Seg: 1, Key: 3, Value: []byte("raw")}))
-	if wr, err := wire.DecodeResponse(wire.OpWrite, payload); err != nil || wr.Status != wire.StatusOK {
-		t.Fatalf("v1 write: %v %+v", err, wr)
-	}
-	payload = exchange(wire.AppendRequest(nil, &wire.Request{
-		Op: wire.OpRead, Txn: begun.Txn, Seg: 1, Key: 3}))
-	rd, err := wire.DecodeResponse(wire.OpRead, payload)
-	if err != nil || !rd.Found || string(rd.Value) != "raw" {
-		t.Fatalf("v1 read: %v %+v", err, rd)
-	}
-	payload = exchange(wire.AppendRequest(nil, &wire.Request{Op: wire.OpCommit, Txn: begun.Txn}))
-	if cm, err := wire.DecodeResponse(wire.OpCommit, payload); err != nil || cm.Status != wire.StatusOK {
-		t.Fatalf("v1 commit: %v %+v", err, cm)
-	}
-	if n := srv.OpenTxns(); n != 0 {
-		t.Fatalf("server reports %d open txns after v1 conversation", n)
+	if _, err := wire.ReadFrame(br, nil); err != io.EOF {
+		t.Fatalf("after the rejection: %v, want EOF", err)
 	}
 }
 
-// TestVersionDowngradeRejected pins the no-mixing rule: once a session
-// latches to v2, a v1 frame is a protocol error — answered once, then the
-// connection drops.
+// TestV1ClientAgainstV2Server sends, as a session's first frame, the exact
+// bytes a client of the retired version 1 would: the server answers each
+// with one error frame and hangs up, and no transaction is left behind.
+func TestV1ClientAgainstV2Server(t *testing.T) {
+	srv, addr := startServer(t, 2, core.Config{}, server.Options{})
+	for name, frame := range map[string][]byte{
+		"hello": {1, 9},
+		// Write, txn 99, segment 0, key 0, empty value.
+		"write": {1, 5, 0, 0, 0, 0, 0, 0, 0, 99, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			expectV1Rejected(t, nc, bufio.NewReader(nc), frame)
+		})
+	}
+	if n := srv.OpenTxns(); n != 0 {
+		t.Fatalf("server reports %d open txns after the rejected sessions", n)
+	}
+}
+
+// TestVersionDowngradeRejected: a session that has been speaking version 2
+// gets the same answer when a version-1 frame turns up mid-stream.
 func TestVersionDowngradeRejected(t *testing.T) {
 	_, addr := startServer(t, 2, core.Config{}, server.Options{})
 	nc, err := net.Dial("tcp", addr)
@@ -406,25 +346,7 @@ func TestVersionDowngradeRejected(t *testing.T) {
 	if tag, _ := wire.ResponseTag(payload); tag != 1 {
 		t.Fatalf("hello tag = %d", tag)
 	}
-	// Now a v1 frame on the latched session.
-	if err := wire.WriteFrame(nc, wire.AppendRequest(nil, &wire.Request{Op: wire.OpHello})); err != nil {
-		t.Fatal(err)
-	}
-	payload, err = wire.ReadFrame(br, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := wire.DecodeResponse2(0, payload)
-	if err != nil {
-		t.Fatalf("downgrade rejection not a v2 frame: %v", err)
-	}
-	if resp.Status != wire.StatusError || !strings.Contains(resp.Message, "version 1 frame") {
-		t.Fatalf("downgrade rejection: %+v", resp)
-	}
-	// The server then drops the connection.
-	if _, err := wire.ReadFrame(br, nil); err == nil {
-		t.Fatal("connection survived a version downgrade")
-	}
+	expectV1Rejected(t, nc, br, []byte{1, 9})
 }
 
 // TestBatchSemanticsOverWire pins OpBatch's contract end to end: ordered

@@ -19,11 +19,12 @@
 //
 // A connection is a session, and the transactions it begins are
 // addressable only by that session — there is no cross-connection
-// transaction handoff. One goroutine per session reads and decodes frames.
-// A version-1 session answers each request before reading the next. A
-// version-2 session (tagged frames, the default client) pipelines:
-// requests naming the same transaction execute and are answered in arrival
-// order, everything else may overtake. The session goroutine itself
+// transaction handoff. One goroutine per session reads and decodes frames,
+// and the session pipelines them: requests naming the same transaction
+// execute and are answered in arrival order, everything else may
+// overtake. A frame that does not decode — one of another wire version
+// included — is answered with one StatusError frame and the connection is
+// dropped. The session goroutine itself
 // executes what cannot block — a read-only transaction's operations when
 // the engine declares cc.CapWaitFreeReadOnly — and flushes the responses
 // when the burst it read is exhausted; anything that may wait goes through
@@ -75,12 +76,11 @@ type Options struct {
 	// 0 means no idle limit (orphan cleanup then relies on the engine
 	// reaper after TCP teardown, or on Shutdown).
 	IdleTimeout time.Duration
-	// WriteTimeout bounds how long a response (on a v2 session: a burst of
-	// responses) may take to reach the socket; a peer that stops reading
-	// is dropped when it expires. Defaults to 10s.
+	// WriteTimeout bounds how long a burst of responses may take to reach
+	// the socket; a peer that stops reading is dropped when it expires.
+	// Defaults to 10s.
 	WriteTimeout time.Duration
-	// MaxPipeline caps how many version-2 requests one session may have in
-	// flight; further frames block in the socket (backpressure). Defaults
+	// MaxPipeline caps how many requests one session may have in flight; further frames block in the socket (backpressure). Defaults
 	// to 256.
 	MaxPipeline int
 	// Logf receives connection-level diagnostics; nil discards them.
@@ -132,7 +132,7 @@ type Server struct {
 	reqLat [wire.OpBatch + 1]*obs.Histogram
 
 	// Pipeline instrumentation (DESIGN.md §15): current admitted-request
-	// depth across all v2 sessions, requests executed inline on session
+	// depth across all sessions, requests executed inline on session
 	// goroutines, frame-writer flush accounting, and the batch-size
 	// distribution.
 	pipelineDepth   atomic.Int64
@@ -221,21 +221,21 @@ func (s *Server) registerMetrics() {
 		"Orphaned transactions force-aborted by session teardown.",
 		s.forceAborts.Load)
 	r.GaugeFunc("hdd_server_pipeline_depth",
-		"Version-2 requests currently admitted and unanswered, across all sessions.",
+		"Requests currently admitted and unanswered, across all sessions.",
 		s.pipelineDepth.Load)
 	s.inlineRequests = r.Counter("hdd_server_inline_requests_total",
-		"Version-2 requests executed on the session goroutine because they cannot block (the rest take a handler goroutine).")
+		"Requests executed on the session goroutine because they cannot block (the rest take a handler goroutine).")
 	s.coalescedWrites = r.Counter("hdd_server_coalesced_writes_total",
 		"Socket flushes that carried more than one response frame.")
 	s.writerFlushes = r.Counter("hdd_server_writer_flushes_total",
-		"Socket flushes by v2 sessions.")
+		"Socket flushes by sessions.")
 	s.flushedFrames = r.Counter("hdd_server_flushed_frames_total",
-		"Response frames written by v2 sessions (flushed_frames/writer_flushes = mean coalescing factor).")
+		"Response frames written by sessions (flushed_frames/writer_flushes = mean coalescing factor).")
 	s.batchOps = r.ValueHistogram("hdd_server_batch_ops",
 		"Operations per OpBatch request.")
 }
 
-// observeFlush is every v2 session's frame-writer hook: one socket flush
+// observeFlush is every session's frame-writer hook: one socket flush
 // carried this many response frames.
 func (s *Server) observeFlush(frames int) {
 	s.writerFlushes.Inc()

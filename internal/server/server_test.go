@@ -289,22 +289,8 @@ func TestOrphanedConnectionForceAbort(t *testing.T) {
 
 	// Speak the wire protocol directly so nothing in the client tidies up
 	// behind our back.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := wire.AppendRequest(nil, &wire.Request{Op: wire.OpBeginAdHocFor, WriteSeg: 1, ReadSegs: []int32{0}})
-	if err := wire.WriteFrame(nc, req); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := wire.ReadFrame(nc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := wire.DecodeResponse(wire.OpBeginAdHocFor, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc := rawDial(t, addr)
+	resp := rc.roundTrip(&wire.Request{Op: wire.OpBeginAdHocFor, WriteSeg: 1, ReadSegs: []int32{0}})
 	if resp.Status != wire.StatusOK {
 		t.Fatalf("begin ad-hoc: %+v", resp)
 	}
@@ -313,7 +299,7 @@ func TestOrphanedConnectionForceAbort(t *testing.T) {
 	}
 
 	// Kill the client. No Abort was ever sent.
-	nc.Close()
+	rc.nc.Close()
 
 	// A Begin of a conflicting class must succeed promptly: it blocks on
 	// the ad-hoc gates until the session teardown force-aborts the orphan.
@@ -339,13 +325,14 @@ func TestOrphanedConnectionForceAbort(t *testing.T) {
 	}
 }
 
-// rawConn speaks the wire protocol directly over one connection, so a
-// test can hold several transactions on a single session and observe the
-// session's drain behaviour (the pooled client pins one transaction per
-// connection and would hide it).
+// rawConn speaks the wire protocol directly over one connection, one
+// request at a time, so a test controls exactly which transactions a
+// session holds and when the connection dies (the client redials and
+// aborts behind a test's back).
 type rawConn struct {
-	t  *testing.T
-	nc net.Conn
+	t   *testing.T
+	nc  net.Conn
+	tag uint64
 }
 
 func rawDial(t *testing.T, addr string) *rawConn {
@@ -360,16 +347,21 @@ func rawDial(t *testing.T, addr string) *rawConn {
 
 func (r *rawConn) roundTrip(req *wire.Request) wire.Response {
 	r.t.Helper()
-	if err := wire.WriteFrame(r.nc, wire.AppendRequest(nil, req)); err != nil {
+	r.tag++
+	req.Tag = r.tag
+	if err := wire.WriteFrame(r.nc, wire.AppendRequest2(nil, req)); err != nil {
 		r.t.Fatalf("sending %v: %v", req.Op, err)
 	}
 	payload, err := wire.ReadFrame(r.nc, nil)
 	if err != nil {
 		r.t.Fatalf("awaiting %v response: %v", req.Op, err)
 	}
-	resp, err := wire.DecodeResponse(req.Op, payload)
+	resp, err := wire.DecodeResponse2(req.Op, payload)
 	if err != nil {
 		r.t.Fatal(err)
+	}
+	if resp.Tag != req.Tag {
+		r.t.Fatalf("%v answered with tag %d, sent %d", req.Op, resp.Tag, req.Tag)
 	}
 	return resp
 }
@@ -498,11 +490,11 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	}
 }
 
-// TestClientCloseAbortsPinnedTxn closes a Client while one of its
-// transactions is still open: Close must drop the pinned connection too
-// (not just the idle pool), so the server force-aborts the transaction
-// immediately rather than leaving it to the engine's deadline reaper.
-func TestClientCloseAbortsPinnedTxn(t *testing.T) {
+// TestClientCloseAbortsOpenTxn closes a Client while one of its
+// transactions is still open: Close drops every connection, so the server
+// force-aborts the transaction immediately rather than leaving it to the
+// engine's deadline reaper.
+func TestClientCloseAbortsOpenTxn(t *testing.T) {
 	srv, addr := startServer(t, 2, core.Config{TxnTimeout: time.Minute}, server.Options{})
 
 	c := dial(t, addr)

@@ -1,8 +1,7 @@
 package server
 
 // One session per connection: a goroutine that reads request frames in
-// order and — on a version-1 session — answers each before reading the
-// next; a version-2 session pipelines (pipeline.go). The session owns the
+// order and pipelines them (pipeline.go). The session owns the
 // transactions it began; teardown — for any reason: disconnect, protocol
 // error, idle timeout, shutdown — force-aborts whatever is still open so
 // an abandoned client can never wedge walls, GC, or ad-hoc admission
@@ -31,12 +30,10 @@ type session struct {
 	srv  *Server
 	conn net.Conn
 	br   *bufio.Reader
-	bw   *bufio.Writer
 
 	// txns maps wire transaction ids to the session's open transactions
-	// with their per-transaction request FIFOs, guarded by tmu: on a v1
-	// session only the session goroutine touches it, but a v2 session's
-	// concurrent handlers share it.
+	// with their per-transaction request FIFOs, guarded by tmu: the session
+	// goroutine and its concurrent handlers share it.
 	tmu  sync.Mutex
 	txns map[uint64]*sessTxn
 
@@ -47,9 +44,7 @@ type session struct {
 	rbuf []byte // reused frame read buffer
 	wbuf []byte // reused response encode buffer (session goroutine only)
 
-	// Version-2 pipeline state (see pipeline.go); zero until the session
-	// latches to v2 at its first version-2 frame.
-	v2       bool
+	// Pipeline state (see pipeline.go).
 	fw       *wire.FrameWriter // the socket's write side, shared with handlers
 	sem      chan struct{}     // in-flight admission, cap MaxPipeline
 	inflight sync.WaitGroup    // admitted requests whose response is not yet sent
@@ -63,8 +58,9 @@ func newSession(s *Server, conn net.Conn) *session {
 		srv:  s,
 		conn: conn,
 		br:   bufio.NewReader(conn),
-		bw:   bufio.NewWriter(conn),
 		txns: make(map[uint64]*sessTxn),
+		fw:   wire.NewFrameWriter(conn, pipeWriteBuf, s.opts.WriteTimeout, s.observeFlush),
+		sem:  make(chan struct{}, s.opts.MaxPipeline),
 	}
 }
 
@@ -82,12 +78,10 @@ func (s *session) forceClose() {
 	s.conn.SetReadDeadline(time.Now())
 }
 
-// serve is the session goroutine. A version-1 session is one synchronous
-// loop: request frame in, response frame out, in order. The first
-// version-2 frame latches the session into pipelined mode (pipeline.go):
-// this goroutine then decodes, executes what cannot block itself and hands
-// the rest to per-transaction handlers. The loop runs until the peer hangs
-// up, errs, times out, violates the protocol, or the server drains.
+// serve is the session goroutine: it decodes frames, executes what cannot
+// block itself and hands the rest to per-transaction handlers
+// (pipeline.go). The loop runs until the peer hangs up, errs, times out,
+// violates the protocol, or the server drains.
 func (s *session) serve() {
 	defer s.srv.wg.Done()
 	defer s.teardown()
@@ -95,7 +89,7 @@ func (s *session) serve() {
 		// While the read buffer holds another complete frame the next
 		// read cannot block: keep the responses buffered and the deadline
 		// as armed. Otherwise flush the burst before waiting for more.
-		if !s.v2 || !wire.FrameBuffered(s.br) {
+		if !wire.FrameBuffered(s.br) {
 			if s.flushInline() != nil {
 				return
 			}
@@ -121,37 +115,18 @@ func (s *session) serve() {
 			return
 		}
 		s.rbuf = payload[:cap(payload)]
-		if wire.PayloadVersion(payload) == wire.Version2 || s.v2 {
-			if !s.v2 {
-				s.startPipeline()
-			}
-			req, err := wire.DecodeRequestAny(payload)
-			switch {
-			case err != nil:
-				s.pipelineProtoErr(0, err)
-				s.srv.logf("server: %v: %v", s.conn.RemoteAddr(), err)
-				return
-			case req.Ver != wire.Version2:
-				// Versions never mix: a v1 frame after the latch means the
-				// peer lost protocol state — answer once and drop.
-				s.pipelineProtoErr(0, errVersionDowngrade)
-				s.srv.logf("server: %v: %v", s.conn.RemoteAddr(), errVersionDowngrade)
-				return
-			}
-			s.dispatch(&req)
-			continue
-		}
-		req, err := wire.DecodeRequest(payload)
+		req, err := wire.DecodeRequestAny(payload)
 		if err != nil {
-			// Protocol error: answer once so the peer can log something
+			// Protocol error — a frame of another wire version included:
+			// answer once (tag 0) so the peer can log something
 			// meaningful, then drop the connection — framing may be lost.
-			s.writeResponse(0, &wire.Response{Status: wire.StatusError, Message: err.Error()})
+			// Teardown flushes the answer.
+			s.wbuf = wire.AppendResponse2(s.wbuf[:0], 0, &wire.Response{Status: wire.StatusError, Message: err.Error()})
+			_ = s.fw.Append(s.wbuf) // best effort on a connection about to close
 			s.srv.logf("server: %v: %v", s.conn.RemoteAddr(), err)
 			return
 		}
-		if err := s.writeResponse(req.Op, s.timed(&req, nil)); err != nil {
-			return
-		}
+		s.dispatch(&req)
 	}
 }
 
@@ -163,12 +138,12 @@ func (s *session) txnCount() int {
 	return n
 }
 
-// hasInflight reports whether a v2 session still has admitted requests
+// hasInflight reports whether the session still has admitted requests
 // that have not produced a response yet, or responses it has not flushed —
 // a draining session must not exit under them (their begins may still
 // register transactions).
 func (s *session) hasInflight() bool {
-	return s.v2 && (len(s.sem) > 0 || s.unflushed)
+	return len(s.sem) > 0 || s.unflushed
 }
 
 // setReadDeadline arms the next frame read: the idle timeout normally, a
@@ -195,9 +170,8 @@ func (s *session) timed(req *wire.Request, t cc.Txn) *wire.Response {
 }
 
 // handle dispatches one decoded request. t is the transaction a
-// transaction-addressed request names when the caller has already
-// resolved it (the v2 dispatcher has), nil otherwise. It never returns
-// nil.
+// transaction-addressed request names (dispatch resolved it), nil for
+// requests that name none. It never returns nil.
 func (s *session) handle(req *wire.Request, t cc.Txn) *wire.Response {
 	switch req.Op {
 	case wire.OpBegin:
@@ -247,12 +221,6 @@ func (s *session) handle(req *wire.Request, t cc.Txn) *wire.Response {
 			EngineName: s.srv.eng.Name(), Caps: uint64(s.srv.caps)}
 
 	case wire.OpRead, wire.OpWrite, wire.OpCommit, wire.OpAbort, wire.OpBatch:
-		if t == nil {
-			var ok bool
-			if t, ok = s.lookupTxn(req.Txn); !ok {
-				return unknownTxn(req.Txn)
-			}
-		}
 		return s.handleTxnOp(req, t)
 
 	case wire.OpStats:
@@ -379,18 +347,6 @@ func (s *session) beginResponse(t cc.Txn, err error, waitFree bool) *wire.Respon
 	return &wire.Response{Status: wire.StatusOK, Txn: id, Class: int32(t.Class())}
 }
 
-// lookupTxn resolves a wire transaction id to the session's open
-// transaction.
-func (s *session) lookupTxn(id uint64) (cc.Txn, bool) {
-	s.tmu.Lock()
-	st, ok := s.txns[id]
-	s.tmu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return st.t, true
-}
-
 func (s *session) dropTxn(id uint64) {
 	s.tmu.Lock()
 	_, ok := s.txns[id]
@@ -410,25 +366,22 @@ func (s *session) dropTxn(id uint64) {
 // capability get a plain Abort, which releases locks/versions through the
 // normal path — still counted as an orphan cleanup when it lands.
 func (s *session) teardown() {
-	if s.v2 {
-		// Reap BEFORE quiescing: an in-flight operation can be blocked
-		// inside the engine on a transaction this same session owns (an
-		// MVTO read waiting on a sibling's uncommitted write, an ad-hoc
-		// begin parked on a sibling's admission gate). Waiting for it
-		// first would deadlock until the engine reaper's deadline;
-		// aborting the owners resolves those waits now. Force-abort is
-		// reaper machinery and is safe against concurrently running
-		// operations on the same transaction.
-		s.reapOpenTxns()
-		// Quiesce the pipeline: every admitted request finishes and sends
-		// its response; then flush what the session goroutine itself
-		// buffered, so whatever exit serve took, the peer gets every
-		// response it can still receive.
-		s.inflight.Wait()
-		s.fw.Flush()
-		// Second pass: an in-flight begin that completed after the first
-		// reap registered a fresh transaction nobody will ever finish.
-	}
+	// Reap BEFORE quiescing: an in-flight operation can be blocked inside
+	// the engine on a transaction this same session owns (an MVTO read
+	// waiting on a sibling's uncommitted write, an ad-hoc begin parked on a
+	// sibling's admission gate). Waiting for it first would deadlock until
+	// the engine reaper's deadline; aborting the owners resolves those
+	// waits now. Force-abort is reaper machinery and is safe against
+	// concurrently running operations on the same transaction.
+	s.reapOpenTxns()
+	// Quiesce the pipeline: every admitted request finishes and sends its
+	// response; then flush what the session goroutine itself buffered, so
+	// whatever exit serve took, the peer gets every response it can still
+	// receive.
+	s.inflight.Wait()
+	s.fw.Flush()
+	// Second pass: an in-flight begin that completed after the first reap
+	// registered a fresh transaction nobody will ever finish.
 	s.reapOpenTxns()
 	s.conn.Close()
 	s.srv.removeSession(s)
@@ -459,17 +412,6 @@ func (s *session) reapOpenTxns() {
 		}
 		s.dropTxn(id)
 	}
-}
-
-// writeResponse encodes and writes one response frame under the write
-// deadline.
-func (s *session) writeResponse(op wire.Op, resp *wire.Response) error {
-	s.wbuf = wire.AppendResponse(s.wbuf[:0], op, resp)
-	s.conn.SetWriteDeadline(time.Now().Add(s.srv.opts.WriteTimeout))
-	if err := wire.WriteFrame(s.bw, s.wbuf); err != nil {
-		return err
-	}
-	return s.bw.Flush()
 }
 
 // errResponse maps an engine error onto the wire status taxonomy.

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// FrameWriter is the write side of a multiplexed version-2 connection,
+// FrameWriter is the write side of a multiplexed connection,
 // shared by every goroutine that sends frames on it (client callers on
 // one end, the server's session goroutine and handlers on the other).
 // Frames are appended to one buffer under a mutex and leave in as few

@@ -25,12 +25,6 @@ func FuzzDecodeRequest(f *testing.F) {
 		{Op: OpCommit, Txn: 7},
 		{Op: OpAbort, Txn: 7},
 		{Op: OpStats},
-	} {
-		req := req
-		f.Add(AppendRequest(nil, &req))
-	}
-	// Tagged v2 frames, including the v2-only OpBatch.
-	for _, req := range []Request{
 		{Op: OpRead, Tag: 0xA1B2C3D4E5F60718, Txn: 7, Seg: 1, Key: 9},
 		{Op: OpHello, Tag: 1},
 		{Op: OpCommit, Tag: 2, Txn: 7},
@@ -42,17 +36,18 @@ func FuzzDecodeRequest(f *testing.F) {
 		req := req
 		f.Add(AppendRequest2(nil, &req))
 	}
-	// Hostile shapes: truncations, unknown opcode, forged value length,
-	// forged ad-hoc read-set count, wrong version, trailing garbage,
-	// forged batch count, invalid batch kind, OpBatch claimed as v1.
+	// Hostile shapes: truncations, frames of the retired version 1 (the
+	// testdata seeds without a v2_ prefix are version-1 frames too: all
+	// must be rejected), wrong version, trailing garbage, truncated tag,
+	// forged batch count, invalid batch kind.
 	f.Add([]byte{})
-	f.Add([]byte{Version})
-	f.Add([]byte{Version, 250})
+	f.Add([]byte{1})
+	f.Add([]byte{1, 250})
 	f.Add([]byte{0, byte(OpBegin), 0, 0, 0, 1})
-	f.Add([]byte{Version, byte(OpWrite), 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte{Version, byte(OpBeginAdHocFor), 0, 0, 0, 1, 0xFF, 0xFF})
-	f.Add([]byte{Version, byte(OpBeginReadOnlyFor), 0xFF, 0xFF})
-	f.Add(append(AppendRequest(nil, &Request{Op: OpCommit, Txn: 1}), 0))
+	f.Add([]byte{1, byte(OpWrite), 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{1, byte(OpBeginAdHocFor), 0, 0, 0, 1, 0xFF, 0xFF})
+	f.Add([]byte{1, byte(OpBeginReadOnlyFor), 0xFF, 0xFF})
+	f.Add(append(AppendRequest2(nil, &Request{Op: OpCommit, Txn: 1}), 0))
 	f.Add([]byte{Version2, byte(OpStats), 0, 0}) // truncated tag
 	f.Add([]byte{Version2, byte(OpBatch),
 		0, 0, 0, 0, 0, 0, 0, 1, // tag
@@ -65,26 +60,16 @@ func FuzzDecodeRequest(f *testing.F) {
 		7,          // invalid kind
 		0, 0, 0, 0, // seg
 		0, 0, 0, 0, 0, 0, 0, 0}) // key
-	f.Add([]byte{Version, byte(OpBatch), 0, 0, 0, 0, 0, 0, 0, 1, 0, 0})
+	f.Add([]byte{1, byte(OpBatch), 0, 0, 0, 0, 0, 0, 0, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, p []byte) {
 		req, err := DecodeRequestAny(p)
 		if err != nil {
-			// The strict v1 decoder must never accept what the
-			// version-agnostic one rejects.
-			if _, v1err := DecodeRequest(p); v1err == nil {
-				t.Fatalf("DecodeRequest accepted what DecodeRequestAny rejected: %x", p)
-			}
 			return
 		}
 		// A successful decode must re-encode to the identical payload:
-		// the codec is canonical, so nothing decodable is unrepresentable.
-		var got []byte
-		if req.Ver == Version2 {
-			got = AppendRequest2(nil, &req)
-		} else {
-			got = AppendRequest(nil, &req)
-		}
-		if !bytes.Equal(got, p) {
+		// the codec is canonical, so nothing decodable is unrepresentable
+		// (and nothing that does not start with Version2 is decodable).
+		if got := AppendRequest2(nil, &req); !bytes.Equal(got, p) {
 			t.Fatalf("re-encode mismatch:\n in  %x\n out %x", p, got)
 		}
 		// Decoded variable-length fields can never exceed what the payload
@@ -96,9 +81,34 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
+// fuzzResponse is the property both response targets check.
+func fuzzResponse(t *testing.T, opByte byte, p []byte) {
+	op := Op(opByte)
+	resp, err := DecodeResponse2(op, p)
+	if err != nil {
+		return
+	}
+	if resp.Status == StatusOK && (op < OpBegin || op > OpBatch) {
+		t.Fatalf("StatusOK decoded for unknown opcode %d", opByte)
+	}
+	// The demux peek must agree with the full decode for anything
+	// decodable — the client trusts the peek to route the frame.
+	tag, tagErr := ResponseTag(p)
+	if tagErr != nil || tag != resp.Tag {
+		t.Fatalf("ResponseTag = (%d, %v), decode says tag %d", tag, tagErr, resp.Tag)
+	}
+	if got := AppendResponse2(nil, op, &resp); !bytes.Equal(got, p) {
+		t.Fatalf("re-encode mismatch for %v:\n in  %x\n out %x", op, p, got)
+	}
+	if len(resp.Value) > len(p) || len(resp.Stats)*10 > len(p) || len(resp.Batch) > len(p) {
+		t.Fatalf("decoded fields larger than payload")
+	}
+}
+
+// FuzzDecodeResponse starts the response property from the untagged
+// results and error statuses of every opcode; its testdata corpus is the
+// retired version 1's, kept as seeds the decoder must reject.
 func FuzzDecodeResponse(f *testing.F) {
-	ops := []Op{OpBegin, OpBeginReadOnly, OpBeginAdHocFor, OpRead, OpWrite, OpCommit, OpAbort, OpStats,
-		OpHello, OpBeginReadOnlyFor}
 	for _, c := range []struct {
 		op   Op
 		resp Response
@@ -113,35 +123,16 @@ func FuzzDecodeResponse(f *testing.F) {
 		{OpBeginAdHocFor, Response{Status: StatusUnsupported, Message: "not supported"}},
 	} {
 		c := c
-		f.Add(byte(c.op), AppendResponse(nil, c.op, &c.resp))
+		f.Add(byte(c.op), AppendResponse2(nil, c.op, &c.resp))
 	}
-	f.Add(byte(OpStats), []byte{Version, byte(StatusOK), 0xFF, 0xFF})
-	f.Add(byte(OpRead), []byte{Version, byte(StatusOK), 1, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add(byte(0), []byte{Version, byte(StatusOK)})
-	f.Fuzz(func(t *testing.T, opByte byte, p []byte) {
-		op := Op(opByte)
-		resp, err := DecodeResponse(op, p)
-		if err != nil {
-			return
-		}
-		validOp := false
-		for _, o := range ops {
-			if op == o {
-				validOp = true
-			}
-		}
-		if !validOp && resp.Status == StatusOK {
-			t.Fatalf("StatusOK decoded for unknown opcode %d", opByte)
-		}
-		if got := AppendResponse(nil, op, &resp); !bytes.Equal(got, p) {
-			t.Fatalf("re-encode mismatch for %v:\n in  %x\n out %x", op, p, got)
-		}
-		if len(resp.Value) > len(p) || len(resp.Stats)*10 > len(p) {
-			t.Fatalf("decoded fields larger than payload")
-		}
-	})
+	f.Add(byte(OpStats), []byte{1, byte(StatusOK), 0xFF, 0xFF})
+	f.Add(byte(OpRead), []byte{1, byte(StatusOK), 1, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(byte(0), []byte{1, byte(StatusOK)})
+	f.Fuzz(fuzzResponse)
 }
 
+// FuzzDecodeResponse2 starts it from tagged frames, batches and forged
+// counts.
 func FuzzDecodeResponse2(f *testing.F) {
 	for _, c := range []struct {
 		op   Op
@@ -161,27 +152,9 @@ func FuzzDecodeResponse2(f *testing.F) {
 	f.Add(byte(OpBatch), []byte{Version2, byte(StatusOK),
 		0, 0, 0, 0, 0, 0, 0, 1, // tag
 		0xFF, 0xFF}) // 65535 results, nothing follows
-	f.Add(byte(OpCommit), []byte{Version2, byte(StatusOK), 0}) // truncated tag
-	f.Add(byte(OpRead), AppendResponse(nil, OpRead, &Response{Status: StatusOK}))
-	f.Fuzz(func(t *testing.T, opByte byte, p []byte) {
-		op := Op(opByte)
-		resp, err := DecodeResponse2(op, p)
-		if err != nil {
-			return
-		}
-		// The demux peek must agree with the full decode for anything
-		// decodable — the client trusts the peek to route the frame.
-		tag, tagErr := ResponseTag(p)
-		if tagErr != nil || tag != resp.Tag {
-			t.Fatalf("ResponseTag = (%d, %v), decode says tag %d", tag, tagErr, resp.Tag)
-		}
-		if got := AppendResponse2(nil, op, &resp); !bytes.Equal(got, p) {
-			t.Fatalf("re-encode mismatch for %v:\n in  %x\n out %x", op, p, got)
-		}
-		if len(resp.Value) > len(p) || len(resp.Stats)*10 > len(p) || len(resp.Batch) > len(p) {
-			t.Fatalf("decoded fields larger than payload")
-		}
-	})
+	f.Add(byte(OpCommit), []byte{Version2, byte(StatusOK), 0})    // truncated tag
+	f.Add(byte(OpRead), []byte{1, byte(StatusOK), 0, 0, 0, 0, 0}) // a version-1 read response
+	f.Fuzz(fuzzResponse)
 }
 
 func FuzzReadFrame(f *testing.F) {

@@ -12,47 +12,30 @@
 //
 // A declared length above MaxFrame is a protocol error and is rejected
 // before any allocation, so a hostile or corrupt peer cannot make the
-// receiver over-allocate. The payload of a version-1 request is
+// receiver over-allocate. A request payload is
 //
-//	byte version | byte opcode | opcode-specific fields
+//	byte 2 | byte opcode | uint64 tag | opcode-specific fields
 //
-// and of a version-1 response
+// and a response payload
 //
-//	byte version | byte status | status-specific fields
+//	byte 2 | byte status | uint64 tag | status-specific fields
 //
-// All integers are big-endian. Variable-length fields carry their own
-// length prefix: values a uint32, strings a uint16. Decoders are strict —
+// The leading byte is the protocol version; there is one, Version2, and a
+// payload that starts with anything else is rejected by every decoder. All
+// integers are big-endian. Variable-length fields carry their own length
+// prefix: values a uint32, strings a uint16. Decoders are strict —
 // truncated fields, trailing bytes, unknown opcodes or statuses, and
 // version mismatches all return errors, never panic.
 //
-// # Protocol version 2: tags and pipelining
+// # Tags and pipelining
 //
-// Version-2 frames add an 8-byte client-chosen tag directly after the
-// opcode (requests) or status (responses):
-//
-//	byte 2 | byte opcode | uint64 tag | opcode-specific fields
-//	byte 2 | byte status | uint64 tag | status-specific fields
-//
-// The server echoes the tag verbatim in the matching response, for every
-// status. Tags let a client pipeline many requests on one connection and
-// demultiplex the responses, which MAY arrive out of order: the server
-// only promises that operations addressing the same transaction execute
-// (and are answered) in arrival order. Tag uniqueness among a
-// connection's in-flight requests is the client's responsibility; the
-// server never interprets the value.
-//
-// The field encodings after the tag are identical to version 1, so a
-// version-1 peer and a version-1 frame remain byte-for-byte unchanged.
-// Version 2 additionally carries OpBatch, which is invalid in a
-// version-1 frame. Versions never mix on one connection: the server
-// latches a session to version 2 at its first version-2 frame and
-// rejects version-1 frames afterwards.
-//
-// Negotiation rides on OpHello: a client that wants version 2 sends its
-// Hello as a version-2 frame. A version-2 server answers in kind; a
-// version-1 server answers with a version-1 protocol-error response and
-// drops the connection, after which the client redials and speaks
-// version 1. A version-1 client never notices any of this.
+// The tag is chosen by the client and echoed verbatim by the server in the
+// matching response, for every status. Tags let a client pipeline many
+// requests on one connection and demultiplex the responses, which MAY
+// arrive out of order: the server only promises that operations addressing
+// the same transaction execute (and are answered) in arrival order. Tag
+// uniqueness among a connection's in-flight requests is the client's
+// responsibility; the server never interprets the value.
 //
 // # Transactions over the wire
 //
@@ -75,12 +58,8 @@ import (
 	"hdd/internal/cc"
 )
 
-// Version is the base protocol version; version-1 frames carry no tag and
-// are answered strictly in order.
-const Version = 1
-
-// Version2 is the pipelined protocol version: every frame carries a tag,
-// responses may arrive out of order, and OpBatch is available.
+// Version2 is the protocol version, the first byte of every payload. (The
+// untagged version 1 it replaced is gone; its frames are rejected.)
 const Version2 = 2
 
 // MaxFrame is the largest payload a frame may declare or carry. It bounds
@@ -106,17 +85,14 @@ const (
 	OpStats         Op = 8 // snapshot engine + server counters
 	// OpHello reports what the connection is talking to: the backend
 	// engine's name and its capability bits (cc.Capability), so a client
-	// can feature-detect before issuing capability-gated opcodes. Sent as
-	// a version-2 frame it doubles as the version negotiation (see the
-	// package comment).
+	// can feature-detect before issuing capability-gated opcodes.
 	OpHello Op = 9
 	// OpBeginReadOnlyFor begins a read-only transaction declared over a
 	// segment set (cc.ScopedReadOnlyBeginner); the engine picks the
 	// freshest protocol the declaration allows.
 	OpBeginReadOnlyFor Op = 10
 	// OpBatch runs many reads and/or writes against one open transaction
-	// in a single round trip, in declaration order. Version 2 only: a
-	// version-1 frame carrying it is rejected as an unknown opcode.
+	// in a single round trip, in declaration order.
 	OpBatch Op = 11
 )
 
@@ -204,13 +180,8 @@ type BatchResult struct {
 type Request struct {
 	Op Op
 
-	// Ver is the protocol version the frame was decoded from (set by
-	// DecodeRequestAny; plain DecodeRequest always yields Version).
-	// Encoders ignore it: AppendRequest emits version 1, AppendRequest2
-	// version 2.
-	Ver byte
-	// Tag is the client-chosen correlation tag (version 2 only); the
-	// server echoes it in the response.
+	// Tag is the client-chosen correlation tag; the server echoes it in
+	// the response.
 	Tag uint64
 
 	// Class is the update class for OpBegin.
@@ -239,8 +210,8 @@ type Request struct {
 type Response struct {
 	Status Status
 
-	// Tag echoes the request's tag (version 2 only; carried for every
-	// status so errors demultiplex too).
+	// Tag echoes the request's tag (carried for every status so errors
+	// demultiplex too).
 	Tag uint64
 
 	// Txn and Class answer the Begin* family.
@@ -332,17 +303,7 @@ func FrameBuffered(r *bufio.Reader) bool {
 	return uint32(n-4) >= binary.BigEndian.Uint32(hdr)
 }
 
-// PayloadVersion peeks the protocol version byte of a payload (0 when
-// empty); receivers use it to dispatch between the version-1 and
-// version-2 decoders without committing to either.
-func PayloadVersion(p []byte) byte {
-	if len(p) == 0 {
-		return 0
-	}
-	return p[0]
-}
-
-// ResponseTag extracts the tag from a version-2 response payload without
+// ResponseTag extracts the tag from a response payload without
 // decoding the rest — the demultiplexing peek a pipelined client performs
 // before it knows which request (and so which opcode) the frame answers.
 func ResponseTag(p []byte) (uint64, error) {
@@ -355,25 +316,13 @@ func ResponseTag(p []byte) (uint64, error) {
 	return binary.BigEndian.Uint64(p[2:10]), nil
 }
 
-// AppendRequest appends req's version-1 encoded payload to buf (usually
-// buf[:0] of a reused buffer) and returns the extended slice.
-func AppendRequest(buf []byte, req *Request) []byte {
-	return appendRequest(buf, req, Version)
-}
-
-// AppendRequest2 appends req's version-2 encoded payload — tagged, and
-// admitting OpBatch — to buf and returns the extended slice.
+// AppendRequest2 appends req's encoded payload to buf (usually buf[:0] of
+// a reused buffer) and returns the extended slice.
 func AppendRequest2(buf []byte, req *Request) []byte {
-	return appendRequest(buf, req, Version2)
-}
-
-func appendRequest(buf []byte, req *Request, ver byte) []byte {
 	e := encoder{buf: buf}
-	e.u8(ver)
+	e.u8(Version2)
 	e.u8(byte(req.Op))
-	if ver >= Version2 {
-		e.u64(req.Tag)
-	}
+	e.u64(req.Tag)
 	switch req.Op {
 	case OpBegin:
 		e.i32(req.Class)
@@ -421,31 +370,17 @@ func appendRequest(buf []byte, req *Request, ver byte) []byte {
 	return e.buf
 }
 
-// DecodeRequest decodes one version-1 request payload. It is strict:
-// version mismatches, unknown opcodes, truncated fields, oversized counts,
-// and trailing bytes are all errors.
-func DecodeRequest(p []byte) (Request, error) {
-	return decodeRequest(p, false)
-}
-
-// DecodeRequestAny decodes a request payload of either protocol version,
-// recording which in Request.Ver — the server's per-frame dispatch point.
+// DecodeRequestAny decodes one request payload. It is strict: a version
+// byte other than Version2, unknown opcodes, truncated fields, oversized
+// counts, and trailing bytes are all errors.
 func DecodeRequestAny(p []byte) (Request, error) {
-	return decodeRequest(p, true)
-}
-
-func decodeRequest(p []byte, allowV2 bool) (Request, error) {
 	d := decoder{b: p}
-	ver, err := d.versionUpTo(allowV2)
-	if err != nil {
+	if err := d.version(); err != nil {
 		return Request{}, err
 	}
 	var req Request
-	req.Ver = ver
 	req.Op = Op(d.u8())
-	if ver >= Version2 {
-		req.Tag = d.u64()
-	}
+	req.Tag = d.u64()
 	switch req.Op {
 	case OpBegin:
 		req.Class = d.i32()
@@ -486,9 +421,6 @@ func decodeRequest(p []byte, allowV2 bool) (Request, error) {
 	case OpCommit, OpAbort:
 		req.Txn = d.u64()
 	case OpBatch:
-		if ver < Version2 {
-			return Request{}, fmt.Errorf("wire: unknown opcode %d", byte(req.Op))
-		}
 		req.Txn = d.u64()
 		n := int(d.u16())
 		// Each op is at least kind + seg + key = 13 bytes, which bounds
@@ -522,27 +454,14 @@ func decodeRequest(p []byte, allowV2 bool) (Request, error) {
 	return req, nil
 }
 
-// AppendResponse appends resp's version-1 encoded payload to buf and
-// returns the extended slice. op selects which result fields a StatusOK
-// response carries.
-func AppendResponse(buf []byte, op Op, resp *Response) []byte {
-	return appendResponse(buf, op, resp, Version)
-}
-
-// AppendResponse2 appends resp's version-2 encoded payload — tag echoed
-// after the status, for every status — to buf and returns the extended
-// slice.
+// AppendResponse2 appends resp's encoded payload — tag echoed after the
+// status, for every status — to buf and returns the extended slice. op
+// selects which result fields a StatusOK response carries.
 func AppendResponse2(buf []byte, op Op, resp *Response) []byte {
-	return appendResponse(buf, op, resp, Version2)
-}
-
-func appendResponse(buf []byte, op Op, resp *Response, ver byte) []byte {
 	e := encoder{buf: buf}
-	e.u8(ver)
+	e.u8(Version2)
 	e.u8(byte(resp.Status))
-	if ver >= Version2 {
-		e.u64(resp.Tag)
-	}
+	e.u64(resp.Tag)
 	if resp.Status != StatusOK {
 		e.str(resp.Reason)
 		e.str(resp.Message)
@@ -590,34 +509,17 @@ func appendResponse(buf []byte, op Op, resp *Response, ver byte) []byte {
 	return e.buf
 }
 
-// DecodeResponse decodes one version-1 response payload for a request of
-// the given opcode, with the same strictness as DecodeRequest.
-func DecodeResponse(op Op, p []byte) (Response, error) {
-	return decodeResponse(op, p, false)
-}
-
-// DecodeResponse2 decodes one version-2 response payload; the caller
-// learned op from the pending request the tag names (see ResponseTag).
+// DecodeResponse2 decodes one response payload, with the same strictness
+// as DecodeRequestAny; the caller learned op from the pending request the
+// tag names (see ResponseTag).
 func DecodeResponse2(op Op, p []byte) (Response, error) {
-	return decodeResponse(op, p, true)
-}
-
-func decodeResponse(op Op, p []byte, v2 bool) (Response, error) {
 	d := decoder{b: p}
-	var err error
-	if v2 {
-		err = d.versionExactly(Version2)
-	} else {
-		err = d.versionExactly(Version)
-	}
-	if err != nil {
+	if err := d.version(); err != nil {
 		return Response{}, err
 	}
 	var resp Response
 	resp.Status = Status(d.u8())
-	if v2 {
-		resp.Tag = d.u64()
-	}
+	resp.Tag = d.u64()
 	switch resp.Status {
 	case StatusOK:
 		switch op {
@@ -639,9 +541,6 @@ func decodeResponse(op Op, p []byte, v2 bool) (Response, error) {
 		case OpWrite, OpCommit, OpAbort:
 			// no result payload
 		case OpBatch:
-			if !v2 {
-				return Response{}, fmt.Errorf("wire: unknown opcode %d for response", byte(op))
-			}
 			n := int(d.u16())
 			// Each result is at least the kind byte.
 			if d.err == nil && n > len(d.b) {
@@ -875,31 +774,12 @@ func (d *decoder) u32len() int {
 	return 0
 }
 
-// versionExactly consumes the version byte, requiring want.
-func (d *decoder) versionExactly(want byte) error {
-	if v := d.u8(); d.err == nil && v != want {
-		return fmt.Errorf("wire: protocol version %d, want %d", v, want)
+// version consumes the version byte, requiring Version2.
+func (d *decoder) version() error {
+	if v := d.u8(); d.err == nil && v != Version2 {
+		return fmt.Errorf("wire: protocol version %d, want %d", v, Version2)
 	}
 	return d.err
-}
-
-// versionUpTo consumes the version byte, accepting Version always and
-// Version2 when allowV2 is set, and returns it.
-func (d *decoder) versionUpTo(allowV2 bool) (byte, error) {
-	v := d.u8()
-	if d.err != nil {
-		return 0, d.err
-	}
-	switch {
-	case v == Version:
-		return v, nil
-	case v == Version2 && allowV2:
-		return v, nil
-	case allowV2:
-		return 0, fmt.Errorf("wire: protocol version %d, want %d or %d", v, Version, Version2)
-	default:
-		return 0, fmt.Errorf("wire: protocol version %d, want %d", v, Version)
-	}
 }
 
 func (d *decoder) finish() error {

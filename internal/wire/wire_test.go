@@ -13,7 +13,9 @@ import (
 	"hdd/internal/cc"
 )
 
-// requestCases covers every opcode with representative operands.
+// requestCases covers every opcode but OpBatch with representative
+// operands, untagged (tag 0); the tagged and batch cases are in
+// wire_v2_test.go.
 func requestCases() []Request {
 	return []Request{
 		{Op: OpBegin, Class: 2},
@@ -36,17 +38,16 @@ func TestRequestRoundTrip(t *testing.T) {
 	for _, req := range requestCases() {
 		req := req
 		t.Run(req.Op.String(), func(t *testing.T) {
-			p := AppendRequest(nil, &req)
-			got, err := DecodeRequest(p)
+			p := AppendRequest2(nil, &req)
+			got, err := DecodeRequestAny(p)
 			if err != nil {
-				t.Fatalf("DecodeRequest: %v", err)
+				t.Fatalf("DecodeRequestAny: %v", err)
 			}
 			// Empty and nil byte slices are wire-equivalent.
 			if len(got.Value) == 0 {
 				got.Value = nil
 			}
 			want := req
-			want.Ver = Version // decoders record the frame's version
 			if len(want.Value) == 0 {
 				want.Value = nil
 			}
@@ -81,10 +82,10 @@ func TestResponseRoundTrip(t *testing.T) {
 		{OpBeginAdHocFor, Response{Status: StatusUnsupported, Message: "MV2PL does not implement BeginAdHocFor"}},
 	}
 	for i, c := range cases {
-		p := AppendResponse(nil, c.op, &c.resp)
-		got, err := DecodeResponse(c.op, p)
+		p := AppendResponse2(nil, c.op, &c.resp)
+		got, err := DecodeResponse2(c.op, p)
 		if err != nil {
-			t.Fatalf("case %d (%v): DecodeResponse: %v", i, c.op, err)
+			t.Fatalf("case %d (%v): DecodeResponse2: %v", i, c.op, err)
 		}
 		if len(got.Value) == 0 {
 			got.Value = nil
@@ -148,34 +149,39 @@ func TestReadFrameTruncated(t *testing.T) {
 	}
 }
 
+// prefix is the fixed head of a payload: version, opcode or status, tag 0.
+func prefix(second byte) []byte {
+	return []byte{Version2, second, 0, 0, 0, 0, 0, 0, 0, 0}
+}
+
 func TestDecodeRequestErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		p    []byte
 	}{
 		{"empty", nil},
-		{"bad version", []byte{99, byte(OpBegin), 0, 0, 0, 1}},
-		{"unknown opcode", []byte{Version, 200}},
-		{"truncated begin", []byte{Version, byte(OpBegin), 0}},
-		{"trailing bytes", append(AppendRequest(nil, &Request{Op: OpCommit, Txn: 1}), 0xFF)},
-		{"forged value length", []byte{Version, byte(OpWrite),
+		{"bad version", append([]byte{99}, AppendRequest2(nil, &Request{Op: OpBegin, Class: 1})[1:]...)},
+		{"unknown opcode", prefix(200)},
+		{"truncated begin", append(prefix(byte(OpBegin)), 0)},
+		{"trailing bytes", append(AppendRequest2(nil, &Request{Op: OpCommit, Txn: 1}), 0xFF)},
+		{"forged value length", append(prefix(byte(OpWrite)),
 			0, 0, 0, 0, 0, 0, 0, 1, // txn
 			0, 0, 0, 0, // seg
 			0, 0, 0, 0, 0, 0, 0, 2, // key
 			0xFF, 0xFF, 0xFF, 0xFF, // value length 4 GiB, nothing follows
-		}},
-		{"forged adhoc count", []byte{Version, byte(OpBeginAdHocFor),
+		)},
+		{"forged adhoc count", append(prefix(byte(OpBeginAdHocFor)),
 			0, 0, 0, 1, // writeSeg
 			0xFF, 0xFF, // 65535 read segments, nothing follows
-		}},
-		{"forged readonly scope count", []byte{Version, byte(OpBeginReadOnlyFor),
+		)},
+		{"forged readonly scope count", append(prefix(byte(OpBeginReadOnlyFor)),
 			0xFF, 0xFF, // 65535 segments, nothing follows
-		}},
+		)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := DecodeRequest(c.p); err == nil {
-				t.Fatalf("DecodeRequest(%x) succeeded, want error", c.p)
+			if _, err := DecodeRequestAny(c.p); err == nil {
+				t.Fatalf("DecodeRequestAny(%x) succeeded, want error", c.p)
 			}
 		})
 	}
@@ -188,14 +194,14 @@ func TestDecodeResponseErrors(t *testing.T) {
 		p    []byte
 	}{
 		{"empty", OpBegin, nil},
-		{"unknown status", OpBegin, []byte{Version, 250}},
-		{"truncated stats", OpStats, []byte{Version, byte(StatusOK), 0, 3}},
-		{"trailing bytes", OpCommit, append(AppendResponse(nil, OpCommit, &Response{Status: StatusOK}), 1)},
+		{"unknown status", OpBegin, prefix(250)},
+		{"truncated stats", OpStats, append(prefix(byte(StatusOK)), 0, 3)},
+		{"trailing bytes", OpCommit, append(AppendResponse2(nil, OpCommit, &Response{Status: StatusOK}), 1)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := DecodeResponse(c.op, c.p); err == nil {
-				t.Fatalf("DecodeResponse(%x) succeeded, want error", c.p)
+			if _, err := DecodeResponse2(c.op, c.p); err == nil {
+				t.Fatalf("DecodeResponse2(%x) succeeded, want error", c.p)
 			}
 		})
 	}
@@ -228,8 +234,8 @@ func TestErrorMappingRoundTrip(t *testing.T) {
 			st, reason, msg := StatusOf(c.in)
 			resp := Response{Status: st, Reason: reason, Message: msg}
 			// Cross the wire for real.
-			p := AppendResponse(nil, OpCommit, &resp)
-			got, err := DecodeResponse(OpCommit, p)
+			p := AppendResponse2(nil, OpCommit, &resp)
+			got, err := DecodeResponse2(OpCommit, p)
 			if err != nil {
 				t.Fatal(err)
 			}

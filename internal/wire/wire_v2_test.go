@@ -1,14 +1,13 @@
 package wire
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// v2RequestCases covers every opcode as a tagged version-2 frame,
-// including the v2-only OpBatch.
+// v2RequestCases covers every opcode as a tagged frame, including
+// OpBatch.
 func v2RequestCases() []Request {
 	return []Request{
 		{Op: OpBegin, Tag: 1, Class: 2},
@@ -41,11 +40,7 @@ func TestRequestRoundTripV2(t *testing.T) {
 			if err != nil {
 				t.Fatalf("DecodeRequestAny: %v", err)
 			}
-			if got.Ver != Version2 {
-				t.Fatalf("decoded Ver = %d, want %d", got.Ver, Version2)
-			}
 			want := req
-			want.Ver = Version2
 			normalizeReq(&got)
 			normalizeReq(&want)
 			if !reflect.DeepEqual(got, want) {
@@ -63,41 +58,6 @@ func normalizeReq(r *Request) {
 		if len(r.Batch[i].Value) == 0 {
 			r.Batch[i].Value = nil
 		}
-	}
-}
-
-// TestDecodeRequestAnyAcceptsV1 pins that the version-agnostic decoder
-// treats a v1 frame exactly as DecodeRequest does.
-func TestDecodeRequestAnyAcceptsV1(t *testing.T) {
-	req := Request{Op: OpWrite, Txn: 9, Seg: 1, Key: 2, Value: []byte("v")}
-	p := AppendRequest(nil, &req)
-	got, err := DecodeRequestAny(p)
-	if err != nil {
-		t.Fatalf("DecodeRequestAny(v1): %v", err)
-	}
-	if got.Ver != Version || got.Tag != 0 {
-		t.Fatalf("v1 frame decoded as Ver=%d Tag=%d", got.Ver, got.Tag)
-	}
-	want, err := DecodeRequest(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("DecodeRequestAny and DecodeRequest disagree on a v1 frame:\n any %+v\n  v1 %+v", got, want)
-	}
-}
-
-// TestV1DecoderRejectsV2 pins backward safety: a strict v1 peer must
-// reject tagged frames and the v2-only opcode rather than misparse them.
-func TestV1DecoderRejectsV2(t *testing.T) {
-	tagged := AppendRequest2(nil, &Request{Op: OpRead, Tag: 1, Txn: 2, Seg: 0, Key: 3})
-	if _, err := DecodeRequest(tagged); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("v1 decode of v2 frame: got %v, want version error", err)
-	}
-	// OpBatch inside a claimed-v1 frame is an unknown opcode.
-	batchAsV1 := []byte{Version, byte(OpBatch), 0, 0, 0, 0, 0, 0, 0, 1, 0, 0}
-	if _, err := DecodeRequestAny(batchAsV1); err == nil || !strings.Contains(err.Error(), "unknown opcode") {
-		t.Fatalf("v1 OpBatch frame: got %v, want unknown-opcode error", err)
 	}
 }
 
@@ -158,7 +118,8 @@ func TestResponseTagErrors(t *testing.T) {
 	if _, err := ResponseTag([]byte{Version2, 0, 1}); err == nil {
 		t.Fatal("short payload accepted")
 	}
-	v1 := AppendResponse(nil, OpCommit, &Response{Status: StatusOK})
+	// Long enough for a tag, but the version byte is 1.
+	v1 := []byte{1, byte(StatusError), 0, 0, 0, 6, 'l', 'e', 'g', 'a', 'c', 'y'}
 	if _, err := ResponseTag(v1); err == nil {
 		t.Fatal("v1 payload accepted")
 	}
@@ -200,7 +161,7 @@ func TestDecodeResponse2Errors(t *testing.T) {
 		op   Op
 		p    []byte
 	}{
-		{"v1 payload", OpCommit, AppendResponse(nil, OpCommit, &Response{Status: StatusOK})},
+		{"v1 payload", OpCommit, []byte{1, byte(StatusOK)}},
 		{"truncated tag", OpCommit, []byte{Version2, byte(StatusOK), 0}},
 		{"forged batch count", OpBatch, []byte{Version2, byte(StatusOK),
 			0, 0, 0, 0, 0, 0, 0, 1, // tag
@@ -217,44 +178,31 @@ func TestDecodeResponse2Errors(t *testing.T) {
 	}
 }
 
-// TestV1EncodingUnchanged pins byte-for-byte v1 compatibility: known
-// frames must encode to the exact historical bytes, so a v1 peer built
-// against an older wire package interoperates unchanged.
-func TestV1EncodingUnchanged(t *testing.T) {
-	cases := []struct {
-		name string
-		p    []byte
-		want []byte
-	}{
-		{
-			"begin",
-			AppendRequest(nil, &Request{Op: OpBegin, Class: 2}),
-			[]byte{1, 1, 0, 0, 0, 2},
-		},
-		{
-			"read",
-			AppendRequest(nil, &Request{Op: OpRead, Txn: 0x0102, Seg: 1, Key: 7}),
-			[]byte{1, 4, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 7},
-		},
-		{
-			"hello",
-			AppendRequest(nil, &Request{Op: OpHello}),
-			[]byte{1, 9},
-		},
-		{
-			"ok write response",
-			AppendResponse(nil, OpWrite, &Response{Status: StatusOK}),
-			[]byte{1, 0},
-		},
-		{
-			"read response",
-			AppendResponse(nil, OpRead, &Response{Status: StatusOK, Found: true, Value: []byte("v")}),
-			[]byte{1, 0, 1, 0, 0, 0, 1, 'v'},
-		},
+// TestV1BytesRejected sends every decoder the exact bytes the retired
+// version-1 encoders produced: each must be refused for its version byte,
+// not misparsed as a tagged frame.
+func TestV1BytesRejected(t *testing.T) {
+	requests := map[string][]byte{
+		"begin": {1, 1, 0, 0, 0, 2},
+		"read":  {1, 4, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 7},
+		"hello": {1, 9},
 	}
-	for _, c := range cases {
-		if !bytes.Equal(c.p, c.want) {
-			t.Fatalf("%s: v1 encoding changed:\n got %x\nwant %x", c.name, c.p, c.want)
+	for name, p := range requests {
+		if _, err := DecodeRequestAny(p); err == nil || !strings.Contains(err.Error(), "version 1") {
+			t.Errorf("v1 %s request: got %v, want a version error", name, err)
+		}
+	}
+	responses := []struct {
+		name string
+		op   Op
+		p    []byte
+	}{
+		{"ok write", OpWrite, []byte{1, 0}},
+		{"read", OpRead, []byte{1, 0, 1, 0, 0, 0, 1, 'v'}},
+	}
+	for _, c := range responses {
+		if _, err := DecodeResponse2(c.op, c.p); err == nil || !strings.Contains(err.Error(), "version 1") {
+			t.Errorf("v1 %s response: got %v, want a version error", c.name, err)
 		}
 	}
 }

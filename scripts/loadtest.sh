@@ -10,20 +10,12 @@
 # and hddload additionally archives /debug/pprof/mutex — the read-path
 # contention audit for DESIGN.md §14 (inspect with `go tool pprof -top`).
 #
-# With PIPELINE set (comma-separated depths, e.g. "1,4,16,64"), the run
-# additionally sweeps protocol-v2 pipeline depths with `hddload -pipeline`:
-# the BenchmarkNetPipelineDepth<D> lines land in the same BENCH_net.json,
-# and the depth comparison artifact is written to PIPELINE_OUT.
-#
 # Environment knobs (all optional):
 #   CLIENTS       concurrent workers          (default 8)
 #   TXNS          transactions per worker     (default 200)
 #   OUT           output JSON path            (default BENCH_net.json)
 #   METRICS_OUT   raw /metrics snapshot path  (default metrics_snapshot.txt)
 #   MUTEX_OUT     mutex pprof profile path    (default mutex_profile.pb.gz)
-#   PIPELINE      pipeline depths to sweep    (default empty: no sweep)
-#   PIPELINE_TXNS reads per in-flight worker  (default 2000)
-#   PIPELINE_OUT  depth comparison JSON path  (default pipeline_compare.json)
 set -eu
 
 CLIENTS="${CLIENTS:-8}"
@@ -31,9 +23,6 @@ TXNS="${TXNS:-200}"
 OUT="${OUT:-BENCH_net.json}"
 METRICS_OUT="${METRICS_OUT:-metrics_snapshot.txt}"
 MUTEX_OUT="${MUTEX_OUT:-mutex_profile.pb.gz}"
-PIPELINE="${PIPELINE:-}"
-PIPELINE_TXNS="${PIPELINE_TXNS:-2000}"
-PIPELINE_OUT="${PIPELINE_OUT:-pipeline_compare.json}"
 GO="${GO:-go}"
 
 workdir="$(mktemp -d)"
@@ -90,14 +79,6 @@ bench_lines="$workdir/bench_lines"
 "$workdir/hddload" -addr "$addr" -clients "$CLIENTS" -txns "$TXNS" \
 	-metrics-addr "$metrics_addr" -metrics-out "$METRICS_OUT" \
 	-mutex-profile-out "$MUTEX_OUT" > "$bench_lines"
-if [ -n "$PIPELINE" ]; then
-	"$workdir/hddload" -addr "$addr" -txns "$PIPELINE_TXNS" \
-		-pipeline "$PIPELINE" -pipeline-out "$PIPELINE_OUT" >> "$bench_lines"
-fi
 "$workdir/benchjson" -out "$OUT" < "$bench_lines"
 
-if [ -n "$PIPELINE" ]; then
-	echo "loadtest: wrote $OUT, $METRICS_OUT, $MUTEX_OUT and $PIPELINE_OUT" >&2
-else
-	echo "loadtest: wrote $OUT, $METRICS_OUT and $MUTEX_OUT" >&2
-fi
+echo "loadtest: wrote $OUT, $METRICS_OUT and $MUTEX_OUT" >&2
