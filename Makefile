@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-parallel bench-wal bench-read bench-smoke bench-e2e bench-e2e-smoke experiments examples check clean serve loadtest loadtest-matrix recovery-smoke fuzz-wal fuzz-checkpoint fuzz-wire torture torture-smoke obs-smoke
+.PHONY: all build vet test race cover bench bench-parallel bench-wal bench-read bench-smoke bench-e2e bench-e2e-smoke experiments examples check clean serve loadtest loadtest-matrix recovery-smoke stress-mvstore fuzz-wal fuzz-checkpoint fuzz-wire torture torture-smoke obs-smoke
 
 all: build vet test
 
@@ -94,6 +94,13 @@ recovery-smoke:
 obs-smoke:
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race ./internal/server/ -run 'TestMetricsEndToEnd|TestHealthzDegraded'
+
+# The version store's concurrency tests, repeated under the race detector:
+# wait-free readers against committing writers and pruning GC, parallel GC
+# passes on the prune queue, and the model test against a full-sweep
+# reference. See DESIGN.md §14.
+stress-mvstore:
+	$(GO) test -race -count=20 -run 'Concurrent|Quick|Queue' ./internal/mvstore/
 
 # Short fixed-budget fuzz of the WAL decoder and replay loop (the
 # checked-in corpus under internal/wal/testdata runs on every `go test`).

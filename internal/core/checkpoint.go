@@ -11,10 +11,11 @@ import (
 // gates: it takes every class gate exclusively, waiting for in-flight
 // update transactions to finish and briefly holding off new ones) and
 // serializes every committed version to w. Read-only transactions keep
-// running against released walls throughout — the store serializes each
-// chain from its immutable RCU snapshot, so the checkpointer and the
-// wait-free readers share memory without synchronizing, and the quiesced
-// gates guarantee the snapshots are mutually consistent.
+// running against released walls throughout — the store serializes the
+// committed versions of each chain's published array, immutable once
+// committed, so the checkpointer and the wait-free readers share memory
+// without synchronizing, and the quiesced gates guarantee the chains are
+// mutually consistent.
 func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	all := e.gate.lockAll()
 	defer e.gate.unlock(all)

@@ -316,9 +316,9 @@ func (e *Engine) initDurability(cfg Config) error {
 // log.
 //
 // Replay goes through the store's ordinary mutation entry points
-// (InstallPending, Commit, GC), so each replayed commit republishes the
-// chain's RCU committed snapshot as a side effect — the wait-free read
-// path needs no recovery-specific rebuild step.
+// (InstallPending, Commit, GC), so each replayed commit is published to
+// the wait-free read path and queued for pruning exactly as a live one is —
+// no recovery-specific rebuild step.
 func (e *Engine) replayWAL(r io.Reader, high *vclock.Time) (valid, records int64, torn bool, err error) {
 	observe := func(ts vclock.Time) {
 		if ts > *high {

@@ -4,14 +4,18 @@ package core
 // activity history are pruned against a watermark no future read bound or
 // activity query can reach.
 //
-// The watermark rule is also what makes the store's RCU read path safe
-// without epochs or hazard pointers (DESIGN.md §14): pruning only swaps a
-// chain's published committed snapshot for a smaller one — the superseded
-// snapshot, and every value it references, stays intact for any reader
-// that already loaded it, and the Go runtime reclaims it when the last
-// such reader drops its reference. A reader that loads the *new* snapshot
-// cannot miss a version it is entitled to, because its bound is at or
-// above the watermark by construction.
+// The watermark rule is also what makes the store's wait-free read path
+// safe without epochs or hazard pointers (DESIGN.md §14): pruning only
+// swaps a chain's published array for a shorter one — the superseded
+// array, and every value it references, stays intact for any reader that
+// already loaded it, and the Go runtime reclaims it when the last such
+// reader drops its reference. A reader that loads the *new* array cannot
+// miss a version it is entitled to, because its bound is at or above the
+// watermark by construction.
+//
+// A cycle visits only the store's prune queue — the chains written since
+// the watermark last passed them — so its cost follows the transactions
+// that ran, not the size of the database.
 
 import (
 	"hdd/internal/obs"
@@ -29,19 +33,23 @@ func (e *Engine) maybeGC() {
 	if e.commitCounter.Add(1)%e.gcEvery != 0 {
 		return
 	}
-	watermark := e.gcWatermark()
-	pruned := e.store.GC(watermark)
-	e.act.PruneBefore(watermark)
+	e.gcCycle()
 	e.gcRuns.Add(1)
-	e.observeGC(watermark, pruned)
 }
 
-// observeGC records a GC cycle's result on the attached plane.
-func (e *Engine) observeGC(watermark vclock.Time, pruned int) {
+// gcCycle prunes the store and the activity history against a freshly
+// computed watermark, records the cycle on the attached plane and returns
+// the number of store versions pruned.
+func (e *Engine) gcCycle() int {
+	watermark := e.gcWatermark()
+	pruned, visited := e.store.Prune(watermark)
+	e.act.PruneBefore(watermark)
 	if o := e.obs; o != nil {
 		o.gcPruned.Add(int64(pruned))
-		o.ring.Record(obs.KindGCPrune, obs.NoClass, int64(watermark), int64(pruned), 0)
+		o.gcVisited.Add(int64(visited))
+		o.ring.Record(obs.KindGCPrune, obs.NoClass, int64(watermark), int64(pruned), int64(visited))
 	}
+	return pruned
 }
 
 // gcWatermark computes the instant below which no future read bound or
@@ -68,9 +76,5 @@ func (e *Engine) ForceGC() int {
 		e.gate.classes[0].RLock()
 		defer e.gate.classes[0].RUnlock()
 	}
-	watermark := e.gcWatermark()
-	pruned := e.store.GC(watermark)
-	e.act.PruneBefore(watermark)
-	e.observeGC(watermark, pruned)
-	return pruned
+	return e.gcCycle()
 }

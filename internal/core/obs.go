@@ -49,15 +49,17 @@ type engineObs struct {
 	// (exact reads under a drained conflict set).
 	readsA, readsAPath, readsB, readsC, readsAdHoc *obs.Counter
 
-	// Reads served by the wait-free committed-read path (RCU snapshot
+	// Reads served by the wait-free committed-read path (published-chain
 	// load, no locks, no allocations), by protocol. Protocol B is absent:
 	// registered reads mutate the chain by definition. Equal to the
 	// corresponding hdd_reads_total series today; the split exists so a
 	// future partially-locked path shows up as divergence.
 	lockfreeA, lockfreeAPath, lockfreeC, lockfreeAdHoc *obs.Counter
 
-	// gcPruned counts store versions removed by GC cycles.
-	gcPruned *obs.Counter
+	// gcPruned counts store versions removed by GC cycles; gcVisited the
+	// chains those cycles examined. visited ≈ pruned is the healthy shape;
+	// visited ≫ pruned means a held-back watermark keeps chains queued.
+	gcPruned, gcVisited *obs.Counter
 
 	// walFsync is registered by initDurability before the log opens
 	// (memory-only engines have no WAL families); nil on them.
@@ -122,6 +124,8 @@ func newEngineObs(e *Engine, plane *obs.Plane) *engineObs {
 
 	o.gcPruned = r.Counter("hdd_gc_pruned_versions_total",
 		"Store versions removed by garbage collection.")
+	o.gcVisited = r.Counter("hdd_gc_chains_visited_total",
+		"Version chains examined by garbage collection (the prune queue's length at each cycle).")
 
 	// Scrape-time views over state the engine already maintains: no
 	// double counting, no extra hot-path work.

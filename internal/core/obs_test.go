@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -116,7 +117,7 @@ func TestEngineObsMetrics(t *testing.T) {
 	// Scrape-time families over existing engine state.
 	for _, name := range []string{
 		"hdd_wall_releases_total", "hdd_wall_attempts_total",
-		"hdd_gc_runs_total", "hdd_gc_pruned_versions_total",
+		"hdd_gc_runs_total", "hdd_gc_pruned_versions_total", "hdd_gc_chains_visited_total",
 		"hdd_read_registrations_total", "hdd_reaped_txns_total",
 	} {
 		if !strings.Contains(out, "# TYPE "+name+" ") {
@@ -134,6 +135,42 @@ func TestEngineObsMetrics(t *testing.T) {
 	if kinds["gc-prune"] == 0 {
 		t.Errorf("no gc-prune events; kinds = %v", kinds)
 	}
+}
+
+// TestGCVisitsOnlyWrittenChains checks what a GC cycle reports about its own
+// cost: the gc-prune event's visited field and hdd_gc_chains_visited_total
+// count the chains written since the last cycle, not the chains stored.
+func TestGCVisitsOnlyWrittenChains(t *testing.T) {
+	plane := obs.NewPlane()
+	e, err := NewEngine(Config{Partition: twoLevel(t), WallInterval: 1, Obs: plane})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const stored, rewritten = 200, 3
+	load, _ := e.Begin(0)
+	for k := 0; k < stored; k++ {
+		write(t, load, gr(0, k), "v0")
+	}
+	mustCommit(t, load)
+	e.ForceGC()
+	for k := 0; k < rewritten; k++ {
+		txn, _ := e.Begin(0)
+		write(t, txn, gr(0, k), "v1")
+		mustCommit(t, txn)
+	}
+	e.ForceGC()
+
+	var visited []int64
+	for _, ev := range plane.Events.Snapshot(0) {
+		if ev.Kind == obs.KindGCPrune {
+			visited = append(visited, ev.F3)
+		}
+	}
+	if len(visited) != 2 || visited[0] != 0 || visited[1] != rewritten {
+		t.Errorf("gc-prune events visited %v chains, want [0 %d] of %d stored", visited, rewritten, stored)
+	}
+	wantSeries(t, scrapeObs(plane), fmt.Sprintf("hdd_gc_chains_visited_total %d", rewritten))
 }
 
 // TestEngineObsDurable checks the WAL families and the flush/snapshot

@@ -47,7 +47,7 @@ func (t *readOnlyTxn) Read(g schema.GranuleID) ([]byte, error) {
 
 // ReadShared implements cc.SharedReader: the latest committed version
 // below the wall component of the granule's segment. Never blocks, never
-// registers — wait-free into the store's RCU snapshot. The returned slice
+// registers — wait-free into the store's published chain. The returned slice
 // aliases immutable engine-owned memory.
 func (t *readOnlyTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 	e := t.eng
@@ -195,7 +195,7 @@ func (t *pathReadOnlyTxn) Read(g schema.GranuleID) ([]byte, error) {
 
 // ReadShared implements cc.SharedReader with the fictitious-class
 // Protocol A threshold pinned at initiation. Wait-free into the store's
-// RCU snapshot; the returned slice aliases immutable engine-owned memory.
+// published chain; the returned slice aliases immutable engine-owned memory.
 func (t *pathReadOnlyTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 	e := t.eng
 	if err := e.closedErr(); err != nil {

@@ -71,8 +71,8 @@ func (t *updateTxn) Read(g schema.GranuleID) ([]byte, error) {
 // ReadShared implements cc.SharedReader. Reads in the root segment follow
 // Protocol B (registered, may wait); reads in higher segments follow
 // Protocol A (non-blocking, trace-free — and wait-free all the way into
-// the store, which serves them from an RCU snapshot with no locks and no
-// copies). A blocked Protocol B read wakes on the transaction deadline
+// the store, which serves them from the published chain with no locks and
+// no copies). A blocked Protocol B read wakes on the transaction deadline
 // (aborting with cc.ReasonTimedOut) and on engine shutdown (returning
 // cc.ErrEngineClosed). The returned slice aliases immutable engine-owned
 // memory.

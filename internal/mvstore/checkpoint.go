@@ -37,10 +37,10 @@ const checkpointMagic = "HDDCKPT1"
 // above it.
 func (s *Store) WriteCheckpoint(w io.Writer) (vclock.Time, error) {
 	// Collect a stable snapshot of granule ids first (the chain directory
-	// is lock-free to traverse), then serialize each chain from its
-	// RCU-published committed snapshot — immutable, so no chain lock and
-	// no value copies are needed. Engines quiesce writers before
-	// checkpointing, so the snapshots are also mutually consistent.
+	// is lock-free to traverse), then serialize the committed versions of
+	// each chain's published array — immutable once committed, so no chain
+	// lock and no value copies are needed. Engines quiesce writers before
+	// checkpointing, so the chains are also mutually consistent.
 	type entry struct {
 		g schema.GranuleID
 		c *chain
@@ -81,22 +81,22 @@ func (s *Store) WriteCheckpoint(w io.Writer) (vclock.Time, error) {
 		if err := writeUvarint(e.g.Key); err != nil {
 			return 0, err
 		}
-		var committed []committedVersion
-		if snap := e.c.committed.Load(); snap != nil {
-			committed = snap.vers
-		}
-		for _, v := range committed {
-			if v.ts > high {
-				high = v.ts
-			}
-			if v.commitTS > high {
-				high = v.commitTS
+		vs := e.c.view()
+		committed := 0
+		for i := range vs {
+			if vs[i].committed() {
+				committed++
 			}
 		}
-		if err := writeUvarint(uint64(len(committed))); err != nil {
+		if err := writeUvarint(uint64(committed)); err != nil {
 			return 0, err
 		}
-		for _, v := range committed {
+		for i := range vs {
+			v := &vs[i]
+			if !v.committed() {
+				continue
+			}
+			high = max(high, v.ts, v.commitTS)
 			if err := writeUvarint(uint64(v.ts)); err != nil {
 				return 0, err
 			}
@@ -175,6 +175,10 @@ func ReadCheckpoint(r io.Reader) (*Store, vclock.Time, error) {
 			return nil, 0, fmt.Errorf("mvstore: checkpoint truncated: %w", err)
 		}
 		c := s.chainOf(g, true)
+		if c.head.Load() != nil {
+			return nil, 0, fmt.Errorf("mvstore: checkpoint lists granule %v twice", g)
+		}
+		var vs []version
 		var prev vclock.Time
 		for v := uint64(0); v < nvers; v++ {
 			ts, err := binary.ReadUvarint(br)
@@ -202,9 +206,9 @@ func ReadCheckpoint(r io.Reader) (*Store, vclock.Time, error) {
 				return nil, 0, fmt.Errorf("mvstore: checkpoint chain for %v out of order", g)
 			}
 			prev = vclock.Time(ts)
-			c.versions = append(c.versions, version{
+			vs = append(vs, version{
 				ts: vclock.Time(ts), commitTS: vclock.Time(commitTS),
-				value: val, state: Committed,
+				value: val, state: uint32(Committed),
 			})
 			if vclock.Time(ts) > high {
 				high = vclock.Time(ts)
@@ -213,10 +217,15 @@ func ReadCheckpoint(r io.Reader) (*Store, vclock.Time, error) {
 				high = vclock.Time(commitTS)
 			}
 		}
-		// Publish the rebuilt chain's committed snapshot. Recovery is
-		// single-threaded (the store is not yet shared), so no lock is
-		// needed around the rebuild.
-		c.publishCommitted()
+		// Publish the rebuilt chain and queue it if GC could shrink it.
+		// Recovery is single-threaded (the store is not yet shared), so
+		// no lock is needed.
+		if len(vs) > 0 {
+			c.splice(vs, 0, 0, nil)
+		}
+		if len(vs) >= 2 {
+			s.enqueue(c)
+		}
 	}
 	if br.Len() != 0 {
 		return nil, 0, fmt.Errorf("mvstore: %d trailing bytes in checkpoint", br.Len())

@@ -136,3 +136,36 @@ func TestCheckpointLargeValues(t *testing.T) {
 		t.Fatal("large value mangled")
 	}
 }
+
+// A reloaded store must know which chains GC can shrink without ever
+// having seen them commit: loading queues them.
+func TestCheckpointLoadQueuesPrunableChains(t *testing.T) {
+	s := New()
+	for key := 0; key < 8; key++ {
+		for i := 1; i <= 1+key%4; i++ { // chains of 1..4 versions
+			ts := vclock.Time(key*10 + i)
+			_ = s.InstallPending(g(0, key), ts, []byte{byte(key), byte(i)})
+			s.Commit(g(0, key), ts)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := s.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := ReadCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s.GC(vclock.Infinity)
+	if want == 0 {
+		t.Fatal("the original store pruned nothing; the test is vacuous")
+	}
+	if got := r.GC(vclock.Infinity); got != want {
+		t.Fatalf("reloaded store pruned %d versions, the original %d", got, want)
+	}
+	for key := 0; key < 8; key++ {
+		if got, want := r.Versions(g(0, key)), s.Versions(g(0, key)); len(got) != 1 || got[0] != want[0] {
+			t.Fatalf("granule %d after GC: %+v, want %+v", key, got, want)
+		}
+	}
+}

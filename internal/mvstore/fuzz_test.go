@@ -40,6 +40,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 		10, 11, // ts, commitTS
 		0xff, 0xff, 0xff, 0xff, 0x0f, // forged 2^36-ish value length
 	)))
+	// CRC-valid, one granule listed twice: the second entry must not
+	// silently replace the first.
+	f.Add(withValidCRC(append([]byte(checkpointMagic),
+		2,                       // two granules
+		0, 7, 1, 10, 11, 1, 'a', // segment 0, key 7: one version
+		0, 7, 1, 20, 21, 1, 'b', // the same granule again
+	)))
 
 	f.Fuzz(func(t *testing.T, p []byte) {
 		s, high, err := ReadCheckpoint(bytes.NewReader(p))
@@ -116,5 +123,13 @@ func TestCheckpointErrorDetail(t *testing.T) {
 	if _, _, err := ReadCheckpoint(bytes.NewReader(forged)); err == nil ||
 		!strings.Contains(err.Error(), "value length") {
 		t.Fatalf("forged length error: %v", err)
+	}
+
+	// So is a granule listed twice.
+	twice := withValidCRC(append([]byte(checkpointMagic),
+		2, 0, 7, 1, 10, 11, 1, 'a', 0, 7, 1, 20, 21, 1, 'b'))
+	if _, _, err := ReadCheckpoint(bytes.NewReader(twice)); err == nil ||
+		!strings.Contains(err.Error(), "twice") {
+		t.Fatalf("duplicate granule error: %v", err)
 	}
 }

@@ -12,15 +12,22 @@
 // # Read-path memory model (DESIGN.md §14)
 //
 // The committed-read entry points (ReadCommittedBefore, ReadCommittedAsOf)
-// are wait-free: they take no locks and perform no allocations. Each chain
-// publishes its committed subsequence as an immutable snapshot behind an
-// atomic pointer (RCU); writers rebuild and swap the snapshot under the
-// chain mutex on commit and prune, readers load the pointer and
-// binary-search. A published snapshot — including every value slice it
-// references — is never mutated afterwards, so a reader that loaded it
-// stays consistent no matter what commits or GC passes race it; the Go
-// runtime reclaims superseded snapshots once the last reader drops its
-// reference, which is why no epoch or hazard-pointer machinery is needed.
+// are wait-free: they take no locks and perform no allocations. A chain
+// keeps one array of versions, ts ascending, and publishes it behind one
+// atomic pointer to a header {published length, backing array}. A reader
+// loads the header and its length, binary-searches [0,len) and steps back
+// over slots that are not committed. Below the published length a slot's
+// ts is immutable, its state moves once from Pending to Committed by an
+// atomic store made after value and commitTS are final, and readTS/done
+// are chain.mu-guarded fields no wait-free reader touches. A tail install
+// into spare capacity writes the next free slot and then advances the
+// length; a commit is the one atomic state store. Everything else that
+// changes the chain's shape — abort, a mid-chain insert, prune, capacity
+// growth — copies into a fresh header and swaps the pointer, never
+// touching the old one, so a reader that loaded the old header keeps a
+// consistent view (every commit made before it loaded is in it) and the Go
+// runtime reclaims the header once the last such reader drops it: no epoch
+// or hazard-pointer machinery is needed.
 //
 // Immutable-value contract: values returned by every read path alias
 // store-owned immutable memory. Callers must not modify them; engines make
@@ -48,11 +55,15 @@ const (
 	Committed
 )
 
-// Version is one entry in a granule's chain.
+// version is one entry in a granule's chain. Wait-free readers see ts,
+// state, commitTS and value; readTS and done belong to chain.mu.
 type version struct {
 	ts    vclock.Time // write timestamp = writer's initiation time
 	value []byte
-	state State
+	// state holds a State. A plain word, not an atomic type, because splice
+	// copies versions wholesale under chain.mu; the commit store and every
+	// wait-free load go through atomic.StoreUint32/LoadUint32.
+	state uint32
 	// commitTS is the instant the version committed (set by CommitAt;
 	// zero when committed via Commit). Commit-time visibility is what the
 	// MV2PL baseline snapshots by; the HDD protocols never consult it.
@@ -65,6 +76,12 @@ type version struct {
 	done chan struct{}
 }
 
+// committed reports whether v is visible to committed reads. Safe without
+// chain.mu: it pairs with the atomic store in commitAt.
+func (v *version) committed() bool {
+	return State(atomic.LoadUint32(&v.state)) == Committed
+}
+
 // VersionInfo is an exported snapshot of one version, for diagnostics and
 // tests.
 type VersionInfo struct {
@@ -74,26 +91,12 @@ type VersionInfo struct {
 	Len    int
 }
 
-// committedVersion is one entry of an RCU-published committed snapshot.
-// Both the struct and the value bytes are immutable once published.
-type committedVersion struct {
-	ts       vclock.Time
-	commitTS vclock.Time
-	value    []byte
-}
-
-// committedSnap is the RCU-published view of one chain's committed
-// subsequence, ts ascending. It is immutable: mutators build a fresh
-// snapshot and swap the chain's pointer; readers that loaded the old one
-// keep a consistent view until they drop it.
-type committedSnap struct {
-	vers []committedVersion
-}
-
-// locate returns the index of the latest committed version with ts <
-// bound, or -1.
-func (s *committedSnap) locate(bound vclock.Time) int {
-	return vclock.Locate(len(s.vers), func(i int) vclock.Time { return s.vers[i].ts }, bound)
+// header is what a chain publishes: a backing array and how much of it is
+// in use. vers[:n] is the chain, ts ascending; vers[n:] is spare capacity
+// only the mutator holding chain.mu writes.
+type header struct {
+	n    atomic.Int64
+	vers []version
 }
 
 type chain struct {
@@ -101,40 +104,87 @@ type chain struct {
 	// registered Protocol B read path. The wait-free committed-read paths
 	// never take it.
 	mu sync.Mutex
-	// versions is ordered by ts ascending. Aborted versions are removed.
-	versions []version
+	// head is the published chain; nil until the first install. Aborted
+	// versions are removed.
+	head atomic.Pointer[header]
 	// initRTS is the largest read timestamp registered against the
 	// *initial* (absent) version of the granule. A registered read that
 	// found nothing must still block an older writer from creating the
 	// first version afterwards, or a same-class reader/writer pair can
 	// cycle.
 	initRTS vclock.Time
-	// committed is the RCU snapshot of the committed subsequence of
-	// versions. Rebuilt (publishCommitted) under mu by every mutation
-	// that changes the committed set: commit and prune. Nil means no
-	// committed versions yet.
-	committed atomic.Pointer[committedSnap]
+	// queued is set (under mu) while the chain sits on the store's prune
+	// queue or on a list a GC pass detached from it; next links that list.
+	queued bool
+	next   *chain
 }
 
-// publishCommitted rebuilds and swaps the chain's committed snapshot.
-// Callers must hold c.mu (or have exclusive access during recovery). The
-// version flip it publishes becomes visible to wait-free readers at the
-// atomic store.
-func (c *chain) publishCommitted() {
-	n := 0
-	for i := range c.versions {
-		if c.versions[i].state == Committed {
-			n++
-		}
+// view returns the published chain. Without c.mu, only ts and — once
+// version.committed says so — value and commitTS may be read from it.
+func (c *chain) view() []version {
+	h := c.head.Load()
+	if h == nil {
+		return nil
 	}
-	vers := make([]committedVersion, 0, n)
-	for i := range c.versions {
-		v := &c.versions[i]
-		if v.state == Committed {
-			vers = append(vers, committedVersion{ts: v.ts, commitTS: v.commitTS, value: v.value})
-		}
+	return h.vers[:h.n.Load()]
+}
+
+// locate returns the index of the latest version in vs with ts < bound, or
+// -1.
+func locate(vs []version, bound vclock.Time) int {
+	return vclock.Locate(len(vs), func(i int) vclock.Time { return vs[i].ts }, bound)
+}
+
+// latestCommitted returns the index of the latest committed version in vs
+// with ts < bound, or -1. It examines each slot once, top down, so what it
+// returns was committed when examined and everything it stepped over was
+// unresolved when examined. That is the latest committed version as of one
+// instant unless two versions below bound commit, out of chain order, during
+// the call — which no engine's bounds allow (Protocol A/C bounds lie below
+// every active writer of the segment; MV2PL reads under strict 2PL).
+func latestCommitted(vs []version, bound vclock.Time) int {
+	i := locate(vs, bound)
+	for i >= 0 && !vs[i].committed() {
+		i--
 	}
-	c.committed.Store(&committedSnap{vers: vers})
+	return i
+}
+
+// splice publishes a fresh header holding vs[:lo], then ins if non-nil,
+// then vs[hi:]. A chain that grows doubles its capacity, so tail installs
+// are amortised O(1); one that shrinks (prune, abort) is cut to fit, so the
+// idle chains that make up most of a store carry no spare slots. Callers
+// must hold c.mu (or own the store exclusively during recovery).
+func (c *chain) splice(vs []version, lo, hi int, ins *version) {
+	live := len(vs) - (hi - lo)
+	capacity := live
+	if ins != nil {
+		live++
+		capacity = max(live, 2*capacity)
+	}
+	h := &header{vers: make([]version, capacity)}
+	n := copy(h.vers, vs[:lo])
+	if ins != nil {
+		h.vers[n] = *ins
+		n++
+	}
+	n += copy(h.vers[n:], vs[hi:])
+	h.n.Store(int64(n))
+	c.head.Store(h)
+}
+
+// insert places a new pending version at index at of the published chain
+// vs. The common case — the chain's tail, with spare capacity — writes the
+// next free slot and advances the published length; anything else
+// republishes. Callers must hold c.mu.
+func (c *chain) insert(vs []version, at int, ts vclock.Time, value []byte) {
+	v := version{ts: ts, value: append([]byte(nil), value...), done: make(chan struct{})}
+	if h := c.head.Load(); h != nil && at == len(vs) && at < len(h.vers) {
+		h.vers[at] = v // spare capacity: no reader indexes it yet
+		h.n.Store(int64(at + 1))
+		return
+	}
+	c.splice(vs, at, at, &v)
 }
 
 // Store is a sharded multi-version key/value store. It is safe for
@@ -146,6 +196,11 @@ type Store struct {
 	// is built for).
 	chains sync.Map
 
+	// prunable is the prune queue: a lock-free stack of the chains a GC
+	// pass could shrink, linked through chain.next. Pushes happen under the
+	// pushed chain's mu (enqueue); GC detaches the whole list with one swap.
+	prunable atomic.Pointer[chain]
+
 	// persist is the durability hook (persister.go); nil means memory-only.
 	// Set once via SetPersister before the store is shared.
 	persist Persister
@@ -155,6 +210,25 @@ type Store struct {
 	versionsAborted   atomic.Int64
 	versionsPruned    atomic.Int64
 	readRegistrations atomic.Int64
+}
+
+// enqueue puts c on the prune queue unless it is there already. Callers
+// must hold c.mu (or own the store exclusively during recovery). The queue
+// invariant is that every chain a GC pass could shrink is queued. Shrinking
+// takes two committed versions; the later of the two commits (or the
+// checkpoint load) found the chain holding two versions and queued it, and
+// only GC dequeues.
+func (s *Store) enqueue(c *chain) {
+	if c.queued {
+		return
+	}
+	c.queued = true
+	for {
+		c.next = s.prunable.Load()
+		if s.prunable.CompareAndSwap(c.next, c) {
+			return
+		}
+	}
 }
 
 // New returns an empty Store.
@@ -173,11 +247,6 @@ func (s *Store) chainOf(g schema.GranuleID, create bool) *chain {
 	return v.(*chain)
 }
 
-// locate returns the index of the latest version with ts < bound, or -1.
-func (c *chain) locate(bound vclock.Time) int {
-	return vclock.Locate(len(c.versions), func(i int) vclock.Time { return c.versions[i].ts }, bound)
-}
-
 // ErrVersionExists is returned when installing a version whose timestamp is
 // already present in the chain (one write per granule per transaction is
 // the unit of versioning; engines buffer intra-transaction overwrites).
@@ -188,14 +257,12 @@ func (s *Store) InstallPending(g schema.GranuleID, ts vclock.Time, value []byte)
 	c := s.chainOf(g, true)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i := c.locate(ts + 1)
-	if i >= 0 && c.versions[i].ts == ts {
+	vs := c.view()
+	i := locate(vs, ts+1)
+	if i >= 0 && vs[i].ts == ts {
 		return ErrVersionExists
 	}
-	v := version{ts: ts, value: append([]byte(nil), value...), state: Pending, done: make(chan struct{})}
-	c.versions = append(c.versions, version{})
-	copy(c.versions[i+2:], c.versions[i+1:])
-	c.versions[i+1] = v
+	c.insert(vs, i+1, ts, value)
 	s.versionsInstalled.Add(1)
 	if s.persist != nil {
 		s.persist.PersistInstall(g, ts, value)
@@ -204,8 +271,9 @@ func (s *Store) InstallPending(g schema.GranuleID, ts vclock.Time, value []byte)
 }
 
 // commitAt flips the pending version of g at ts to Committed with the
-// given commit instant (zero when commit time is untracked) and publishes
-// the updated committed snapshot — the shared body of Commit and CommitAt.
+// given commit instant (zero when commit time is untracked) — the shared
+// body of Commit and CommitAt. The flip is one atomic store into the
+// published array; it allocates nothing.
 func (s *Store) commitAt(g schema.GranuleID, ts, commitTS vclock.Time) {
 	c := s.chainOf(g, false)
 	if c == nil {
@@ -213,15 +281,18 @@ func (s *Store) commitAt(g schema.GranuleID, ts, commitTS vclock.Time) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i := c.locate(ts + 1)
-	if i < 0 || c.versions[i].ts != ts || c.versions[i].state != Pending {
+	vs := c.view()
+	i := locate(vs, ts+1)
+	if i < 0 || vs[i].ts != ts || vs[i].committed() {
 		panic(fmt.Sprintf("mvstore: commit of missing pending version %v@%d", g, ts))
 	}
-	c.versions[i].state = Committed
-	c.versions[i].commitTS = commitTS
-	close(c.versions[i].done)
-	c.versions[i].done = nil
-	c.publishCommitted()
+	vs[i].commitTS = commitTS
+	atomic.StoreUint32(&vs[i].state, uint32(Committed))
+	close(vs[i].done)
+	vs[i].done = nil
+	if len(vs) >= 2 {
+		s.enqueue(c)
+	}
 }
 
 // Commit flips the pending version of g at ts to Committed.
@@ -249,12 +320,9 @@ func (s *Store) ReadCommittedAsOf(g schema.GranuleID, commitBound vclock.Time) (
 	if c == nil {
 		return nil, 0, false
 	}
-	snap := c.committed.Load()
-	if snap == nil {
-		return nil, 0, false
-	}
-	for i := len(snap.vers) - 1; i >= 0; i-- {
-		if v := &snap.vers[i]; v.commitTS < commitBound {
+	vs := c.view()
+	for i := len(vs) - 1; i >= 0; i-- {
+		if v := &vs[i]; v.committed() && v.commitTS < commitBound {
 			return v.value, v.ts, true
 		}
 	}
@@ -269,12 +337,13 @@ func (s *Store) Abort(g schema.GranuleID, ts vclock.Time) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i := c.locate(ts + 1)
-	if i < 0 || c.versions[i].ts != ts || c.versions[i].state != Pending {
+	vs := c.view()
+	i := locate(vs, ts+1)
+	if i < 0 || vs[i].ts != ts || vs[i].committed() {
 		return
 	}
-	close(c.versions[i].done)
-	c.versions = append(c.versions[:i], c.versions[i+1:]...)
+	close(vs[i].done)
+	c.splice(vs, i, i+1, nil)
 	s.versionsAborted.Add(1)
 	if s.persist != nil {
 		s.persist.PersistAbort(g, ts)
@@ -285,8 +354,8 @@ func (s *Store) Abort(g schema.GranuleID, ts vclock.Time) {
 // committed version of g with ts < bound. It never blocks and never
 // registers the read — this is the access path of Protocols A and C, whose
 // whole point (§4.2, §5.2) is that it mutates nothing. It is wait-free all
-// the way down: the chain directory lookup and the committed-snapshot load
-// take no locks, and the binary search allocates nothing.
+// the way down: the chain directory lookup and the header load take no
+// locks, and the binary search allocates nothing.
 //
 // The returned value aliases immutable store memory and must not be
 // modified (see the package comment's read-path memory model).
@@ -298,15 +367,12 @@ func (s *Store) ReadCommittedBefore(g schema.GranuleID, bound vclock.Time) (valu
 	if c == nil {
 		return nil, 0, false
 	}
-	snap := c.committed.Load()
-	if snap == nil {
-		return nil, 0, false
-	}
-	i := snap.locate(bound)
+	vs := c.view()
+	i := latestCommitted(vs, bound)
 	if i < 0 {
 		return nil, 0, false
 	}
-	return snap.vers[i].value, snap.vers[i].ts, true
+	return vs[i].value, vs[i].ts, true
 }
 
 // ReadRegistered performs an MVTO read (Protocol B): it returns the latest
@@ -333,7 +399,8 @@ func (s *Store) ReadCommittedBefore(g schema.GranuleID, bound vclock.Time) (valu
 func (s *Store) ReadRegistered(g schema.GranuleID, bound, readerTS vclock.Time) (value []byte, ts vclock.Time, ok bool, wait <-chan struct{}) {
 	c := s.chainOf(g, true)
 	c.mu.Lock()
-	i := c.locate(bound)
+	vs := c.view()
+	i := locate(vs, bound)
 	if i < 0 {
 		if readerTS > c.initRTS {
 			c.initRTS = readerTS
@@ -342,8 +409,8 @@ func (s *Store) ReadRegistered(g schema.GranuleID, bound, readerTS vclock.Time) 
 		c.mu.Unlock()
 		return nil, 0, false, nil
 	}
-	v := &c.versions[i]
-	if v.state == Pending {
+	v := &vs[i]
+	if !v.committed() {
 		done := v.done
 		pendingTS := v.ts
 		c.mu.Unlock()
@@ -373,18 +440,18 @@ func (s *Store) ReadRegistered(g schema.GranuleID, bound, readerTS vclock.Time) 
 //     rule.
 //
 // It returns nil if the write is admissible, which implies writerTS orders
-// after every existing version (an admissible install appends). Callers
-// must hold c.mu.
-func (c *chain) admitWrite(g schema.GranuleID, writerTS vclock.Time) error {
-	i := c.locate(writerTS)
-	if i >= 0 && c.versions[i].readTS > writerTS {
-		return &RejectedError{Granule: g, WriterTS: writerTS, ReadTS: c.versions[i].readTS, Reason: "predecessor read by a later transaction"}
+// after every version in vs, the chain's view (an admissible install
+// appends). Callers must hold c.mu.
+func (c *chain) admitWrite(vs []version, g schema.GranuleID, writerTS vclock.Time) error {
+	i := locate(vs, writerTS)
+	if i >= 0 && vs[i].readTS > writerTS {
+		return &RejectedError{Granule: g, WriterTS: writerTS, ReadTS: vs[i].readTS, Reason: "predecessor read by a later transaction"}
 	}
 	if i < 0 && c.initRTS > writerTS {
 		return &RejectedError{Granule: g, WriterTS: writerTS, ReadTS: c.initRTS, Reason: "initial version read by a later transaction"}
 	}
-	if i+1 < len(c.versions) {
-		if c.versions[i+1].ts == writerTS {
+	if i+1 < len(vs) {
+		if vs[i+1].ts == writerTS {
 			return ErrVersionExists
 		}
 		return &RejectedError{Granule: g, WriterTS: writerTS, Reason: "a newer version already exists"}
@@ -401,7 +468,7 @@ func (s *Store) WriteCheck(g schema.GranuleID, writerTS vclock.Time) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.admitWrite(g, writerTS)
+	return c.admitWrite(c.view(), g, writerTS)
 }
 
 // InstallChecked atomically performs WriteCheck and, if admissible,
@@ -413,11 +480,11 @@ func (s *Store) InstallChecked(g schema.GranuleID, writerTS vclock.Time, value [
 	c := s.chainOf(g, true)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.admitWrite(g, writerTS); err != nil {
+	vs := c.view()
+	if err := c.admitWrite(vs, g, writerTS); err != nil {
 		return err
 	}
-	v := version{ts: writerTS, value: append([]byte(nil), value...), state: Pending, done: make(chan struct{})}
-	c.versions = append(c.versions, v)
+	c.insert(vs, len(vs), writerTS, value)
 	s.versionsInstalled.Add(1)
 	if s.persist != nil {
 		s.persist.PersistInstall(g, writerTS, value)
@@ -438,11 +505,12 @@ func (s *Store) UpdatePending(g schema.GranuleID, ts vclock.Time, value []byte) 
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i := c.locate(ts + 1)
-	if i < 0 || c.versions[i].ts != ts || c.versions[i].state != Pending {
+	vs := c.view()
+	i := locate(vs, ts+1)
+	if i < 0 || vs[i].ts != ts || vs[i].committed() {
 		panic(fmt.Sprintf("mvstore: update of missing pending version %v@%d", g, ts))
 	}
-	c.versions[i].value = append([]byte(nil), value...)
+	vs[i].value = append([]byte(nil), value...)
 	if s.persist != nil {
 		s.persist.PersistInstall(g, ts, value)
 	}
@@ -466,47 +534,53 @@ func (e *RejectedError) Error() string {
 // versions pruned. Callers must choose watermarks no later than any bound a
 // future read may use (the HDD engine uses the minimum of all active
 // initiation times and the released time wall).
-//
-// Reclamation only swaps snapshots: a pruned chain publishes a fresh
-// committed snapshot, while any snapshot a concurrent reader already
-// loaded stays intact (and correct — the watermark rule guarantees no
-// future bound reaches below it) until the runtime collects it.
 func (s *Store) GC(watermark vclock.Time) int {
-	pruned := 0
-	s.chains.Range(func(_, v any) bool {
-		c := v.(*chain)
+	pruned, _ := s.Prune(watermark)
+	return pruned
+}
+
+// Prune is GC that also reports how many chains the pass visited. It
+// visits the prune queue, not the store: by the queue invariant (enqueue)
+// no other chain can shrink, so the result is what a sweep of every chain
+// would produce at a cost proportional to the chains written since the
+// watermark last passed them. A visited chain that still holds two or more
+// versions goes back on the queue.
+//
+// Reclamation only swaps headers: a pruned chain publishes a fresh, shorter
+// array, while the one a concurrent reader already loaded stays intact
+// (and correct — the watermark rule guarantees no future bound reaches
+// below it) until the runtime collects it. Concurrent passes are safe: each
+// detaches its own list, and takes one chain.mu at a time.
+func (s *Store) Prune(watermark vclock.Time) (pruned, visited int) {
+	var next *chain
+	for c := s.prunable.Swap(nil); c != nil; c = next {
+		visited++
 		c.mu.Lock()
-		// Find the latest committed version below the watermark; keep
-		// it, drop all earlier versions.
-		keep := -1
-		for i := c.locate(watermark); i >= 0; i-- {
-			if c.versions[i].state == Committed {
-				keep = i
-				break
-			}
+		next, c.next, c.queued = c.next, nil, false
+		vs := c.view()
+		// Keep the latest committed version below the watermark; drop the
+		// committed versions before it. Pending versions below keep cannot
+		// exist with a correct watermark (their writers would still be
+		// active); guard anyway by only dropping a committed prefix.
+		keep := latestCommitted(vs, watermark)
+		cut := 0
+		for cut < keep && vs[cut].committed() {
+			cut++
 		}
-		if keep > 0 {
-			// Pending versions below keep cannot exist with a correct
-			// watermark (their writers would still be active); guard
-			// anyway by only dropping committed prefix entries.
-			cut := 0
-			for cut < keep && c.versions[cut].state == Committed {
-				cut++
-			}
-			if cut > 0 {
-				c.versions = append([]version(nil), c.versions[cut:]...)
-				c.publishCommitted()
-				pruned += cut
-			}
+		if cut > 0 {
+			c.splice(vs, 0, cut, nil)
+			pruned += cut
+		}
+		if len(vs)-cut >= 2 {
+			s.enqueue(c)
 		}
 		c.mu.Unlock()
-		return true
-	})
+	}
 	s.versionsPruned.Add(int64(pruned))
 	if s.persist != nil && pruned > 0 {
 		s.persist.PersistPrune(watermark)
 	}
-	return pruned
+	return pruned, visited
 }
 
 // Versions returns a snapshot of g's chain for tests and diagnostics.
@@ -517,9 +591,11 @@ func (s *Store) Versions(g schema.GranuleID) []VersionInfo {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]VersionInfo, len(c.versions))
-	for i, v := range c.versions {
-		out[i] = VersionInfo{TS: v.ts, State: v.state, ReadTS: v.readTS, Len: len(v.value)}
+	vs := c.view()
+	out := make([]VersionInfo, len(vs))
+	for i := range vs {
+		v := &vs[i]
+		out[i] = VersionInfo{TS: v.ts, State: State(v.state), ReadTS: v.readTS, Len: len(v.value)}
 	}
 	return out
 }
@@ -543,17 +619,12 @@ func (s *Store) Stats() Stats {
 }
 
 // TotalVersions counts retained versions across all granules (O(n); for
-// tests and the GC ablation experiment). Like GC, it traverses the
-// lock-free chain directory and takes only one chain mutex at a time —
-// the single-lock-at-a-time discipline DESIGN.md §8.2 documents for all
-// whole-store traversals.
+// tests and the GC ablation experiment). It traverses the lock-free chain
+// directory and reads each chain's published length.
 func (s *Store) TotalVersions() int {
 	total := 0
 	s.chains.Range(func(_, v any) bool {
-		c := v.(*chain)
-		c.mu.Lock()
-		total += len(c.versions)
-		c.mu.Unlock()
+		total += len(v.(*chain).view())
 		return true
 	})
 	return total

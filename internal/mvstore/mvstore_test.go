@@ -369,3 +369,31 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		}
 	}
 }
+
+// TestTailCommitZeroAllocs pins the commit of a chain's tail version at
+// zero allocations: it is one atomic state store into the published array
+// plus, the first time the chain holds two versions, a lock-free push onto
+// the prune queue. A regression here (republishing on commit, a boxed
+// queue entry) is the per-commit O(chain) cost this layout removed.
+func TestTailCommitZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const runs = 200
+	s := New()
+	for k := 0; k <= runs; k++ { // AllocsPerRun makes one warm-up call
+		_ = s.InstallPending(g(0, k), 1, []byte("old"))
+		s.Commit(g(0, k), 1)
+		_ = s.InstallPending(g(0, k), 2, []byte("new"))
+	}
+	k := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		s.Commit(g(0, k), 2)
+		k++
+	}); allocs != 0 {
+		t.Errorf("Commit of a tail version: %v allocs/op, want 0", allocs)
+	}
+	if q := queuedChains(s); len(q) != runs+1 {
+		t.Errorf("%d chains queued, want %d", len(q), runs+1)
+	}
+}

@@ -2,6 +2,7 @@ package mvstore
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -139,5 +140,265 @@ func TestQuickStoreInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refVersion and refChain are the reference the model test compares the
+// store against: a plain sorted slice per granule, pruned by visiting every
+// chain — the whole-store sweep the prune queue replaces.
+type refVersion struct {
+	ts, commitTS, readTS vclock.Time
+	value                []byte
+	committed            bool
+}
+
+type refChain struct {
+	vers    []refVersion
+	initRTS vclock.Time
+}
+
+// at returns the index of the latest version with ts < bound, or -1.
+func (c *refChain) at(bound vclock.Time) int {
+	i := -1
+	for j, v := range c.vers {
+		if v.ts < bound {
+			i = j
+		}
+	}
+	return i
+}
+
+// latestCommitted returns the index of the latest committed version with
+// ts < bound, or -1.
+func (c *refChain) latestCommitted(bound vclock.Time) int {
+	i := c.at(bound)
+	for i >= 0 && !c.vers[i].committed {
+		i--
+	}
+	return i
+}
+
+func (c *refChain) insert(ts vclock.Time, value []byte) {
+	i := c.at(ts) + 1
+	c.vers = append(c.vers, refVersion{})
+	copy(c.vers[i+1:], c.vers[i:])
+	c.vers[i] = refVersion{ts: ts, value: append([]byte(nil), value...)}
+}
+
+// admits restates the Protocol B write rule (Store.WriteCheck) and reports
+// whether a write at ts is admissible.
+func (c *refChain) admits(ts vclock.Time) bool {
+	i := c.at(ts)
+	if i >= 0 && c.vers[i].readTS > ts {
+		return false
+	}
+	if i < 0 && c.initRTS > ts {
+		return false
+	}
+	return i+1 == len(c.vers)
+}
+
+// prune applies the GC rule to one chain and returns how many versions it
+// dropped.
+func (c *refChain) prune(watermark vclock.Time) int {
+	keep := c.latestCommitted(watermark)
+	cut := 0
+	for cut < keep && c.vers[cut].committed {
+		cut++
+	}
+	c.vers = c.vers[cut:]
+	return cut
+}
+
+// pending returns the indexes of the chain's pending versions.
+func (c *refChain) pending() []int {
+	var out []int
+	for i, v := range c.vers {
+		if !v.committed {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// queuedChains walks the store's prune queue. Only meaningful while no
+// other goroutine uses the store.
+func queuedChains(s *Store) map[*chain]bool {
+	q := map[*chain]bool{}
+	for c := s.prunable.Load(); c != nil; c = c.next {
+		q[c] = true
+	}
+	return q
+}
+
+// TestQuickModelAgainstFullSweep drives random operation sequences — tail
+// and mid-chain installs, checked installs, own-write overwrites, commits
+// and aborts of pending versions in any order, registered reads, GC at
+// random watermarks, checkpoint round trips — through the store and the
+// reference, and after every step compares every chain, wait-free and
+// registered reads at random bounds, GC's return value, TotalVersions and
+// the prune-queue invariant.
+func TestQuickModelAgainstFullSweep(t *testing.T) {
+	const granules = 5
+	gid := func(k int) schema.GranuleID { return schema.GranuleID{Segment: 0, Key: uint64(k)} }
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s := New()
+		ref := make([]refChain, granules)
+		fail := func(step int, format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
+		}
+		for step := 0; step < 400; step++ {
+			k := r.Intn(granules)
+			g, c := gid(k), &ref[k]
+			ts := vclock.Time(1 + r.Intn(300))
+			val := []byte{byte(r.Intn(256)), byte(step)}
+			switch op := r.Intn(10); op {
+			case 0, 1: // InstallPending anywhere in the chain
+				i := c.at(ts + 1)
+				exists := i >= 0 && c.vers[i].ts == ts
+				err := s.InstallPending(g, ts, val)
+				if exists != (err == ErrVersionExists) || (!exists && err != nil) {
+					fail(step, "InstallPending(%d@%d) = %v, version exists: %v", k, ts, err, exists)
+				}
+				if !exists {
+					c.insert(ts, val)
+				}
+			case 2: // InstallChecked
+				err := s.InstallChecked(g, ts, val)
+				if c.admits(ts) != (err == nil) {
+					fail(step, "InstallChecked(%d@%d) = %v, reference admits: %v", k, ts, err, c.admits(ts))
+				}
+				if err == nil {
+					c.insert(ts, val)
+				}
+			case 3, 4, 5, 6: // resolve or overwrite one pending version, any position
+				p := c.pending()
+				if len(p) == 0 {
+					continue
+				}
+				v := &c.vers[p[r.Intn(len(p))]]
+				switch op {
+				case 3:
+					s.Commit(g, v.ts)
+					v.committed = true
+				case 4:
+					v.commitTS = vclock.Time(1 + r.Intn(300))
+					s.CommitAt(g, v.ts, v.commitTS)
+					v.committed = true
+				case 5:
+					s.UpdatePending(g, v.ts, val)
+					v.value = val
+				case 6:
+					s.Abort(g, v.ts)
+					i := c.at(v.ts + 1)
+					c.vers = append(c.vers[:i], c.vers[i+1:]...)
+				}
+			case 7: // registered read
+				bound, reader := vclock.Time(r.Intn(320)), vclock.Time(r.Intn(320))
+				gotV, gotTS, gotOK, wait := s.ReadRegistered(g, bound, reader)
+				i := c.at(bound)
+				switch {
+				case i < 0:
+					c.initRTS = max(c.initRTS, reader)
+					if gotOK || wait != nil {
+						fail(step, "ReadRegistered(%d<%d) found a version in an empty range", k, bound)
+					}
+				case !c.vers[i].committed:
+					if gotOK || wait == nil || gotTS != c.vers[i].ts {
+						fail(step, "ReadRegistered(%d<%d) = ts %d ok %v wait %v, want a wait on pending %d",
+							k, bound, gotTS, gotOK, wait != nil, c.vers[i].ts)
+					}
+				default:
+					c.vers[i].readTS = max(c.vers[i].readTS, reader)
+					if !gotOK || wait != nil || gotTS != c.vers[i].ts || !bytes.Equal(gotV, c.vers[i].value) {
+						fail(step, "ReadRegistered(%d<%d) = %v@%d ok %v, want %v@%d",
+							k, bound, gotV, gotTS, gotOK, c.vers[i].value, c.vers[i].ts)
+					}
+				}
+			case 8: // GC against the full sweep
+				w := vclock.Time(r.Intn(320))
+				want := 0
+				for i := range ref {
+					want += ref[i].prune(w)
+				}
+				if got := s.GC(w); got != want {
+					fail(step, "GC(%d) pruned %d, full sweep prunes %d", w, got, want)
+				}
+			case 9: // checkpoint round trip: continue on the reloaded store
+				if r.Intn(4) != 0 {
+					continue
+				}
+				var buf bytes.Buffer
+				if _, err := s.WriteCheckpoint(&buf); err != nil {
+					fail(step, "WriteCheckpoint: %v", err)
+				}
+				loaded, _, err := ReadCheckpoint(&buf)
+				if err != nil {
+					fail(step, "ReadCheckpoint: %v", err)
+				}
+				s = loaded
+				for i := range ref {
+					kept := ref[i].vers[:0]
+					for _, v := range ref[i].vers {
+						if v.committed {
+							v.readTS = 0
+							kept = append(kept, v)
+						}
+					}
+					ref[i] = refChain{vers: kept}
+				}
+			}
+
+			// Compare everything observable, every step.
+			total := 0
+			queued := queuedChains(s)
+			for k := range ref {
+				g, c := gid(k), &ref[k]
+				total += len(c.vers)
+				got := s.Versions(g)
+				if len(got) != len(c.vers) {
+					fail(step, "granule %d holds %d versions, want %d", k, len(got), len(c.vers))
+				}
+				committed := 0
+				for i, v := range c.vers {
+					state := Pending
+					if v.committed {
+						state = Committed
+						committed++
+					}
+					want := VersionInfo{TS: v.ts, State: state, ReadTS: v.readTS, Len: len(v.value)}
+					if got[i] != want {
+						fail(step, "granule %d version %d = %+v, want %+v", k, i, got[i], want)
+					}
+				}
+				if ch := s.chainOf(g, false); ch != nil {
+					if ch.queued != queued[ch] {
+						fail(step, "granule %d: queued flag %v but on the queue: %v", k, ch.queued, queued[ch])
+					}
+					if committed >= 2 && !ch.queued {
+						fail(step, "granule %d holds %d committed versions and is not queued", k, committed)
+					}
+				}
+				bound := vclock.Time(r.Intn(320))
+				gotV, gotTS, gotOK := s.ReadCommittedBefore(g, bound)
+				if i := c.latestCommitted(bound); gotOK != (i >= 0) ||
+					(gotOK && (gotTS != c.vers[i].ts || !bytes.Equal(gotV, c.vers[i].value))) {
+					fail(step, "ReadCommittedBefore(%d<%d) = %v@%d ok %v, reference index %d", k, bound, gotV, gotTS, gotOK, i)
+				}
+				gotV, gotTS, gotOK = s.ReadCommittedAsOf(g, bound)
+				i := len(c.vers) - 1
+				for i >= 0 && !(c.vers[i].committed && c.vers[i].commitTS < bound) {
+					i--
+				}
+				if gotOK != (i >= 0) || (gotOK && (gotTS != c.vers[i].ts || !bytes.Equal(gotV, c.vers[i].value))) {
+					fail(step, "ReadCommittedAsOf(%d<%d) = %v@%d ok %v, reference index %d", k, bound, gotV, gotTS, gotOK, i)
+				}
+			}
+			if got := s.TotalVersions(); got != total {
+				fail(step, "TotalVersions = %d, want %d", got, total)
+			}
+		}
 	}
 }

@@ -43,6 +43,15 @@ func TestConcurrentReadersNeverTornOrMutated(t *testing.T) {
 	s.Commit(gid, 1)
 	high.Store(1)
 
+	// announced[r] is the frontier reader r last announced. A reader stores
+	// it before deriving a bound from a fresh load of high and never lowers
+	// or clears it, so every bound it uses lies above its announcement, and
+	// above any older announcement GC may still see.
+	var announced [readers]atomic.Int64
+	for r := range announced {
+		announced[r].Store(1)
+	}
+
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
@@ -63,9 +72,11 @@ func TestConcurrentReadersNeverTornOrMutated(t *testing.T) {
 		}
 	}()
 
-	// GC: prune behind the committed frontier. The watermark trails the
-	// writer, mimicking the engine's min-active rule so no reader's bound
-	// can reach below it.
+	// GC: prune behind the committed frontier. The watermark is the
+	// minimum of a point trailing the writer and every reader's
+	// announcement — the engine's min-over-active rule (core/gc.go) — so no
+	// reader's bound can reach below it, however long the reader was
+	// descheduled between choosing its bound and using it.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -75,7 +86,11 @@ func TestConcurrentReadersNeverTornOrMutated(t *testing.T) {
 				return
 			default:
 			}
-			if w := high.Load() - 64; w > 0 {
+			w := high.Load() - 64
+			for r := range announced {
+				w = min(w, announced[r].Load())
+			}
+			if w > 0 {
 				s.GC(vclock.Time(w))
 			}
 		}
@@ -87,7 +102,7 @@ func TestConcurrentReadersNeverTornOrMutated(t *testing.T) {
 	// and pruning must never have touched it.
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
-		go func() {
+		go func(mine *atomic.Int64) {
 			defer wg.Done()
 			var heldVal []byte
 			var heldTS vclock.Time
@@ -113,6 +128,7 @@ func TestConcurrentReadersNeverTornOrMutated(t *testing.T) {
 					return
 				default:
 				}
+				mine.Store(high.Load())
 				bound := vclock.Time(high.Load()) + 1
 				val, ts, ok := s.ReadCommittedBefore(gid, bound)
 				if !ok {
@@ -126,7 +142,78 @@ func TestConcurrentReadersNeverTornOrMutated(t *testing.T) {
 					heldVal, heldTS = val, ts
 				}
 			}
-		}()
+		}(&announced[r])
 	}
 	wg.Wait()
+}
+
+// TestConcurrentPruneQueue runs committing writers against two GC
+// goroutines that drain the prune queue at the same time (run under
+// -race). Whatever the interleaving, no version may be pruned twice or
+// lost, and once the writers stop one pass above every timestamp must
+// leave each chain its latest version only — what a sweep of the whole
+// store would leave.
+func TestConcurrentPruneQueue(t *testing.T) {
+	const (
+		writers   = 3
+		chainsPer = 32
+		rounds    = 60
+	)
+	s := New()
+	var clock atomic.Int64 // source of unique, increasing timestamps
+	var pruned atomic.Int64
+	stop := make(chan struct{})
+	var gcs, wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		gcs.Add(1)
+		go func() {
+			defer gcs.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Every committed version is fair game: nothing reads here.
+				pruned.Add(int64(s.GC(vclock.Infinity)))
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k := 0; k < chainsPer; k++ {
+					gid := g(w, k)
+					ts := vclock.Time(clock.Add(1))
+					if err := s.InstallChecked(gid, ts, []byte{byte(ts)}); err != nil {
+						t.Error(err)
+						return
+					}
+					if r%7 == 3 {
+						s.Abort(gid, ts)
+					} else {
+						s.Commit(gid, ts)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	gcs.Wait()
+	pruned.Add(int64(s.GC(vclock.Infinity)))
+
+	st := s.Stats()
+	if left := s.TotalVersions(); left != writers*chainsPer {
+		t.Errorf("%d versions left, want one per chain (%d)", left, writers*chainsPer)
+	}
+	if got := st.VersionsInstalled - st.VersionsAborted - pruned.Load(); got != writers*chainsPer {
+		t.Errorf("installed %d - aborted %d - pruned %d = %d, want %d",
+			st.VersionsInstalled, st.VersionsAborted, pruned.Load(), got, writers*chainsPer)
+	}
+	if q := queuedChains(s); len(q) != 0 {
+		t.Errorf("%d single-version chains still queued", len(q))
+	}
 }

@@ -21,7 +21,7 @@ const (
 	// force-aborted a transaction (Class set, F1 = txn id).
 	KindReap
 	// KindGCPrune: a GC cycle ran (F1 = watermark, F2 = store versions
-	// pruned).
+	// pruned, F3 = chains visited).
 	KindGCPrune
 	// KindWALFlush: the WAL flushed a batch (F1 = records, F2 = bytes,
 	// F3 = fsync µs).
@@ -60,7 +60,7 @@ var fieldNames = map[Kind][]string{
 	KindWallRelease: {"wall_at", "released_tick"},
 	KindBeginWindow: {"window_tick"},
 	KindReap:        {"txn"},
-	KindGCPrune:     {"watermark", "pruned"},
+	KindGCPrune:     {"watermark", "pruned", "visited"},
 	KindWALFlush:    {"records", "bytes", "sync_us"},
 	KindSnapshot:    {"log_bytes", "took_us"},
 	KindDegraded:    nil,

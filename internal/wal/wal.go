@@ -36,9 +36,9 @@ import (
 //     latency with no tuning;
 //   - the adaptive window (default): once a batch resolves multiple
 //     waiters, the next batch is held open — a spin-yield bounded by
-//     half the last flush's duration — until the committer cohort
-//     re-forms, so an eager swap never splits it across two fsyncs;
-//     an uncontended log still flushes immediately;
+//     half the last flush's duration and by 250 µs — until the
+//     committer cohort re-forms, so an eager swap never splits it across
+//     two fsyncs; an uncontended log still flushes immediately;
 //   - FlushInterval: with a positive interval the flusher instead waits
 //     that fixed time after a batch opens before flushing, trading
 //     commit latency for larger batches;
@@ -64,9 +64,9 @@ type Options struct {
 	// committers can share the fsync. 0 (the default) is adaptive: an
 	// uncontended log flushes as soon as the flusher wakes, but once a
 	// batch resolves more than one waiter the next batch is held open
-	// for half the last flush's duration — long enough for the
-	// just-acked committers to re-arrive and share the next fsync,
-	// short enough that commit latency grows by at most ~50%.
+	// for half the last flush's duration (at most 250 µs) — long
+	// enough for just-acked in-process committers to re-arrive and share
+	// the next fsync, short enough that commit latency grows by at most ~50%.
 	FlushInterval time.Duration
 	// FlushBytes flushes a batch early once this many bytes are pending,
 	// bounding buffered memory under write bursts. Defaults to 256 KiB.
@@ -530,7 +530,11 @@ func (l *Log) cohortReady() bool {
 // flush's duration: the committers just acked need roughly a scheduling
 // quantum to re-arrive, and without the window the flusher would swap
 // the buffer after the first arrival, splitting the cohort across two
-// fsyncs and halving the amortization.
+// fsyncs and halving the amortization. The 250 µs cap keeps the window
+// clear of a networked committer's turnaround (~0.55 ms for a transaction's
+// round trips on loopback): a window beside that figure makes re-forming a
+// coin toss, and such committers pipeline against the fsync instead
+// (DESIGN.md §10.3).
 func (l *Log) groupWindow() time.Duration {
 	l.mu.Lock()
 	waiters, last := l.lastWaiters, l.lastFlush
@@ -538,10 +542,7 @@ func (l *Log) groupWindow() time.Duration {
 	if waiters < 2 {
 		return 0
 	}
-	if w := last / 2; w < time.Millisecond {
-		return w
-	}
-	return time.Millisecond
+	return min(last/2, 250*time.Microsecond)
 }
 
 // pendingLen reports the bytes currently buffered.

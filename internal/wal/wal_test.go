@@ -253,6 +253,27 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 }
 
+// TestGroupWindowBounds pins the adaptive window: none for an uncontended
+// log, half the last flush on a fast device, and never past the cap that
+// keeps it below a networked committer's turnaround.
+func TestGroupWindowBounds(t *testing.T) {
+	for _, c := range []struct {
+		waiters int
+		flush   time.Duration
+		want    time.Duration
+	}{
+		{1, time.Millisecond, 0},
+		{8, 130 * time.Microsecond, 65 * time.Microsecond},
+		{8, 1200 * time.Microsecond, 250 * time.Microsecond},
+		{2, 20 * time.Millisecond, 250 * time.Microsecond},
+	} {
+		l := &Log{lastWaiters: c.waiters, lastFlush: c.flush}
+		if got := l.groupWindow(); got != c.want {
+			t.Errorf("groupWindow(waiters=%d, flush=%v) = %v, want %v", c.waiters, c.flush, got, c.want)
+		}
+	}
+}
+
 func TestSyncEachSyncsPerCommit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	l, err := Open(path, -1, Options{SyncEach: true})
