@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-parallel bench-wal bench-read bench-smoke bench-e2e bench-e2e-smoke experiments examples check clean serve loadtest loadtest-matrix recovery-smoke stress-mvstore fuzz-wal fuzz-checkpoint fuzz-wire torture torture-smoke obs-smoke
+.PHONY: all build vet test race cover bench bench-parallel bench-wal bench-read bench-smoke bench-e2e bench-e2e-smoke experiments examples check clean serve loadtest loadtest-matrix recovery-smoke stress-mvstore stress-wal fuzz-wal fuzz-checkpoint fuzz-wire torture torture-smoke obs-smoke
 
 all: build vet test
 
@@ -101,6 +101,12 @@ obs-smoke:
 # reference. See DESIGN.md §14.
 stress-mvstore:
 	$(GO) test -race -count=20 -run 'Concurrent|Quick|Queue' ./internal/mvstore/
+
+# The group commit's timing tests, repeated under the race detector: the
+# hold decision, cohorts re-forming over a slow device, the lone committer,
+# the fixed window. See DESIGN.md §10.3.
+stress-wal:
+	$(GO) test -race -count=20 -run 'Hold|Cohort|LoneCommitter|GroupCommit' ./internal/wal/
 
 # Short fixed-budget fuzz of the WAL decoder and replay loop (the
 # checked-in corpus under internal/wal/testdata runs on every `go test`).

@@ -67,7 +67,7 @@ func main() {
 		mutexFraction = flag.Int("mutex-profile-fraction", 0, "sample 1/N of mutex contention events for /debug/pprof/mutex; 0 disables")
 
 		dataDir       = flag.String("data-dir", "", "durable state directory (snapshot + WAL); empty runs memory-only")
-		walFlush      = flag.Duration("wal-flush-interval", 0, "group-commit window; 0 flushes ASAP (batching by backpressure)")
+		walFlush      = flag.Duration("wal-flush-interval", 0, "fixed group-commit wait from a batch's first commit; 0 decides per batch whether committers due back are worth holding the fsync for")
 		walSyncEach   = flag.Bool("wal-sync-each", false, "fsync every commit individually instead of group committing")
 		snapshotBytes = flag.Int64("snapshot-bytes", 8<<20, "WAL size that triggers a background snapshot; negative disables")
 	)

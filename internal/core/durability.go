@@ -203,21 +203,15 @@ func (e *Engine) initDurability(cfg Config) error {
 	if d.snapshotBytes == 0 {
 		d.snapshotBytes = 8 << 20
 	}
-	// The fsync histogram and the flush/degraded hooks are installed
-	// before the log opens so the flusher goroutine never observes them
-	// half-built; the scrape-time WAL counter families follow once the
-	// log exists.
-	var onFlush func(records, bytes int64, syncDur time.Duration)
+	// The flush instruments and the degraded hook are installed before the
+	// log opens so the flusher goroutine never observes them half-built;
+	// the scrape-time WAL counter families follow once the log exists.
+	var onFlush func(wal.Flush)
 	if o := e.obs; o != nil {
 		d.onPoison = func() {
 			o.ring.Record(obs.KindDegraded, obs.NoClass, 0, 0, 0)
 		}
-		o.walFsync = o.reg.Histogram("hdd_wal_fsync_seconds",
-			"Duration of each WAL flush-batch fsync.")
-		onFlush = func(records, bytes int64, syncDur time.Duration) {
-			o.walFsync.Observe(syncDur)
-			o.ring.Record(obs.KindWALFlush, obs.NoClass, records, bytes, syncDur.Microseconds())
-		}
+		onFlush = o.walFlushHook()
 	}
 
 	// Recovery step 1: load the latest snapshot, if any.

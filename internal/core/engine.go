@@ -126,9 +126,9 @@ type Config struct {
 	// (vfs.OS). Tests inject vfs.Faulty to simulate storage faults and
 	// enumerate crash points (DESIGN.md §11).
 	FS vfs.FS
-	// WALFlushInterval is the group-commit window: how long the log holds
-	// a flush batch open for more committers to join. 0 (default) flushes
-	// as soon as possible — batching then comes from fsync backpressure.
+	// WALFlushInterval is a fixed group-commit window: how long the log
+	// holds a flush batch open from its first commit marker. 0 (default)
+	// lets the log decide per batch (wal.Options.FlushInterval).
 	WALFlushInterval time.Duration
 	// WALFlushBytes flushes a batch early once this many bytes are
 	// pending. Defaults to 256 KiB.

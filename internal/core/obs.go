@@ -21,6 +21,7 @@ import (
 	"hdd/internal/obs"
 	"hdd/internal/schema"
 	"hdd/internal/vclock"
+	"hdd/internal/wal"
 )
 
 // beginSampleStride is the per-class sampling stride for begin-window
@@ -60,10 +61,6 @@ type engineObs struct {
 	// chains those cycles examined. visited ≈ pruned is the healthy shape;
 	// visited ≫ pruned means a held-back watermark keeps chains queued.
 	gcPruned, gcVisited *obs.Counter
-
-	// walFsync is registered by initDurability before the log opens
-	// (memory-only engines have no WAL families); nil on them.
-	walFsync *obs.Histogram
 
 	// beginSample implements the begin-window event stride, one cursor
 	// per class.
@@ -176,12 +173,39 @@ func newEngineObs(e *Engine, plane *obs.Plane) *engineObs {
 	return o
 }
 
+// walFlushHook registers the per-flush WAL families (memory-only engines
+// have none) and returns the wal.Options.OnFlush that feeds them and the
+// trace ring.
+func (o *engineObs) walFlushHook() func(wal.Flush) {
+	r := o.reg
+	fsync := r.Histogram("hdd_wal_fsync_seconds", "Duration of each WAL flush-batch fsync.")
+	held := r.Histogram("hdd_wal_hold_seconds", "How long the flusher held a batch open for committers due back.")
+	waiters := r.ValueHistogram("hdd_wal_commit_waiters", "Commit markers acknowledged per flushed batch.")
+	var holds [3]*obs.Counter
+	for out, name := range [...]string{wal.HoldNone: "none", wal.HoldReady: "ready", wal.HoldExpired: "expired"} {
+		holds[out] = r.Counter("hdd_wal_hold_total",
+			"Flushed batches by how the flusher's hold ended: none (flushed at once), ready (before its bound: the committers due are back), expired (ran to its bound).",
+			"outcome", name)
+	}
+	return func(f wal.Flush) {
+		fsync.Observe(f.Sync)
+		waiters.Observe(int64(f.Waiters))
+		holds[f.Hold].Inc()
+		if f.Hold != wal.HoldNone {
+			held.Observe(f.Held)
+		}
+		o.ring.Record(obs.KindWALFlush, obs.NoClass, f.Records, int64(f.Waiters), f.Sync.Microseconds())
+	}
+}
+
 // registerWAL adds the scrape-time durability families; called by
-// initDurability once the log exists (after e.dur is set). The fsync
-// histogram is registered earlier, before the log's flusher starts.
+// initDurability once the log exists (after e.dur is set).
 func (o *engineObs) registerWAL(e *Engine) {
 	r := o.reg
 	log := e.dur.log
+	r.GaugeSecondsFunc("hdd_wal_return_seconds",
+		"The log's estimate of how long after an acknowledgement its committers take to all be back.",
+		log.Return)
 	r.CounterFunc("hdd_wal_records_total",
 		"Records enqueued to the WAL.",
 		func() int64 { return log.Stats().Records })

@@ -208,6 +208,8 @@ func TestEngineObsDurable(t *testing.T) {
 		"hdd_wal_fsync_seconds", "hdd_wal_records_total",
 		"hdd_wal_flush_batches_total", "hdd_wal_syncs_total",
 		"hdd_wal_log_bytes", "hdd_wal_snapshots_total",
+		"hdd_wal_hold_total", "hdd_wal_hold_seconds",
+		"hdd_wal_commit_waiters", "hdd_wal_return_seconds",
 	} {
 		if !strings.Contains(out, "# TYPE "+name+" ") {
 			t.Errorf("family %s not registered", name)
@@ -217,6 +219,12 @@ func TestEngineObsDurable(t *testing.T) {
 	if strings.Contains(out, "hdd_wal_fsync_seconds_count 0\n") {
 		t.Error("fsync histogram recorded nothing despite durable commits")
 	}
+	// One committer at a time: every batch acknowledges one marker and is
+	// flushed without a hold.
+	wantSeries(t, out, `hdd_wal_commit_waiters{quantile="0.5"} 1`)
+	wantSeries(t, out, `hdd_wal_hold_total{outcome="ready"} 0`)
+	wantSeries(t, out, `hdd_wal_hold_total{outcome="expired"} 0`)
+	wantSeries(t, out, "hdd_wal_hold_seconds_count 0")
 
 	kinds := eventKinds(plane)
 	if kinds["wal-flush"] == 0 {

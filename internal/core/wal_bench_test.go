@@ -8,15 +8,21 @@ package core
 // concurrency; group commit amortizes the sync across every committer
 // that arrives during the previous flush. `make bench-wal` archives the
 // grid as BENCH_wal.json; the ISSUE 4 acceptance bar is group commit ≥3×
-// per-commit fsync at 8 committers.
+// per-commit fsync at 8 committers. The net-shaped arm is the end-to-end
+// benchmark's update_durable seen from the log: a 1 ms device and eight
+// committers that take half of that to come back.
 
 import (
 	"fmt"
+	"os"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"hdd/internal/schema"
+	"hdd/internal/vfs"
 )
 
 func BenchmarkWALCommit(b *testing.B) {
@@ -56,17 +62,53 @@ func BenchmarkWALCommit(b *testing.B) {
 	for _, m := range modes {
 		for _, committers := range []int{1, 8} {
 			b.Run(fmt.Sprintf("mode=%s/c=%d", m.name, committers), func(b *testing.B) {
-				benchCommit(b, m.cfg(b.TempDir()), committers)
+				benchCommit(b, m.cfg(b.TempDir()), committers, 0, 0)
 			})
 		}
+	}
+	b.Run("mode=net-shaped/c=8", func(b *testing.B) {
+		cfg := walCfg(b.TempDir())
+		cfg.FS = msSyncFS{vfs.OS{}}
+		benchCommit(b, cfg, 8, 500*time.Microsecond, 130*time.Microsecond)
+	})
+}
+
+// msSyncFS is the real filesystem with every file's Sync replaced by a
+// one-millisecond wait: the benchmark's storage floor without its disk.
+type msSyncFS struct{ vfs.FS }
+
+func (fs msSyncFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return msSyncFile{f}, nil
+}
+
+type msSyncFile struct{ vfs.File }
+
+func (msSyncFile) Sync() error {
+	spin(time.Millisecond)
+	return nil
+}
+
+// spin waits d without sleeping: a sleeping Go process keeps no delay
+// finer than a millisecond (and stretches some to two), while a yielding
+// one keeps its timers exact.
+func spin(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
+		runtime.Gosched()
 	}
 }
 
 // benchCommit runs b.N single-write commits spread over the given number
 // of concurrent committers. Each committer owns one granule, so version
 // timestamps are monotone per chain and no MVTO rejection occurs; GC
-// keeps the chains short.
-func benchCommit(b *testing.B, cfg Config, committers int) {
+// keeps the chains short. A committer thinks for think between an
+// acknowledgement and its next Write and for gap between the Write and
+// its Commit (both spun, so they may be sub-millisecond); with either set
+// the run also reports commits per sync and the commit call's p50/p95.
+func benchCommit(b *testing.B, cfg Config, committers int, think, gap time.Duration) {
 	p, err := schema.NewPartition(
 		[]string{"seg0"},
 		[]schema.ClassSpec{{Name: "writer", Writes: 0}})
@@ -81,6 +123,7 @@ func benchCommit(b *testing.B, cfg Config, committers int) {
 	defer e.Close()
 	value := make([]byte, 64)
 
+	acks := make([][]time.Duration, committers)
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	for w := 0; w < committers; w++ {
@@ -93,6 +136,7 @@ func benchCommit(b *testing.B, cfg Config, committers int) {
 			defer wg.Done()
 			g := schema.GranuleID{Segment: 0, Key: uint64(w)}
 			for i := 0; i < n; i++ {
+				spin(think)
 				txn, err := e.Begin(0)
 				if err != nil {
 					b.Error(err)
@@ -102,9 +146,14 @@ func benchCommit(b *testing.B, cfg Config, committers int) {
 					b.Error(err)
 					return
 				}
+				spin(gap)
+				start := time.Now()
 				if err := txn.Commit(); err != nil {
 					b.Error(err)
 					return
+				}
+				if think+gap > 0 {
+					acks[w] = append(acks[w], time.Since(start))
 				}
 			}
 		}(w, n)
@@ -115,6 +164,16 @@ func benchCommit(b *testing.B, cfg Config, committers int) {
 		b.ReportMetric(float64(st.WAL.Syncs), "syncs")
 		if st.WAL.Batches > 0 {
 			b.ReportMetric(float64(st.WAL.Records)/float64(st.WAL.Batches), "records/batch")
+		}
+		if think+gap > 0 {
+			var all []time.Duration
+			for _, a := range acks {
+				all = append(all, a...)
+			}
+			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+			b.ReportMetric(float64(b.N)/float64(st.WAL.Syncs), "commits/sync")
+			b.ReportMetric(float64(all[len(all)/2].Microseconds()), "p50-ack-µs")
+			b.ReportMetric(float64(all[len(all)*95/100].Microseconds()), "p95-ack-µs")
 		}
 	}
 }

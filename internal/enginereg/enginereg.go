@@ -52,7 +52,7 @@ type Options struct {
 	// DataDir enables the durability layer (snapshot + WAL) for engines
 	// that have one; empty runs memory-only.
 	DataDir string
-	// WALFlushInterval is the group-commit window; 0 flushes ASAP.
+	// WALFlushInterval is a fixed group-commit window; 0 decides per batch.
 	WALFlushInterval time.Duration
 	// WALSyncEach fsyncs every commit individually instead of group
 	// committing.

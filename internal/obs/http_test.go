@@ -65,7 +65,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 	flush := out.Events[0]
 	if flush.Kind != "wal-flush" || flush.Fields["records"] != 3 ||
-		flush.Fields["bytes"] != 120 || flush.Fields["sync_us"] != 41 || flush.Class != nil {
+		flush.Fields["waiters"] != 120 || flush.Fields["sync_us"] != 41 || flush.Class != nil {
 		t.Fatalf("wal-flush event = %+v", flush)
 	}
 	if bw := out.Events[1]; bw.Kind != "begin-window" || bw.Class == nil || *bw.Class != 1 || bw.Fields["window_tick"] != 99 {

@@ -197,6 +197,12 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...strin
 	r.register(name, help, kindGauge, labels, intCollector(fn))
 }
 
+// GaugeSecondsFunc registers a gauge series read from fn at scrape time
+// and rendered in seconds.
+func (r *Registry) GaugeSecondsFunc(name, help string, fn func() time.Duration, labels ...string) {
+	r.register(name, help, kindGauge, labels, secondsCollector(fn))
+}
+
 // Histogram registers a duration summary series and returns its
 // instrument. Exposed as quantile samples in seconds plus _sum/_count.
 func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
@@ -263,6 +269,13 @@ type intCollector func() int64
 
 func (fn intCollector) collect(w io.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s%s %s\n", name, labels, strconv.FormatInt(fn(), 10))
+}
+
+// secondsCollector adapts a duration reader into one sample line.
+type secondsCollector func() time.Duration
+
+func (fn secondsCollector) collect(w io.Writer, name, labels string) {
+	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatSeconds(fn()))
 }
 
 // summaryCollector renders a Histogram as a Prometheus summary in

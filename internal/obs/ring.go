@@ -23,8 +23,8 @@ const (
 	// KindGCPrune: a GC cycle ran (F1 = watermark, F2 = store versions
 	// pruned, F3 = chains visited).
 	KindGCPrune
-	// KindWALFlush: the WAL flushed a batch (F1 = records, F2 = bytes,
-	// F3 = fsync µs).
+	// KindWALFlush: the WAL flushed a batch (F1 = records, F2 = commit
+	// waiters acknowledged, F3 = fsync µs).
 	KindWALFlush
 	// KindSnapshot: a checkpoint was published and the log truncated
 	// (F1 = log bytes superseded, F2 = duration µs).
@@ -61,7 +61,7 @@ var fieldNames = map[Kind][]string{
 	KindBeginWindow: {"window_tick"},
 	KindReap:        {"txn"},
 	KindGCPrune:     {"watermark", "pruned", "visited"},
-	KindWALFlush:    {"records", "bytes", "sync_us"},
+	KindWALFlush:    {"records", "waiters", "sync_us"},
 	KindSnapshot:    {"log_bytes", "took_us"},
 	KindDegraded:    nil,
 }

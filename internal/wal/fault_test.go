@@ -177,15 +177,18 @@ func TestOnErrorFiresOnce(t *testing.T) {
 // TestAdvisoryFlushFailurePoisonsViaOnError covers the path with no commit
 // waiter at all: a batch of advisory records whose flush fails must still
 // poison the log and notify OnError — otherwise the failure would go
-// unobserved until the next commit.
+// unobserved until the next commit. Advisory records reach the flusher on
+// their own only by crossing FlushBytes, so the threshold is set below one
+// record.
 func TestAdvisoryFlushFailurePoisonsViaOnError(t *testing.T) {
 	dir := t.TempDir()
 	fs := vfs.NewFaulty(nil)
 	fs.Inject(vfs.Fault{Op: vfs.OpSync, Nth: 1})
 	notified := make(chan error, 1)
 	l, err := Open(filepath.Join(dir, "wal.log"), -1, Options{
-		FS:      fs,
-		OnError: func(err error) { notified <- err },
+		FS:         fs,
+		FlushBytes: 8,
+		OnError:    func(err error) { notified <- err },
 	})
 	if err != nil {
 		t.Fatal(err)

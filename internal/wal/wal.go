@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,16 +33,22 @@ import (
 //   - backpressure (always): records arriving while a flush is in
 //     progress pile into the next batch, so batch size adapts to fsync
 //     latency with no tuning;
-//   - the adaptive window (default): once a batch resolves multiple
-//     waiters, the next batch is held open — a spin-yield bounded by
-//     half the last flush's duration and by 250 µs — until the
-//     committer cohort re-forms, so an eager swap never splits it across
-//     two fsyncs; an uncontended log still flushes immediately;
+//   - the hold (default): the flusher knows how many of the committers
+//     the last batch acknowledged are still due back and about when, and
+//     sleeps on the open batch while waiting for them costs its waiters
+//     less than flushing without them would cost those due (holdWorth):
+//     a closed-loop cohort shares one fsync instead of splitting over
+//     two, and a lone or open-loop committer never waits;
 //   - FlushInterval: with a positive interval the flusher instead waits
-//     that fixed time after a batch opens before flushing, trading
-//     commit latency for larger batches;
+//     that fixed time after a batch's first commit marker before
+//     flushing, trading commit latency for larger batches;
 //   - FlushBytes: a batch that grows past this threshold is flushed
-//     early, cutting either window short.
+//     early, cutting either wait short.
+//
+// Only commit markers, Sync, Close and the byte threshold wake the
+// flusher. Advisory records ride with the next of those: an fsync of
+// their own has no waiter, and the commit marker behind them would have
+// to wait it out.
 //
 // Ack order vs flush order: a waiter is only released after *its* batch
 // — which contains its marker and every record appended before it — is
@@ -59,14 +64,12 @@ var ErrClosed = errors.New("wal: log closed")
 // Options tunes a Log. The zero value is a usable default: flush as soon
 // as the flusher can (batching by backpressure only), fsync every batch.
 type Options struct {
-	// FlushInterval is the group-commit window: how long the flusher
-	// waits after a batch opens before flushing it, so concurrent
-	// committers can share the fsync. 0 (the default) is adaptive: an
-	// uncontended log flushes as soon as the flusher wakes, but once a
-	// batch resolves more than one waiter the next batch is held open
-	// for half the last flush's duration (at most 250 µs) — long
-	// enough for just-acked in-process committers to re-arrive and share
-	// the next fsync, short enough that commit latency grows by at most ~50%.
+	// FlushInterval is a fixed group-commit window: how long the flusher
+	// waits after a batch's first commit marker before flushing it, so
+	// concurrent committers can share the fsync. 0 (the default) decides
+	// per batch: flush as soon as the flusher wakes, unless committers the
+	// last flush acknowledged are due back soon enough to be worth waiting
+	// for (holdWorth) — and then for at most one flush time.
 	FlushInterval time.Duration
 	// FlushBytes flushes a batch early once this many bytes are pending,
 	// bounding buffered memory under write bursts. Defaults to 256 KiB.
@@ -87,20 +90,37 @@ type Options struct {
 	FS vfs.FS
 	// OnError, if set, is invoked exactly once with the first I/O error
 	// that poisons the log *from the flusher goroutine* — the one place a
-	// failure might otherwise go unobserved (a batch of advisory records
-	// with no commit waiter attached). Errors surfaced synchronously
+	// failure might otherwise go unobserved: a batch with no commit waiter
+	// attached, which the flusher writes only when advisory records alone
+	// cross FlushBytes. Errors surfaced synchronously
 	// (SyncEach waits, Sync, Reset) are returned to their callers, who
 	// are expected to react themselves. OnError must not call back into
 	// the Log.
 	OnError func(error)
-	// OnFlush, if set, is invoked after every successful write+fsync with
-	// the batch's record count, its byte size, and how long the fsync
-	// took (zero under NoSync). It runs on the flushing goroutine with
-	// the file lock held — the observability plane hangs histograms and
-	// trace events off it — so it must be fast and must not call back
-	// into the Log.
-	OnFlush func(records, bytes int64, syncDur time.Duration)
+	// OnFlush, if set, is invoked after every successful write+fsync. It
+	// runs on the flushing goroutine with the file lock held — the
+	// observability plane hangs histograms and trace events off it — so it
+	// must be fast and must not call back into the Log.
+	OnFlush func(Flush)
 }
+
+// Flush describes one successful write+fsync to Options.OnFlush.
+type Flush struct {
+	Records int64         // records written
+	Sync    time.Duration // the fsync alone; zero under NoSync
+	Waiters int           // commit markers the batch acknowledges
+	Held    time.Duration // how long the flusher held the batch open
+	Hold    HoldOutcome
+}
+
+// HoldOutcome says how the flusher's hold on a batch ended.
+type HoldOutcome uint8
+
+const (
+	HoldNone    HoldOutcome = iota // flushed at once: nobody worth waiting for
+	HoldReady                      // ended before its bound: the committers due are back
+	HoldExpired                    // ran to its bound, or through its FlushInterval
+)
 
 func (o Options) withDefaults() Options {
 	if o.FlushBytes <= 0 {
@@ -154,13 +174,16 @@ type Log struct {
 	// later record. Lock order: mu before ioMu, never the reverse.
 	ioMu sync.Mutex
 
-	// lastWaiters and lastFlush feed the adaptive group-commit window
-	// (groupWindow): how many waiters the last flushed batch resolved and
-	// how long its write+fsync took. Guarded by mu.
-	lastWaiters int
-	lastFlush   time.Duration
+	// What the hold decides on (holdLeft), guarded by mu: due counts the
+	// commit waiters the last acknowledged batch resolved that have not
+	// enqueued a commit marker since, ackAt is when it resolved them, ret
+	// estimates how long after an acknowledgement its committers take to
+	// all be back, and lastFlush is how long the last write+fsync took.
+	due                 int
+	ackAt               time.Time
+	ret, dev, lastFlush time.Duration
 
-	kick chan struct{} // capacity 1: data pending / flush requested
+	kick chan struct{} // capacity 1: a commit marker, a Sync or the byte threshold
 	quit chan struct{}
 	done chan struct{} // flusher exited
 
@@ -170,11 +193,13 @@ type Log struct {
 }
 
 // batch is one group-commit unit: every waiter attached to it resolves
-// together when its bytes are durable (or the flush fails). waiters is
-// maintained under Log.mu and read by the flusher after the swap.
+// together when its bytes are durable (or the flush fails). waiters
+// counts its commit markers and sync records a Sync that wants it flushed
+// now; both are maintained under Log.mu.
 type batch struct {
 	done    chan struct{}
 	waiters int
+	sync    bool
 	err     error
 }
 
@@ -299,11 +324,16 @@ func (l *Log) append(r *Record, want bool) (*batch, error) {
 		}
 		b = l.cur
 		b.waiters++
+		if l.due > 0 {
+			if l.due--; l.due == 0 {
+				l.sampleReturn(time.Since(l.ackAt))
+			}
+		}
 	}
-	// Wake the flusher when the buffer goes non-empty (it arms the
-	// group-commit window) and again when the byte threshold demands an
+	// Wake the flusher for every commit marker (it decides afresh whether
+	// the batch is worth holding) and when the byte threshold demands an
 	// early flush. The kick channel has capacity 1, so signals coalesce.
-	kickNow := start == 0 || len(l.buf) >= l.opts.FlushBytes
+	kickNow := want || len(l.buf) >= l.opts.FlushBytes
 	l.mu.Unlock()
 	if kickNow {
 		select {
@@ -335,7 +365,7 @@ func (l *Log) Sync() error {
 		l.cur = &batch{done: make(chan struct{})}
 	}
 	b := l.cur
-	b.waiters++
+	b.sync = true
 	l.mu.Unlock()
 	select {
 	case l.kick <- struct{}{}:
@@ -428,6 +458,14 @@ func (l *Log) Err() error {
 	return l.err
 }
 
+// Return reports the log's estimate of how long after an acknowledgement
+// its committers take to all be back — what the hold decides on.
+func (l *Log) Return() time.Duration {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.ret
+}
+
 // Size reports the bytes appended since Open or the last Reset (durable
 // plus pending) — the quantity the engine's snapshotter thresholds on.
 func (l *Log) Size() int64 {
@@ -450,106 +488,105 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// flusher is the group-commit loop: woken by the first record of a batch
-// (or an early-flush kick), it optionally holds the batch open — for the
-// configured FlushInterval, or for the adaptive window when none is set
-// — then writes and fsyncs the whole buffer and resolves the batch's
-// waiters together. A batch that crosses FlushBytes cuts the window
-// short.
+// flusher is the group-commit loop: woken by a commit marker, a Sync or
+// the byte threshold, it holds the batch open for as long as hold sees
+// fit, then writes and fsyncs the whole buffer and resolves the batch's
+// waiters together.
 func (l *Log) flusher() {
 	defer close(l.done)
 	for {
 		select {
 		case <-l.quit:
-			l.flushOnce()
+			l.flushOnce(Flush{})
 			return
 		case <-l.kick:
 		}
-		if w := l.opts.FlushInterval; w > 0 {
-			timer := time.NewTimer(w)
-		window:
-			for {
-				select {
-				case <-timer.C:
-					break window
-				case <-l.kick:
-					// A kick mid-window is only decisive when the byte
-					// threshold demands an early flush; otherwise the batch
-					// keeps filling until the window closes.
-					if l.pendingLen() >= l.opts.FlushBytes {
-						timer.Stop()
-						break window
-					}
-				case <-l.quit:
-					timer.Stop()
-					l.flushOnce()
-					return
-				}
-			}
-		} else if w := l.groupWindow(); w > 0 {
-			// The adaptive window is tens of microseconds — timers at that
-			// scale overshoot to ~1ms on most kernels, which would pin
-			// commit latency at the timer floor. Spin-yield instead,
-			// leaving as soon as the cohort has re-formed (the open batch
-			// carries as many waiters as the last one), the byte threshold
-			// trips, or the window elapses.
-			deadline := time.Now().Add(w)
-			for !l.cohortReady() && time.Now().Before(deadline) {
-				select {
-				case <-l.quit:
-					l.flushOnce()
-					return
-				default:
-				}
-				runtime.Gosched()
-			}
+		held, how := l.hold()
+		l.flushOnce(Flush{Held: held, Hold: how})
+	}
+}
+
+// hold parks the flusher for as long as holdLeft says the open batch
+// should be held. It sleeps — every commit marker, a Sync or the byte
+// threshold wakes it through kick to decide afresh, and one timer ends
+// the hold at the bound its first look set — and reports how long it held
+// and how that ended. It also returns when the log closes.
+func (l *Log) hold() (time.Duration, HoldOutcome) {
+	var timer *time.Timer
+	var began, prev time.Time
+	for {
+		l.mu.Lock()
+		now := time.Now()
+		left := l.holdLeft(now, prev)
+		l.mu.Unlock()
+		switch {
+		case left <= 0 && timer == nil:
+			return 0, HoldNone
+		case left <= 0:
+			return now.Sub(began), HoldReady
+		case timer == nil:
+			began, timer = now, time.NewTimer(left)
+			defer timer.Stop()
 		}
-		l.flushOnce()
+		prev = now
+		select {
+		case <-l.kick:
+		case <-timer.C:
+			return time.Since(began), HoldExpired
+		case <-l.quit:
+			return time.Since(began), HoldReady
+		}
 	}
 }
 
-// cohortReady reports whether the open batch already carries at least as
-// many waiters as the last flushed batch resolved, or has crossed the
-// byte threshold — either way, holding the window open longer buys
-// nothing.
-func (l *Log) cohortReady() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	cur := 0
-	if l.cur != nil {
-		cur = l.cur.waiters
-	}
-	return cur >= l.lastWaiters || len(l.buf) >= l.opts.FlushBytes
-}
-
-// groupWindow is the adaptive group-commit window used when no explicit
-// FlushInterval is configured. An uncontended log (the last batch
-// resolved at most one waiter) flushes immediately, so an idle or
-// single-committer log pays no added latency. Once batches resolve
-// multiple waiters, the next batch is held open for half the last
-// flush's duration: the committers just acked need roughly a scheduling
-// quantum to re-arrive, and without the window the flusher would swap
-// the buffer after the first arrival, splitting the cohort across two
-// fsyncs and halving the amortization. The 250 µs cap keeps the window
-// clear of a networked committer's turnaround (~0.55 ms for a transaction's
-// round trips on loopback): a window beside that figure makes re-forming a
-// coin toss, and such committers pipeline against the fsync instead
-// (DESIGN.md §10.3).
-func (l *Log) groupWindow() time.Duration {
-	l.mu.Lock()
-	waiters, last := l.lastWaiters, l.lastFlush
-	l.mu.Unlock()
-	if waiters < 2 {
+// holdLeft reports how much longer the open batch should be held; zero
+// or less means flush it now. A FlushInterval is held in full unless the
+// byte threshold cuts it. Otherwise the committers due are expected
+// within w: the return estimate padded with its mean deviation — arrivals
+// as scattered as open-loop traffic's then never look due in time — less
+// the time since the acknowledgement. prev is when this hold last looked,
+// zero at its first look; a marker has arrived since, so those still due
+// are coming no slower than one per now-prev and w is no more than that
+// pace predicts: markers back sooner than estimated must not count
+// against waiting for the rest. Caller holds l.mu.
+func (l *Log) holdLeft(now, prev time.Time) time.Duration {
+	if l.cur == nil || len(l.buf) >= l.opts.FlushBytes {
 		return 0
 	}
-	return min(last/2, 250*time.Microsecond)
+	if l.opts.FlushInterval > 0 {
+		return l.opts.FlushInterval
+	}
+	since := now.Sub(l.ackAt)
+	w := max(l.ret+l.dev-since, 0)
+	if !prev.IsZero() {
+		w = min(w, now.Sub(prev)*time.Duration(l.due))
+	}
+	if l.cur.sync || !holdWorth(l.cur.waiters, l.due, w, l.lastFlush, since, l.ret) {
+		return 0
+	}
+	return min(l.lastFlush, 2*l.ret) - since
 }
 
-// pendingLen reports the bytes currently buffered.
-func (l *Log) pendingLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf)
+// holdWorth is the group-commit decision. b commit markers wait in the
+// open batch; r committers acknowledged since ago are still due back,
+// expected within w; a flush takes s. Flushing now makes the r wait out
+// a whole flush behind the b — s-w each — and holding makes the b wait w
+// each, so the batch is held while that is the cheaper side, and never
+// past one flush time or twice the return estimate ret. A lone committer
+// is never held (nobody is due when its marker arrives), nor are
+// committers whose return takes a flush time or more; a cohort that
+// returns well inside a flush re-forms from any split.
+func holdWorth(b, r int, w, s, since, ret time.Duration) bool {
+	return time.Duration(b)*w < time.Duration(r)*(s-w) && since < min(s, 2*ret)
+}
+
+// sampleReturn folds one observed return time into ret and its distance
+// from ret into dev (EWMAs, weight ¼). A return slower than a flush tells
+// the hold nothing more than a flush does. Caller holds l.mu.
+func (l *Log) sampleReturn(d time.Duration) {
+	d = min(d, l.lastFlush) - l.ret
+	l.dev += (max(d, -d) - l.dev) / 4
+	l.ret += d / 4
 }
 
 // noteErr latches the log's first sticky I/O error. It reports whether
@@ -570,35 +607,34 @@ func (l *Log) noteErr(err error) bool {
 }
 
 // flushOnce swaps out the pending buffer and current batch, writes and
-// fsyncs outside the lock, and resolves the batch. On failure it latches
-// the sticky error and — before returning — also fails any batch that
-// formed while the doomed flush was in flight, so every queued commit
-// waiter observes the failure immediately rather than waiting for a kick
-// that may never come.
-func (l *Log) flushOnce() {
+// fsyncs outside the lock, and resolves the batch; advisory records
+// below the byte threshold are left for the next commit marker. On
+// failure it latches the sticky error and — before returning — also
+// fails any batch that formed while the doomed flush was in flight, so
+// every queued commit waiter observes the failure immediately rather
+// than waiting for a kick that may never come. fl carries the hold's
+// outcome through to OnFlush.
+func (l *Log) flushOnce(fl Flush) {
 	l.mu.Lock()
+	if l.cur == nil && len(l.buf) < l.opts.FlushBytes {
+		l.mu.Unlock()
+		return
+	}
 	buf, b := l.buf, l.cur
-	records := l.bufRecs
+	fl.Records = l.bufRecs
 	l.buf, l.spare = l.spare[:0], nil
 	l.bufRecs = 0
 	l.cur = nil
 	err := l.err
 	l.mu.Unlock()
-	if len(buf) == 0 && b == nil {
-		l.mu.Lock()
-		l.spare = buf
-		l.mu.Unlock()
-		return
+	if b != nil {
+		fl.Waiters = b.waiters
 	}
 	start := time.Now()
 	if err == nil {
-		err = l.writeAndSync(buf, records)
+		err = l.writeAndSync(buf, fl)
 	}
-	took := time.Since(start)
-	if b != nil {
-		b.err = err
-		close(b.done)
-	}
+	now := time.Now()
 	var notify bool
 	var stranded *batch
 	l.mu.Lock()
@@ -610,13 +646,21 @@ func (l *Log) flushOnce() {
 		// Resolve them with the sticky error here.
 		stranded, l.cur = l.cur, nil
 	}
-	l.lastFlush = took
-	l.lastWaiters = 0
-	if b != nil {
-		l.lastWaiters = b.waiters
+	l.lastFlush = now.Sub(start)
+	if fl.Waiters > 0 {
+		// The batch's committers are due back from now; any the previous
+		// acknowledgement still misses took at least this long.
+		if l.due > 0 {
+			l.sampleReturn(now.Sub(l.ackAt))
+		}
+		l.due, l.ackAt = fl.Waiters, now
 	}
 	l.spare = buf[:0]
 	l.mu.Unlock()
+	if b != nil {
+		b.err = err
+		close(b.done)
+	}
 	if stranded != nil {
 		stranded.err = err
 		close(stranded.done)
@@ -627,10 +671,10 @@ func (l *Log) flushOnce() {
 }
 
 // writeAndSync writes buf to the file and fsyncs (unless NoSync). An
-// empty buf still fsyncs — SyncEach commit waits rely on that. records is
-// how many records buf holds, reported to OnFlush. File I/O is serialized
-// against Reset's truncate via ioMu.
-func (l *Log) writeAndSync(buf []byte, records int64) error {
+// empty buf still fsyncs — SyncEach commit waits rely on that. fl is what
+// the caller knows of the flush, completed here and reported to OnFlush.
+// File I/O is serialized against Reset's truncate via ioMu.
+func (l *Log) writeAndSync(buf []byte, fl Flush) error {
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
 	if len(buf) > 0 {
@@ -647,18 +691,17 @@ func (l *Log) writeAndSync(buf []byte, records int64) error {
 			return fmt.Errorf("wal: writing log: %w (%d of %d bytes)", io.ErrShortWrite, n, len(buf))
 		}
 	}
-	var syncDur time.Duration
 	if !l.opts.NoSync {
 		syncStart := time.Now()
 		if err := l.f.Sync(); err != nil {
 			return fmt.Errorf("wal: syncing log: %w", err)
 		}
-		syncDur = time.Since(syncStart)
+		fl.Sync = time.Since(syncStart)
 		l.syncs.Add(1)
 	}
 	l.batches.Add(1)
 	if l.opts.OnFlush != nil {
-		l.opts.OnFlush(records, int64(len(buf)), syncDur)
+		l.opts.OnFlush(fl)
 	}
 	return nil
 }
@@ -669,9 +712,9 @@ func (l *Log) writeLocked() error {
 	if l.err != nil {
 		return l.err
 	}
-	records := l.bufRecs
+	fl := Flush{Records: l.bufRecs}
 	l.bufRecs = 0
-	err := l.writeAndSync(l.buf, records)
+	err := l.writeAndSync(l.buf, fl)
 	l.buf = l.buf[:0]
 	if err != nil {
 		l.err = err

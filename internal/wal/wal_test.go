@@ -253,23 +253,42 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 }
 
-// TestGroupWindowBounds pins the adaptive window: none for an uncontended
-// log, half the last flush on a fast device, and never past the cap that
-// keeps it below a networked committer's turnaround.
-func TestGroupWindowBounds(t *testing.T) {
+// TestHoldWorth pins the group-commit decision on the cases it has to get
+// right, at the benchmark's measured figures where they matter: a 1.2 ms
+// flush and networked committers back 0.55 ms after their acknowledgement.
+func TestHoldWorth(t *testing.T) {
+	const (
+		us    = time.Microsecond
+		flush = 1200 * us
+		back  = 550 * us
+	)
 	for _, c := range []struct {
-		waiters int
-		flush   time.Duration
-		want    time.Duration
+		name             string
+		b, r             int
+		w, s, since, ret time.Duration
+		want             bool
 	}{
-		{1, time.Millisecond, 0},
-		{8, 130 * time.Microsecond, 65 * time.Microsecond},
-		{8, 1200 * time.Microsecond, 250 * time.Microsecond},
-		{2, 20 * time.Millisecond, 250 * time.Microsecond},
+		{"lone committer: nobody is due when its marker arrives", 1, 0, 0, flush, 600 * us, back, false},
+		{"nobody due, others waiting", 5, 0, 100 * us, flush, 450 * us, back, false},
+		{"no estimate yet", 4, 4, 0, flush, 0, 0, false},
+		{"return takes a whole flush", 3, 4, flush, flush, 0, flush, false},
+		{"return takes longer than a flush", 1, 7, 2 * flush, flush, 0, 2 * flush, false},
+		{"4+4 split merges", 4, 4, back, flush, 0, back, true},
+		{"3 waiting, 5 due", 3, 5, back, flush, 0, back, true},
+		{"5 waiting, 3 due", 5, 3, back, flush, 0, back, false},
+		{"1 waiting, 7 due", 1, 7, back, flush, 0, back, true},
+		{"7 waiting, 1 due half a flush away", 7, 1, back, flush, 0, back, false},
+		{"7 waiting, 1 due any moment", 7, 1, 50 * us, flush, 500 * us, back, true},
+		{"merged cohort: first marker back, seven behind it", 1, 7, 0, flush, 560 * us, back, true},
+		{"overdue committers cost nothing more to wait for", 7, 1, 0, flush, 900 * us, back, true},
+		{"bound reached: twice the estimate", 7, 1, 0, flush, 2 * back, back, false},
+		{"bound reached: one flush time", 7, 1, 0, flush, flush, 900 * us, false},
+		{"fast device: the return outlasts the flush", 4, 4, back, 50 * us, 0, back, false},
+		{"in-process committers re-form", 1, 7, 10 * us, 130 * us, 5 * us, 15 * us, true},
 	} {
-		l := &Log{lastWaiters: c.waiters, lastFlush: c.flush}
-		if got := l.groupWindow(); got != c.want {
-			t.Errorf("groupWindow(waiters=%d, flush=%v) = %v, want %v", c.waiters, c.flush, got, c.want)
+		if got := holdWorth(c.b, c.r, c.w, c.s, c.since, c.ret); got != c.want {
+			t.Errorf("%s: holdWorth(b=%d, r=%d, w=%v, s=%v, since=%v, ret=%v) = %v, want %v",
+				c.name, c.b, c.r, c.w, c.s, c.since, c.ret, got, c.want)
 		}
 	}
 }

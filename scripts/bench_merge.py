@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Merge per-seed bench -out files into one repeat set: merge.py OUT IN..."""
+"""Merge per-seed bench -out files into one repeat set: bench_merge.py OUT IN..."""
 import json, sys
 
 runs = []
