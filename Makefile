@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-parallel bench-wal bench-read bench-smoke bench-e2e bench-e2e-smoke experiments examples check clean serve loadtest loadtest-matrix recovery-smoke stress-mvstore stress-wal fuzz-wal fuzz-checkpoint fuzz-wire torture torture-smoke obs-smoke
+.PHONY: all build vet test race cover bench bench-smoke bench-e2e bench-e2e-smoke experiments examples check clean serve stress-mvstore stress-wal fuzz-wal fuzz-checkpoint fuzz-wire torture torture-smoke
 
 all: build vet test
 
@@ -26,74 +26,31 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# One benchmark per reproduced figure/table plus the micro-benchmarks.
+# One benchmark per reproduced figure/table plus the micro-benchmarks next
+# to the code they time. Results go to stdout; nothing is archived.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Lifecycle scaling across core counts; results archived as JSON.
-BENCHTIME ?= 1s
-bench-parallel:
-	$(GO) test ./internal/core/ -run '^$$' -bench BenchmarkParallelLifecycle \
-		-benchmem -cpu 1,2,4,8 -benchtime $(BENCHTIME) \
-		| $(GO) run ./cmd/benchjson -out BENCH_parallel.json
-
-# Commit-path durability grid: memory-only vs group-committed WAL
-# (several flush policies) vs per-commit fsync, at 1 and 8 committers.
-bench-wal:
-	$(GO) test ./internal/core/ -run '^$$' -bench BenchmarkWALCommit \
-		-benchtime $(BENCHTIME) \
-		| $(GO) run ./cmd/benchjson -out BENCH_wal.json
-
-# Wait-free read-path scaling: Protocol A and C readers hammering one hot
-# granule across core counts (DESIGN.md §14); results archived as JSON.
-bench-read:
-	$(GO) test ./internal/core/ -run '^$$' -bench BenchmarkReadScaling \
-		-benchmem -cpu 1,2,4,8 -benchtime $(BENCHTIME) \
-		| $(GO) run ./cmd/benchjson -out BENCH_read.json
-
-# CI smoke: every benchmark compiles and runs once; scaling run at 1x.
+# CI smoke: every benchmark compiles and runs once.
 bench-smoke:
 	$(GO) test ./... -run '^$$' -bench . -benchtime=1x
-	$(MAKE) bench-parallel BENCHTIME=1x
-	$(MAKE) bench-wal BENCHTIME=1x
-	$(MAKE) bench-read BENCHTIME=1x
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): four
 # workloads through the whole stack, end-to-end metrics to stdout. bench/
-# is a module of its own, hence -C. The smoke compiles it and runs its
-# tests, which drive every workload for a moment.
+# is a module of its own, hence -C. The smoke compiles it, runs its tests,
+# which drive every workload for a moment, and a one-second run of all
+# four workloads into bench/out/smoke.json (CI's one artifact).
 bench-e2e:
 	$(GO) run -C bench .
 
 bench-e2e-smoke:
 	$(GO) test -C bench ./...
+	mkdir -p bench/out
+	$(GO) run -C bench . -smoke -seconds 1 -out out/smoke.json
 
 # Run the networked HDD service in the foreground (Ctrl-C drains).
 serve:
 	$(GO) run ./cmd/hddserver
-
-# End-to-end network smoke: hddserver + hddload, latency archived as
-# BENCH_net.json. CLIENTS/TXNS/OUT env vars tune the run.
-loadtest:
-	sh scripts/loadtest.sh
-
-# Live engine matrix: the identical networked workload against every
-# registered backend (see internal/enginereg), archived as
-# BENCH_engines.json. ENGINES/CLIENTS/TXNS/OUT env vars tune the run.
-loadtest-matrix:
-	sh scripts/loadtest_matrix.sh
-
-# Crash-recovery smoke: SIGKILL hddserver mid-load, restart on the same
-# -data-dir, verify WAL replay and a clean follow-up load.
-recovery-smoke:
-	sh scripts/recovery_smoke.sh
-
-# Observability smoke: the obs package (registry, trace ring, HTTP
-# handler) and the server's end-to-end scrape/health tests, all under
-# the race detector. See DESIGN.md §13.
-obs-smoke:
-	$(GO) test -race ./internal/obs/
-	$(GO) test -race ./internal/server/ -run 'TestMetricsEndToEnd|TestHealthzDegraded'
 
 # The version store's concurrency tests, repeated under the race detector:
 # wait-free readers against committing writers and pruning GC, parallel GC

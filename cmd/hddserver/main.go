@@ -36,7 +36,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -64,20 +63,12 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget before force-closing sessions")
 		quiet        = flag.Bool("quiet", false, "suppress connection-level diagnostics")
 
-		mutexFraction = flag.Int("mutex-profile-fraction", 0, "sample 1/N of mutex contention events for /debug/pprof/mutex; 0 disables")
-
 		dataDir       = flag.String("data-dir", "", "durable state directory (snapshot + WAL); empty runs memory-only")
 		walFlush      = flag.Duration("wal-flush-interval", 0, "fixed group-commit wait from a batch's first commit; 0 decides per batch whether committers due back are worth holding the fsync for")
 		walSyncEach   = flag.Bool("wal-sync-each", false, "fsync every commit individually instead of group committing")
 		snapshotBytes = flag.Int64("snapshot-bytes", 8<<20, "WAL size that triggers a background snapshot; negative disables")
 	)
 	flag.Parse()
-
-	if *mutexFraction > 0 {
-		// Makes /debug/pprof/mutex non-empty: loadtest.sh uses it to audit
-		// read-path lock contention (see DESIGN.md §14).
-		runtime.SetMutexProfileFraction(*mutexFraction)
-	}
 
 	part, err := enginereg.ChainPartition(*classes)
 	if err != nil {

@@ -12,10 +12,11 @@ import (
 // BenchmarkParallelLifecycle measures whole-lifecycle throughput under a
 // multi-class workload: workers spread across every class of a depth-8
 // chain, each iteration running begin → read up the hierarchy → write own
-// root → commit. Run with -cpu 1,2,4,8 (make bench-parallel) to see how
-// the sharded begin/commit paths scale: with the per-class begin windows,
-// striped registry, and sharded counters, no class's lifecycle serializes
-// against another's except at the logical clock itself.
+// root → commit. Run with `go test -run '^$' -bench ParallelLifecycle
+// -cpu 1,2,4,8 ./internal/core/` to see how the sharded begin/commit paths
+// scale: with the per-class begin windows, striped registry, and sharded
+// counters, no class's lifecycle serializes against another's except at
+// the logical clock itself.
 func BenchmarkParallelLifecycle(b *testing.B) {
 	benchParallelLifecycle(b, nil)
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkReadScaling measures committed-read throughput as readers are
-// added (-cpu 1,2,4,8; make bench-read archives the grid as
-// BENCH_read.json). Every worker hammers the same hot granule, the
+// added (`go test -run '^$' -bench ReadScaling -cpu 1,2,4,8
+// ./internal/core/`). Every worker hammers the same hot granule, the
 // worst case for any synchronization left on the read path: with the
 // RCU-published chain snapshots, Protocol A and Protocol C reads load one
 // atomic pointer and binary-search immutable memory, so throughput should

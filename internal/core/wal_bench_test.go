@@ -6,11 +6,11 @@ package core
 // The per-commit-fsync baseline serializes one log sync per commit, so
 // its throughput is capped near 1/fsync-latency regardless of
 // concurrency; group commit amortizes the sync across every committer
-// that arrives during the previous flush. `make bench-wal` archives the
-// grid as BENCH_wal.json; the ISSUE 4 acceptance bar is group commit ≥3×
-// per-commit fsync at 8 committers. The net-shaped arm is the end-to-end
-// benchmark's update_durable seen from the log: a 1 ms device and eight
-// committers that take half of that to come back.
+// that arrives during the previous flush. Run it with `go test -run '^$'
+// -bench WALCommit ./internal/core/`; the ISSUE 4 acceptance bar is group
+// commit ≥3× per-commit fsync at 8 committers. The net-shaped arm is the
+// end-to-end benchmark's update_durable seen from the log: a 1 ms device
+// and eight committers that take half of that to come back.
 
 import (
 	"fmt"

@@ -4,14 +4,17 @@ package server_test
 // -data-dir, a mixed workload over real TCP, SIGKILL mid-load, restart
 // on the same data directory, and a full audit — every acknowledged
 // commit must be present, no uncommitted write may survive, and commits
-// in flight at the kill may land either way but never as a torn value.
+// in flight at the kill may land either way but never as a torn value —
+// and the restarted server's boot line must report the WAL replay.
 // This is the acceptance test for the durability layer (ISSUE 4).
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -33,9 +36,28 @@ func buildServer(t *testing.T, dir string) string {
 	return bin
 }
 
+// bootLog collects a child's stderr while it is forwarded to ours; the
+// exec package writes it from its own goroutine.
+type bootLog struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (l *bootLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *bootLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
 // startServerProc launches the server binary against dataDir and waits
-// for its address file.
-func startServerProc(t *testing.T, bin, dataDir, addrFile string) (*exec.Cmd, string) {
+// for its address file and its boot lines, which it returns.
+func startServerProc(t *testing.T, bin, dataDir, addrFile string) (*exec.Cmd, string, string) {
 	t.Helper()
 	os.Remove(addrFile)
 	cmd := exec.Command(bin,
@@ -46,20 +68,46 @@ func startServerProc(t *testing.T, bin, dataDir, addrFile string) (*exec.Cmd, st
 		"-gc-every", "64",
 		"-quiet",
 	)
-	cmd.Stderr = os.Stderr
+	var log bootLog
+	cmd.Stderr = io.MultiWriter(os.Stderr, &log)
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("starting hddserver: %v", err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
-			return cmd, string(b)
+		// The listening line is printed after the recovery line and before
+		// the address file is written, but the copy to log may trail both.
+		boot := log.String()
+		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 && strings.Contains(boot, "listening on") {
+			return cmd, string(b), boot
 		}
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
 			t.Fatal("hddserver never wrote its address file")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// checkRecovered asserts a boot restored durable state: its recovery line
+// reports WAL records replayed or, when snapshotOK, a snapshot loaded.
+func checkRecovered(t *testing.T, boot string, snapshotOK bool) {
+	t.Helper()
+	var line string
+	for _, l := range strings.Split(boot, "\n") {
+		if strings.Contains(l, "hddserver: recovered") {
+			line = l
+		}
+	}
+	if line == "" {
+		t.Fatalf("no recovery line in the boot log:\n%s", boot)
+	}
+	var replayed int
+	if i := strings.Index(line, "replayed "); i >= 0 {
+		fmt.Sscanf(line[i:], "replayed %d records", &replayed)
+	}
+	if replayed == 0 && !(snapshotOK && strings.Contains(line, "snapshot=true")) {
+		t.Fatalf("boot restored nothing: %s", line)
 	}
 }
 
@@ -70,7 +118,7 @@ func TestCrashRecoveryUnderLoad(t *testing.T) {
 	work := t.TempDir()
 	dataDir := filepath.Join(work, "data")
 	bin := buildServer(t, work)
-	proc, addr := startServerProc(t, bin, dataDir, filepath.Join(work, "addr"))
+	proc, addr, _ := startServerProc(t, bin, dataDir, filepath.Join(work, "addr"))
 
 	const (
 		writers      = 4
@@ -185,11 +233,12 @@ func TestCrashRecoveryUnderLoad(t *testing.T) {
 	mu.Unlock()
 
 	// Restart on the same data directory and audit.
-	proc2, addr2 := startServerProc(t, bin, dataDir, filepath.Join(work, "addr2"))
+	proc2, addr2, boot := startServerProc(t, bin, dataDir, filepath.Join(work, "addr2"))
 	defer func() {
 		proc2.Process.Kill()
 		proc2.Wait()
 	}()
+	checkRecovered(t, boot, false)
 	c, err := client.Dial(addr2)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +315,7 @@ func TestRestartAfterGracefulShutdown(t *testing.T) {
 	work := t.TempDir()
 	dataDir := filepath.Join(work, "data")
 	bin := buildServer(t, work)
-	proc, addr := startServerProc(t, bin, dataDir, filepath.Join(work, "addr"))
+	proc, addr, _ := startServerProc(t, bin, dataDir, filepath.Join(work, "addr"))
 
 	c, err := client.Dial(addr)
 	if err != nil {
@@ -304,11 +353,12 @@ func TestRestartAfterGracefulShutdown(t *testing.T) {
 		t.Errorf("wal.log after graceful shutdown: err=%v size=%v, want empty", err, fi)
 	}
 
-	proc2, addr2 := startServerProc(t, bin, dataDir, filepath.Join(work, "addr2"))
+	proc2, addr2, boot := startServerProc(t, bin, dataDir, filepath.Join(work, "addr2"))
 	defer func() {
 		proc2.Process.Kill()
 		proc2.Wait()
 	}()
+	checkRecovered(t, boot, true)
 	c2, err := client.Dial(addr2)
 	if err != nil {
 		t.Fatal(err)

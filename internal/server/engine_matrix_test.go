@@ -2,11 +2,12 @@ package server_test
 
 // The engine matrix: the same service stack — TCP loopback, wire protocol,
 // public client, hdd.RunCtx retry loops — serving different backends
-// through the cc.Engine capability contract. Client-visible semantics must
-// be identical wherever the engines overlap (mixed workloads commit,
-// aborts round-trip as hdd.IsAbort, the stats opcode answers, graceful
-// shutdown drains), and capability-gated opcodes must fail typed — never
-// crash — where a backend lacks the capability.
+// through the cc.Engine capability contract. Every registered engine, plus
+// HDD over a WAL, is served. Client-visible semantics must be identical
+// wherever the engines overlap (mixed workloads commit, aborts round-trip
+// as hdd.IsAbort, the stats opcode answers, the server drains once clients
+// close, graceful shutdown completes), and capability-gated opcodes must
+// fail typed — never crash — where a backend lacks the capability.
 
 import (
 	"context"
@@ -26,21 +27,15 @@ import (
 	"hdd/internal/server"
 )
 
-// matrixEngines are the backends the matrix runs. HDD is the paper's
-// engine; MV2PL and 2PL provoke aborts via deadlock, MVTO via
-// timestamp-ordering write rejection — covering both abort styles the
-// wire must carry.
-var matrixEngines = []string{"HDD", "MV2PL", "MVTO", "2PL"}
-
 // startEngineServer boots the named registry engine behind a loopback
-// server. Shutdown/cleanup mirrors startServer.
-func startEngineServer(t *testing.T, name string, classes int) (*server.Server, string) {
+// server, durable when dataDir is set. Shutdown/cleanup mirrors startServer.
+func startEngineServer(t *testing.T, name string, classes int, dataDir string) (*server.Server, string) {
 	t.Helper()
 	part, err := enginereg.ChainPartition(classes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := enginereg.Build(name, enginereg.Options{Partition: part, TxnTimeout: 10 * time.Second})
+	eng, err := enginereg.Build(name, enginereg.Options{Partition: part, TxnTimeout: 10 * time.Second, DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +56,14 @@ func startEngineServer(t *testing.T, name string, classes int) (*server.Server, 
 }
 
 func TestEngineMatrix(t *testing.T) {
-	for _, name := range matrixEngines {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			srv, addr := startEngineServer(t, name, 3)
+	for _, leg := range append(enginereg.Names(), "HDD+WAL") {
+		t.Run(leg, func(t *testing.T) {
+			name, durable := strings.CutSuffix(leg, "+WAL")
+			dataDir := ""
+			if durable {
+				dataDir = t.TempDir()
+			}
+			srv, addr := startEngineServer(t, name, 3, dataDir)
 			c := dial(t, addr)
 
 			// Hello: the wire reports who we are talking to, and the
@@ -87,10 +86,11 @@ func TestEngineMatrix(t *testing.T) {
 			provokeAbort(t, c, name)
 			checkCapabilityGating(t, c, info.Caps)
 			checkStats(t, c, info)
+			c.Close()
+			checkDrained(t, addr, durable)
 
 			// Graceful shutdown drains: nothing is open, so Shutdown must
 			// complete well inside the deadline with no error.
-			c.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			if err := srv.Shutdown(ctx); err != nil {
@@ -159,9 +159,44 @@ func runMixedWorkload(t *testing.T, addr string) {
 	}
 }
 
-// provokeAbort forces each engine's native abort through the wire and
-// checks it arrives as a genuine hdd.IsAbort error with the engine's
-// reason intact.
+// checkDrained asserts the server leaked nothing once every client closed:
+// no transaction open server-side, none in flight in the engine (where it
+// counts them), and no session but the checker's own. A durable engine must
+// also have logged the load and must not be degraded.
+func checkDrained(t *testing.T, addr string, durable bool) {
+	t.Helper()
+	// One connection, so "drained" is sessions_open <= 1 however the client
+	// would otherwise spread Stats polls over its slots.
+	c := dial(t, addr, client.WithConns(1))
+	defer c.Close()
+	// Closed clients' sessions unwind asynchronously.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		stats, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats["txns_open"] == 0 && stats["active_txns"] == 0 && stats["sessions_open"] <= 1 {
+			if durable && (stats["wal_records"] == 0 || stats["durability_degraded"] != 0) {
+				t.Fatalf("durable engine after the load: wal_records=%d durability_degraded=%d",
+					stats["wal_records"], stats["durability_degraded"])
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("not drained: txns_open=%d active_txns=%d sessions_open=%d (want 0/0/<=1)",
+				stats["txns_open"], stats["active_txns"], stats["sessions_open"])
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// provokeAbort forces the native abort of the four engines it knows through
+// the wire and checks it arrives as a genuine hdd.IsAbort error with the
+// engine's reason intact: MV2PL and 2PL via deadlock, HDD and MVTO via
+// timestamp-ordering write rejection — both abort styles the wire carries.
+// The other engines' aborts take the same path and are retried by the
+// mixed workload.
 func provokeAbort(t *testing.T, c *client.Client, engine string) {
 	t.Helper()
 	switch engine {
@@ -239,9 +274,6 @@ func provokeAbort(t *testing.T, c *client.Client, engine string) {
 		}
 		t1.Abort()
 		t2.Abort()
-
-	default:
-		t.Fatalf("no abort provocation defined for engine %s", engine)
 	}
 }
 
@@ -355,7 +387,7 @@ func TestWaitFreeReadOnlyByEngine(t *testing.T) {
 // therefore leaves the session goroutine, and sibling transactions on the
 // same connection keep being served while it waits.
 func TestBlockedReadOnlyDoesNotStallSession(t *testing.T) {
-	_, addr := startEngineServer(t, "2PL", 2)
+	_, addr := startEngineServer(t, "2PL", 2, "")
 	c := dial(t, addr, client.WithConns(1))
 	hot := hdd.GranuleID{Segment: 0, Key: 1}
 
