@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-smoke bench-e2e bench-e2e-smoke experiments examples check clean serve stress-mvstore stress-wal fuzz-wal fuzz-checkpoint fuzz-wire torture torture-smoke
+.PHONY: all build vet test race cover bench bench-smoke bench-e2e bench-e2e-smoke experiments examples check clean serve stress-mvstore stress-wal stress-core fuzz-wal fuzz-checkpoint fuzz-wire torture torture-smoke
 
 all: build vet test
 
@@ -61,9 +61,15 @@ stress-mvstore:
 
 # The group commit's timing tests, repeated under the race detector: the
 # hold decision, cohorts re-forming over a slow device, the lone committer,
-# the fixed window. See DESIGN.md §10.3.
+# the fixed window, and the sticky poison latch. See DESIGN.md §10.3.
 stress-wal:
-	$(GO) test -race -count=20 -run 'Hold|Cohort|LoneCommitter|GroupCommit' ./internal/wal/
+	$(GO) test -race -count=20 -run 'Hold|Cohort|LoneCommitter|GroupCommit|Poison' ./internal/wal/
+
+# The transaction lifecycle, repeated under the race detector: the recorder's
+# serializability check with force-aborts racing every transaction kind,
+# ad-hoc gates, the reaper, read-only variants and shutdown. See DESIGN.md §8.
+stress-core:
+	$(GO) test -race -count=10 -run 'Serializab|AdHoc|Reap|ReadOnly|Path|Close' ./internal/core/
 
 # Short fixed-budget fuzz of the WAL decoder and replay loop (the
 # checked-in corpus under internal/wal/testdata runs on every `go test`).

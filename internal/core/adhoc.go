@@ -1,13 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"sync"
-	"time"
 
 	"hdd/internal/cc"
 	"hdd/internal/schema"
-	"hdd/internal/vclock"
 )
 
 // Ad-hoc update transactions (§7.1). The paper's future-work section asks
@@ -41,9 +38,10 @@ import (
 // dependency points into the past, so it is trivially serializable, and
 // its writes get a timestamp later than everything it read.
 //
-// BeginAdHoc declares no read set, so its conflict set is every class —
-// the conservative variant (drain the world) earlier revisions shipped.
-// BeginAdHocFor narrows the drain to the TST-derived conflict set.
+// BeginAdHoc declares no read set, so its conflict set is every class
+// (drain the world). BeginAdHocFor narrows the drain to the TST-derived
+// conflict set. Either returns an updateTxn of the write segment's class
+// that carries its held conflict set and its declared read set.
 //
 // Deadlock-freedom: ad-hoc transactions acquire their gates in ascending
 // class order, and ordinary updates hold exactly one share. Two
@@ -101,19 +99,29 @@ func (g *adhocGate) lockAll() []schema.ClassID {
 	return all
 }
 
-// enterUpdate / exitUpdate bracket ordinary update transactions of one
-// class: a shared hold on that class's gate only.
-func (e *Engine) enterUpdate(class schema.ClassID) { e.gate.classes[class].RLock() }
-func (e *Engine) exitUpdate(class schema.ClassID)  { e.gate.classes[class].RUnlock() }
+// enter admits an update transaction of class: a shared hold on that
+// class's gate, or, for an ad-hoc transaction, its conflict set held
+// exclusively. exit releases what enter took.
+func (g *adhocGate) enter(class schema.ClassID, held []schema.ClassID) {
+	if held == nil {
+		g.classes[class].RLock()
+		return
+	}
+	g.lock(held)
+}
+
+func (g *adhocGate) exit(class schema.ClassID, held []schema.ClassID) {
+	if held == nil {
+		g.classes[class].RUnlock()
+		return
+	}
+	g.unlock(held)
+}
 
 // conflictClasses computes the ascending set of classes whose gates an
-// ad-hoc transaction writing writeSeg and reading reads must drain.
-func (e *Engine) conflictClasses(writeSeg schema.SegmentID, reads []schema.SegmentID) []schema.ClassID {
-	accessed := make(map[schema.SegmentID]bool, len(reads)+1)
-	accessed[writeSeg] = true
-	for _, s := range reads {
-		accessed[s] = true
-	}
+// ad-hoc transaction writing writeSeg and reading the segments of accessed
+// (which includes writeSeg) must drain.
+func (e *Engine) conflictClasses(writeSeg schema.SegmentID, accessed map[schema.SegmentID]bool) []schema.ClassID {
 	var out []schema.ClassID
 	for c := 0; c < e.part.NumClasses(); c++ {
 		cid := schema.ClassID(c)
@@ -132,7 +140,10 @@ func (e *Engine) conflictClasses(writeSeg schema.SegmentID, reads []schema.Segme
 // BeginAdHocFor when the read set is known; use either sparingly, for the
 // rare transactions intentionally left out of the partition analysis.
 func (e *Engine) BeginAdHoc(writeSeg schema.SegmentID) (cc.Txn, error) {
-	return e.beginAdHoc(writeSeg, nil, false)
+	if err := e.checkSegments(writeSeg); err != nil {
+		return nil, err
+	}
+	return e.beginUpdate(schema.ClassID(writeSeg), e.txnTimeout, e.gate.allClasses(), nil)
 }
 
 // BeginAdHocFor starts an ad-hoc update transaction that writes writeSeg
@@ -141,268 +152,16 @@ func (e *Engine) BeginAdHoc(writeSeg schema.SegmentID) (cc.Txn, error) {
 // whose TST row cannot touch any accessed segment keep running. Reads
 // outside the declared set fail and abort the transaction.
 func (e *Engine) BeginAdHocFor(writeSeg schema.SegmentID, reads ...schema.SegmentID) (cc.Txn, error) {
+	if err := e.checkSegments(reads...); err != nil {
+		return nil, err
+	}
+	if err := e.checkSegments(writeSeg); err != nil {
+		return nil, err
+	}
+	readSet := make(map[schema.SegmentID]bool, len(reads)+1)
+	readSet[writeSeg] = true
 	for _, s := range reads {
-		if s < 0 || int(s) >= e.part.NumSegments() {
-			return nil, fmt.Errorf("core: unknown segment %d", s)
-		}
+		readSet[s] = true
 	}
-	return e.beginAdHoc(writeSeg, reads, true)
-}
-
-func (e *Engine) beginAdHoc(writeSeg schema.SegmentID, reads []schema.SegmentID, declared bool) (cc.Txn, error) {
-	if writeSeg < 0 || int(writeSeg) >= e.part.NumSegments() {
-		return nil, fmt.Errorf("core: unknown segment %d", writeSeg)
-	}
-	if err := e.closedErr(); err != nil {
-		return nil, err
-	}
-	// Fail-stop: like ordinary updates, ad-hoc transactions are rejected
-	// on a poisoned engine before they drain any gates.
-	if err := e.rejectDegraded(); err != nil {
-		return nil, err
-	}
-	var held []schema.ClassID
-	if declared {
-		held = e.conflictClasses(writeSeg, reads)
-	} else {
-		held = e.gate.allClasses()
-	}
-	e.gate.lock(held) // waits for the conflict set's RLock holders to drain
-	var readSet map[schema.SegmentID]bool
-	if declared {
-		readSet = make(map[schema.SegmentID]bool, len(reads)+1)
-		readSet[writeSeg] = true
-		for _, s := range reads {
-			readSet[s] = true
-		}
-	}
-	class := schema.ClassID(writeSeg)
-	init := e.act.BeginTxn(int(class), e.clock)
-	e.ctr.Begins.Add(1)
-	if o := e.obs; o != nil {
-		o.beginUpdate(class, init)
-	}
-	e.rec.RecordBegin(init, class, false)
-	t := &adhocTxn{eng: e, init: init, class: class, held: held,
-		readSet: readSet, deadline: deadlineFor(e.txnTimeout)}
-	e.live.register(init, t)
-	return t, nil
-}
-
-// adhocTxn runs with every conflicting class drained: reads see the latest
-// committed version of anything in its footprint; writes install at the
-// transaction's timestamp in its write segment's class, so subsequent
-// Protocol A thresholds and walls account for it. Like updateTxn, its
-// state is mutex-guarded so the reaper can force-abort it — releasing the
-// held gates — from another goroutine.
-type adhocTxn struct {
-	eng      *Engine
-	init     vclock.Time
-	class    schema.ClassID
-	held     []schema.ClassID
-	readSet  map[schema.SegmentID]bool // nil = may read any segment
-	deadline time.Time
-
-	mu      sync.Mutex
-	done    bool
-	deadErr error
-	writes  map[schema.GranuleID][]byte
-}
-
-var _ cc.Txn = (*adhocTxn)(nil)
-var _ cc.SharedReader = (*adhocTxn)(nil)
-var _ liveTxn = (*adhocTxn)(nil)
-
-// ID implements cc.Txn.
-func (t *adhocTxn) ID() cc.TxnID { return t.init }
-
-// Class implements cc.Txn: the class of the segment it writes.
-func (t *adhocTxn) Class() schema.ClassID { return t.class }
-
-func (t *adhocTxn) deadErrLocked() error {
-	if t.deadErr != nil {
-		return t.deadErr
-	}
-	return cc.ErrTxnDone
-}
-
-// Read implements cc.Txn: ReadShared plus the defensive copy the public
-// boundary owes its callers.
-func (t *adhocTxn) Read(g schema.GranuleID) ([]byte, error) {
-	val, err := t.ReadShared(g)
-	if val == nil || err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), val...), nil
-}
-
-// ReadShared implements cc.SharedReader: latest committed version —
-// exact, because no conflicting update runs concurrently. A declared
-// transaction may only read its declared segments: anything else is
-// outside the drained conflict set, where the solo-execution argument
-// does not hold. The returned slice aliases immutable engine-owned
-// memory.
-func (t *adhocTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
-	e := t.eng
-	if err := e.closedErr(); err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	if t.done {
-		err := t.deadErrLocked()
-		t.mu.Unlock()
-		return nil, err
-	}
-	e.ctr.Reads.Add(1)
-	if v, ok := t.writes[g]; ok {
-		// Own-write slices are immutable too: Write swaps in a fresh copy
-		// rather than editing in place, so sharing v is safe.
-		t.mu.Unlock()
-		e.rec.RecordRead(t.init, g, t.init, true)
-		return v, nil
-	}
-	t.mu.Unlock()
-	if t.readSet != nil && !t.readSet[g.Segment] {
-		err := &cc.AbortError{Reason: cc.ReasonClassViolation,
-			Err: fmt.Errorf("ad-hoc transaction read segment %d outside its declared set", g.Segment)}
-		t.abort()
-		return nil, err
-	}
-	val, vts, ok := e.store.ReadCommittedBefore(g, vclock.Infinity)
-	if o := e.obs; o != nil {
-		o.readsAdHoc.Inc()
-		o.lockfreeAdHoc.Inc()
-	}
-	e.rec.RecordRead(t.init, g, vts, ok)
-	return val, nil
-}
-
-// Write implements cc.Txn: restricted to the declared write segment.
-func (t *adhocTxn) Write(g schema.GranuleID, value []byte) error {
-	e := t.eng
-	if err := e.closedErr(); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	if t.done {
-		err := t.deadErrLocked()
-		t.mu.Unlock()
-		return err
-	}
-	e.ctr.Writes.Add(1)
-	if g.Segment != schema.SegmentID(t.class) {
-		t.mu.Unlock()
-		err := &cc.AbortError{Reason: cc.ReasonClassViolation,
-			Err: fmt.Errorf("ad-hoc transaction declared write segment %d, wrote %d", t.class, g.Segment)}
-		t.abort()
-		return err
-	}
-	if _, ok := t.writes[g]; ok {
-		e.store.UpdatePending(g, t.init, value)
-		t.writes[g] = append([]byte(nil), value...)
-		t.mu.Unlock()
-		return nil
-	}
-	if err := e.store.InstallChecked(g, t.init, value); err != nil {
-		// Possible despite the drained conflict set: an earlier update may
-		// have installed a version at a later timestamp before draining.
-		// Treat as an ordinary rejection.
-		t.mu.Unlock()
-		e.ctr.RejectedWrites.Add(1)
-		t.abort()
-		return &cc.AbortError{Reason: cc.ReasonWriteRejected, Err: err}
-	}
-	if t.writes == nil {
-		t.writes = make(map[schema.GranuleID][]byte)
-	}
-	t.writes[g] = append([]byte(nil), value...)
-	e.rec.RecordWrite(t.init, g, t.init)
-	t.mu.Unlock()
-	return nil
-}
-
-// Commit implements cc.Txn. The durable-commit ordering matches
-// updateTxn.Commit: marker enqueued before the version flips under t.mu,
-// flush awaited only after the held gates are released.
-func (t *adhocTxn) Commit() error {
-	e := t.eng
-	t.mu.Lock()
-	if t.done {
-		err := t.deadErrLocked()
-		t.mu.Unlock()
-		return err
-	}
-	t.done = true
-	var wait func() error
-	if e.dur != nil && len(t.writes) > 0 {
-		wait = e.dur.persist.PersistCommit(t.init)
-	}
-	for g := range t.writes {
-		e.store.Commit(g, t.init)
-	}
-	at := e.act.FinishTxn(int(t.class), t.init, e.clock, false)
-	t.mu.Unlock()
-	e.live.unregister(t.init)
-	e.gate.unlock(t.held)
-	e.ctr.Commits.Add(1)
-	if o := e.obs; o != nil {
-		o.commitUpdate(t.class)
-	}
-	e.rec.RecordCommit(t.init, at)
-	e.pollWalls()
-	if wait != nil {
-		if err := wait(); err != nil {
-			return e.commitDurabilityErr(t.init, err)
-		}
-	}
-	return nil
-}
-
-// Abort implements cc.Txn.
-func (t *adhocTxn) Abort() error {
-	t.abort()
-	return nil
-}
-
-func (t *adhocTxn) abort() { t.finishAbort(nil, false) }
-
-func (t *adhocTxn) finishAbort(sticky error, reaped bool) bool {
-	t.mu.Lock()
-	if t.done {
-		t.mu.Unlock()
-		return false
-	}
-	t.done = true
-	t.deadErr = sticky
-	e := t.eng
-	for g := range t.writes {
-		e.store.Abort(g, t.init)
-	}
-	at := e.act.FinishTxn(int(t.class), t.init, e.clock, true)
-	t.mu.Unlock()
-	e.live.unregister(t.init)
-	e.gate.unlock(t.held)
-	e.ctr.Aborts.Add(1)
-	if reaped {
-		e.ctr.ReapedTxns.Add(1)
-	}
-	if o := e.obs; o != nil {
-		o.abortUpdate(t.class)
-		if reaped {
-			o.reaped(int32(t.class), t.init)
-		}
-	}
-	e.rec.RecordAbort(t.init, at)
-	e.pollWalls()
-	return true
-}
-
-// expiry implements liveTxn.
-func (t *adhocTxn) expiry() time.Time { return t.deadline }
-
-// reap implements liveTxn: force-aborting an abandoned ad-hoc transaction
-// releases its held gates, unblocking every Begin waiting on them.
-func (t *adhocTxn) reap() bool {
-	return t.finishAbort(&cc.AbortError{Reason: cc.ReasonTimedOut,
-		Err: fmt.Errorf("ad-hoc transaction %d force-aborted by the reaper after exceeding its deadline", t.init)}, true)
+	return e.beginUpdate(schema.ClassID(writeSeg), e.txnTimeout, e.conflictClasses(writeSeg, readSet), readSet)
 }

@@ -157,6 +157,28 @@ func TestAdHocSerializableUnderLoad(t *testing.T) {
 	}
 }
 
+// TestAdHocCommitsRunGC: ad-hoc commits count toward GCEveryCommits exactly
+// as ordinary update commits do.
+func TestAdHocCommitsRunGC(t *testing.T) {
+	e, err := NewEngine(Config{Partition: branching(t), WallInterval: 8, GCEveryCommits: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 4; i++ {
+		ah, err := e.BeginAdHocFor(2, 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read(t, ah, gr(3, 1))
+		write(t, ah, gr(2, 1), "v")
+		mustCommit(t, ah)
+	}
+	if e.GCRuns() == 0 {
+		t.Fatal("ad-hoc commits never triggered automatic GC")
+	}
+}
+
 // TestAdHocDoubleFinish: operations after commit fail cleanly, and Abort
 // after Commit is a no-op (the gate is released exactly once).
 func TestAdHocDoubleFinish(t *testing.T) {

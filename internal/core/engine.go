@@ -21,13 +21,15 @@
 //
 // # Layout
 //
-// The engine is split by lifecycle layer: transaction admission and begin
-// paths live in lifecycle.go, the update-transaction state machine in
-// update_txn.go, the read-only variants in readonly_txn.go, garbage
-// collection in gc.go, the striped in-flight registry in registry.go, the
-// stuck-transaction reaper in reaper.go, and the §7.1 ad-hoc admission
-// gates in adhoc.go. DESIGN.md §8 maps every lock and atomic in these
-// files and states the ordering rules between them.
+// The engine has two transaction types. updateTxn (update_txn.go) runs
+// Protocols A and B for a class, and also runs §7.1 ad-hoc transactions,
+// which hold their conflict set's admission gates (adhoc.go). readOnlyTxn
+// (readonly_txn.go) reads below per-segment bounds fixed at begin: a
+// released time wall under Protocol C, or a fictitious class's thresholds
+// on a critical path. lifecycle.go holds the two begin paths, gc.go
+// garbage collection, registry.go the striped in-flight registry and
+// reaper.go the stuck-transaction reaper. DESIGN.md §8 maps every lock and
+// atomic in these files and states the ordering rules between them.
 //
 // # Fault tolerance
 //

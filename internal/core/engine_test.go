@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"hdd/internal/cc"
+	"hdd/internal/obs"
 	"hdd/internal/sched"
 	"hdd/internal/schema"
 	"hdd/internal/vclock"
@@ -337,9 +339,18 @@ func TestReadOnlyOnPath(t *testing.T) {
 }
 
 // TestBeginReadOnlyFor: the §5 routing decision — on-path read sets get
-// the fictitious-class fast path, off-path sets get the wall.
+// the fictitious-class fast path, off-path sets get the wall. The variants
+// are told apart by what they do: freshness, the off-path error, and the
+// protocol their reads are counted under.
 func TestBeginReadOnlyFor(t *testing.T) {
-	e := newEngine(t, branching(t), nil)
+	plane := obs.NewPlane()
+	// No wall releases after the initial one: a Protocol C reader cannot
+	// see the commit below.
+	e, err := NewEngine(Config{Partition: branching(t), WallInterval: 1 << 40, Obs: plane})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
 	w, _ := e.Begin(0)
 	write(t, w, gr(0, 1), "fresh")
 	mustCommit(t, w)
@@ -350,26 +361,27 @@ func TestBeginReadOnlyFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := onPath.(*pathReadOnlyTxn); !ok {
-		t.Fatalf("expected path variant, got %T", onPath)
-	}
 	if got := read(t, onPath, gr(0, 1)); got != "fresh" {
 		t.Fatalf("on-path read = %q", got)
 	}
-	// Segment 3 (declared) is off the path: reading it must fail.
-	if _, err := onPath.Read(gr(3, 1)); err == nil {
-		t.Fatal("off-path read allowed under path variant")
+	// Segment 3 is off the path: reading it fails without ending the
+	// transaction.
+	if _, err := onPath.Read(gr(3, 1)); err == nil || cc.IsAbort(err) {
+		t.Fatalf("off-path read under path variant = %v, want a non-abort error", err)
 	}
+	read(t, onPath, gr(2, 1))
 	mustCommit(t, onPath)
 
-	// Segments 1 and 3 are incomparable → wall variant.
+	// Segments 1 and 3 are incomparable → wall variant: reads below the
+	// initial wall, which predates the commit, and may read any segment.
 	offPath, err := e.BeginReadOnlyFor(1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := offPath.(*readOnlyTxn); !ok {
-		t.Fatalf("expected wall variant, got %T", offPath)
+	if got := read(t, offPath, gr(0, 1)); got != "" {
+		t.Fatalf("wall-variant read = %q, want the pre-commit state", got)
 	}
+	read(t, offPath, gr(3, 1))
 	mustCommit(t, offPath)
 
 	// Empty declaration falls back to the wall.
@@ -377,14 +389,54 @@ func TestBeginReadOnlyFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fallback.(*readOnlyTxn); !ok {
-		t.Fatalf("expected wall variant, got %T", fallback)
+	if got := read(t, fallback, gr(0, 1)); got != "" {
+		t.Fatalf("fallback read = %q, want the pre-commit state", got)
 	}
 	mustCommit(t, fallback)
+
+	wantSeries(t, scrapeObs(plane),
+		`hdd_reads_total{protocol="A-path"} 2`,
+		`hdd_reads_total{protocol="C"} 3`,
+	)
 
 	// Unknown segments are rejected.
 	if _, err := e.BeginReadOnlyFor(42); err == nil {
 		t.Fatal("unknown segment accepted")
+	}
+}
+
+// TestReadOnlyUnknownSegment: a read-only read of a segment the partition
+// does not have returns an error, never panics, and leaves the transaction
+// open; an update transaction answers the same read with a class-violation
+// abort.
+func TestReadOnlyUnknownSegment(t *testing.T) {
+	e := newEngine(t, branching(t), nil)
+	defer e.Close()
+	for _, begin := range []func() (cc.Txn, error){
+		e.BeginReadOnly,
+		func() (cc.Txn, error) { return e.BeginReadOnlyOnPath(2) },
+	} {
+		ro, err := begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range []int{99, 4, -1} {
+			if _, err := ro.Read(gr(seg, 1)); err == nil || cc.IsAbort(err) {
+				t.Fatalf("read of segment %d = %v, want a non-abort error", seg, err)
+			}
+			if _, err := ro.(cc.SharedReader).ReadShared(gr(seg, 1)); err == nil {
+				t.Fatalf("shared read of segment %d succeeded", seg)
+			}
+		}
+		read(t, ro, gr(0, 1))
+		mustCommit(t, ro)
+	}
+	up, _ := e.Begin(2)
+	if _, err := up.Read(gr(99, 1)); cc.AbortReason(err) != cc.ReasonClassViolation {
+		t.Fatalf("update read of segment 99 = %v, want a class-violation abort", err)
+	}
+	if e.Stats().Reads != 3 {
+		t.Fatalf("Reads = %d, want 3: rejected read-only reads are not counted", e.Stats().Reads)
 	}
 }
 
@@ -416,9 +468,12 @@ func TestWallConsistentAcrossBranches(t *testing.T) {
 }
 
 // TestSerializabilityUnderLoad is the main property test: many concurrent
-// clients over the branching partition, with read-only transactions mixed
-// in, must always produce an acyclic dependency graph (Theorems 1 and 2).
+// clients over the branching partition, with read-only and ad-hoc
+// transactions mixed in and a killer force-aborting random in-flight ones
+// the way the reaper and the server's orphan cleanup do, must always
+// produce an acyclic dependency graph (Theorems 1 and 2).
 func TestSerializabilityUnderLoad(t *testing.T) {
+	killed := 0
 	for seed := int64(0); seed < 4; seed++ {
 		rec := sched.NewRecorder()
 		e := newEngine(t, branching(t), rec)
@@ -433,7 +488,26 @@ func TestSerializabilityUnderLoad(t *testing.T) {
 				}
 			}(c)
 		}
+		stop, killerDone := make(chan struct{}), make(chan int)
+		go func() {
+			r, n := rand.New(rand.NewSource(seed)), 0
+			for {
+				select {
+				case <-stop:
+					killerDone <- n
+					return
+				default:
+				}
+				// Transaction ids are initiation ticks: aim just below now.
+				if e.ForceAbort(e.Clock().Now() - vclock.Time(r.Intn(8))) {
+					n++
+				}
+				runtime.Gosched()
+			}
+		}()
 		wg.Wait()
+		close(stop)
+		killed += <-killerDone
 		g := rec.Build()
 		if !g.Serializable() {
 			t.Fatalf("seed %d: HDD schedule not serializable:\n%s", seed, g.ExplainCycle())
@@ -441,15 +515,24 @@ func TestSerializabilityUnderLoad(t *testing.T) {
 		if rec.NumCommitted() == 0 {
 			t.Fatalf("seed %d: nothing committed; test vacuous", seed)
 		}
+		if n := e.ActiveTxns(); n != 0 {
+			t.Fatalf("seed %d: %d transactions still in flight", seed, n)
+		}
 	}
+	if killed == 0 {
+		t.Fatal("the killer never force-aborted a transaction; test vacuous")
+	}
+	t.Logf("force-aborted %d in-flight transactions", killed)
 }
 
 // runRandomTxn executes one random transaction against the branching
 // partition: class 0 writes events; class 1 derives from 0; class 2 from
-// 0 and 1; class 3 from 0; plus read-only transactions. Aborted attempts
-// are retried a bounded number of times.
+// 0 and 1; class 3 from 0; plus Protocol C read-only transactions, on-path
+// read-only transactions (the fictitious class below class 2) and declared
+// ad-hoc transactions that read both branches and write segment 2. Aborted
+// attempts are retried a bounded number of times.
 func runRandomTxn(e *Engine, r *rand.Rand) {
-	kind := r.Intn(10)
+	kind := r.Intn(12)
 	for attempt := 0; attempt < 50; attempt++ {
 		var err error
 		switch {
@@ -465,18 +548,15 @@ func runRandomTxn(e *Engine, r *rand.Rand) {
 		case kind < 8: // class 3
 			tx, _ := e.Begin(3)
 			err = doRMW(tx, r, 3, []int{0})
-		default: // read-only
+		case kind < 10: // Protocol C read-only
 			tx, _ := e.BeginReadOnly()
-			for i := 0; i < 4; i++ {
-				if _, err = tx.Read(gr(r.Intn(4), r.Intn(16))); err != nil {
-					break
-				}
-			}
-			if err == nil {
-				err = tx.Commit()
-			} else {
-				_ = tx.Abort()
-			}
+			err = doReads(tx, r, 4)
+		case kind < 11: // read-only on the critical path 0 → 1 → 2
+			tx, _ := e.BeginReadOnlyFor(0, 1, 2)
+			err = doReads(tx, r, 3)
+		default: // ad-hoc: reads two incomparable branches
+			tx, _ := e.BeginAdHocFor(2, 1, 3)
+			err = doRMW(tx, r, 2, []int{1, 3})
 		}
 		if err == nil {
 			return
@@ -485,6 +565,17 @@ func runRandomTxn(e *Engine, r *rand.Rand) {
 			panic(err)
 		}
 	}
+}
+
+// doReads reads four random granules of segments 0..segs-1 and commits.
+func doReads(tx cc.Txn, r *rand.Rand, segs int) error {
+	for i := 0; i < 4; i++ {
+		if _, err := tx.Read(gr(r.Intn(segs), r.Intn(16))); err != nil {
+			_ = tx.Abort()
+			return err
+		}
+	}
+	return tx.Commit()
 }
 
 func doRMW(tx cc.Txn, r *rand.Rand, root int, above []int) error {

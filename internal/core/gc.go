@@ -23,8 +23,8 @@ import (
 )
 
 // maybeGC runs store GC and activity pruning when the commit counter
-// crosses the configured period. The caller must hold an admission-gate
-// share (updateTxn.Commit calls it before exitUpdate) so the prune's WAL
+// crosses the configured period. The caller must hold its admission gate
+// (updateTxn.Commit calls it before gate.exit) so the prune's WAL
 // append cannot race a snapshot's log reset.
 func (e *Engine) maybeGC() {
 	if e.gcEvery <= 0 {

@@ -3,7 +3,9 @@ package core
 // Transaction admission: the Begin* family. Every path follows the same
 // shape — admission gate (update transactions only), barrier-windowed
 // initiation tick, counter/recorder bookkeeping, registration with the
-// reaper — and differs only in the protocol state it pins at begin.
+// reaper — and differs only in the protocol state it pins at begin. Update
+// and ad-hoc begins share beginUpdate; both read-only variants share
+// beginReadOnly.
 
 import (
 	"fmt"
@@ -26,16 +28,25 @@ func (e *Engine) BeginWithTimeout(class schema.ClassID, timeout time.Duration) (
 	if class < 0 || int(class) >= e.part.NumClasses() {
 		return nil, fmt.Errorf("core: unknown class %d", class)
 	}
+	return e.beginUpdate(class, timeout, nil, nil)
+}
+
+// beginUpdate starts an update transaction of class. An ordinary one
+// (held == nil) takes a share of its class's admission gate; an ad-hoc one
+// locks its conflict set held exclusively, waiting for the in-flight
+// update transactions of those classes to drain.
+func (e *Engine) beginUpdate(class schema.ClassID, timeout time.Duration, held []schema.ClassID, readSet map[schema.SegmentID]bool) (cc.Txn, error) {
 	if err := e.closedErr(); err != nil {
 		return nil, err
 	}
 	// Fail-stop (DESIGN.md §11): a poisoned engine admits no new update
-	// work — its commits could not be made durable. Read-only begins
-	// (BeginReadOnly and friends) stay open.
+	// work — its commits could not be made durable — and an ad-hoc
+	// transaction is rejected before it drains any gates. Read-only begins
+	// stay open.
 	if err := e.rejectDegraded(); err != nil {
 		return nil, err
 	}
-	e.enterUpdate(class)
+	e.gate.enter(class, held)
 	// BeginTxn's barrier window guarantees that any instant later drawn
 	// through the activity set's TickBarrier observes this registration —
 	// the property every I_old(m) evaluation relies on (see activity.Set).
@@ -45,7 +56,7 @@ func (e *Engine) BeginWithTimeout(class schema.ClassID, timeout time.Duration) (
 		o.beginUpdate(class, init)
 	}
 	e.rec.RecordBegin(init, class, false)
-	t := &updateTxn{eng: e, init: init, class: class,
+	t := &updateTxn{eng: e, init: init, class: class, held: held, readSet: readSet,
 		deadline: deadlineFor(timeout), cancel: make(chan struct{})}
 	e.live.register(init, t)
 	return t, nil
@@ -55,24 +66,7 @@ func (e *Engine) BeginWithTimeout(class schema.ClassID, timeout time.Duration) (
 // transaction under Protocol C, reading below the most recently released
 // time wall (§5.2). It never blocks and never registers reads.
 func (e *Engine) BeginReadOnly() (cc.Txn, error) {
-	if err := e.closedErr(); err != nil {
-		return nil, err
-	}
-	init := e.clock.Tick()
-	// Acquiring (rather than just reading) the wall pins its floor
-	// against garbage collection for the transaction's lifetime: a newer
-	// wall may release meanwhile, and GC keyed only to the current wall
-	// would prune versions this transaction's wall still directs it to.
-	wall, release := e.walls.AcquireCurrent()
-	e.ctr.Begins.Add(1)
-	if o := e.obs; o != nil {
-		o.beginRO()
-	}
-	e.rec.RecordBegin(init, schema.NoClass, true)
-	t := &readOnlyTxn{eng: e, init: init, wall: wall, release: release,
-		deadline: deadlineFor(e.txnTimeout)}
-	e.live.register(init, t)
-	return t, nil
+	return e.beginReadOnly(schema.NoClass)
 }
 
 // BeginReadOnlyOnPath starts a read-only transaction whose entire read set
@@ -85,37 +79,56 @@ func (e *Engine) BeginReadOnlyOnPath(base schema.ClassID) (cc.Txn, error) {
 	if base < 0 || int(base) >= e.part.NumClasses() {
 		return nil, fmt.Errorf("core: unknown class %d", base)
 	}
+	return e.beginReadOnly(base)
+}
+
+// beginReadOnly starts a read-only transaction: under Protocol C when base
+// is schema.NoClass, as the fictitious class below base otherwise. Either
+// way the bounds' smallest instant is registered as a GC floor for the
+// transaction's lifetime.
+func (e *Engine) beginReadOnly(base schema.ClassID) (cc.Txn, error) {
 	if err := e.closedErr(); err != nil {
 		return nil, err
 	}
-	// The fictitious-class thresholds evaluate I_old at this instant, so
-	// it must be a barrier tick. Thresholds are pinned eagerly for every
-	// segment on the critical path: the values are functions of init
-	// alone, and pinning both fixes them against activity-history pruning
-	// and lets the floor below be registered with the garbage collector.
-	init := e.act.TickBarrier(e.clock)
-	bounds := make(map[schema.SegmentID]vclock.Time)
-	floor := init
-	for s := 0; s < e.part.NumSegments(); s++ {
-		target := schema.ClassID(s)
-		if target != base && !e.part.Higher(target, base) {
-			continue
+	t := &readOnlyTxn{eng: e, base: base, deadline: deadlineFor(e.txnTimeout)}
+	if base == schema.NoClass {
+		t.init = e.clock.Tick()
+		// Acquiring (rather than just reading) the wall pins its floor
+		// against garbage collection: a newer wall may release meanwhile,
+		// and GC keyed only to the current wall would prune versions this
+		// transaction's wall still directs it to.
+		wall, release := e.walls.AcquireCurrent()
+		t.bounds, t.release = wall.Component, release
+	} else {
+		// The fictitious-class thresholds evaluate I_old at this instant,
+		// so it must be a barrier tick. They are pinned eagerly for every
+		// segment on the critical path: the values are functions of init
+		// alone, and pinning both fixes them against activity-history
+		// pruning and gives the floor to register.
+		t.init = e.act.TickBarrier(e.clock)
+		t.bounds = make([]vclock.Time, e.part.NumSegments())
+		floor := t.init
+		for s := range t.bounds {
+			target := schema.ClassID(s)
+			if target != base && !e.part.Higher(target, base) {
+				t.bounds[s] = offPath
+				continue
+			}
+			t.bounds[s] = e.links.AFrom(base, target, t.init)
+			floor = vclock.Min(floor, t.bounds[s])
 		}
-		b := e.links.AFrom(base, target, init)
-		bounds[schema.SegmentID(s)] = b
-		if b < floor {
-			floor = b
-		}
+		t.release = e.walls.AcquireFloor(floor)
 	}
-	release := e.walls.AcquireFloor(floor)
 	e.ctr.Begins.Add(1)
 	if o := e.obs; o != nil {
 		o.beginRO()
+		t.reads, t.lockfree = o.readsC, o.lockfreeC
+		if base != schema.NoClass {
+			t.reads, t.lockfree = o.readsAPath, o.lockfreeAPath
+		}
 	}
-	e.rec.RecordBegin(init, schema.NoClass, true)
-	t := &pathReadOnlyTxn{eng: e, init: init, base: base, bounds: bounds,
-		release: release, deadline: deadlineFor(e.txnTimeout)}
-	e.live.register(init, t)
+	e.rec.RecordBegin(t.init, schema.NoClass, true)
+	e.live.register(t.init, t)
 	return t, nil
 }
 
@@ -127,12 +140,12 @@ func (e *Engine) BeginReadOnlyOnPath(base schema.ClassID) (cc.Txn, error) {
 // Reads outside the declared set fail under the on-path variant and are
 // allowed (wall-bounded) under the wall variant.
 func (e *Engine) BeginReadOnlyFor(segments ...schema.SegmentID) (cc.Txn, error) {
-	classes := make([]schema.ClassID, 0, len(segments))
-	for _, s := range segments {
-		if s < 0 || int(s) >= e.part.NumSegments() {
-			return nil, fmt.Errorf("core: unknown segment %d", s)
-		}
-		classes = append(classes, schema.ClassID(s))
+	if err := e.checkSegments(segments...); err != nil {
+		return nil, err
+	}
+	classes := make([]schema.ClassID, len(segments))
+	for i, s := range segments {
+		classes[i] = schema.ClassID(s)
 	}
 	if len(classes) > 0 && e.part.OnOneCriticalPath(classes) {
 		// The base is the lowest declared class: every other declared
@@ -146,4 +159,14 @@ func (e *Engine) BeginReadOnlyFor(segments ...schema.SegmentID) (cc.Txn, error) 
 		return e.BeginReadOnlyOnPath(base)
 	}
 	return e.BeginReadOnly()
+}
+
+// checkSegments rejects a segment the partition does not have.
+func (e *Engine) checkSegments(segs ...schema.SegmentID) error {
+	for _, s := range segs {
+		if s < 0 || int(s) >= e.part.NumSegments() {
+			return fmt.Errorf("core: unknown segment %d", s)
+		}
+	}
+	return nil
 }

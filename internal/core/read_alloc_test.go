@@ -5,6 +5,7 @@ import (
 
 	"hdd/internal/cc"
 	"hdd/internal/mvstore"
+	"hdd/internal/schema"
 	"hdd/internal/vclock"
 )
 
@@ -92,4 +93,89 @@ func TestLockFreeReadZeroAllocs(t *testing.T) {
 			t.Errorf("Protocol C ReadShared: %v allocs/op, want 0", allocs)
 		}
 	})
+}
+
+// Allocation budgets of whole transactions, in objects per transaction,
+// measured with testing.AllocsPerRun on an engine with no plane attached.
+// The read-only budgets cover begin, three ReadShared calls and commit; the
+// update budget covers the BenchmarkUpdateTxnCycle shape (two copying
+// Reads, one Write, commit).
+const (
+	protocolCTxnAllocs   = 3
+	pathReadOnlyAllocs   = 5
+	updateTxnCycleAllocs = 11
+)
+
+// TestTxnAllocBudgets pins the per-transaction allocations of the Protocol C
+// read-only transaction, its critical-path variant and the update cycle. A
+// rise is a regression the end-to-end benchmark would only show as noise.
+func TestTxnAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e, err := NewEngine(Config{Partition: branching(t), WallInterval: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for s := 0; s < 3; s++ {
+		tx, err := e.Begin(schema.ClassID(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(t, tx, gr(s, 1), "v")
+		mustCommit(t, tx)
+	}
+	e.Walls().Force()
+
+	readOnly := func(begin func() (cc.Txn, error)) func(*testing.T) {
+		return func(t *testing.T) {
+			tx, err := begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr := tx.(cc.SharedReader)
+			for s := 0; s < 3; s++ {
+				if _, err := sr.ReadShared(gr(s, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustCommit(t, tx)
+		}
+	}
+	i := 0
+	update := func(t *testing.T) {
+		i++
+		tx, err := e.Begin(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Read(gr(0, 1)); err != nil {
+			t.Fatal(err)
+		}
+		g := gr(2, i%64)
+		old, err := tx.Read(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Write(g, append(old[:0:0], byte(i))); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, tx)
+	}
+	for _, c := range []struct {
+		name   string
+		budget float64
+		run    func(*testing.T)
+	}{
+		{"protocol-C", protocolCTxnAllocs, readOnly(e.BeginReadOnly)},
+		{"path", pathReadOnlyAllocs, readOnly(func() (cc.Txn, error) { return e.BeginReadOnlyOnPath(2) })},
+		{"update", updateTxnCycleAllocs, update},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if allocs := testing.AllocsPerRun(500, func() { c.run(t) }); allocs > c.budget {
+				t.Errorf("%v allocs/txn, budget %v", allocs, c.budget)
+			}
+		})
+	}
 }

@@ -5,18 +5,33 @@ import (
 	"sync"
 	"time"
 
-	"hdd/internal/alink"
 	"hdd/internal/cc"
 	"hdd/internal/obs"
 	"hdd/internal/schema"
 	"hdd/internal/vclock"
 )
 
-// readOnlyTxn is a Protocol C transaction pinned to a released time wall.
+// offPath is the bound of a segment a critical-path reader may not read.
+const offPath vclock.Time = -1
+
+// readOnlyTxn is a read-only transaction. Every read is served the latest
+// committed version below a per-segment bound fixed at begin, so none
+// blocks or registers:
+//
+//   - under Protocol C (§5.2) the bounds are the components of the
+//     released time wall the transaction acquired (the wall's own slice);
+//   - on a critical path (§5, Figure 8) they are the activity-link
+//     thresholds of a fictitious class just below base, and segments off
+//     the path hold offPath.
 type readOnlyTxn struct {
-	eng      *Engine
-	init     vclock.Time
-	wall     *alink.TimeWall
+	eng    *Engine
+	init   vclock.Time
+	bounds []vclock.Time  // indexed by segment
+	base   schema.ClassID // schema.NoClass under Protocol C
+	// reads and lockfree are the plane's read counters of this flavor
+	// (protocol C or A-path); nil when no plane is attached.
+	reads, lockfree *obs.Counter
+	// release drops the GC floor the bounds pinned at begin.
 	release  func()
 	deadline time.Time
 
@@ -35,19 +50,13 @@ func (t *readOnlyTxn) ID() cc.TxnID { return t.init }
 // Class implements cc.Txn.
 func (t *readOnlyTxn) Class() schema.ClassID { return schema.NoClass }
 
-// Read implements cc.Txn: ReadShared plus the defensive copy the public
-// boundary owes its callers.
-func (t *readOnlyTxn) Read(g schema.GranuleID) ([]byte, error) {
-	val, err := t.ReadShared(g)
-	if val == nil || err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), val...), nil
-}
+// Read implements cc.Txn.
+func (t *readOnlyTxn) Read(g schema.GranuleID) ([]byte, error) { return copyOut(t.ReadShared(g)) }
 
 // ReadShared implements cc.SharedReader: the latest committed version
-// below the wall component of the granule's segment. Never blocks, never
-// registers — wait-free into the store's published chain. The returned slice
+// below the granule's segment bound, wait-free into the store's published
+// chain. A segment the partition does not have, or one off the critical
+// path, is an error that leaves the transaction open. The returned slice
 // aliases immutable engine-owned memory.
 func (t *readOnlyTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 	e := t.eng
@@ -56,20 +65,23 @@ func (t *readOnlyTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 	}
 	t.mu.Lock()
 	if t.done {
-		err := t.deadErr
+		err := doneErr(t.deadErr)
 		t.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return nil, cc.ErrTxnDone
+		return nil, err
 	}
 	t.mu.Unlock()
-	e.ctr.Reads.Add(1)
-	if o := e.obs; o != nil {
-		o.readsC.Inc()
-		o.lockfreeC.Inc()
+	if g.Segment < 0 || int(g.Segment) >= len(t.bounds) {
+		return nil, fmt.Errorf("core: unknown segment %d", g.Segment)
 	}
-	bound := t.wall.Threshold(g.Segment)
+	bound := t.bounds[g.Segment]
+	if bound == offPath {
+		return nil, fmt.Errorf("core: segment %d is not on the critical path above class %d", g.Segment, t.base)
+	}
+	e.ctr.Reads.Add(1)
+	if t.reads != nil {
+		t.reads.Inc()
+		t.lockfree.Inc()
+	}
 	val, vts, ok := e.store.ReadCommittedBefore(g, bound)
 	e.rec.RecordRead(t.init, g, vts, ok)
 	return val, nil
@@ -82,225 +94,64 @@ func (t *readOnlyTxn) Write(schema.GranuleID, []byte) error {
 
 // Commit implements cc.Txn.
 func (t *readOnlyTxn) Commit() error {
-	return t.finish(false)
+	_, err := t.finish(false, nil)
+	return err
 }
 
 // Abort implements cc.Txn.
 func (t *readOnlyTxn) Abort() error {
-	_ = t.finish(true)
-	return nil
-}
-
-func (t *readOnlyTxn) finish(aborted bool) error {
-	t.mu.Lock()
-	if t.done {
-		err := t.deadErr
-		t.mu.Unlock()
-		if aborted {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		return cc.ErrTxnDone
-	}
-	t.done = true
-	t.mu.Unlock()
-	t.release()
-	e := t.eng
-	e.live.unregister(t.init)
-	at := e.clock.Tick()
-	if aborted {
-		e.ctr.Aborts.Add(1)
-		if o := e.obs; o != nil {
-			o.abortRO()
-		}
-		e.rec.RecordAbort(t.init, at)
-	} else {
-		e.ctr.Commits.Add(1)
-		if o := e.obs; o != nil {
-			o.commitRO()
-		}
-		e.rec.RecordCommit(t.init, at)
-	}
+	t.finish(true, nil)
 	return nil
 }
 
 // expiry implements liveTxn.
 func (t *readOnlyTxn) expiry() time.Time { return t.deadline }
 
-// reap implements liveTxn: an abandoned read-only transaction holds a wall
-// floor that pins garbage collection; reaping releases it.
+// reap implements liveTxn: an abandoned read-only transaction pins the GC
+// floor its bounds acquired; reaping releases it.
 func (t *readOnlyTxn) reap() bool {
+	ok, _ := t.finish(true, &cc.AbortError{Reason: cc.ReasonTimedOut,
+		Err: fmt.Errorf("read-only transaction %d force-aborted by the reaper after exceeding its deadline", t.init)})
+	return ok
+}
+
+// finish commits or aborts the transaction and releases its GC floor; a
+// non-nil sticky error marks a reaper force-abort and becomes the error
+// later operations return. On a transaction that already finished it
+// reports false and that error.
+func (t *readOnlyTxn) finish(aborted bool, sticky error) (bool, error) {
 	t.mu.Lock()
 	if t.done {
+		err := doneErr(t.deadErr)
 		t.mu.Unlock()
-		return false
+		return false, err
 	}
 	t.done = true
-	t.deadErr = &cc.AbortError{Reason: cc.ReasonTimedOut,
-		Err: fmt.Errorf("read-only transaction %d force-aborted by the reaper after exceeding its deadline", t.init)}
+	t.deadErr = sticky
 	t.mu.Unlock()
 	t.release()
 	e := t.eng
 	e.live.unregister(t.init)
 	at := e.clock.Tick()
-	e.ctr.Aborts.Add(1)
-	e.ctr.ReapedTxns.Add(1)
-	if o := e.obs; o != nil {
-		o.abortRO()
-		o.reaped(obs.NoClass, t.init)
-	}
-	e.rec.RecordAbort(t.init, at)
-	return true
-}
-
-// Wall exposes the wall the transaction reads under, for tests.
-func (t *readOnlyTxn) Wall() *alink.TimeWall { return t.wall }
-
-// pathReadOnlyTxn reads along one critical path as a fictitious class below
-// base (§5, Figure 8). Its activity-link thresholds are pinned at begin.
-type pathReadOnlyTxn struct {
-	eng      *Engine
-	init     vclock.Time
-	base     schema.ClassID
-	bounds   map[schema.SegmentID]vclock.Time
-	release  func()
-	deadline time.Time
-
-	mu      sync.Mutex
-	done    bool
-	deadErr error
-}
-
-var _ cc.Txn = (*pathReadOnlyTxn)(nil)
-var _ cc.SharedReader = (*pathReadOnlyTxn)(nil)
-var _ liveTxn = (*pathReadOnlyTxn)(nil)
-
-// ID implements cc.Txn.
-func (t *pathReadOnlyTxn) ID() cc.TxnID { return t.init }
-
-// Class implements cc.Txn.
-func (t *pathReadOnlyTxn) Class() schema.ClassID { return schema.NoClass }
-
-// Read implements cc.Txn: ReadShared plus the defensive copy the public
-// boundary owes its callers.
-func (t *pathReadOnlyTxn) Read(g schema.GranuleID) ([]byte, error) {
-	val, err := t.ReadShared(g)
-	if val == nil || err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), val...), nil
-}
-
-// ReadShared implements cc.SharedReader with the fictitious-class
-// Protocol A threshold pinned at initiation. Wait-free into the store's
-// published chain; the returned slice aliases immutable engine-owned memory.
-func (t *pathReadOnlyTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
-	e := t.eng
-	if err := e.closedErr(); err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	if t.done {
-		err := t.deadErr
-		t.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return nil, cc.ErrTxnDone
-	}
-	t.mu.Unlock()
-	bound, ok := t.bounds[g.Segment]
-	if !ok {
-		return nil, fmt.Errorf("core: segment %d is not on the critical path above class %d", g.Segment, t.base)
-	}
-	e.ctr.Reads.Add(1)
-	if o := e.obs; o != nil {
-		o.readsAPath.Inc()
-		o.lockfreeAPath.Inc()
-	}
-	val, vts, found := e.store.ReadCommittedBefore(g, bound)
-	e.rec.RecordRead(t.init, g, vts, found)
-	return val, nil
-}
-
-// Write implements cc.Txn; read-only transactions cannot write.
-func (t *pathReadOnlyTxn) Write(schema.GranuleID, []byte) error {
-	return fmt.Errorf("core: write in a read-only transaction")
-}
-
-// Commit implements cc.Txn.
-func (t *pathReadOnlyTxn) Commit() error {
-	return t.finish(false)
-}
-
-// Abort implements cc.Txn.
-func (t *pathReadOnlyTxn) Abort() error {
-	_ = t.finish(true)
-	return nil
-}
-
-func (t *pathReadOnlyTxn) finish(aborted bool) error {
-	t.mu.Lock()
-	if t.done {
-		err := t.deadErr
-		t.mu.Unlock()
-		if aborted {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		return cc.ErrTxnDone
-	}
-	t.done = true
-	t.mu.Unlock()
-	t.release()
-	e := t.eng
-	e.live.unregister(t.init)
-	at := e.clock.Tick()
-	if aborted {
-		e.ctr.Aborts.Add(1)
-		if o := e.obs; o != nil {
-			o.abortRO()
-		}
-		e.rec.RecordAbort(t.init, at)
-	} else {
+	o := e.obs
+	if !aborted {
 		e.ctr.Commits.Add(1)
-		if o := e.obs; o != nil {
+		if o != nil {
 			o.commitRO()
 		}
 		e.rec.RecordCommit(t.init, at)
+		return true, nil
 	}
-	return nil
-}
-
-// expiry implements liveTxn.
-func (t *pathReadOnlyTxn) expiry() time.Time { return t.deadline }
-
-// reap implements liveTxn: releases the pinned activity-link floor so
-// garbage collection can advance past an abandoned path reader.
-func (t *pathReadOnlyTxn) reap() bool {
-	t.mu.Lock()
-	if t.done {
-		t.mu.Unlock()
-		return false
-	}
-	t.done = true
-	t.deadErr = &cc.AbortError{Reason: cc.ReasonTimedOut,
-		Err: fmt.Errorf("path read-only transaction %d force-aborted by the reaper after exceeding its deadline", t.init)}
-	t.mu.Unlock()
-	t.release()
-	e := t.eng
-	e.live.unregister(t.init)
-	at := e.clock.Tick()
 	e.ctr.Aborts.Add(1)
-	e.ctr.ReapedTxns.Add(1)
-	if o := e.obs; o != nil {
+	if sticky != nil {
+		e.ctr.ReapedTxns.Add(1)
+	}
+	if o != nil {
 		o.abortRO()
-		o.reaped(obs.NoClass, t.init)
+		if sticky != nil {
+			o.reaped(obs.NoClass, t.init)
+		}
 	}
 	e.rec.RecordAbort(t.init, at)
-	return true
+	return true, nil
 }

@@ -10,7 +10,11 @@ import (
 	"hdd/internal/vclock"
 )
 
-// updateTxn is an update transaction of one class.
+// updateTxn is an update transaction of one class: Protocol A for reads
+// outside its root segment, Protocol B inside it (§4.2). An ad-hoc
+// transaction (§7.1, adhoc.go) is an updateTxn of its write segment's class
+// that holds its conflict set drained for its lifetime and reads the latest
+// committed version of any segment it declared.
 //
 // The mutex exists for the reaper: the owning client drives Read/Write/
 // Commit/Abort from one goroutine, but the background reaper (and a Close
@@ -24,6 +28,13 @@ type updateTxn struct {
 	init     vclock.Time
 	class    schema.ClassID
 	deadline time.Time // zero = no deadline
+	// held is an ad-hoc transaction's conflict set, locked exclusively in
+	// the admission gate; nil for an ordinary transaction, which holds a
+	// share of its own class's gate.
+	held []schema.ClassID
+	// readSet is an ad-hoc transaction's declared read set; nil = any
+	// segment.
+	readSet map[schema.SegmentID]bool
 
 	mu   sync.Mutex
 	done bool
@@ -48,31 +59,33 @@ func (t *updateTxn) ID() cc.TxnID { return t.init }
 // Class implements cc.Txn.
 func (t *updateTxn) Class() schema.ClassID { return t.class }
 
-// deadErrLocked returns the error operations on a finished transaction
-// surface: the sticky force-abort error if one was set, cc.ErrTxnDone
-// otherwise. Callers must hold t.mu.
-func (t *updateTxn) deadErrLocked() error {
-	if t.deadErr != nil {
-		return t.deadErr
+// doneErr is the error operations on a finished transaction surface: the
+// sticky force-abort error if one was set, cc.ErrTxnDone otherwise.
+func doneErr(sticky error) error {
+	if sticky != nil {
+		return sticky
 	}
 	return cc.ErrTxnDone
 }
 
-// Read implements cc.Txn: ReadShared plus the defensive copy the public
-// boundary owes its callers.
-func (t *updateTxn) Read(g schema.GranuleID) ([]byte, error) {
-	val, err := t.ReadShared(g)
+// copyOut is Read's defensive copy of a ReadShared result: the public
+// boundary never hands callers engine-owned memory.
+func copyOut(val []byte, err error) ([]byte, error) {
 	if val == nil || err != nil {
 		return nil, err
 	}
 	return append([]byte(nil), val...), nil
 }
 
-// ReadShared implements cc.SharedReader. Reads in the root segment follow
-// Protocol B (registered, may wait); reads in higher segments follow
-// Protocol A (non-blocking, trace-free — and wait-free all the way into
-// the store, which serves them from the published chain with no locks and
-// no copies). A blocked Protocol B read wakes on the transaction deadline
+// Read implements cc.Txn.
+func (t *updateTxn) Read(g schema.GranuleID) ([]byte, error) { return copyOut(t.ReadShared(g)) }
+
+// ReadShared implements cc.SharedReader. An ad-hoc transaction reads the
+// latest committed version. Otherwise reads in the root segment follow
+// Protocol B (registered, may wait) and reads in higher segments follow
+// Protocol A (non-blocking, trace-free — and wait-free all the way into the
+// store, which serves them from the published chain with no locks and no
+// copies). A blocked Protocol B read wakes on the transaction deadline
 // (aborting with cc.ReasonTimedOut) and on engine shutdown (returning
 // cc.ErrEngineClosed). The returned slice aliases immutable engine-owned
 // memory.
@@ -83,7 +96,7 @@ func (t *updateTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 	}
 	t.mu.Lock()
 	if t.done {
-		err := t.deadErrLocked()
+		err := doneErr(t.deadErr)
 		t.mu.Unlock()
 		return nil, err
 	}
@@ -96,9 +109,24 @@ func (t *updateTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 		return v, nil
 	}
 	t.mu.Unlock()
-	root := e.part.Class(t.class).Writes
 	switch {
-	case g.Segment == root:
+	case t.held != nil:
+		// Ad-hoc: exact, because no conflicting update runs concurrently.
+		// A declared transaction may only read its declared segments:
+		// anything else is outside the drained conflict set, where the
+		// solo-execution argument does not hold.
+		if t.readSet != nil && !t.readSet[g.Segment] {
+			return nil, t.fail(cc.ReasonClassViolation,
+				fmt.Errorf("ad-hoc transaction read segment %d outside its declared set", g.Segment))
+		}
+		val, vts, ok := e.store.ReadCommittedBefore(g, vclock.Infinity)
+		if o := e.obs; o != nil {
+			o.readsAdHoc.Inc()
+			o.lockfreeAdHoc.Inc()
+		}
+		e.rec.RecordRead(t.init, g, vts, ok)
+		return val, nil
+	case g.Segment == e.part.Class(t.class).Writes:
 		// Protocol B: registered read at the transaction's own timestamp
 		// (RootMVTO), or of the globally latest version with a
 		// read-too-late rejection (RootBasicTO).
@@ -116,10 +144,8 @@ func (t *updateTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 				// no-deadlock argument only covers waits on elders.
 				if e.rootProto == RootBasicTO && vts > t.init {
 					e.ctr.RejectedReads.Add(1)
-					err := &cc.AbortError{Reason: cc.ReasonReadRejected,
-						Err: fmt.Errorf("basic-TO root read of %v at %d behind prewrite at %d", g, t.init, vts)}
-					t.abort()
-					return nil, err
+					return nil, t.fail(cc.ReasonReadRejected,
+						fmt.Errorf("basic-TO root read of %v at %d behind prewrite at %d", g, t.init, vts))
 				}
 				e.ctr.BlockedReads.Add(1)
 				if err := t.awaitResolve(g, wait); err != nil {
@@ -130,7 +156,7 @@ func (t *updateTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 				// store again.
 				t.mu.Lock()
 				if t.done {
-					err := t.deadErrLocked()
+					err := doneErr(t.deadErr)
 					t.mu.Unlock()
 					return nil, err
 				}
@@ -139,10 +165,8 @@ func (t *updateTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 			}
 			if e.rootProto == RootBasicTO && ok && vts > t.init {
 				e.ctr.RejectedReads.Add(1)
-				err := &cc.AbortError{Reason: cc.ReasonReadRejected,
-					Err: fmt.Errorf("basic-TO root read of %v at %d after write at %d", g, t.init, vts)}
-				t.abort()
-				return nil, err
+				return nil, t.fail(cc.ReasonReadRejected,
+					fmt.Errorf("basic-TO root read of %v at %d after write at %d", g, t.init, vts))
 			}
 			e.ctr.ReadRegistrations.Add(1)
 			if o := e.obs; o != nil {
@@ -164,11 +188,16 @@ func (t *updateTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 		e.rec.RecordRead(t.init, g, vts, ok)
 		return val, nil
 	default:
-		err := &cc.AbortError{Reason: cc.ReasonClassViolation,
-			Err: fmt.Errorf("class %d (%q) may not read segment %d", t.class, e.part.Class(t.class).Name, g.Segment)}
-		t.abort()
-		return nil, err
+		return nil, t.fail(cc.ReasonClassViolation,
+			fmt.Errorf("class %d (%q) may not read segment %d", t.class, e.part.Class(t.class).Name, g.Segment))
 	}
+}
+
+// fail aborts the transaction and returns the abort error the failed
+// operation reports. The caller must not hold t.mu.
+func (t *updateTxn) fail(reason string, err error) error {
+	t.abort()
+	return &cc.AbortError{Reason: reason, Err: err}
 }
 
 // awaitResolve blocks a Protocol B read until the pending version it is
@@ -194,7 +223,7 @@ func (t *updateTxn) awaitResolve(g schema.GranuleID, resolved <-chan struct{}) e
 		// Force-aborted while blocked; deadErr was set before cancel
 		// closed.
 		t.mu.Lock()
-		err := t.deadErrLocked()
+		err := doneErr(t.deadErr)
 		t.mu.Unlock()
 		return err
 	case <-e.closed:
@@ -209,9 +238,9 @@ func (t *updateTxn) awaitResolve(g schema.GranuleID, resolved <-chan struct{}) e
 	}
 }
 
-// Write implements cc.Txn. Writes are restricted to the root segment and
-// follow Protocol B's MVTO admission check; a rejected write aborts the
-// transaction.
+// Write implements cc.Txn. Writes are restricted to the root segment (an
+// ad-hoc transaction's class is its write segment's) and follow Protocol
+// B's MVTO admission check; a rejected write aborts the transaction.
 func (t *updateTxn) Write(g schema.GranuleID, value []byte) error {
 	e := t.eng
 	if err := e.closedErr(); err != nil {
@@ -219,17 +248,15 @@ func (t *updateTxn) Write(g schema.GranuleID, value []byte) error {
 	}
 	t.mu.Lock()
 	if t.done {
-		err := t.deadErrLocked()
+		err := doneErr(t.deadErr)
 		t.mu.Unlock()
 		return err
 	}
 	e.ctr.Writes.Add(1)
 	if !e.part.MayWrite(t.class, g.Segment) {
 		t.mu.Unlock()
-		err := &cc.AbortError{Reason: cc.ReasonClassViolation,
-			Err: fmt.Errorf("class %d (%q) may not write segment %d", t.class, e.part.Class(t.class).Name, g.Segment)}
-		t.abort()
-		return err
+		return t.fail(cc.ReasonClassViolation,
+			fmt.Errorf("class %d (%q) may not write segment %d", t.class, e.part.Class(t.class).Name, g.Segment))
 	}
 	if _, ok := t.writes[g]; ok {
 		e.store.UpdatePending(g, t.init, value)
@@ -237,11 +264,12 @@ func (t *updateTxn) Write(g schema.GranuleID, value []byte) error {
 		t.mu.Unlock()
 		return nil
 	}
+	// An ad-hoc transaction can be rejected here too: an update that
+	// finished before the drain may have installed a later version.
 	if err := e.store.InstallChecked(g, t.init, value); err != nil {
 		t.mu.Unlock()
 		e.ctr.RejectedWrites.Add(1)
-		t.abort()
-		return &cc.AbortError{Reason: cc.ReasonWriteRejected, Err: err}
+		return t.fail(cc.ReasonWriteRejected, err)
 	}
 	if t.writes == nil {
 		t.writes = make(map[schema.GranuleID][]byte)
@@ -262,7 +290,7 @@ func (t *updateTxn) Write(g schema.GranuleID, value []byte) error {
 // can only observe this transaction's versions after the flip, so its own
 // marker is enqueued — and therefore flushed — after this one, which is
 // the order recovery needs (DESIGN.md §10.3). The wait for the marker's
-// flush batch happens last, after every in-memory release (gate share,
+// flush batch happens last, after every in-memory release (gate hold,
 // registry, wall poll), so a quiescing snapshot or another committer is
 // never blocked behind this transaction's fsync. The flip-before-durable
 // order does let a read-only transaction observe data whose commit is
@@ -272,7 +300,7 @@ func (t *updateTxn) Commit() error {
 	e := t.eng
 	t.mu.Lock()
 	if t.done {
-		err := t.deadErrLocked()
+		err := doneErr(t.deadErr)
 		t.mu.Unlock()
 		return err
 	}
@@ -294,11 +322,11 @@ func (t *updateTxn) Commit() error {
 	e.rec.RecordCommit(t.init, at)
 	e.pollWalls()
 	// GC — and its PersistPrune log append — runs while this transaction
-	// still holds its admission-gate share: a snapshot's quiesce
-	// (gate.lockAll) cannot complete mid-GC, so a prune record can never
-	// race the post-snapshot log reset.
+	// still holds its admission gate: a snapshot's quiesce (gate.lockAll)
+	// cannot complete mid-GC, so a prune record can never race the
+	// post-snapshot log reset.
 	e.maybeGC()
-	e.exitUpdate(t.class)
+	e.gate.exit(t.class, t.held)
 	if wait != nil {
 		if err := wait(); err != nil {
 			return e.commitDurabilityErr(t.init, err)
@@ -316,8 +344,8 @@ func (t *updateTxn) Abort() error {
 func (t *updateTxn) abort() { t.finishAbort(nil, false) }
 
 // finishAbort moves the transaction to aborted, releasing its pending
-// versions and activity entry. sticky (may be nil) becomes the error
-// subsequent operations return; reaped counts the abort in
+// versions, activity entry and admission gate. sticky (may be nil) becomes
+// the error subsequent operations return; reaped counts the abort in
 // Stats().ReapedTxns. It reports whether this call performed the abort
 // (false if the transaction already finished).
 func (t *updateTxn) finishAbort(sticky error, reaped bool) bool {
@@ -336,7 +364,7 @@ func (t *updateTxn) finishAbort(sticky error, reaped bool) bool {
 	at := e.act.FinishTxn(int(t.class), t.init, e.clock, true)
 	t.mu.Unlock()
 	e.live.unregister(t.init)
-	e.exitUpdate(t.class)
+	e.gate.exit(t.class, t.held)
 	e.ctr.Aborts.Add(1)
 	if reaped {
 		e.ctr.ReapedTxns.Add(1)
@@ -356,8 +384,9 @@ func (t *updateTxn) finishAbort(sticky error, reaped bool) bool {
 func (t *updateTxn) expiry() time.Time { return t.deadline }
 
 // reap implements liveTxn: the reaper force-aborts the transaction,
-// releasing its pending versions and activity entry so walls and GC can
-// progress again.
+// releasing its pending versions, activity entry and admission gate — an
+// ad-hoc transaction's drained conflict set included — so walls, GC and
+// the Begins waiting on the gate can progress again.
 func (t *updateTxn) reap() bool {
 	return t.finishAbort(&cc.AbortError{Reason: cc.ReasonTimedOut,
 		Err: fmt.Errorf("transaction %d force-aborted by the reaper after exceeding its deadline", t.init)}, true)

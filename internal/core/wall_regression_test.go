@@ -6,10 +6,10 @@ import (
 	"sync"
 	"testing"
 
-	"hdd/internal/alink"
 	"hdd/internal/cc"
 	"hdd/internal/sched"
 	"hdd/internal/schema"
+	"hdd/internal/vclock"
 	"hdd/internal/workload"
 )
 
@@ -28,7 +28,7 @@ func TestWallCycleRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 		var wtMu sync.Mutex
-		walls := map[cc.TxnID]*alink.TimeWall{}
+		walls := map[cc.TxnID][]vclock.Time{}
 		var wg sync.WaitGroup
 		for c := 0; c < 6; c++ {
 			wg.Add(1)
@@ -48,7 +48,7 @@ func TestWallCycleRegression(t *testing.T) {
 					default:
 						ro, _ := e.BeginReadOnly()
 						wtMu.Lock()
-						walls[ro.ID()] = ro.(*readOnlyTxn).wall
+						walls[ro.ID()] = ro.(*readOnlyTxn).bounds
 						wtMu.Unlock()
 						_ = inv.Report(ro, r)
 						_ = ro.Commit()
@@ -68,7 +68,7 @@ func TestWallCycleRegression(t *testing.T) {
 			w := walls[id]
 			wtMu.Unlock()
 			if w != nil {
-				fmt.Printf("  t%d = READ-ONLY wall{At:%d Released:%d comps:%v}\n", id, w.At, w.Released, w.Component)
+				fmt.Printf("  t%d = READ-ONLY wall components %v\n", id, w)
 			} else {
 				fmt.Printf("  t%d = update\n", id)
 			}

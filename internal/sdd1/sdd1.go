@@ -172,6 +172,9 @@ func (t *txn) Read(g schema.GranuleID) ([]byte, error) {
 		return nil, cc.ErrTxnDone
 	}
 	e := t.eng
+	if g.Segment < 0 || int(g.Segment) >= e.part.NumSegments() {
+		return nil, fmt.Errorf("sdd1: unknown segment %d", g.Segment)
+	}
 	e.ctr.Reads.Add(1)
 	if v, ok := t.writes[g]; ok {
 		e.rec.RecordRead(t.init, g, t.init, true)

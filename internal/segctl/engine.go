@@ -289,6 +289,9 @@ func (t *roTxn) Read(g schema.GranuleID) ([]byte, error) {
 	if t.done {
 		return nil, cc.ErrTxnDone
 	}
+	if g.Segment < 0 || int(g.Segment) >= len(t.wall.Component) {
+		return nil, fmt.Errorf("segctl: unknown segment %d", g.Segment)
+	}
 	e := t.eng
 	e.ctr.Reads.Add(1)
 	val, vts, ok := e.controller(g.Segment).ReadBelow(g, t.wall.Threshold(g.Segment))

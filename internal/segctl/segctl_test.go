@@ -168,6 +168,24 @@ func TestReadOnlyWall(t *testing.T) {
 	}
 }
 
+// TestReadOnlyUnknownSegment: a Protocol C read of a segment the partition
+// does not have is an error, not a panic, and the transaction stays usable.
+func TestReadOnlyUnknownSegment(t *testing.T) {
+	e := newEngine(t, nil)
+	ro, _ := e.BeginReadOnly()
+	for _, seg := range []int{99, 4, -1} {
+		if _, err := ro.Read(gr(seg, 1)); err == nil || cc.IsAbort(err) {
+			t.Fatalf("read of segment %d = %v, want a non-abort error", seg, err)
+		}
+	}
+	if _, err := ro.Read(gr(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ro.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSerializabilityUnderLoad: the message-passing engine passes the same
 // property test as the shared-memory one.
 func TestSerializabilityUnderLoad(t *testing.T) {

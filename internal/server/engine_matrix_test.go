@@ -358,6 +358,42 @@ func checkStats(t *testing.T, c *client.Client, info client.ServerInfo) {
 	}
 }
 
+// TestUnknownSegmentReadKeepsServing: a read-only transaction that names a
+// segment the partition does not have gets an error back over the wire,
+// and the server keeps serving — the transaction commits, and so does a
+// fresh update transaction. Run against the engines that know the
+// partition; the others read any segment.
+func TestUnknownSegmentReadKeepsServing(t *testing.T) {
+	for _, name := range []string{"HDD", "HDD-msg", "SDD-1"} {
+		t.Run(name, func(t *testing.T) {
+			_, addr := startEngineServer(t, name, 3, "")
+			c := dial(t, addr)
+			ro, err := c.BeginReadOnly()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seg := range []hdd.SegmentID{99, -1} {
+				if _, err := ro.Read(hdd.GranuleID{Segment: seg, Key: 1}); err == nil || hdd.IsAbort(err) {
+					t.Fatalf("read of segment %d = %v, want a non-abort error", seg, err)
+				}
+			}
+			if err := ro.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			tx, err := c.Begin(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Write(hdd.GranuleID{Segment: 0, Key: 1}, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestWaitFreeReadOnlyByEngine: only the HDD engine declares that its
 // read-only transactions cannot block, and the wire reports it by name.
 func TestWaitFreeReadOnlyByEngine(t *testing.T) {
