@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-smoke bench-e2e bench-e2e-smoke experiments examples check clean serve stress-mvstore stress-wal stress-core fuzz-wal fuzz-checkpoint fuzz-wire torture torture-smoke
+.PHONY: all build vet test race cover bench bench-smoke bench-e2e bench-e2e-smoke experiments examples check clean serve stress-mvstore stress-wal stress-core fuzz-wal fuzz-wire torture torture-smoke
 
 all: build vet test
 
@@ -71,16 +71,13 @@ stress-wal:
 stress-core:
 	$(GO) test -race -count=10 -run 'Serializab|AdHoc|Reap|ReadOnly|Path|Close' ./internal/core/
 
-# Short fixed-budget fuzz of the WAL decoder and replay loop (the
-# checked-in corpus under internal/wal/testdata runs on every `go test`).
+# Short fixed-budget fuzz of the one on-disk format: the log's record
+# decoder and replay loop, and checkpoints, which are log segments (the
+# checked-in corpora under testdata/ run on every `go test`).
 FUZZTIME ?= 10s
 fuzz-wal:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME)
-
-# Fixed-budget fuzz of the checkpoint decoder (corpus under
-# internal/mvstore/testdata runs on every `go test`).
-fuzz-checkpoint:
 	$(GO) test ./internal/mvstore/ -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME)
 
 # Fixed-budget fuzz of the wire decoders — the one parser that faces the

@@ -61,8 +61,8 @@ func WithDialTimeout(d time.Duration) Option { return func(o *options) { o.dialT
 
 // WithRequestTimeout bounds each request round-trip, including any time
 // the server spends blocked in a Protocol B read on the transaction's
-// behalf. Default 30s; it should comfortably exceed the server's
-// transaction timeout.
+// behalf. Default 30s, also for d <= 0; it should comfortably exceed the
+// server's transaction timeout.
 func WithRequestTimeout(d time.Duration) Option { return func(o *options) { o.requestTimeout = d } }
 
 // WithConns sets how many multiplexed connections the client spreads its
@@ -98,12 +98,17 @@ var _ hdd.Beginner = (*Client)(nil)
 // (ServerInfo) and proves the peer speaks this client's wire version. The
 // remaining connections are opened on demand.
 func Dial(addr string, opts ...Option) (*Client, error) {
-	o := options{dialTimeout: 5 * time.Second, requestTimeout: 30 * time.Second, conns: 4}
+	o := options{dialTimeout: 5 * time.Second, conns: 4}
 	for _, f := range opts {
 		f(&o)
 	}
 	if o.conns < 1 {
 		o.conns = 1
+	}
+	if o.requestTimeout <= 0 {
+		// Unset or not positive: a zero timer and a write deadline of now
+		// would fail every round trip.
+		o.requestTimeout = 30 * time.Second
 	}
 	c := &Client{addr: addr, opt: o, slots: make([]*mconn, o.conns)}
 	_, resp, err := c.call(&wire.Request{Op: wire.OpHello})

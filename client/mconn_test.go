@@ -209,6 +209,23 @@ func TestClientSurvivesServerRestart(t *testing.T) {
 	}
 }
 
+// TestZeroRequestTimeoutMeansDefault: WithRequestTimeout(0) takes the
+// default, as an unset timeout does, instead of failing every round trip.
+func TestZeroRequestTimeoutMeansDefault(t *testing.T) {
+	_, addr := startHDD(t, "127.0.0.1:0")
+	c, err := Dial(addr, WithConns(1), WithRequestTimeout(0))
+	if err != nil {
+		t.Fatalf("Dial with a zero request timeout: %v", err)
+	}
+	defer c.Close()
+	err = hdd.Run(c, 0, func(tx hdd.Txn) error {
+		return tx.Write(hdd.GranuleID{Segment: 0, Key: 1}, []byte("v"))
+	}, hdd.RetryPolicy{})
+	if err != nil {
+		t.Fatalf("transaction with a zero request timeout: %v", err)
+	}
+}
+
 // TestDialRejectsOtherWireVersion: a peer that answers Hello with a frame
 // of another protocol version (here what a version-1 server sent for a
 // frame it could not decode) fails Dial with an error that says so.

@@ -65,7 +65,6 @@ func main() {
 
 		dataDir       = flag.String("data-dir", "", "durable state directory (snapshot + WAL); empty runs memory-only")
 		walFlush      = flag.Duration("wal-flush-interval", 0, "fixed group-commit wait from a batch's first commit; 0 decides per batch whether committers due back are worth holding the fsync for")
-		walSyncEach   = flag.Bool("wal-sync-each", false, "fsync every commit individually instead of group committing")
 		snapshotBytes = flag.Int64("snapshot-bytes", 8<<20, "WAL size that triggers a background snapshot; negative disables")
 	)
 	flag.Parse()
@@ -87,7 +86,6 @@ func main() {
 		TxnTimeout:       *txnTimeout,
 		DataDir:          *dataDir,
 		WALFlushInterval: *walFlush,
-		WALSyncEach:      *walSyncEach,
 		SnapshotBytes:    *snapshotBytes,
 		Obs:              plane,
 	})

@@ -15,7 +15,8 @@ import (
 // committed versions of each chain's published array, immutable once
 // committed, so the checkpointer and the wait-free readers share memory
 // without synchronizing, and the quiesced gates guarantee the chains are
-// mutually consistent.
+// mutually consistent. A committed value longer than one log frame carries
+// (just under 1 MiB; every wire.MaxValue-sized value fits) is an error.
 func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	all := e.gate.lockAll()
 	defer e.gate.unlock(all)

@@ -3,8 +3,13 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+
+	"hdd/internal/wal"
 )
 
 func TestEngineCheckpointRecover(t *testing.T) {
@@ -49,6 +54,21 @@ func TestEngineCheckpointRecover(t *testing.T) {
 		t.Fatalf("recovered wall read = %q", got)
 	}
 	mustCommit(t, ro)
+}
+
+// A memory-only engine takes values of any size, but a checkpoint frame
+// does not: checkpointing one is an error, and the engine keeps serving.
+func TestCheckpointOversizedValueIsAnError(t *testing.T) {
+	e := newEngine(t, twoLevel(t), nil)
+	tx, _ := e.Begin(0)
+	write(t, tx, gr(0, 1), string(make([]byte, wal.MaxRecord)))
+	mustCommit(t, tx)
+	if err := e.WriteCheckpoint(io.Discard); err == nil || !strings.Contains(err.Error(), strconv.Itoa(wal.MaxRecord)) {
+		t.Fatalf("checkpoint of a %d-byte value: err = %v, want an error naming its size", wal.MaxRecord, err)
+	}
+	tx, _ = e.Begin(0)
+	write(t, tx, gr(0, 1), "small")
+	mustCommit(t, tx)
 }
 
 // TestCheckpointDuringLoad: checkpoints taken while updates churn are

@@ -5,9 +5,10 @@ package core
 // the in-memory multi-version store — while a mvstore.Persister hook
 // streams every install/abort/prune into a redo-only WAL
 // (internal/wal), commit markers ride the WAL's group-commit pipeline,
-// and a background snapshotter bounds the log with the existing
-// HDDCKPT1 checkpoint format. Startup recovery is snapshot + WAL-tail
-// replay, discarding transactions without a durable commit marker.
+// and a background snapshotter bounds the log with a checkpoint: a log
+// segment in the same framing holding only committed writes. Startup
+// recovery is snapshot + WAL-tail replay, discarding transactions
+// without a durable commit marker.
 
 import (
 	"errors"
@@ -257,7 +258,6 @@ func (e *Engine) initDurability(cfg Config) error {
 	log, err := wal.Open(walPath, valid, wal.Options{
 		FlushInterval: cfg.WALFlushInterval,
 		FlushBytes:    cfg.WALFlushBytes,
-		SyncEach:      cfg.WALSyncEach,
 		FS:            fs,
 		OnError:       d.poison,
 		OnFlush:       onFlush,

@@ -135,9 +135,6 @@ type Config struct {
 	// WALFlushBytes flushes a batch early once this many bytes are
 	// pending. Defaults to 256 KiB.
 	WALFlushBytes int
-	// WALSyncEach fsyncs every commit individually instead of group
-	// committing — the durability baseline the benchmarks compare against.
-	WALSyncEach bool
 	// SnapshotBytes is the log size past which the background snapshotter
 	// checkpoints the store and truncates the log. Defaults to 8 MiB;
 	// negative disables automatic snapshots (Snapshot can still be called

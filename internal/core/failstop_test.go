@@ -3,10 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"hdd/internal/cc"
+	"hdd/internal/mvstore"
 	"hdd/internal/schema"
+	"hdd/internal/vclock"
 	"hdd/internal/vfs"
 )
 
@@ -224,5 +227,71 @@ func TestSnapshotRenameFailureKeepsLog(t *testing.T) {
 	defer e2.Close()
 	if v, ok := readLatest(t, e2, 0, gr(0, 0)); !ok || v != "kept" {
 		t.Fatalf("recovered (%q, %v), want the logged commit", v, ok)
+	}
+}
+
+// TestSnapshotLogOverlapReplaysOnce pins what makes a crash between the
+// snapshot rename and the log truncation safe: both files then hold the
+// same committed writes, in the same record kinds. The truncate fails
+// here (the engine degrades, as if it had crashed), and the reboot must
+// load the snapshot, replay the whole log over it, and hold every
+// acknowledged value exactly once, at its version.
+func TestSnapshotLogOverlapReplaysOnce(t *testing.T) {
+	part := twoLevel(t)
+	dir := t.TempDir()
+	fs := vfs.NewFaulty(nil)
+	// OpTruncate #1 is wal.Open cutting the new log to its valid prefix at
+	// boot; #2 is the log reset that follows the snapshot.
+	fs.Inject(vfs.Fault{Op: vfs.OpTruncate, Nth: 2})
+	e := faultyEngine(t, part, dir, fs)
+	acked := map[schema.GranuleID]map[vclock.Time]string{}
+	var last vclock.Time
+	for i := 0; i < 9; i++ {
+		g := gr(0, i%3)
+		txn, err := e.Begin(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := fmt.Sprintf("v%d", i)
+		write(t, txn, g, v)
+		mustCommit(t, txn)
+		if acked[g] == nil {
+			acked[g] = map[vclock.Time]string{}
+		}
+		acked[g][txn.ID()], last = v, txn.ID()
+	}
+	if err := e.Snapshot(); err == nil || !strings.Contains(err.Error(), "truncating wal after snapshot") {
+		t.Fatalf("Snapshot = %v, want the injected truncate failure", err)
+	}
+	e.Close()
+
+	e2 := durableEngine(t, part, dir)
+	defer e2.Close()
+	st, _ := e2.DurabilityStats()
+	if !st.Recovery.SnapshotLoaded || st.Recovery.ReplayedRecords == 0 {
+		t.Fatalf("recovery = %+v, want the snapshot loaded and the log replayed over it", st.Recovery)
+	}
+	for g, want := range acked {
+		vers := e2.store.Versions(g)
+		if len(vers) != len(want) {
+			t.Fatalf("%v holds %d versions, want each of its %d acknowledged commits once: %+v", g, len(vers), len(want), vers)
+		}
+		for _, v := range vers {
+			got, ts, ok := e2.store.ReadCommittedBefore(g, v.TS+1)
+			if v.State != mvstore.Committed || !ok || ts != v.TS || string(got) != want[v.TS] {
+				t.Fatalf("%v@%d = %q (state %d), want acknowledged %q", g, v.TS, got, v.State, want[v.TS])
+			}
+		}
+	}
+	if st.Recovery.HighWater < last || e2.Clock().Now() < st.Recovery.HighWater {
+		t.Fatalf("high water %d, clock %d; last acknowledged commit %d", st.Recovery.HighWater, e2.Clock().Now(), last)
+	}
+	txn, err := e2.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer txn.Abort()
+	if txn.ID() <= st.Recovery.HighWater {
+		t.Fatalf("first transaction after recovery at %d, not above the high water %d", txn.ID(), st.Recovery.HighWater)
 	}
 }

@@ -87,7 +87,7 @@ func tortureWorkload(t *testing.T, e *Engine) tortureResult {
 	return res
 }
 
-func tortureEngine(part *schema.Partition, dir string, fs vfs.FS, syncEach bool) (*Engine, error) {
+func tortureEngine(part *schema.Partition, dir string, fs vfs.FS) (*Engine, error) {
 	return NewEngine(Config{
 		Partition:      part,
 		WallInterval:   8,
@@ -95,7 +95,6 @@ func tortureEngine(part *schema.Partition, dir string, fs vfs.FS, syncEach bool)
 		Durability:     DurabilityWAL,
 		DataDir:        dir,
 		SnapshotBytes:  -1, // snapshots only where the workload asks
-		WALSyncEach:    syncEach,
 		FS:             fs,
 	})
 }
@@ -184,7 +183,7 @@ func TestCrashPointLattice(t *testing.T) {
 	// Probe run: count the lattice.
 	probeFS := vfs.NewFaulty(nil)
 	probeDir := t.TempDir()
-	e, err := tortureEngine(part, probeDir, probeFS, false)
+	e, err := tortureEngine(part, probeDir, probeFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +202,7 @@ func TestCrashPointLattice(t *testing.T) {
 			dir := t.TempDir()
 			fs := vfs.NewFaulty(nil)
 			fs.CrashAtOp(n)
-			// Alternate durability modes so the lattice also covers the
-			// SyncEach write path.
-			eng, err := tortureEngine(part, dir, fs, n%2 == 1)
+			eng, err := tortureEngine(part, dir, fs)
 			var res tortureResult
 			if err == nil {
 				res = tortureWorkload(t, eng)
@@ -246,7 +243,7 @@ func TestFaultPointLattice(t *testing.T) {
 				dir := t.TempDir()
 				fs := vfs.NewFaulty(nil)
 				fs.Inject(vfs.Fault{Op: k.op, Nth: nth})
-				eng, err := tortureEngine(part, dir, fs, false)
+				eng, err := tortureEngine(part, dir, fs)
 				var res tortureResult
 				if err == nil {
 					res = tortureWorkload(t, eng)

@@ -1,16 +1,14 @@
 package core
 
 // BenchmarkWALCommit measures the commit path under each durability
-// arrangement — memory-only, group-committed WAL (several flush
-// policies), and per-commit fsync — at 1 and 8 concurrent committers.
-// The per-commit-fsync baseline serializes one log sync per commit, so
-// its throughput is capped near 1/fsync-latency regardless of
-// concurrency; group commit amortizes the sync across every committer
-// that arrives during the previous flush. Run it with `go test -run '^$'
-// -bench WALCommit ./internal/core/`; the ISSUE 4 acceptance bar is group
-// commit ≥3× per-commit fsync at 8 committers. The net-shaped arm is the
-// end-to-end benchmark's update_durable seen from the log: a 1 ms device
-// and eight committers that take half of that to come back.
+// arrangement — memory-only and group-committed WAL under several flush
+// policies — at 1 and 8 concurrent committers. A lone committer pays one
+// fsync per commit; group commit amortizes the sync across every
+// committer that arrives during the previous flush, which the syncs and
+// records/batch metrics show. Run it with `go test -run '^$' -bench
+// WALCommit ./internal/core/`. The net-shaped arm is the end-to-end
+// benchmark's update_durable seen from the log: a 1 ms device and eight
+// committers that take half of that to come back.
 
 import (
 	"fmt"
@@ -51,11 +49,6 @@ func BenchmarkWALCommit(b *testing.B) {
 		{"group-4k", func(dir string) Config {
 			cfg := walCfg(dir)
 			cfg.WALFlushBytes = 4 << 10 // small byte threshold: early flushes
-			return cfg
-		}},
-		{"sync-each", func(dir string) Config {
-			cfg := walCfg(dir)
-			cfg.WALSyncEach = true
 			return cfg
 		}},
 	}

@@ -54,9 +54,6 @@ type Options struct {
 	DataDir string
 	// WALFlushInterval is a fixed group-commit window; 0 decides per batch.
 	WALFlushInterval time.Duration
-	// WALSyncEach fsyncs every commit individually instead of group
-	// committing.
-	WALSyncEach bool
 	// SnapshotBytes is the WAL size that triggers a background snapshot;
 	// negative disables automatic snapshots.
 	SnapshotBytes int64
@@ -98,7 +95,6 @@ var entries = []Entry{
 			cfg.Durability = core.DurabilityWAL
 			cfg.DataDir = o.DataDir
 			cfg.WALFlushInterval = o.WALFlushInterval
-			cfg.WALSyncEach = o.WALSyncEach
 			cfg.SnapshotBytes = o.SnapshotBytes
 			cfg.FS = o.FS
 		}

@@ -2,10 +2,16 @@ package mvstore
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"hdd/internal/vclock"
+	"hdd/internal/wal"
+	"hdd/internal/wire"
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -28,9 +34,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if high < 123 {
-		t.Fatalf("high = %d", high)
+	if high != 123 {
+		t.Fatalf("high = %d, want the largest committed write timestamp 123", high)
 	}
+	encoded := append([]byte(nil), buf.Bytes()...)
 
 	r, rhigh, err := ReadCheckpoint(&buf)
 	if err != nil {
@@ -56,7 +63,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				t.Fatalf("granule %v: %d versions, want %d", gid, len(got), len(wantCommitted))
 			}
 			for i := range got {
-				if got[i].TS != wantCommitted[i].TS || got[i].Len != wantCommitted[i].Len {
+				if got[i] != wantCommitted[i] {
 					t.Fatalf("granule %v version %d mismatch: %+v vs %+v", gid, i, got[i], wantCommitted[i])
 				}
 			}
@@ -71,12 +78,24 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if v, _, ok := r.ReadCommittedBefore(g(0, 0), vclock.Infinity); ok && string(v) == "pending-must-vanish" {
 		t.Fatal("pending version resurrected")
 	}
+	// The reloaded store writes the identical checkpoint.
+	var again bytes.Buffer
+	if _, err := r.WriteCheckpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), encoded) {
+		t.Fatal("re-encoding the reloaded store changed the checkpoint")
+	}
 }
 
+// An empty store's checkpoint is the closing record alone, stamped 0.
 func TestCheckpointEmptyStore(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := New().WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if want := frames(wal.Record{Kind: wal.KindCommit}); !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("empty checkpoint = %x, want %x", buf.Bytes(), want)
 	}
 	r, high, err := ReadCheckpoint(&buf)
 	if err != nil {
@@ -97,30 +116,50 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	}
 	good := buf.Bytes()
 
-	// Flip a payload byte.
 	bad := append([]byte(nil), good...)
 	bad[len(bad)/2] ^= 0xFF
-	if _, _, err := ReadCheckpoint(bytes.NewReader(bad)); err == nil {
-		t.Fatal("corruption not detected")
+	for name, p := range map[string][]byte{
+		"flipped byte": bad,
+		"truncated":    good[:len(good)-6],
+		"garbage":      []byte("NOTACKPTxxxxxxxxxxxx"),
+		"empty":        nil,
+	} {
+		if _, _, err := ReadCheckpoint(bytes.NewReader(p)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	// Truncate.
-	if _, _, err := ReadCheckpoint(bytes.NewReader(good[:len(good)-6])); err == nil {
-		t.Fatal("truncation not detected")
+	// The checked-in fuzz corpus holds inputs that must all be refused.
+	corpus, err := filepath.Glob("testdata/fuzz/FuzzCheckpointDecode/*")
+	if err != nil || len(corpus) == 0 {
+		t.Fatalf("no fuzz corpus: %v", err)
 	}
-	// Garbage magic (fix the checksum so magic is what fails... easier:
-	// whole-garbage input fails either way).
-	if _, _, err := ReadCheckpoint(strings.NewReader("NOTACKPTxxxxxxxxxxxx")); err == nil {
-		t.Fatal("bad magic not detected")
-	}
-	// Empty input.
-	if _, _, err := ReadCheckpoint(strings.NewReader("")); err == nil {
-		t.Fatal("empty input accepted")
+	for _, path := range corpus {
+		if _, _, err := ReadCheckpoint(bytes.NewReader(corpusBytes(t, path))); err == nil {
+			t.Errorf("corpus entry %s: accepted", filepath.Base(path))
+		}
 	}
 }
 
+// corpusBytes decodes a one-[]byte fuzz corpus file.
+func corpusBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	lit, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+	s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if !ok || err != nil {
+		t.Fatalf("%s: not a []byte corpus entry: %v", path, err)
+	}
+	return []byte(s)
+}
+
+// The largest value the wire accepts fits one checkpoint frame.
 func TestCheckpointLargeValues(t *testing.T) {
 	s := New()
-	big := bytes.Repeat([]byte{7}, 1<<16)
+	big := bytes.Repeat([]byte{7}, wire.MaxValue)
 	_ = s.InstallPending(g(0, 1), 5, big)
 	s.Commit(g(0, 1), 5)
 	var buf bytes.Buffer
@@ -134,6 +173,26 @@ func TestCheckpointLargeValues(t *testing.T) {
 	v, _, ok := r.ReadCommittedBefore(g(0, 1), vclock.Infinity)
 	if !ok || !bytes.Equal(v, big) {
 		t.Fatal("large value mangled")
+	}
+}
+
+// A value longer than a frame carries is an error naming the granule and
+// its size, not a panic; maxValue bytes still fit.
+func TestCheckpointOversizedValueRefused(t *testing.T) {
+	for _, n := range []int{maxValue, maxValue + 1, wal.MaxRecord} {
+		s := New()
+		_ = s.InstallPending(g(0, 1), 5, make([]byte, n))
+		s.Commit(g(0, 1), 5)
+		_, err := s.WriteCheckpoint(io.Discard)
+		if n <= maxValue {
+			if err != nil {
+				t.Fatalf("%d-byte value: %v", n, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), g(0, 1).String()) || !strings.Contains(err.Error(), strconv.Itoa(n)) {
+			t.Fatalf("%d-byte value: err = %v, want one naming %v and the size", n, err, g(0, 1))
+		}
 	}
 }
 
@@ -168,4 +227,122 @@ func TestCheckpointLoadQueuesPrunableChains(t *testing.T) {
 			t.Fatalf("granule %d after GC: %+v, want %+v", key, got, want)
 		}
 	}
+}
+
+// Writing a checkpoint allocates per store, not per version: a store of
+// 400 versions costs what one of 4 does.
+func TestCheckpointWriteAllocsPerStore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	allocs := func(versions int) float64 {
+		s := New()
+		for key := 0; key < 4; key++ {
+			for i := 1; i <= versions; i++ {
+				_ = s.InstallPending(g(0, key), vclock.Time(i), make([]byte, 64))
+				s.Commit(g(0, key), vclock.Time(i))
+			}
+		}
+		var buf bytes.Buffer
+		buf.Grow(1 << 20)
+		return testing.AllocsPerRun(20, func() {
+			buf.Reset()
+			if _, err := s.WriteCheckpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(100); many > one {
+		t.Fatalf("checkpoint of 400 versions made %.0f allocations, of 4 versions %.0f", many, one)
+	}
+}
+
+// frames encodes recs back to back in the log's framing.
+func frames(recs ...wal.Record) []byte {
+	var p []byte
+	for i := range recs {
+		p = wal.AppendFrame(p, &recs[i])
+	}
+	return p
+}
+
+// write and closing are checkpoint records.
+func write(seg, key int, ts vclock.Time, v string) wal.Record {
+	gid := g(seg, key)
+	return wal.Record{Kind: wal.KindWrite, Txn: ts, Seg: gid.Segment, Key: gid.Key, Value: []byte(v)}
+}
+
+func closing(high vclock.Time) wal.Record { return wal.Record{Kind: wal.KindCommit, Txn: high} }
+
+// refused asserts that ReadCheckpoint refuses p at offset off with an
+// error mentioning what.
+func refused(t *testing.T, p []byte, off int, what string) {
+	t.Helper()
+	_, _, err := ReadCheckpoint(bytes.NewReader(p))
+	if err == nil {
+		t.Fatalf("accepted a checkpoint with %s", what)
+	}
+	if at := "at offset " + strconv.Itoa(off) + ":"; !strings.Contains(err.Error(), at) || !strings.Contains(err.Error(), what) {
+		t.Fatalf("error %q does not name %q and %q", err, at, what)
+	}
+}
+
+// One test per refusal: each shape WriteCheckpoint never produces is
+// refused at the offset of the record that breaks it.
+
+func TestCheckpointRefusesTornFrame(t *testing.T) {
+	ok := frames(write(0, 1, 5, "a"), write(0, 2, 6, "b"), closing(6))
+	second, last := len(frames(write(0, 1, 5, "a"))), len(ok)-len(frames(closing(6)))
+	flipped := append([]byte(nil), ok...)
+	flipped[second+10] ^= 0xff // inside the second frame's payload: its CRC fails
+	refused(t, flipped, second, "torn or undecodable frame")
+	refused(t, ok[:len(ok)-3], last, "torn or undecodable frame") // the closing frame cut short
+}
+
+func TestCheckpointRefusesMissingClosingRecord(t *testing.T) {
+	body := frames(write(0, 1, 5, "a"))
+	refused(t, body, len(body), "no closing record")
+}
+
+func TestCheckpointRefusesRecordAfterClosing(t *testing.T) {
+	head := frames(write(0, 1, 5, "a"), closing(5))
+	refused(t, append(head, frames(write(0, 2, 6, "b"))...), len(head), "follows the closing record")
+}
+
+func TestCheckpointRefusesOtherKinds(t *testing.T) {
+	head := frames(write(0, 1, 5, "a"))
+	for _, r := range []wal.Record{
+		{Kind: wal.KindAbort, Txn: 5, Key: 1},
+		{Kind: wal.KindPrune, Watermark: 5},
+	} {
+		refused(t, append(append([]byte(nil), head...), frames(r, closing(5))...), len(head), "record before the closing record")
+	}
+}
+
+func TestCheckpointRefusesWrongHighWater(t *testing.T) {
+	head := frames(write(0, 1, 5, "a"), write(0, 2, 9, "b"))
+	for _, high := range []vclock.Time{5, 10} {
+		refused(t, append(append([]byte(nil), head...), frames(closing(high))...), len(head), "largest timestamp is 9")
+	}
+}
+
+func TestCheckpointRefusesOutOfOrder(t *testing.T) {
+	w := len(frames(write(0, 1, 5, "a"))) // every write below frames to w bytes
+	for _, c := range []struct {
+		name string
+		p    []byte
+		off  int
+	}{
+		{"version repeated", frames(write(0, 1, 5, "a"), write(0, 1, 5, "b"), closing(5)), w},
+		{"versions descending", frames(write(0, 1, 5, "a"), write(0, 1, 4, "b"), closing(5)), w},
+		{"keys descending", frames(write(0, 2, 5, "a"), write(0, 1, 6, "b"), closing(6)), w},
+		{"segments descending", frames(write(1, 1, 5, "a"), write(0, 1, 6, "b"), closing(6)), w},
+		{"granule listed twice", frames(write(0, 1, 5, "a"), write(0, 2, 6, "b"), write(0, 1, 7, "c"), closing(7)), 2 * w},
+	} {
+		t.Run(c.name, func(t *testing.T) { refused(t, c.p, c.off, "does not follow") })
+	}
+}
+
+func TestCheckpointRefusesEmptyFile(t *testing.T) {
+	refused(t, nil, 0, "no closing record")
 }

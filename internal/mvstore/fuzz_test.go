@@ -3,50 +3,49 @@ package mvstore
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
+	"fmt"
 	"strings"
 	"testing"
+
+	"hdd/internal/wal"
 )
 
 // FuzzCheckpointDecode hammers ReadCheckpoint with hostile inputs. The
 // decoder must never panic or over-allocate, and anything it accepts must
-// round-trip: re-encoding the decoded store yields a checkpoint with the
-// same contents and high-water mark. Seeds cover the interesting shapes;
-// the checked-in corpus under testdata/fuzz runs on every `go test`.
+// re-encode to the identical bytes: the format is canonical, so a
+// checkpoint has exactly one encoding. Seeds cover the interesting shapes;
+// the checked-in corpus under testdata/fuzz (inputs that must be refused)
+// runs on every `go test`.
 func FuzzCheckpointDecode(f *testing.F) {
 	// A real empty and a real populated checkpoint.
 	f.Add(checkpointBytes(f, func(s *Store) {}))
 	f.Add(checkpointBytes(f, func(s *Store) {
 		_ = s.InstallPending(g(0, 7), 10, []byte("hello"))
-		s.CommitAt(g(0, 7), 10, 11)
+		s.Commit(g(0, 7), 10)
 		_ = s.InstallPending(g(1, 3), 20, []byte{0xff, 0x00})
-		s.CommitAt(g(1, 3), 20, 21)
+		s.Commit(g(1, 3), 20)
 	}))
-	// Hostile shapes: empty, wrong magic, truncated trailer, flipped
-	// payload byte, and a CRC-valid body with a forged value length.
+	// Hostile shapes: empty, garbage, a closing record cut short, a
+	// flipped payload byte, and a frame declaring more than MaxRecord.
 	f.Add([]byte{})
 	f.Add([]byte("NOTACKPTxxxx"))
-	f.Add([]byte(checkpointMagic))
+	closed := frames(closing(0))
+	f.Add(closed[:len(closed)-1])
 	flipped := checkpointBytes(f, func(s *Store) {
 		_ = s.InstallPending(g(0, 1), 5, []byte("x"))
 		s.Commit(g(0, 1), 5)
 	})
 	flipped[len(flipped)/2] ^= 0xff
 	f.Add(flipped)
-	f.Add(withValidCRC(append([]byte(checkpointMagic),
-		1,    // one granule
-		0, 7, // segment 0, key 7
-		1,      // one version
-		10, 11, // ts, commitTS
-		0xff, 0xff, 0xff, 0xff, 0x0f, // forged 2^36-ish value length
-	)))
-	// CRC-valid, one granule listed twice: the second entry must not
-	// silently replace the first.
-	f.Add(withValidCRC(append([]byte(checkpointMagic),
-		2,                       // two granules
-		0, 7, 1, 10, 11, 1, 'a', // segment 0, key 7: one version
-		0, 7, 1, 20, 21, 1, 'b', // the same granule again
-	)))
+	f.Add(binary.BigEndian.AppendUint32(nil, wal.MaxRecord+1))
+	// CRC-valid frames in shapes WriteCheckpoint never writes: one granule
+	// listed twice, a record after the closing one, another kind before
+	// it, a wrong high-water mark, and no closing record at all.
+	f.Add(frames(write(0, 7, 10, "a"), write(0, 8, 11, "b"), write(0, 7, 20, "c"), closing(20)))
+	f.Add(frames(write(0, 7, 10, "a"), closing(10), write(0, 8, 11, "b")))
+	f.Add(frames(write(0, 7, 10, "a"), wal.Record{Kind: wal.KindPrune, Watermark: 10}, closing(10)))
+	f.Add(frames(write(0, 7, 10, "a"), closing(11)))
+	f.Add(frames(write(0, 7, 10, "a")))
 
 	f.Fuzz(func(t *testing.T, p []byte) {
 		s, high, err := ReadCheckpoint(bytes.NewReader(p))
@@ -58,16 +57,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding a decoded checkpoint: %v", err)
 		}
-		if h2 != high {
-			t.Fatalf("re-encode high = %d, decode said %d", h2, high)
-		}
-		s2, h3, err := ReadCheckpoint(&buf)
-		if err != nil {
-			t.Fatalf("re-encoded checkpoint unreadable: %v", err)
-		}
-		if h3 != high || s2.TotalVersions() != s.TotalVersions() {
-			t.Fatalf("round-trip drift: high %d->%d, versions %d->%d",
-				high, h3, s.TotalVersions(), s2.TotalVersions())
+		if h2 != high || !bytes.Equal(buf.Bytes(), p) {
+			t.Fatalf("accepted %x (high %d) re-encodes to %x (high %d)", p, high, buf.Bytes(), h2)
 		}
 	})
 }
@@ -84,52 +75,22 @@ func checkpointBytes(f *testing.F, fill func(*Store)) []byte {
 	return buf.Bytes()
 }
 
-// withValidCRC appends the correct Castagnoli trailer, so the payload
-// itself — not the checksum gate — is what the decoder must survive.
-func withValidCRC(payload []byte) []byte {
-	return binary.LittleEndian.AppendUint32(payload,
-		crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
-}
-
-// The boot-refusal errors must tell the operator what is wrong with which
-// bytes: magic failures name offset 0 and both magics; checksum failures
-// name the trailer offset and both sums.
+// The boot-refusal errors must tell the operator what is wrong at which
+// byte: a corrupt frame names its own offset, and a frame declaring more
+// than MaxRecord is refused at its offset before anything is allocated.
 func TestCheckpointErrorDetail(t *testing.T) {
-	_, _, err := ReadCheckpoint(strings.NewReader("NOTACKPT1234"))
-	if err == nil || !strings.Contains(err.Error(), "bad checkpoint magic") ||
-		!strings.Contains(err.Error(), "offset 0") ||
-		!strings.Contains(err.Error(), checkpointMagic) {
-		t.Fatalf("magic error lacks detail: %v", err)
+	head := frames(write(0, 1, 10, "x"))
+	p := append(append([]byte(nil), head...), frames(write(0, 2, 11, "y"), closing(11))...)
+	p[len(head)+9] ^= 0xff // inside the second frame's payload
+	want := fmt.Sprintf("checkpoint refused at offset %d: torn or undecodable frame", len(head))
+	_, _, err := ReadCheckpoint(bytes.NewReader(p))
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("corrupt frame error lacks detail: %v", err)
 	}
 
-	s := New()
-	_ = s.InstallPending(g(0, 1), 10, []byte("x"))
-	s.Commit(g(0, 1), 10)
-	var buf bytes.Buffer
-	if _, err := s.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	bad := buf.Bytes()
-	bad[len(checkpointMagic)+2] ^= 0xff // corrupt the payload, keep the magic
-	_, _, err = ReadCheckpoint(bytes.NewReader(bad))
-	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") ||
-		!strings.Contains(err.Error(), "offset") {
-		t.Fatalf("checksum error lacks detail: %v", err)
-	}
-
-	// A forged value length is refused before it allocates.
-	forged := withValidCRC(append([]byte(checkpointMagic),
-		1, 0, 7, 1, 10, 11, 0xff, 0xff, 0xff, 0xff, 0x0f))
-	if _, _, err := ReadCheckpoint(bytes.NewReader(forged)); err == nil ||
-		!strings.Contains(err.Error(), "value length") {
+	forged := binary.BigEndian.AppendUint32(append([]byte(nil), head...), 1<<31)
+	forged = append(forged, 0, 0, 0, 0)
+	if _, _, err := ReadCheckpoint(bytes.NewReader(forged)); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("forged length error: %v", err)
-	}
-
-	// So is a granule listed twice.
-	twice := withValidCRC(append([]byte(checkpointMagic),
-		2, 0, 7, 1, 10, 11, 1, 'a', 0, 7, 1, 20, 21, 1, 'b'))
-	if _, _, err := ReadCheckpoint(bytes.NewReader(twice)); err == nil ||
-		!strings.Contains(err.Error(), "twice") {
-		t.Fatalf("duplicate granule error: %v", err)
 	}
 }

@@ -343,7 +343,7 @@ func TestQuickModelAgainstFullSweep(t *testing.T) {
 					kept := ref[i].vers[:0]
 					for _, v := range ref[i].vers {
 						if v.committed {
-							v.readTS = 0
+							v.readTS, v.commitTS = 0, 0 // neither is captured
 							kept = append(kept, v)
 						}
 					}

@@ -209,22 +209,3 @@ func TestAdvisoryFlushFailurePoisonsViaOnError(t *testing.T) {
 		t.Fatalf("Err() = %v, want the sticky error", err)
 	}
 }
-
-// TestSyncEachFailurePoisons exercises the per-commit-fsync baseline: the
-// synchronous wait must return the injected error and poison the log.
-func TestSyncEachFailurePoisons(t *testing.T) {
-	dir := t.TempDir()
-	fs := vfs.NewFaulty(nil)
-	fs.Inject(vfs.Fault{Op: vfs.OpSync, Nth: 1})
-	l, err := Open(filepath.Join(dir, "wal.log"), -1, Options{FS: fs, SyncEach: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := l.Commit(commitRecord(1))(); !errors.Is(err, vfs.ErrInjected) {
-		t.Fatalf("commit = %v, want ErrInjected", err)
-	}
-	if err := l.Commit(commitRecord(2))(); !errors.Is(err, vfs.ErrInjected) {
-		t.Fatalf("later commit = %v, want the sticky error", err)
-	}
-}

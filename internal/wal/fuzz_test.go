@@ -47,7 +47,7 @@ func FuzzReplay(f *testing.F) {
 	stream := func(recs ...Record) []byte {
 		var b []byte
 		for i := range recs {
-			b = appendFrame(b, &recs[i])
+			b = AppendFrame(b, &recs[i])
 		}
 		return b
 	}

@@ -103,7 +103,7 @@ const frameHeader = 8
 // the server's; values are capped well below it by the wire protocol.
 const MaxRecord = 1 << 20
 
-// crcTable is the Castagnoli table shared with the checkpoint format.
+// crcTable is the Castagnoli table every frame's checksum uses.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendRecord appends r's payload encoding (no framing) to dst.
@@ -211,8 +211,9 @@ func DecodeRecord(p []byte) (Record, error) {
 	return r, nil
 }
 
-// appendFrame appends r as one framed record (length, CRC, payload).
-func appendFrame(dst []byte, r *Record) []byte {
+// AppendFrame appends r as one framed record (length, CRC, payload) — the
+// unit the log and checkpoints (mvstore) are both made of.
+func AppendFrame(dst []byte, r *Record) []byte {
 	// Reserve the header, encode the payload in place, then back-fill.
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)

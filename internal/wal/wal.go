@@ -61,8 +61,10 @@ import (
 // ErrClosed is returned by operations on a closed Log.
 var ErrClosed = errors.New("wal: log closed")
 
-// Options tunes a Log. The zero value is a usable default: flush as soon
-// as the flusher can (batching by backpressure only), fsync every batch.
+// Options tunes a Log. The zero value is a usable default: one flusher
+// goroutine group-commits every batch with one fsync, holding a batch
+// open only while committers due back are worth waiting for. A lone
+// committer pays exactly one fsync per commit.
 type Options struct {
 	// FlushInterval is a fixed group-commit window: how long the flusher
 	// waits after a batch's first commit marker before flushing it, so
@@ -74,13 +76,6 @@ type Options struct {
 	// FlushBytes flushes a batch early once this many bytes are pending,
 	// bounding buffered memory under write bursts. Defaults to 256 KiB.
 	FlushBytes int
-	// SyncEach is the per-commit-fsync baseline the group-commit
-	// benchmark compares against: no flusher goroutine runs, appends only
-	// buffer (the Persister contract requires non-blocking enqueues), and
-	// each commit's wait function performs a serialized write+fsync —
-	// always paying its own fsync, so concurrent committers never share
-	// one.
-	SyncEach bool
 	// NoSync skips fsync entirely (write-only durability, for tests and
 	// for measuring the non-sync cost of logging).
 	NoSync bool
@@ -92,10 +87,9 @@ type Options struct {
 	// that poisons the log *from the flusher goroutine* — the one place a
 	// failure might otherwise go unobserved: a batch with no commit waiter
 	// attached, which the flusher writes only when advisory records alone
-	// cross FlushBytes. Errors surfaced synchronously
-	// (SyncEach waits, Sync, Reset) are returned to their callers, who
-	// are expected to react themselves. OnError must not call back into
-	// the Log.
+	// cross FlushBytes. Errors surfaced synchronously (commit waits, Sync,
+	// Reset) are returned to their callers, who are expected to react
+	// themselves. OnError must not call back into the Log.
 	OnError func(error)
 	// OnFlush, if set, is invoked after every successful write+fsync. It
 	// runs on the flushing goroutine with the file lock held — the
@@ -233,11 +227,7 @@ func Open(path string, validSize int64, opts Options) (*Log, error) {
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	if !l.opts.SyncEach {
-		go l.flusher()
-	} else {
-		close(l.done)
-	}
+	go l.flusher()
 	return l, nil
 }
 
@@ -254,33 +244,12 @@ func (l *Log) Append(r *Record) error {
 // Commit enqueues one record and returns a wait function that blocks
 // until the record is durable, returning the flush error. The wait
 // function must be called without holding engine locks that a flush
-// could need (it blocks on the flusher — or, in SyncEach mode, performs
-// the serialized write+fsync itself).
+// could need (it blocks on the flusher).
 func (l *Log) Commit(r *Record) func() error {
 	l.commitWaits.Add(1)
 	b, err := l.append(r, true)
 	if err != nil {
 		return func() error { return err }
-	}
-	if b == nil {
-		// SyncEach: the marker is buffered; the wait performs the
-		// serialized inline write+fsync, so the fsync is paid where the
-		// caller chose to block, not inside the enqueue.
-		return func() error {
-			l.mu.Lock()
-			defer l.mu.Unlock()
-			if l.err != nil {
-				return l.err
-			}
-			if l.closed {
-				// Close already flushed and fsynced everything buffered.
-				return nil
-			}
-			// writeAndSync fsyncs even when the buffer is empty (another
-			// wait may have written our marker already): every commit pays
-			// its own fsync, keeping the baseline honestly per-commit.
-			return l.writeLocked()
-		}
 	}
 	return func() error {
 		<-b.done
@@ -304,19 +273,12 @@ func (l *Log) append(r *Record, want bool) (*batch, error) {
 		return nil, err
 	}
 	start := len(l.buf)
-	l.buf = appendFrame(l.buf, r)
+	l.buf = AppendFrame(l.buf, r)
 	n := int64(len(l.buf) - start)
 	l.size += n
 	l.bufRecs++
 	l.records.Add(1)
 	l.appendedBytes.Add(n)
-	if l.opts.SyncEach {
-		// Buffer only — advisory records are enqueued under store chain
-		// locks and must not block on I/O; commit markers flush in the
-		// wait function Commit returns.
-		l.mu.Unlock()
-		return nil, nil
-	}
 	var b *batch
 	if want {
 		if l.cur == nil {
@@ -356,11 +318,6 @@ func (l *Log) Sync() error {
 		l.mu.Unlock()
 		return err
 	}
-	if l.opts.SyncEach {
-		err := l.writeLocked()
-		l.mu.Unlock()
-		return err
-	}
 	if l.cur == nil {
 		l.cur = &batch{done: make(chan struct{})}
 	}
@@ -384,12 +341,10 @@ func (l *Log) Sync() error {
 // still in the in-memory buffer are carried over and flushed into the
 // fresh log rather than dropped.
 func (l *Log) Reset() error {
-	if !l.opts.SyncEach {
-		// Complete any in-flight batch first so its bytes land at the old
-		// offsets (about to be truncated) rather than after the rewind.
-		if err := l.Sync(); err != nil {
-			return err
-		}
+	// Complete any in-flight batch first so its bytes land at the old
+	// offsets (about to be truncated) rather than after the rewind.
+	if err := l.Sync(); err != nil {
+		return err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -431,15 +386,15 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	l.mu.Unlock()
-	if !l.opts.SyncEach {
-		close(l.quit)
-	}
+	close(l.quit)
 	<-l.done // flusher performed its final flush and exited
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var err error
-	if len(l.buf) > 0 {
-		err = l.writeLocked()
+	if len(l.buf) > 0 && l.err == nil {
+		// Advisory records the final flush left for a commit marker that
+		// never came.
+		err = l.writeAndSync(l.buf, Flush{Records: l.bufRecs})
 	}
 	if cerr := l.f.Close(); err == nil && cerr != nil {
 		err = cerr
@@ -670,10 +625,10 @@ func (l *Log) flushOnce(fl Flush) {
 	}
 }
 
-// writeAndSync writes buf to the file and fsyncs (unless NoSync). An
-// empty buf still fsyncs — SyncEach commit waits rely on that. fl is what
-// the caller knows of the flush, completed here and reported to OnFlush.
-// File I/O is serialized against Reset's truncate via ioMu.
+// writeAndSync writes buf to the file and fsyncs (unless NoSync); an
+// empty buf (a Sync with nothing pending) is only fsynced. fl is what the
+// caller knows of the flush, completed here and reported to OnFlush. File
+// I/O is serialized against Reset's truncate via ioMu.
 func (l *Log) writeAndSync(buf []byte, fl Flush) error {
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
@@ -704,22 +659,6 @@ func (l *Log) writeAndSync(buf []byte, fl Flush) error {
 		l.opts.OnFlush(fl)
 	}
 	return nil
-}
-
-// writeLocked writes and syncs the pending buffer inline (SyncEach mode,
-// Reset, and Close residue). Caller holds l.mu.
-func (l *Log) writeLocked() error {
-	if l.err != nil {
-		return l.err
-	}
-	fl := Flush{Records: l.bufRecs}
-	l.bufRecs = 0
-	err := l.writeAndSync(l.buf, fl)
-	l.buf = l.buf[:0]
-	if err != nil {
-		l.err = err
-	}
-	return err
 }
 
 // Replay reads records from r, calling apply for each valid one in log

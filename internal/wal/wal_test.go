@@ -293,58 +293,30 @@ func TestHoldWorth(t *testing.T) {
 	}
 }
 
-func TestSyncEachSyncsPerCommit(t *testing.T) {
+// TestAdvisoryRecordsNeverSyncAlone: advisory records are enqueued under
+// store chain locks and never start an fsync of their own; they ride the
+// next commit marker's flush, which pays exactly one.
+func TestAdvisoryRecordsNeverSyncAlone(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	l, err := Open(path, -1, Options{SyncEach: true})
+	l, err := Open(path, -1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 8
-	for i := 0; i < n; i++ {
-		if err := l.Commit(&Record{Kind: KindCommit, Txn: vclock.Time(i + 1)})(); err != nil {
-			t.Fatalf("commit %d: %v", i, err)
-		}
-	}
-	st := l.Stats()
-	if st.Syncs != n {
-		t.Errorf("Syncs = %d, want %d (one per commit)", st.Syncs, n)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, _, torn := replayFile(t, path)
-	if torn || len(recs) != n {
-		t.Errorf("replayed %d records (torn=%v), want %d clean", len(recs), torn, n)
-	}
-}
-
-func TestSyncEachBuffersAdvisoryRecords(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	l, err := Open(path, -1, Options{SyncEach: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Advisory records are enqueued under store chain locks; they must
-	// buffer without touching the file.
 	if err := l.Append(&Record{Kind: KindWrite, Txn: 1, Seg: 0, Key: 1, Value: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(&Record{Kind: KindAbort, Txn: 2, Seg: 0, Key: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Stats(); st.Syncs != 0 {
-		t.Errorf("Syncs = %d after advisory appends, want 0 (must buffer)", st.Syncs)
+	time.Sleep(10 * time.Millisecond) // room for a flush that must not happen
+	if st := l.Stats(); st.Syncs != 0 || st.FlushedBytes != 0 {
+		t.Errorf("Syncs = %d, FlushedBytes = %d after advisory appends, want 0 (must buffer)", st.Syncs, st.FlushedBytes)
 	}
-	// The commit enqueue itself must not fsync either — only its wait.
-	wait := l.Commit(&Record{Kind: KindCommit, Txn: 1})
-	if st := l.Stats(); st.Syncs != 0 {
-		t.Errorf("Syncs = %d after commit enqueue, want 0 (fsync belongs to the wait)", st.Syncs)
-	}
-	if err := wait(); err != nil {
+	if err := l.Commit(&Record{Kind: KindCommit, Txn: 1})(); err != nil {
 		t.Fatalf("commit wait: %v", err)
 	}
-	if st := l.Stats(); st.Syncs != 1 {
-		t.Errorf("Syncs = %d after commit wait, want 1", st.Syncs)
+	if st := l.Stats(); st.Syncs != 1 || st.FlushedBytes != st.AppendedBytes {
+		t.Errorf("Syncs = %d, %d of %d bytes flushed after the commit, want 1 sync carrying all", st.Syncs, st.FlushedBytes, st.AppendedBytes)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
