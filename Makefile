@@ -67,9 +67,12 @@ stress-wal:
 
 # The transaction lifecycle, repeated under the race detector: the recorder's
 # serializability check with force-aborts racing every transaction kind,
-# ad-hoc gates, the reaper, read-only variants and shutdown. See DESIGN.md §8.
+# ad-hoc gates, the reaper, read-only variants and shutdown, plus the
+# durability tests around the commit path that writes the log: snapshots
+# racing commits and GC, recovery, fail-stop poisoning and the log's
+# contents. See DESIGN.md §8 and §10.
 stress-core:
-	$(GO) test -race -count=10 -run 'Serializab|AdHoc|Reap|ReadOnly|Path|Close' ./internal/core/
+	$(GO) test -race -count=10 -run 'Serializab|AdHoc|Reap|ReadOnly|Path|Close|Snapshot|Durable|Uncommitted|Poison|LogHolds|Legacy' ./internal/core/
 
 # Short fixed-budget fuzz of the one on-disk format: the log's record
 # decoder and replay loop, and checkpoints, which are log segments (the

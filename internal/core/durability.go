@@ -1,13 +1,13 @@
 package core
 
 // Durability: the pluggable persistence substrate behind the engine
-// (DESIGN.md §10). The concurrency kernel is unchanged — it runs against
-// the in-memory multi-version store — while a mvstore.Persister hook
-// streams every install/abort/prune into a redo-only WAL
-// (internal/wal), commit markers ride the WAL's group-commit pipeline,
-// and a background snapshotter bounds the log with a checkpoint: a log
-// segment in the same framing holding only committed writes. Startup
-// recovery is snapshot + WAL-tail replay, discarding transactions
+// (DESIGN.md §10). The concurrency kernel runs against the in-memory
+// multi-version store, which knows nothing of the log. Each committing
+// update transaction appends its write set and commit marker to a
+// redo-only WAL (internal/wal) whose group-commit pipeline makes them
+// durable, and a background snapshotter bounds the log with a checkpoint:
+// a log segment in the same framing holding only committed writes.
+// Startup recovery is snapshot + WAL-tail replay, discarding transactions
 // without a durable commit marker.
 
 import (
@@ -84,7 +84,6 @@ type DurabilityStats struct {
 // durability is the engine's durability state; nil when DurabilityNone.
 type durability struct {
 	log     *wal.Log
-	persist *wal.Persister
 	dataDir string
 	fs      vfs.FS
 
@@ -114,7 +113,7 @@ type durability struct {
 }
 
 // poison latches the fail-stop state with the first cause. Safe to call
-// from any goroutine, including the WAL flusher via wal.Options.OnError.
+// from any goroutine.
 func (d *durability) poison(cause error) {
 	if cause == nil {
 		return
@@ -181,7 +180,7 @@ func (e *Engine) commitDurabilityErr(id vclock.Time, err error) error {
 	return fmt.Errorf("core: commit %d applied in memory but not durable: %w", id, e.dur.degradedErr())
 }
 
-// initDurability runs recovery and installs the WAL behind the store.
+// initDurability runs recovery and opens the WAL for appending.
 // Called from NewEngine after the kernel is assembled, before any
 // transaction can begin.
 func (e *Engine) initDurability(cfg Config) error {
@@ -233,8 +232,7 @@ func (e *Engine) initDurability(cfg Config) error {
 		return fmt.Errorf("core: opening snapshot %s: %w", snapPath, err)
 	}
 
-	// Recovery step 2: replay the WAL tail on top of the snapshot. The
-	// persister is not installed yet, so replay appends nothing.
+	// Recovery step 2: replay the WAL tail on top of the snapshot.
 	walPath := filepath.Join(cfg.DataDir, walFile)
 	var valid int64
 	if f, err := fs.Open(walPath); err == nil {
@@ -252,14 +250,11 @@ func (e *Engine) initDurability(cfg Config) error {
 	}
 
 	// Recovery step 3: reopen the log for appending, truncating the torn
-	// tail, and hook it behind the store. A flusher-side storage failure
-	// poisons the engine (fail-stop) even before any commit waiter
-	// observes it.
+	// tail. Every append precedes its committer's marker, so a failed
+	// flush always reaches a commit wait, which poisons the engine.
 	log, err := wal.Open(walPath, valid, wal.Options{
 		FlushInterval: cfg.WALFlushInterval,
-		FlushBytes:    cfg.WALFlushBytes,
 		FS:            fs,
-		OnError:       d.poison,
 		OnFlush:       onFlush,
 	})
 	if err != nil {
@@ -274,8 +269,6 @@ func (e *Engine) initDurability(cfg Config) error {
 		log.Close()
 		return fmt.Errorf("core: syncing data dir: %w", err)
 	}
-	d.persist = &wal.Persister{Log: log}
-	e.store.SetPersister(d.persist)
 
 	// Recovery step 4: restart the logical clock above everything
 	// recovered, so every new transaction orders after it, and recompute
@@ -303,11 +296,11 @@ func (e *Engine) initDurability(cfg Config) error {
 // replayWAL applies the redo log to the store. Writes are buffered per
 // transaction and installed only when that transaction's commit marker
 // appears — a transaction without a durable marker never happened
-// (no-steal redo-only recovery). Aborts drop the buffer early; prunes
-// re-run GC so replay does not resurrect versions a logged GC pass
-// removed. high is advanced over every timestamp seen, committed or not,
-// so the restarted clock can never re-issue a timestamp that reached the
-// log.
+// (no-steal redo-only recovery). The engine writes nothing else, but a
+// log from an earlier build also holds Abort records, which drop a
+// buffered write, and Prune records, which re-run GC; both are honoured.
+// high is advanced over every timestamp seen, committed or not, so the
+// restarted clock can never re-issue a timestamp that reached the log.
 //
 // Replay goes through the store's ordinary mutation entry points
 // (InstallPending, Commit, GC), so each replayed commit is published to

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"hdd/internal/cc"
 	"hdd/internal/schema"
 	"hdd/internal/vclock"
+	"hdd/internal/wal"
 )
 
 // durableEngine opens a WAL-backed engine over dir with automatic
@@ -90,8 +94,8 @@ func TestUncommittedWritesDoNotSurvive(t *testing.T) {
 	}
 	write(t, committed, gr(0, 1), "durable")
 	mustCommit(t, committed)
-	// This transaction's write reaches the log, but no commit marker
-	// ever does — recovery must discard it.
+	// This transaction never commits, so neither its write nor a marker
+	// reaches the log — recovery must not invent it.
 	hanging, err := e.Begin(0)
 	if err != nil {
 		t.Fatal(err)
@@ -160,13 +164,13 @@ func TestSnapshotTruncatesLogAndRecovers(t *testing.T) {
 	}
 }
 
-// TestSnapshotRacingGCRecoversCleanly pins the quiesce discipline: GC's
-// PersistPrune appends run while the committing transaction still holds
-// its admission-gate share (and ForceGC takes one of its own), so a
-// snapshot's log reset can never race a prune append and tear the log
-// head. Committers with GC on every commit hammer the engine while
-// snapshots run concurrently; recovery must then see every committed
-// value. Run under -race this also exercises the wal.Log ioMu path.
+// TestSnapshotRacingGCRecoversCleanly runs committers with GC on every
+// commit, plus ForceGC, against back-to-back snapshots; recovery must then
+// see every committed value. A GC pass appends nothing to the log, so it
+// cannot race the snapshot's log reset by construction; the appends that
+// remain come from committers holding an admission-gate share, which the
+// snapshot's quiesce excludes. Run under -race this also exercises the
+// wal.Log ioMu path.
 func TestSnapshotRacingGCRecoversCleanly(t *testing.T) {
 	part := twoLevel(t)
 	dir := t.TempDir()
@@ -346,6 +350,166 @@ func TestSnapshotterRunsInBackground(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil {
 		t.Fatalf("snapshot file missing: %v", err)
+	}
+}
+
+// TestLogHoldsCommittedWritesOnly pins what reaches the log: per committed
+// transaction, one Write record per granule it wrote, carrying the final
+// value, directly followed by its Commit marker. An overwrite, an explicit
+// abort, a write-rejection abort, a reaper force-abort and GC passes log
+// nothing of their own.
+func TestLogHoldsCommittedWritesOnly(t *testing.T) {
+	part := twoLevel(t)
+	dir := t.TempDir()
+	e, err := NewEngine(Config{
+		Partition:      part,
+		WallInterval:   4,
+		GCEveryCommits: 1,
+		Durability:     DurabilityWAL,
+		DataDir:        dir,
+		SnapshotBytes:  -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[vclock.Time]map[schema.GranuleID]string{}
+	begin := func() cc.Txn {
+		t.Helper()
+		txn, err := e.Begin(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return txn
+	}
+	commit := func(txn cc.Txn, writes map[schema.GranuleID]string) {
+		t.Helper()
+		mustCommit(t, txn)
+		want[txn.ID()] = writes
+	}
+
+	// A committed transaction writes one granule twice; a later one
+	// overwrites it, so GC has a version to prune.
+	a := begin()
+	write(t, a, gr(0, 1), "a1")
+	write(t, a, gr(0, 1), "a2")
+	commit(a, map[schema.GranuleID]string{gr(0, 1): "a2"})
+	b := begin()
+	write(t, b, gr(0, 1), "b")
+	commit(b, map[schema.GranuleID]string{gr(0, 1): "b"})
+
+	// An explicit abort after a write.
+	x := begin()
+	write(t, x, gr(0, 2), "x")
+	x.Abort()
+
+	// A write-rejection abort of a transaction holding a pending write:
+	// old writes below the version young committed.
+	old, young := begin(), begin()
+	write(t, old, gr(0, 3), "old")
+	write(t, young, gr(0, 4), "young")
+	commit(young, map[schema.GranuleID]string{gr(0, 4): "young"})
+	if err := old.Write(gr(0, 4), []byte("late")); !cc.IsAbort(err) {
+		t.Fatalf("write below a committed version = %v, want a rejection abort", err)
+	}
+
+	// A reaper force-abort of a transaction holding a pending write.
+	r, err := e.BeginWithTimeout(0, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(t, r, gr(0, 5), "reaped")
+	if n := e.ReapExpired(time.Now().Add(time.Hour)); n != 1 {
+		t.Fatalf("ReapExpired = %d, want 1", n)
+	}
+
+	e.Walls().Force()
+	e.ForceGC()
+	if e.store.Stats().VersionsPruned == 0 {
+		t.Fatal("GC pruned nothing; the case needs a pass that prunes")
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := os.Open(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var run []wal.Record // the writes since the last marker
+	committed := 0
+	_, _, torn, err := wal.Replay(f, func(rec wal.Record) error {
+		switch rec.Kind {
+		case wal.KindWrite:
+			run = append(run, rec)
+			return nil
+		case wal.KindCommit:
+		default:
+			return fmt.Errorf("the log holds a %v record: %+v", rec.Kind, rec)
+		}
+		got := map[schema.GranuleID]string{}
+		for _, w := range run {
+			g := schema.GranuleID{Segment: w.Seg, Key: w.Key}
+			if _, dup := got[g]; dup || w.Txn != rec.Txn {
+				return fmt.Errorf("commit %d follows writes %+v, want one per granule of its own", rec.Txn, run)
+			}
+			got[g] = string(w.Value)
+		}
+		if !reflect.DeepEqual(got, want[rec.Txn]) {
+			return fmt.Errorf("commit %d logged writes %v, want %v", rec.Txn, got, want[rec.Txn])
+		}
+		run = run[:0]
+		committed++
+		return nil
+	})
+	if err != nil || torn {
+		t.Fatalf("replay: %v (torn %v)", err, torn)
+	}
+	if len(run) != 0 || committed != len(want) {
+		t.Fatalf("%d commits logged, want %d; %d writes no marker follows: %+v", committed, len(want), len(run), run)
+	}
+}
+
+// TestReplayHonoursLegacyAbortAndPruneRecords boots on a log shaped the
+// way earlier builds wrote it, with Abort and Prune records among the
+// writes. Replay must apply them, not read them as a torn tail: that
+// would truncate every acknowledged commit after the first one.
+func TestReplayHonoursLegacyAbortAndPruneRecords(t *testing.T) {
+	part := twoLevel(t)
+	dir := t.TempDir()
+	var log []byte
+	for _, rec := range []wal.Record{
+		{Kind: wal.KindWrite, Txn: 10, Seg: 0, Key: 1, Value: []byte("aborted")},
+		{Kind: wal.KindAbort, Txn: 10, Seg: 0, Key: 1},
+		{Kind: wal.KindWrite, Txn: 20, Seg: 0, Key: 2, Value: []byte("first")},
+		{Kind: wal.KindCommit, Txn: 20},
+		{Kind: wal.KindPrune, Watermark: 20},
+		{Kind: wal.KindWrite, Txn: 30, Seg: 0, Key: 3, Value: []byte("second")},
+		{Kind: wal.KindCommit, Txn: 30},
+	} {
+		log = wal.AppendFrame(log, &rec)
+	}
+	walPath := filepath.Join(dir, walFile)
+	if err := os.WriteFile(walPath, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e := durableEngine(t, part, dir)
+	defer e.Close()
+	st, _ := e.DurabilityStats()
+	if st.Recovery.TornTail || st.Recovery.ReplayedRecords != 7 || st.Recovery.ReplayedBytes != int64(len(log)) {
+		t.Fatalf("recovery = %+v, want all 7 records (%d bytes) replayed, no torn tail", st.Recovery, len(log))
+	}
+	if fi, err := os.Stat(walPath); err != nil || fi.Size() != int64(len(log)) {
+		t.Fatalf("log after boot: %v, err %v; want its %d bytes untouched", fi, err, len(log))
+	}
+	if v, ok := readLatest(t, e, 0, gr(0, 1)); ok {
+		t.Fatalf("aborted write recovered: %q", v)
+	}
+	for k, want := range map[int]string{2: "first", 3: "second"} {
+		if v, ok := readLatest(t, e, 0, gr(0, k)); !ok || v != want {
+			t.Fatalf("key %d: got (%q, %v), want committed %q", k, v, ok, want)
+		}
 	}
 }
 

@@ -132,9 +132,6 @@ type Config struct {
 	// holds a flush batch open from its first commit marker. 0 (default)
 	// lets the log decide per batch (wal.Options.FlushInterval).
 	WALFlushInterval time.Duration
-	// WALFlushBytes flushes a batch early once this many bytes are
-	// pending. Defaults to 256 KiB.
-	WALFlushBytes int
 	// SnapshotBytes is the log size past which the background snapshotter
 	// checkpoints the store and truncates the log. Defaults to 8 MiB;
 	// negative disables automatic snapshots (Snapshot can still be called

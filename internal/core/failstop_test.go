@@ -141,10 +141,10 @@ func TestFlusherFailurePoisonsWithoutCommitWaiter(t *testing.T) {
 	e := faultyEngine(t, part, dir, fs)
 	defer e.Close()
 
-	// The doomed flush may carry the advisory write record alone (the
-	// flusher can wake before the commit marker arrives) or the whole
-	// batch; either way the failure must reach the engine: via OnError
-	// from the flusher, or via the commit wait.
+	// The transaction's write record and commit marker are appended back
+	// to back, so the doomed flush carries the marker or fails before it
+	// is appended; either way the commit wait sees the failure and
+	// poisons the engine.
 	txn, err := e.Begin(0)
 	if err != nil {
 		t.Fatal(err)

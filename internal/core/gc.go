@@ -23,9 +23,7 @@ import (
 )
 
 // maybeGC runs store GC and activity pruning when the commit counter
-// crosses the configured period. The caller must hold its admission gate
-// (updateTxn.Commit calls it before gate.exit) so the prune's WAL
-// append cannot race a snapshot's log reset.
+// crosses the configured period.
 func (e *Engine) maybeGC() {
 	if e.gcEvery <= 0 {
 		return
@@ -33,23 +31,8 @@ func (e *Engine) maybeGC() {
 	if e.commitCounter.Add(1)%e.gcEvery != 0 {
 		return
 	}
-	e.gcCycle()
+	e.ForceGC()
 	e.gcRuns.Add(1)
-}
-
-// gcCycle prunes the store and the activity history against a freshly
-// computed watermark, records the cycle on the attached plane and returns
-// the number of store versions pruned.
-func (e *Engine) gcCycle() int {
-	watermark := e.gcWatermark()
-	pruned, visited := e.store.Prune(watermark)
-	e.act.PruneBefore(watermark)
-	if o := e.obs; o != nil {
-		o.gcPruned.Add(int64(pruned))
-		o.gcVisited.Add(int64(visited))
-		o.ring.Record(obs.KindGCPrune, obs.NoClass, int64(watermark), int64(pruned), int64(visited))
-	}
-	return pruned
 }
 
 // gcWatermark computes the instant below which no future read bound or
@@ -66,15 +49,17 @@ func (e *Engine) gcWatermark() vclock.Time {
 // GCRuns reports how many automatic GC cycles have run.
 func (e *Engine) GCRuns() int64 { return e.gcRuns.Load() }
 
-// ForceGC runs one GC cycle immediately with a freshly computed watermark
-// and returns the number of store versions pruned.
+// ForceGC runs one GC cycle now: it prunes the store and the activity
+// history against a freshly computed watermark, records the cycle on the
+// attached plane and returns the number of store versions pruned.
 func (e *Engine) ForceGC() int {
-	// Hold one admission-gate share for the duration: Snapshot quiesces by
-	// taking every gate exclusively before resetting the WAL, so a single
-	// share keeps this cycle's PersistPrune append from racing the reset.
-	if len(e.gate.classes) > 0 {
-		e.gate.classes[0].RLock()
-		defer e.gate.classes[0].RUnlock()
+	watermark := e.gcWatermark()
+	pruned, visited := e.store.Prune(watermark)
+	e.act.PruneBefore(watermark)
+	if o := e.obs; o != nil {
+		o.gcPruned.Add(int64(pruned))
+		o.gcVisited.Add(int64(visited))
+		o.ring.Record(obs.KindGCPrune, obs.NoClass, int64(watermark), int64(pruned), int64(visited))
 	}
-	return e.gcCycle()
+	return pruned
 }

@@ -14,8 +14,8 @@ import (
 // Crash-point lattice torture harness (DESIGN.md §11).
 //
 // A probe run executes a fixed workload — commits across several
-// granules, deliberate aborts, an explicit snapshot, GC-driven prune
-// records — over the fault injector with no faults armed, and counts the
+// granules, deliberate aborts, an explicit snapshot, GC passes — over
+// the fault injector with no faults armed, and counts the
 // state-changing filesystem operations M it performs. The lattice is then
 // the M ways the process can die: for crash point n, the same workload
 // runs against an injector armed to tear operation n (writes keep a torn
@@ -91,7 +91,7 @@ func tortureEngine(part *schema.Partition, dir string, fs vfs.FS) (*Engine, erro
 	return NewEngine(Config{
 		Partition:      part,
 		WallInterval:   8,
-		GCEveryCommits: 3, // prune records enter the log
+		GCEveryCommits: 3, // GC runs mid-workload
 		Durability:     DurabilityWAL,
 		DataDir:        dir,
 		SnapshotBytes:  -1, // snapshots only where the workload asks

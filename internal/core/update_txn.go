@@ -8,6 +8,7 @@ import (
 	"hdd/internal/cc"
 	"hdd/internal/schema"
 	"hdd/internal/vclock"
+	"hdd/internal/wal"
 )
 
 // updateTxn is an update transaction of one class: Protocol A for reads
@@ -285,11 +286,13 @@ func (t *updateTxn) Write(g schema.GranuleID, value []byte) error {
 // threshold that admits its versions must find them committed in the store
 // (the mutexes on both structures give the necessary happens-before).
 //
-// With durability enabled, the commit marker is enqueued to the WAL
-// *before* the version flips, still under t.mu: a dependent transaction
-// can only observe this transaction's versions after the flip, so its own
-// marker is enqueued — and therefore flushed — after this one, which is
-// the order recovery needs (DESIGN.md §10.3). The wait for the marker's
+// With durability enabled, this is the one place anything reaches the
+// WAL: one Write record per granule in the write set, carrying its final
+// value, then the commit marker, all enqueued *before* the version flips,
+// still under t.mu and the gate share. A dependent transaction can only
+// observe this transaction's versions after the flip, so its own marker
+// is enqueued — and therefore flushed — after this one, which is the
+// order recovery needs (DESIGN.md §10.3). The wait for the marker's
 // flush batch happens last, after every in-memory release (gate hold,
 // registry, wall poll), so a quiescing snapshot or another committer is
 // never blocked behind this transaction's fsync. The flip-before-durable
@@ -307,7 +310,14 @@ func (t *updateTxn) Commit() error {
 	t.done = true
 	var wait func() error
 	if e.dur != nil && len(t.writes) > 0 {
-		wait = e.dur.persist.PersistCommit(t.init)
+		// An append that fails (closed or poisoned log) fails the marker
+		// behind it the same way, so its error surfaces through wait.
+		rec := wal.Record{Kind: wal.KindWrite, Txn: t.init}
+		for g, v := range t.writes {
+			rec.Seg, rec.Key, rec.Value = g.Segment, g.Key, v
+			e.dur.log.Append(&rec)
+		}
+		wait = e.dur.log.Commit(&wal.Record{Kind: wal.KindCommit, Txn: t.init})
 	}
 	for g := range t.writes {
 		e.store.Commit(g, t.init)
@@ -321,12 +331,8 @@ func (t *updateTxn) Commit() error {
 	}
 	e.rec.RecordCommit(t.init, at)
 	e.pollWalls()
-	// GC — and its PersistPrune log append — runs while this transaction
-	// still holds its admission gate: a snapshot's quiesce (gate.lockAll)
-	// cannot complete mid-GC, so a prune record can never race the
-	// post-snapshot log reset.
-	e.maybeGC()
 	e.gate.exit(t.class, t.held)
+	e.maybeGC()
 	if wait != nil {
 		if err := wait(); err != nil {
 			return e.commitDurabilityErr(t.init, err)

@@ -46,11 +46,6 @@ func BenchmarkWALCommit(b *testing.B) {
 			cfg.WALFlushInterval = time.Millisecond // group-commit window
 			return cfg
 		}},
-		{"group-4k", func(dir string) Config {
-			cfg := walCfg(dir)
-			cfg.WALFlushBytes = 4 << 10 // small byte threshold: early flushes
-			return cfg
-		}},
 	}
 	for _, m := range modes {
 		for _, committers := range []int{1, 8} {

@@ -8,6 +8,8 @@
 // pending, then committed or discarded; committed versions optionally carry
 // a read-timestamp register (the thing Protocols A and C avoid touching).
 // Watermark-based garbage collection implements the §7.3 maintenance duty.
+// The store knows nothing of durability: the engine logs each committed
+// write set itself, and checkpoint.go serializes a quiesced store whole.
 //
 // # Read-path memory model (DESIGN.md §14)
 //
@@ -201,10 +203,6 @@ type Store struct {
 	// pushed chain's mu (enqueue); GC detaches the whole list with one swap.
 	prunable atomic.Pointer[chain]
 
-	// persist is the durability hook (persister.go); nil means memory-only.
-	// Set once via SetPersister before the store is shared.
-	persist Persister
-
 	// Stats, maintained atomically.
 	versionsInstalled atomic.Int64
 	versionsAborted   atomic.Int64
@@ -264,9 +262,6 @@ func (s *Store) InstallPending(g schema.GranuleID, ts vclock.Time, value []byte)
 	}
 	c.insert(vs, i+1, ts, value)
 	s.versionsInstalled.Add(1)
-	if s.persist != nil {
-		s.persist.PersistInstall(g, ts, value)
-	}
 	return nil
 }
 
@@ -345,9 +340,6 @@ func (s *Store) Abort(g schema.GranuleID, ts vclock.Time) {
 	close(vs[i].done)
 	c.splice(vs, i, i+1, nil)
 	s.versionsAborted.Add(1)
-	if s.persist != nil {
-		s.persist.PersistAbort(g, ts)
-	}
 }
 
 // ReadCommittedBefore returns the value and timestamp of the latest
@@ -426,8 +418,7 @@ func (s *Store) ReadRegistered(g schema.GranuleID, bound, readerTS vclock.Time) 
 }
 
 // admitWrite validates a write at writerTS against the chain, per Reed'78
-// as adopted by Protocol B — the shared admissibility logic of WriteCheck
-// and InstallChecked:
+// as adopted by Protocol B:
 //
 //   - if the predecessor version (latest with ts < writerTS) has a
 //     registered read timestamp > writerTS, the write must be rejected —
@@ -459,23 +450,11 @@ func (c *chain) admitWrite(vs []version, g schema.GranuleID, writerTS vclock.Tim
 	return nil
 }
 
-// WriteCheck validates an MVTO write at writerTS against g's chain (see
-// admitWrite for the rules). It returns nil if the write is admissible.
-func (s *Store) WriteCheck(g schema.GranuleID, writerTS vclock.Time) error {
-	c := s.chainOf(g, false)
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.admitWrite(c.view(), g, writerTS)
-}
-
-// InstallChecked atomically performs WriteCheck and, if admissible,
-// installs a pending version — the write path of Protocol B and MVTO.
-// Splitting check from install would let a concurrent reader register a
-// read between them; one critical section keeps the engines' conflict
-// accounting exact.
+// InstallChecked validates an MVTO write at writerTS against g's chain
+// (admitWrite) and, if admissible, installs a pending version — the write
+// path of Protocol B and MVTO. Check and install share one critical
+// section: split, they would let a concurrent reader register a read
+// between them, and the engines' conflict accounting would not be exact.
 func (s *Store) InstallChecked(g schema.GranuleID, writerTS vclock.Time, value []byte) error {
 	c := s.chainOf(g, true)
 	c.mu.Lock()
@@ -486,9 +465,6 @@ func (s *Store) InstallChecked(g schema.GranuleID, writerTS vclock.Time, value [
 	}
 	c.insert(vs, len(vs), writerTS, value)
 	s.versionsInstalled.Add(1)
-	if s.persist != nil {
-		s.persist.PersistInstall(g, writerTS, value)
-	}
 	return nil
 }
 
@@ -511,9 +487,6 @@ func (s *Store) UpdatePending(g schema.GranuleID, ts vclock.Time, value []byte) 
 		panic(fmt.Sprintf("mvstore: update of missing pending version %v@%d", g, ts))
 	}
 	vs[i].value = append([]byte(nil), value...)
-	if s.persist != nil {
-		s.persist.PersistInstall(g, ts, value)
-	}
 }
 
 // RejectedError reports an MVTO write rejection.
@@ -577,9 +550,6 @@ func (s *Store) Prune(watermark vclock.Time) (pruned, visited int) {
 		c.mu.Unlock()
 	}
 	s.versionsPruned.Add(int64(pruned))
-	if s.persist != nil && pruned > 0 {
-		s.persist.PersistPrune(watermark)
-	}
 	return pruned, visited
 }
 

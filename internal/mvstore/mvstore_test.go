@@ -171,22 +171,28 @@ func TestInstallCheckedNewerVersionExists(t *testing.T) {
 	}
 }
 
+// TestWriteCheck runs the Protocol B write check through InstallChecked:
+// it admits a write to an empty chain, rejects one below a registered read
+// without installing it, and admits one above that read.
 func TestWriteCheck(t *testing.T) {
 	s := New()
 	gr := g(0, 9)
-	if err := s.WriteCheck(gr, 10); err != nil {
-		t.Fatalf("WriteCheck on empty chain: %v", err)
+	if err := s.InstallChecked(gr, 10, nil); err != nil {
+		t.Fatalf("InstallChecked on empty chain: %v", err)
 	}
-	_ = s.InstallPending(gr, 10, nil)
 	s.Commit(gr, 10)
 	if _, _, ok, _ := s.ReadRegistered(gr, 25, 25); !ok {
 		t.Fatal("read failed")
 	}
-	if err := s.WriteCheck(gr, 20); err == nil {
-		t.Fatal("WriteCheck should reject write below a registered read")
+	var rej *RejectedError
+	if err := s.InstallChecked(gr, 20, nil); !errors.As(err, &rej) {
+		t.Fatalf("InstallChecked(20) = %v, want a rejection below the registered read", err)
 	}
-	if err := s.WriteCheck(gr, 30); err != nil {
-		t.Fatalf("WriteCheck(30): %v", err)
+	if n := len(s.Versions(gr)); n != 1 {
+		t.Fatalf("a rejected write left %d versions, want 1", n)
+	}
+	if err := s.InstallChecked(gr, 30, nil); err != nil {
+		t.Fatalf("InstallChecked(30): %v", err)
 	}
 }
 

@@ -185,7 +185,7 @@ func (c *refChain) insert(ts vclock.Time, value []byte) {
 	c.vers[i] = refVersion{ts: ts, value: append([]byte(nil), value...)}
 }
 
-// admits restates the Protocol B write rule (Store.WriteCheck) and reports
+// admits restates the Protocol B write rule (Store.InstallChecked) and reports
 // whether a write at ts is admissible.
 func (c *refChain) admits(ts vclock.Time) bool {
 	i := c.at(ts)

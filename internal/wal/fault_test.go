@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,8 +13,8 @@ import (
 
 // Fail-stop regression tests driven by the vfs fault injector: partial
 // writes must not overstate FlushedBytes, the first storage failure must
-// poison the log permanently, queued waiters must observe the failure
-// immediately, and OnError must fire exactly once.
+// poison the log permanently, and queued waiters must observe the failure
+// immediately.
 
 func commitRecord(ts vclock.Time) *Record {
 	return &Record{Kind: KindCommit, Txn: ts}
@@ -135,77 +134,5 @@ func TestStrandedWaiterFailsImmediately(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("stranded waiter still blocked after the failed flush")
-	}
-}
-
-// TestOnErrorFiresOnce checks the poisoning callback dispatches exactly
-// once, from the flusher, no matter how many operations fail afterwards.
-func TestOnErrorFiresOnce(t *testing.T) {
-	dir := t.TempDir()
-	fs := vfs.NewFaulty(nil)
-	fs.Inject(vfs.Fault{Op: vfs.OpSync, Nth: 1})
-	var calls atomic.Int64
-	var seen atomic.Value
-	l, err := Open(filepath.Join(dir, "wal.log"), -1, Options{
-		FS: fs,
-		OnError: func(err error) {
-			calls.Add(1)
-			seen.Store(err)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := l.Commit(commitRecord(1))(); err == nil {
-		t.Fatal("first commit should fail")
-	}
-	if err := l.Commit(commitRecord(2))(); err == nil {
-		t.Fatal("second commit should fail")
-	}
-	if err := l.Sync(); err == nil {
-		t.Fatal("sync on a poisoned log should fail")
-	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("OnError fired %d times, want 1", n)
-	}
-	if err, _ := seen.Load().(error); !errors.Is(err, vfs.ErrInjected) {
-		t.Fatalf("OnError saw %v, want ErrInjected", err)
-	}
-}
-
-// TestAdvisoryFlushFailurePoisonsViaOnError covers the path with no commit
-// waiter at all: a batch of advisory records whose flush fails must still
-// poison the log and notify OnError — otherwise the failure would go
-// unobserved until the next commit. Advisory records reach the flusher on
-// their own only by crossing FlushBytes, so the threshold is set below one
-// record.
-func TestAdvisoryFlushFailurePoisonsViaOnError(t *testing.T) {
-	dir := t.TempDir()
-	fs := vfs.NewFaulty(nil)
-	fs.Inject(vfs.Fault{Op: vfs.OpSync, Nth: 1})
-	notified := make(chan error, 1)
-	l, err := Open(filepath.Join(dir, "wal.log"), -1, Options{
-		FS:         fs,
-		FlushBytes: 8,
-		OnError:    func(err error) { notified <- err },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := l.Append(&Record{Kind: KindWrite, Txn: 3, Seg: 0, Key: 1, Value: []byte("v")}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-notified:
-		if !errors.Is(err, vfs.ErrInjected) {
-			t.Fatalf("OnError saw %v, want ErrInjected", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("advisory flush failure never reached OnError")
-	}
-	if err := l.Err(); !errors.Is(err, vfs.ErrInjected) {
-		t.Fatalf("Err() = %v, want the sticky error", err)
 	}
 }

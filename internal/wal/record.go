@@ -1,7 +1,10 @@
 // Package wal is the write-ahead log behind the engine's pluggable
 // durability layer: length-prefixed, CRC-framed redo records appended
 // through a group-commit pipeline, replayed at startup to rebuild the
-// multi-version store above the latest snapshot.
+// multi-version store above the latest snapshot. The engine logs only
+// committed write sets: per committing transaction, a Write record per
+// granule it wrote, carrying the final value, then its Commit marker
+// (concurrent committers' records may interleave; replay groups by Txn).
 //
 // # Record framing
 //
@@ -46,21 +49,22 @@ import (
 type Kind uint8
 
 const (
-	// KindWrite logs a pending-version install (or in-place update of the
-	// writer's own pending version — replay keeps the last value): the
-	// writer's initiation timestamp, the granule, and the value.
+	// KindWrite logs one write of a committing transaction: the writer's
+	// initiation timestamp, the granule, and the final value (replay keeps
+	// the last one if a granule appears twice).
 	KindWrite Kind = 1
 	// KindCommit logs a transaction commit marker. Replay applies a
 	// transaction's buffered writes only when it sees this marker; the
 	// engine acknowledges a commit only after the marker's flush batch is
 	// durable.
 	KindCommit Kind = 2
-	// KindAbort logs the removal of one pending version. Recovery would
-	// discard marker-less transactions anyway; the record lets replay drop
-	// the buffered write early instead of carrying it to end of log.
+	// KindAbort logs the removal of one pending version. The engine no
+	// longer writes it; replay still honours it (dropping the buffered
+	// write), so a log written by an earlier build recovers.
 	KindAbort Kind = 3
-	// KindPrune logs a GC pass so replay can re-prune instead of
-	// resurrecting versions the snapshot-less tail would otherwise revive.
+	// KindPrune logs a GC pass at a watermark. The engine no longer writes
+	// it; replay still honours it (re-running GC), so a log written by an
+	// earlier build recovers.
 	KindPrune Kind = 4
 )
 

@@ -12,8 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hdd/internal/schema"
-	"hdd/internal/vclock"
 	"hdd/internal/vfs"
 )
 
@@ -46,17 +44,16 @@ import (
 //     early, cutting either wait short.
 //
 // Only commit markers, Sync, Close and the byte threshold wake the
-// flusher. Advisory records ride with the next of those: an fsync of
-// their own has no waiter, and the commit marker behind them would have
-// to wait it out.
+// flusher. A record appended without waiting is a committer's write, and
+// that committer's marker follows it at once.
 //
 // Ack order vs flush order: a waiter is only released after *its* batch
 // — which contains its marker and every record appended before it — is
-// durable. The engine enqueues a transaction's commit marker before
-// making the commit visible in memory, so any transaction that observes
-// committed data has its own marker ordered after the marker of what it
-// read; a torn tail therefore never keeps a dependent while dropping its
-// dependency (DESIGN.md §10.3 gives the full argument).
+// durable. The engine enqueues a transaction's writes and commit marker
+// before making the commit visible in memory, so any transaction that
+// observes committed data has its own marker ordered after the marker of
+// what it read; a torn tail therefore never keeps a dependent while
+// dropping its dependency (DESIGN.md §10.3 gives the full argument).
 
 // ErrClosed is returned by operations on a closed Log.
 var ErrClosed = errors.New("wal: log closed")
@@ -83,14 +80,6 @@ type Options struct {
 	// (vfs.OS). Tests substitute a fault injector to exercise the
 	// fail-stop contract.
 	FS vfs.FS
-	// OnError, if set, is invoked exactly once with the first I/O error
-	// that poisons the log *from the flusher goroutine* — the one place a
-	// failure might otherwise go unobserved: a batch with no commit waiter
-	// attached, which the flusher writes only when advisory records alone
-	// cross FlushBytes. Errors surfaced synchronously (commit waits, Sync,
-	// Reset) are returned to their callers, who are expected to react
-	// themselves. OnError must not call back into the Log.
-	OnError func(error)
 	// OnFlush, if set, is invoked after every successful write+fsync. It
 	// runs on the flushing goroutine with the file lock held — the
 	// observability plane hangs histograms and trace events off it — so it
@@ -149,16 +138,15 @@ type Log struct {
 	opts Options
 	path string
 
-	mu       sync.Mutex
-	f        vfs.File
-	buf      []byte // pending encoded frames
-	spare    []byte // idle half of the double buffer
-	bufRecs  int64  // records encoded in buf, reported to OnFlush
-	cur      *batch // batch the next flush resolves; nil if no waiter yet
-	size     int64  // bytes appended since Open/Reset (durable + pending)
-	closed   bool
-	err      error // sticky I/O error; fails all subsequent commits
-	notified bool  // OnError already dispatched
+	mu      sync.Mutex
+	f       vfs.File
+	buf     []byte // pending encoded frames
+	spare   []byte // idle half of the double buffer
+	bufRecs int64  // records encoded in buf, reported to OnFlush
+	cur     *batch // batch the next flush resolves; nil if no waiter yet
+	size    int64  // bytes appended since Open/Reset (durable + pending)
+	closed  bool
+	err     error // sticky I/O error; fails all subsequent commits
 
 	// ioMu serializes file I/O: the flusher's write+fsync (which runs
 	// outside mu) against Reset's truncate. Without it an in-flight Write
@@ -234,8 +222,9 @@ func Open(path string, validSize int64, opts Options) (*Log, error) {
 // Append enqueues one record without waiting for durability. The record
 // becomes durable with the batch that carries it; an I/O error surfaces
 // on the commits and Syncs that follow. Append on a closed or failed log
-// drops the record (counted in Stats().Dropped) — safe because every
-// non-commit record is advisory without a durable commit marker after it.
+// drops the record (counted in Stats().Dropped) — safe because replay
+// discards a write no durable commit marker follows, and the commit that
+// would follow fails the same way.
 func (l *Log) Append(r *Record) error {
 	_, err := l.append(r, false)
 	return err
@@ -335,7 +324,7 @@ func (l *Log) Sync() error {
 // Reset truncates the log to empty — called after a snapshot has been
 // made durable. Commit markers must not race Reset (the engine
 // guarantees this by holding every admission gate, which every marker
-// producer shares). Racing advisory appends are tolerated: the truncate
+// producer shares). Racing appends are tolerated: the truncate
 // is serialized against the flusher's file I/O via ioMu, so it can never
 // interleave with a buffer write and tear the log head, and records
 // still in the in-memory buffer are carried over and flushed into the
@@ -374,8 +363,9 @@ func (l *Log) Reset() error {
 	return nil
 }
 
-// Close flushes and fsyncs everything pending, resolves outstanding
-// commit waiters, and closes the file. Subsequent appends fail with
+// Close flushes and fsyncs the batch commit waiters are attached to,
+// resolves them, and closes the file; records no commit marker follows
+// are dropped, as replay would discard them. Subsequent appends fail with
 // ErrClosed. It returns the sticky I/O error, if any.
 func (l *Log) Close() error {
 	l.mu.Lock()
@@ -390,16 +380,7 @@ func (l *Log) Close() error {
 	<-l.done // flusher performed its final flush and exited
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var err error
-	if len(l.buf) > 0 && l.err == nil {
-		// Advisory records the final flush left for a commit marker that
-		// never came.
-		err = l.writeAndSync(l.buf, Flush{Records: l.bufRecs})
-	}
-	if cerr := l.f.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if l.err == nil {
+	if err := l.f.Close(); l.err == nil {
 		l.err = err
 	}
 	return l.err
@@ -544,26 +525,9 @@ func (l *Log) sampleReturn(d time.Duration) {
 	l.ret += d / 4
 }
 
-// noteErr latches the log's first sticky I/O error. It reports whether
-// the caller should dispatch Options.OnError (exactly one caller ever
-// gets true). Caller holds l.mu.
-func (l *Log) noteErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	if l.err == nil {
-		l.err = err
-	}
-	if l.notified || l.opts.OnError == nil {
-		return false
-	}
-	l.notified = true
-	return true
-}
-
 // flushOnce swaps out the pending buffer and current batch, writes and
-// fsyncs outside the lock, and resolves the batch; advisory records
-// below the byte threshold are left for the next commit marker. On
+// fsyncs outside the lock, and resolves the batch; writes below the byte
+// threshold with no marker yet are left for the one behind them. On
 // failure it latches the sticky error and — before returning — also
 // fails any batch that formed while the doomed flush was in flight, so
 // every queued commit waiter observes the failure immediately rather
@@ -590,11 +554,12 @@ func (l *Log) flushOnce(fl Flush) {
 		err = l.writeAndSync(buf, fl)
 	}
 	now := time.Now()
-	var notify bool
 	var stranded *batch
 	l.mu.Lock()
 	if err != nil {
-		notify = l.noteErr(err)
+		if l.err == nil {
+			l.err = err
+		}
 		// Waiters that attached after the swap above joined a fresh batch
 		// expecting a future flush; with the log now poisoned, append()
 		// rejects all newcomers, so nothing would ever kick that flush.
@@ -619,9 +584,6 @@ func (l *Log) flushOnce(fl Flush) {
 	if stranded != nil {
 		stranded.err = err
 		close(stranded.done)
-	}
-	if notify {
-		l.opts.OnError(err)
 	}
 }
 
@@ -712,35 +674,4 @@ func Replay(r io.Reader, apply func(Record) error) (valid int64, records int64, 
 		valid += int64(frameHeader) + int64(n)
 		records++
 	}
-}
-
-// Persister adapts a Log to the store's durability hook
-// (mvstore.Persister): installs, aborts, and prunes are enqueued without
-// waiting — they are advisory until a commit marker follows — while
-// commit markers return the group-commit wait the engine blocks on
-// before acknowledging. Append errors on the advisory records are
-// deliberately dropped: once the log is closed or failed, the next
-// commit marker surfaces the condition where it matters.
-type Persister struct {
-	Log *Log
-}
-
-// PersistInstall implements mvstore.Persister.
-func (p *Persister) PersistInstall(g schema.GranuleID, ts vclock.Time, value []byte) {
-	p.Log.Append(&Record{Kind: KindWrite, Txn: ts, Seg: g.Segment, Key: g.Key, Value: value})
-}
-
-// PersistAbort implements mvstore.Persister.
-func (p *Persister) PersistAbort(g schema.GranuleID, ts vclock.Time) {
-	p.Log.Append(&Record{Kind: KindAbort, Txn: ts, Seg: g.Segment, Key: g.Key})
-}
-
-// PersistCommit implements mvstore.Persister.
-func (p *Persister) PersistCommit(ts vclock.Time) func() error {
-	return p.Log.Commit(&Record{Kind: KindCommit, Txn: ts})
-}
-
-// PersistPrune implements mvstore.Persister.
-func (p *Persister) PersistPrune(watermark vclock.Time) {
-	p.Log.Append(&Record{Kind: KindPrune, Watermark: watermark})
 }

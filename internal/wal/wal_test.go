@@ -59,7 +59,8 @@ func TestDecodeRecordRejects(t *testing.T) {
 	}
 }
 
-// appendAll writes records through a fresh log and returns the file path.
+// appendAll writes records through a fresh log, syncs the ones no commit
+// marker follows (Close would drop them), and returns the file path.
 func appendAll(t *testing.T, recs []Record, opts Options) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "wal")
@@ -75,6 +76,9 @@ func appendAll(t *testing.T, recs []Record, opts Options) string {
 		} else if err := l.Append(&recs[i]); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -293,20 +297,19 @@ func TestHoldWorth(t *testing.T) {
 	}
 }
 
-// TestAdvisoryRecordsNeverSyncAlone: advisory records are enqueued under
-// store chain locks and never start an fsync of their own; they ride the
-// next commit marker's flush, which pays exactly one.
+// TestAdvisoryRecordsNeverSyncAlone: a committer's write records never
+// start an fsync of their own; they ride its commit marker's flush, which
+// pays exactly one. A write no marker follows is dropped at Close.
 func TestAdvisoryRecordsNeverSyncAlone(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	l, err := Open(path, -1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(&Record{Kind: KindWrite, Txn: 1, Seg: 0, Key: 1, Value: []byte("v")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(&Record{Kind: KindAbort, Txn: 2, Seg: 0, Key: 2}); err != nil {
-		t.Fatal(err)
+	for key := uint64(1); key <= 2; key++ {
+		if err := l.Append(&Record{Kind: KindWrite, Txn: 1, Seg: 0, Key: key, Value: []byte("v")}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	time.Sleep(10 * time.Millisecond) // room for a flush that must not happen
 	if st := l.Stats(); st.Syncs != 0 || st.FlushedBytes != 0 {
@@ -318,17 +321,20 @@ func TestAdvisoryRecordsNeverSyncAlone(t *testing.T) {
 	if st := l.Stats(); st.Syncs != 1 || st.FlushedBytes != st.AppendedBytes {
 		t.Errorf("Syncs = %d, %d of %d bytes flushed after the commit, want 1 sync carrying all", st.Syncs, st.FlushedBytes, st.AppendedBytes)
 	}
+	if err := l.Append(&Record{Kind: KindWrite, Txn: 2, Seg: 0, Key: 3, Value: []byte("v")}); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	recs, _, torn := replayFile(t, path)
-	if torn || len(recs) != 3 {
-		t.Errorf("replayed %d records (torn=%v), want 3 clean", len(recs), torn)
+	if torn || len(recs) != 3 || recs[2].Kind != KindCommit {
+		t.Errorf("replayed %+v (torn=%v), want the two writes and their commit, clean", recs, torn)
 	}
 }
 
 func TestResetDoesNotTearLogHead(t *testing.T) {
-	// Advisory appends racing Reset must never interleave a buffer flush
+	// Appends racing Reset must never interleave a buffer flush
 	// with the truncate: a zero-filled hole at the head of the log would
 	// decode as a torn tail at offset 0 and discard everything after it.
 	path := filepath.Join(t.TempDir(), "wal")
