@@ -70,9 +70,10 @@ stress-wal:
 # ad-hoc gates, the reaper, read-only variants and shutdown, plus the
 # durability tests around the commit path that writes the log: snapshots
 # racing commits and GC, recovery, fail-stop poisoning and the log's
-# contents. See DESIGN.md §8 and §10.
+# contents, and the counters Stats and /metrics share. See DESIGN.md §8,
+# §10 and §13.
 stress-core:
-	$(GO) test -race -count=10 -run 'Serializab|AdHoc|Reap|ReadOnly|Path|Close|Snapshot|Durable|Uncommitted|Poison|LogHolds|Legacy' ./internal/core/
+	$(GO) test -race -count=10 -run 'Serializab|AdHoc|Reap|ReadOnly|Path|Close|Snapshot|Durable|Uncommitted|Poison|LogHolds|Legacy|Stats|Obs' ./internal/core/
 
 # Short fixed-budget fuzz of the one on-disk format: the log's record
 # decoder and replay loop, and checkpoints, which are log segments (the

@@ -17,7 +17,7 @@ import (
 	"time"
 
 	"hdd/internal/enginereg"
-	"hdd/internal/metrics"
+	"hdd/internal/experiments"
 	"hdd/internal/schema"
 	"hdd/internal/sim"
 	"hdd/internal/workload"
@@ -43,7 +43,7 @@ func main() {
 		engines = enginereg.Names()
 	}
 
-	tab := metrics.NewTable(
+	tab := experiments.NewTable(
 		fmt.Sprintf("hddsim — workload=%s clients=%d txns/client=%d opdelay=%v", *wl, *clients, *txns, *opdelay),
 		"engine", "committed", "retries", "reg-reads/txn", "blocked-reads/txn", "rejects/txn", "deadlocks", "p50", "p99", "txn/s")
 
@@ -76,9 +76,9 @@ func main() {
 		}
 		st := res.Stats
 		tab.AddRow(name, res.Committed, res.Retries,
-			metrics.Ratio(st.ReadRegistrations, res.Committed),
-			metrics.Ratio(st.BlockedReads, res.Committed),
-			metrics.Ratio(st.RejectedReads+st.RejectedWrites, res.Committed),
+			experiments.Ratio(st.ReadRegistrations, res.Committed),
+			experiments.Ratio(st.BlockedReads, res.Committed),
+			experiments.Ratio(st.RejectedReads+st.RejectedWrites, res.Committed),
 			st.Deadlocks,
 			res.Latency.Quantile(0.5).Round(time.Microsecond).String(),
 			res.Latency.Quantile(0.99).Round(time.Microsecond).String(),

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 
+	"hdd/internal/metrics"
 	"hdd/internal/schema"
 	"hdd/internal/vclock"
 )
@@ -140,46 +141,46 @@ var ErrEngineClosed = errors.New("cc: engine closed")
 var ErrDurabilityFailed = errors.New("cc: durability failed; engine is read-only")
 
 // Counters is the set of cumulative metrics every engine maintains. All
-// fields are sharded, cache-line-padded counters (see Counter) so engines
-// can update them from any goroutine without bouncing lines between cores;
-// use Snapshot for a consistent-enough read.
+// fields are sharded, cache-line-padded counters (metrics.Counter) so
+// engines can update them from any goroutine without bouncing lines between
+// cores; use Snapshot for a consistent-enough read.
 type Counters struct {
-	Begins  Counter
-	Commits Counter
-	Aborts  Counter
+	Begins  metrics.Counter
+	Commits metrics.Counter
+	Aborts  metrics.Counter
 
-	Reads  Counter
-	Writes Counter
+	Reads  metrics.Counter
+	Writes metrics.Counter
 
 	// ReadRegistrations counts reads that had to leave a trace: a read
 	// lock taken or a read timestamp written. The paper's central claim
 	// is that HDD drives this to zero for cross-class and read-only
 	// accesses.
-	ReadRegistrations Counter
+	ReadRegistrations metrics.Counter
 	// BlockedReads / BlockedWrites count operations that had to wait for
 	// another transaction before completing.
-	BlockedReads  Counter
-	BlockedWrites Counter
+	BlockedReads  metrics.Counter
+	BlockedWrites metrics.Counter
 	// RejectedReads / RejectedWrites count timestamp-ordering rejections
 	// (each implies an abort).
-	RejectedReads  Counter
-	RejectedWrites Counter
+	RejectedReads  metrics.Counter
+	RejectedWrites metrics.Counter
 	// Deadlocks counts deadlock-victim aborts (2PL engines).
-	Deadlocks Counter
+	Deadlocks metrics.Counter
 	// WallWaits counts read-only transactions that had to wait for a
 	// wall / snapshot to become available (engines that never wait keep
 	// this zero).
-	WallWaits Counter
+	WallWaits metrics.Counter
 	// ReapedTxns counts stuck transactions force-aborted by the engine's
 	// background reaper (deadline enforcement for abandoned clients).
-	ReapedTxns Counter
+	ReapedTxns metrics.Counter
 	// TimedOutReads counts blocked reads that gave up because the
 	// transaction's deadline expired before the pending version resolved.
-	TimedOutReads Counter
+	TimedOutReads metrics.Counter
 	// DurabilityFailures counts commits (in-flight or queued) and begins
 	// failed with ErrDurabilityFailed after the storage layer poisoned the
 	// engine. Zero on healthy and memory-only engines.
-	DurabilityFailures Counter
+	DurabilityFailures metrics.Counter
 }
 
 // Stats is a plain snapshot of Counters.

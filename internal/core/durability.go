@@ -105,11 +105,8 @@ type durability struct {
 	degraded atomic.Bool
 	poisonMu sync.Mutex
 	cause    error
-
-	// onPoison, if set, runs exactly once when the fail-stop latch first
-	// sets (the observability plane's degraded trace event). It must not
-	// call back into the durability layer.
-	onPoison func()
+	// ring receives the degraded event when the latch first sets.
+	ring *obs.Ring
 }
 
 // poison latches the fail-stop state with the first cause. Safe to call
@@ -126,8 +123,8 @@ func (d *durability) poison(cause error) {
 		first = true
 	}
 	d.poisonMu.Unlock()
-	if first && d.onPoison != nil {
-		d.onPoison()
+	if first {
+		d.ring.Record(obs.KindDegraded, obs.NoClass, 0, 0, 0)
 	}
 }
 
@@ -199,19 +196,16 @@ func (e *Engine) initDurability(cfg Config) error {
 	// created it. Best-effort: the parent may not be openable (and on an
 	// existing deployment there is nothing to persist).
 	fs.SyncDir(filepath.Dir(cfg.DataDir))
-	d := &durability{dataDir: cfg.DataDir, fs: fs, snapshotBytes: cfg.SnapshotBytes}
+	d := &durability{dataDir: cfg.DataDir, fs: fs, snapshotBytes: cfg.SnapshotBytes, ring: e.ring}
 	if d.snapshotBytes == 0 {
 		d.snapshotBytes = 8 << 20
 	}
-	// The flush instruments and the degraded hook are installed before the
-	// log opens so the flusher goroutine never observes them half-built;
-	// the scrape-time WAL counter families follow once the log exists.
+	// The flush instruments are built before the log opens so the flusher
+	// goroutine never observes them half-built; the scrape-time WAL
+	// families follow once the log exists.
 	var onFlush func(wal.Flush)
-	if o := e.obs; o != nil {
-		d.onPoison = func() {
-			o.ring.Record(obs.KindDegraded, obs.NoClass, 0, 0, 0)
-		}
-		onFlush = o.walFlushHook()
+	if cfg.Obs != nil {
+		onFlush = e.walFlushHook(cfg.Obs.Reg)
 	}
 
 	// Recovery step 1: load the latest snapshot, if any.
@@ -278,8 +272,8 @@ func (e *Engine) initDurability(cfg Config) error {
 	d.rec.HighWater = high
 	d.rec.Duration = time.Since(start)
 	e.dur = d
-	if o := e.obs; o != nil {
-		o.registerWAL(e)
+	if cfg.Obs != nil {
+		e.registerWAL(cfg.Obs.Reg)
 	}
 
 	if d.snapshotBytes > 0 {
@@ -409,10 +403,7 @@ func (e *Engine) Snapshot() error {
 		return fmt.Errorf("core: truncating wal after snapshot: %w", err)
 	}
 	e.dur.snapshots.Add(1)
-	if o := e.obs; o != nil {
-		o.ring.Record(obs.KindSnapshot, obs.NoClass, superseded,
-			time.Since(snapStart).Microseconds(), 0)
-	}
+	e.ring.Record(obs.KindSnapshot, obs.NoClass, superseded, time.Since(snapStart).Microseconds(), 0)
 	return nil
 }
 

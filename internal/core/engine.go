@@ -60,6 +60,7 @@ import (
 	"hdd/internal/activity"
 	"hdd/internal/alink"
 	"hdd/internal/cc"
+	"hdd/internal/metrics"
 	"hdd/internal/mvstore"
 	"hdd/internal/obs"
 	"hdd/internal/schema"
@@ -141,9 +142,10 @@ type Config struct {
 	// Defaults to 1s.
 	SnapshotInterval time.Duration
 	// Obs attaches an observability plane (DESIGN.md §13): the engine
-	// registers its metric families on the plane's registry and records
-	// trace events into its ring. Nil disables all instrumentation at
-	// zero cost. A plane carries the families of exactly one engine.
+	// registers its counters and metric families on the plane's registry
+	// and records trace events into its ring. The engine counts either
+	// way; without a plane it exposes and traces nothing. A plane carries
+	// the families of exactly one engine.
 	Obs *obs.Plane
 }
 
@@ -157,7 +159,18 @@ type Engine struct {
 	links *alink.Links
 	walls *alink.WallManager
 	rec   cc.Recorder
-	ctr   cc.Counters
+
+	// Counters (obs.go), one increment per event. ctr's Begins, Commits,
+	// Aborts, Reads and ReadRegistrations stay zero: Stats sums those from
+	// the labelled txns and reads, which /metrics exposes.
+	ctr                 cc.Counters
+	txns                []classCounts // by ClassID, then class="ro"
+	reads               [numReadProtos]metrics.Counter
+	gcPruned, gcVisited metrics.Counter
+	// ring receives trace events, nil without a plane; beginSample is the
+	// per-class cursor of the begin-window event stride.
+	ring        *obs.Ring
+	beginSample []atomic.Uint64
 
 	// gate admits ordinary update transactions shared per class and §7.1
 	// ad-hoc transactions exclusive over their conflict set; see adhoc.go.
@@ -174,10 +187,6 @@ type Engine struct {
 	// dur is the durability layer (durability.go); nil when the engine is
 	// memory-only.
 	dur *durability
-
-	// obs is the engine-side observability state (obs.go); nil when no
-	// plane is attached.
-	obs *engineObs
 
 	// closed is closed by Close; blocked waiters select on it, and
 	// Begin/Read/Write fail once it is closed.
@@ -210,28 +219,31 @@ func NewEngine(cfg Config) (*Engine, error) {
 	// §5.2: wall computation starts from a class of one of the lowest
 	// levels. LowestClasses is never empty for a valid partition.
 	start := cfg.Partition.LowestClasses()[0]
-	act := activity.NewSet(cfg.Partition.NumClasses())
+	n := cfg.Partition.NumClasses()
+	act := activity.NewSet(n)
 	links := alink.New(cfg.Partition, act)
 	e := &Engine{
-		part:       cfg.Partition,
-		clock:      cfg.Clock,
-		store:      mvstore.New(),
-		act:        act,
-		links:      links,
-		walls:      alink.NewWallManager(links, cfg.Clock, cfg.WallInterval, start),
-		rec:        cfg.Recorder,
-		rootProto:  cfg.RootProtocol,
-		gcEvery:    cfg.GCEveryCommits,
-		txnTimeout: cfg.TxnTimeout,
-		closed:     make(chan struct{}),
+		part:        cfg.Partition,
+		clock:       cfg.Clock,
+		store:       mvstore.New(),
+		act:         act,
+		links:       links,
+		walls:       alink.NewWallManager(links, cfg.Clock, cfg.WallInterval, start),
+		rec:         cfg.Recorder,
+		rootProto:   cfg.RootProtocol,
+		gcEvery:     cfg.GCEveryCommits,
+		txnTimeout:  cfg.TxnTimeout,
+		txns:        make([]classCounts, n+1),
+		closed:      make(chan struct{}),
+		beginSample: make([]atomic.Uint64, n),
 	}
 	e.gate.init(cfg.Partition)
 	e.live.init()
 	if cfg.Obs != nil {
-		// Built before the durability layer so a degraded event raised
-		// during recovery already has a ring to land in; the WAL metric
-		// families are added by initDurability once the log exists.
-		e.obs = newEngineObs(e, cfg.Obs)
+		// Set before the durability layer so a degraded event raised
+		// during recovery already has a ring to land in.
+		e.ring = cfg.Obs.Events
+		e.register(cfg.Obs.Reg)
 	}
 	if cfg.Durability == DurabilityWAL {
 		// Recovery runs to completion before NewEngine returns: no
@@ -293,9 +305,6 @@ func (e *Engine) closedErr() error {
 		return nil
 	}
 }
-
-// Stats implements cc.Engine.
-func (e *Engine) Stats() cc.Stats { return e.ctr.Snapshot() }
 
 // Partition returns the engine's partition.
 func (e *Engine) Partition() *schema.Partition { return e.part }

@@ -435,8 +435,8 @@ func TestReadOnlyUnknownSegment(t *testing.T) {
 	if _, err := up.Read(gr(99, 1)); cc.AbortReason(err) != cc.ReasonClassViolation {
 		t.Fatalf("update read of segment 99 = %v, want a class-violation abort", err)
 	}
-	if e.Stats().Reads != 3 {
-		t.Fatalf("Reads = %d, want 3: rejected read-only reads are not counted", e.Stats().Reads)
+	if e.Stats().Reads != 2 {
+		t.Fatalf("Reads = %d, want 2: refused reads are not counted", e.Stats().Reads)
 	}
 }
 

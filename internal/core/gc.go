@@ -50,16 +50,14 @@ func (e *Engine) gcWatermark() vclock.Time {
 func (e *Engine) GCRuns() int64 { return e.gcRuns.Load() }
 
 // ForceGC runs one GC cycle now: it prunes the store and the activity
-// history against a freshly computed watermark, records the cycle on the
-// attached plane and returns the number of store versions pruned.
+// history against a freshly computed watermark, counts the cycle and
+// returns the number of store versions pruned.
 func (e *Engine) ForceGC() int {
 	watermark := e.gcWatermark()
 	pruned, visited := e.store.Prune(watermark)
 	e.act.PruneBefore(watermark)
-	if o := e.obs; o != nil {
-		o.gcPruned.Add(int64(pruned))
-		o.gcVisited.Add(int64(visited))
-		o.ring.Record(obs.KindGCPrune, obs.NoClass, int64(watermark), int64(pruned), int64(visited))
-	}
+	e.gcPruned.Add(int64(pruned))
+	e.gcVisited.Add(int64(visited))
+	e.ring.Record(obs.KindGCPrune, obs.NoClass, int64(watermark), int64(pruned), int64(visited))
 	return pruned
 }

@@ -51,10 +51,7 @@ func (e *Engine) beginUpdate(class schema.ClassID, timeout time.Duration, held [
 	// through the activity set's TickBarrier observes this registration —
 	// the property every I_old(m) evaluation relies on (see activity.Set).
 	init := e.act.BeginTxn(int(class), e.clock)
-	e.ctr.Begins.Add(1)
-	if o := e.obs; o != nil {
-		o.beginUpdate(class, init)
-	}
+	e.countBegin(class, init)
 	e.rec.RecordBegin(init, class, false)
 	t := &updateTxn{eng: e, init: init, class: class, held: held, readSet: readSet,
 		deadline: deadlineFor(timeout), cancel: make(chan struct{})}
@@ -119,14 +116,7 @@ func (e *Engine) beginReadOnly(base schema.ClassID) (cc.Txn, error) {
 		}
 		t.release = e.walls.AcquireFloor(floor)
 	}
-	e.ctr.Begins.Add(1)
-	if o := e.obs; o != nil {
-		o.beginRO()
-		t.reads, t.lockfree = o.readsC, o.lockfreeC
-		if base != schema.NoClass {
-			t.reads, t.lockfree = o.readsAPath, o.lockfreeAPath
-		}
-	}
+	e.roCounts().begins.Inc()
 	e.rec.RecordBegin(t.init, schema.NoClass, true)
 	e.live.register(t.init, t)
 	return t, nil

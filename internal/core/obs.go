@@ -1,12 +1,11 @@
 package core
 
-// Engine-side observability (DESIGN.md §13): when Config.Obs is set, the
-// engine registers its metric families on the plane's registry at
-// construction and records structured events into the plane's trace ring
-// as it runs. A nil plane costs nothing — every hook site guards on
-// e.obs — and the hot-path cost with a plane attached is one sharded
-// counter increment per operation (the same cc.Counter idiom the engine
-// already pays for Stats).
+// Counting and observability (DESIGN.md §13). The engine counts each event
+// it observes once, at the site where it happens, in counters it owns
+// whether or not a plane is attached; Stats sums them. Config.Obs only
+// decides where those counters are registered (the plane's registry, at
+// construction) and where trace events go (the plane's ring; a nil
+// *obs.Ring records nothing).
 //
 // A plane carries the families of exactly one engine: family names are
 // unregistered only when the plane is garbage collected, so attaching a
@@ -16,8 +15,9 @@ package core
 
 import (
 	"strconv"
-	"sync/atomic"
 
+	"hdd/internal/cc"
+	"hdd/internal/metrics"
 	"hdd/internal/obs"
 	"hdd/internal/schema"
 	"hdd/internal/vclock"
@@ -32,100 +32,81 @@ import (
 // granularity without the flood.
 const beginSampleStride = 64
 
-// engineObs holds the engine's registered metric handles and the trace
-// ring. All per-operation hooks are methods here so the call sites stay
-// one guarded line.
-type engineObs struct {
-	ring *obs.Ring
-	reg  *obs.Registry
+// readProto is the protocol that served a read: one hdd_reads_total
+// series each.
+type readProto uint8
 
-	// Per-class transaction lifecycle counters, indexed by ClassID, plus
-	// the class="ro" series shared by all read-only flavors (Protocol C,
-	// path readers): read-only transactions have no class of their own.
-	begins, commits, aborts       []*obs.Counter
-	roBegins, roCommits, roAborts *obs.Counter
+const (
+	readA     readProto = iota // update transaction, higher segment
+	readAPath                  // critical-path read-only transaction
+	readB                      // update transaction, root segment (registered)
+	readC                      // below a released time wall
+	readAdHoc                  // latest committed, conflict set drained
+	readOwn                    // an update transaction's own pending write
+	numReadProtos
+)
 
-	// Reads by protocol: A (update cross-class), A-path (fictitious-class
-	// path readers), B (root-segment registered), C (wall-bounded), adhoc
-	// (exact reads under a drained conflict set).
-	readsA, readsAPath, readsB, readsC, readsAdHoc *obs.Counter
+var readProtoNames = [numReadProtos]string{"A", "A-path", "B", "C", "adhoc", "own"}
 
-	// Reads served by the wait-free committed-read path (published-chain
-	// load, no locks, no allocations), by protocol. Protocol B is absent:
-	// registered reads mutate the chain by definition. Equal to the
-	// corresponding hdd_reads_total series today; the split exists so a
-	// future partially-locked path shows up as divergence.
-	lockfreeA, lockfreeAPath, lockfreeC, lockfreeAdHoc *obs.Counter
+// classCounts is one class's transaction lifecycle.
+type classCounts struct{ begins, commits, aborts metrics.Counter }
 
-	// gcPruned counts store versions removed by GC cycles; gcVisited the
-	// chains those cycles examined. visited ≈ pruned is the healthy shape;
-	// visited ≫ pruned means a held-back watermark keeps chains queued.
-	gcPruned, gcVisited *obs.Counter
+// roCounts is the class="ro" slot that follows the classes in e.txns,
+// shared by both read-only flavors: they have no class of their own.
+func (e *Engine) roCounts() *classCounts { return &e.txns[len(e.txns)-1] }
 
-	// beginSample implements the begin-window event stride, one cursor
-	// per class.
-	beginSample []atomic.Uint64
+// Stats implements cc.Engine. The transaction and read totals are sums of
+// the labelled counters /metrics exposes, so the two always agree: Reads
+// is reads served, and ReadRegistrations is the Protocol B reads.
+func (e *Engine) Stats() cc.Stats {
+	s := e.ctr.Snapshot()
+	for i := range e.txns {
+		s.Begins += e.txns[i].begins.Load()
+		s.Commits += e.txns[i].commits.Load()
+		s.Aborts += e.txns[i].aborts.Load()
+	}
+	for i := range e.reads {
+		s.Reads += e.reads[i].Load()
+	}
+	s.ReadRegistrations = e.reads[readB].Load()
+	return s
 }
 
-// newEngineObs registers the engine's metric families on the plane. The
-// engine's structural pieces (walls, live registry, counters) must be
-// built; the durability layer may not be yet — its families are added by
-// initDurability.
-func newEngineObs(e *Engine, plane *obs.Plane) *engineObs {
-	r := plane.Reg
-	n := e.part.NumClasses()
-	o := &engineObs{
-		ring:        plane.Events,
-		reg:         r,
-		begins:      make([]*obs.Counter, n),
-		commits:     make([]*obs.Counter, n),
-		aborts:      make([]*obs.Counter, n),
-		beginSample: make([]atomic.Uint64, n),
-	}
+// register exposes the engine's counters and state on a plane's registry.
+// The durability families are added by initDurability once the log exists.
+func (e *Engine) register(r *obs.Registry) {
 	const (
-		beginsName  = "hdd_txn_begins_total"
-		commitsName = "hdd_txn_commits_total"
-		abortsName  = "hdd_txn_aborts_total"
 		beginsHelp  = "Transactions begun, by class (class=\"ro\" for read-only flavors)."
 		commitsHelp = "Transactions committed, by class (class=\"ro\" for read-only flavors)."
 		abortsHelp  = "Transactions aborted, by class (class=\"ro\" for read-only flavors)."
 	)
-	for c := 0; c < n; c++ {
-		cls := strconv.Itoa(c)
-		o.begins[c] = r.Counter(beginsName, beginsHelp, "class", cls)
-		o.commits[c] = r.Counter(commitsName, commitsHelp, "class", cls)
-		o.aborts[c] = r.Counter(abortsName, abortsHelp, "class", cls)
+	for c := range e.txns {
+		cls, n := "ro", &e.txns[c]
+		if c < len(e.txns)-1 {
+			cls = strconv.Itoa(c)
+		}
+		r.CounterFunc("hdd_txn_begins_total", beginsHelp, n.begins.Load, "class", cls)
+		r.CounterFunc("hdd_txn_commits_total", commitsHelp, n.commits.Load, "class", cls)
+		r.CounterFunc("hdd_txn_aborts_total", abortsHelp, n.aborts.Load, "class", cls)
 	}
-	o.roBegins = r.Counter(beginsName, beginsHelp, "class", "ro")
-	o.roCommits = r.Counter(commitsName, commitsHelp, "class", "ro")
-	o.roAborts = r.Counter(abortsName, abortsHelp, "class", "ro")
-
-	const (
-		readsName = "hdd_reads_total"
-		readsHelp = "Reads served, by protocol (A, A-path, B, C, adhoc)."
-	)
-	o.readsA = r.Counter(readsName, readsHelp, "protocol", "A")
-	o.readsAPath = r.Counter(readsName, readsHelp, "protocol", "A-path")
-	o.readsB = r.Counter(readsName, readsHelp, "protocol", "B")
-	o.readsC = r.Counter(readsName, readsHelp, "protocol", "C")
-	o.readsAdHoc = r.Counter(readsName, readsHelp, "protocol", "adhoc")
-
-	const (
-		lockfreeName = "hdd_reads_lockfree_total"
-		lockfreeHelp = "Reads served by the wait-free committed-read path (no locks, no allocations), by protocol."
-	)
-	o.lockfreeA = r.Counter(lockfreeName, lockfreeHelp, "protocol", "A")
-	o.lockfreeAPath = r.Counter(lockfreeName, lockfreeHelp, "protocol", "A-path")
-	o.lockfreeC = r.Counter(lockfreeName, lockfreeHelp, "protocol", "C")
-	o.lockfreeAdHoc = r.Counter(lockfreeName, lockfreeHelp, "protocol", "adhoc")
-
-	o.gcPruned = r.Counter("hdd_gc_pruned_versions_total",
-		"Store versions removed by garbage collection.")
-	o.gcVisited = r.Counter("hdd_gc_chains_visited_total",
-		"Version chains examined by garbage collection (the prune queue's length at each cycle).")
-
-	// Scrape-time views over state the engine already maintains: no
-	// double counting, no extra hot-path work.
+	for p, name := range readProtoNames {
+		r.CounterFunc("hdd_reads_total", "Reads served, by protocol (A, A-path, B, C, adhoc, own).",
+			e.reads[p].Load, "protocol", name)
+	}
+	// Every Protocol A, A-path, C and ad-hoc read takes the store's
+	// wait-free committed-read path (published-chain load, no locks, no
+	// allocations); Protocol B reads mutate the chain by definition.
+	for _, p := range []readProto{readA, readAPath, readC, readAdHoc} {
+		r.CounterFunc("hdd_reads_lockfree_total",
+			"Reads served by the wait-free committed-read path (no locks, no allocations), by protocol.",
+			e.reads[p].Load, "protocol", readProtoNames[p])
+	}
+	r.CounterFunc("hdd_gc_pruned_versions_total",
+		"Store versions removed by garbage collection.",
+		e.gcPruned.Load)
+	r.CounterFunc("hdd_gc_chains_visited_total",
+		"Version chains examined by garbage collection (the prune queue's length at each cycle).",
+		e.gcVisited.Load)
 	r.CounterFunc("hdd_wall_releases_total",
 		"Time walls released (§5.2).",
 		func() int64 { released, _ := e.walls.Stats(); return int64(released) })
@@ -140,7 +121,7 @@ func newEngineObs(e *Engine, plane *obs.Plane) *engineObs {
 		e.gcRuns.Load)
 	r.CounterFunc("hdd_read_registrations_total",
 		"Reads that left a trace (Protocol B read timestamps) — the cost HDD minimizes.",
-		e.ctr.ReadRegistrations.Load)
+		e.reads[readB].Load)
 	r.CounterFunc("hdd_blocked_reads_total",
 		"Protocol B reads that waited on a pending version.",
 		e.ctr.BlockedReads.Load)
@@ -170,18 +151,16 @@ func newEngineObs(e *Engine, plane *obs.Plane) *engineObs {
 			}
 			return 0
 		})
-	return o
 }
 
 // walFlushHook registers the per-flush WAL families (memory-only engines
 // have none) and returns the wal.Options.OnFlush that feeds them and the
 // trace ring.
-func (o *engineObs) walFlushHook() func(wal.Flush) {
-	r := o.reg
+func (e *Engine) walFlushHook(r *obs.Registry) func(wal.Flush) {
 	fsync := r.Histogram("hdd_wal_fsync_seconds", "Duration of each WAL flush-batch fsync.")
 	held := r.Histogram("hdd_wal_hold_seconds", "How long the flusher held a batch open for committers due back.")
 	waiters := r.ValueHistogram("hdd_wal_commit_waiters", "Commit markers acknowledged per flushed batch.")
-	var holds [3]*obs.Counter
+	var holds [3]*metrics.Counter
 	for out, name := range [...]string{wal.HoldNone: "none", wal.HoldReady: "ready", wal.HoldExpired: "expired"} {
 		holds[out] = r.Counter("hdd_wal_hold_total",
 			"Flushed batches by how the flusher's hold ended: none (flushed at once), ready (before its bound: the committers due are back), expired (ran to its bound).",
@@ -194,14 +173,13 @@ func (o *engineObs) walFlushHook() func(wal.Flush) {
 		if f.Hold != wal.HoldNone {
 			held.Observe(f.Held)
 		}
-		o.ring.Record(obs.KindWALFlush, obs.NoClass, f.Records, int64(f.Waiters), f.Sync.Microseconds())
+		e.ring.Record(obs.KindWALFlush, obs.NoClass, f.Records, int64(f.Waiters), f.Sync.Microseconds())
 	}
 }
 
 // registerWAL adds the scrape-time durability families; called by
 // initDurability once the log exists (after e.dur is set).
-func (o *engineObs) registerWAL(e *Engine) {
-	r := o.reg
+func (e *Engine) registerWAL(r *obs.Registry) {
 	log := e.dur.log
 	r.GaugeSecondsFunc("hdd_wal_return_seconds",
 		"The log's estimate of how long after an acknowledgement its committers take to all be back.",
@@ -235,36 +213,20 @@ func (o *engineObs) registerWAL(e *Engine) {
 		e.dur.snapshotErrs.Load)
 }
 
-// beginUpdate records an update or ad-hoc begin: the per-class counter,
-// and a stride-sampled begin-window trace event carrying the sampled
-// initiation tick.
-func (o *engineObs) beginUpdate(class schema.ClassID, init vclock.Time) {
-	o.begins[class].Inc()
-	if o.beginSample[class].Add(1)%beginSampleStride == 1 {
-		o.ring.Record(obs.KindBeginWindow, int32(class), int64(init), 0, 0)
+// countBegin counts an update or ad-hoc begin in its class and records a
+// stride-sampled begin-window event carrying the initiation tick.
+func (e *Engine) countBegin(class schema.ClassID, init vclock.Time) {
+	e.txns[class].begins.Inc()
+	if e.ring != nil && e.beginSample[class].Add(1)%beginSampleStride == 1 {
+		e.ring.Record(obs.KindBeginWindow, int32(class), int64(init), 0, 0)
 	}
-}
-
-func (o *engineObs) commitUpdate(class schema.ClassID) { o.commits[class].Inc() }
-func (o *engineObs) abortUpdate(class schema.ClassID)  { o.aborts[class].Inc() }
-
-func (o *engineObs) beginRO()  { o.roBegins.Inc() }
-func (o *engineObs) commitRO() { o.roCommits.Inc() }
-func (o *engineObs) abortRO()  { o.roAborts.Inc() }
-
-// reaped records a reaper force-abort trace event.
-func (o *engineObs) reaped(class int32, txn vclock.Time) {
-	o.ring.Record(obs.KindReap, class, int64(txn), 0, 0)
 }
 
 // pollWalls is walls.Poll plus the wall-release trace event; all engine
 // commit/abort paths call it instead of e.walls.Poll().
 func (e *Engine) pollWalls() {
-	if !e.walls.Poll() {
-		return
-	}
-	if o := e.obs; o != nil {
+	if e.walls.Poll() && e.ring != nil {
 		w := e.walls.Current()
-		o.ring.Record(obs.KindWallRelease, obs.NoClass, int64(w.At), int64(w.Released), 0)
+		e.ring.Record(obs.KindWallRelease, obs.NoClass, int64(w.At), int64(w.Released), 0)
 	}
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
+	"hdd/internal/cc"
 	"hdd/internal/obs"
 )
 
@@ -235,26 +237,148 @@ func TestEngineObsDurable(t *testing.T) {
 	}
 }
 
-// TestEngineObsNilPlane exercises every hook site with no plane attached.
+// TestEngineObsNilPlane: an engine counts the same events with or without
+// a plane; the plane only exposes them.
 func TestEngineObsNilPlane(t *testing.T) {
-	e := newEngine(t, twoLevel(t), nil)
+	want := cc.Stats{Begins: 2, Commits: 2, Reads: 1, Writes: 1}
+	for _, plane := range []*obs.Plane{nil, obs.NewPlane()} {
+		e, err := NewEngine(Config{Partition: twoLevel(t), WallInterval: 8, Obs: plane})
+		if err != nil {
+			t.Fatal(err)
+		}
+		txn, err := e.Begin(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(t, txn, gr(0, 1), "a")
+		mustCommit(t, txn)
+		ro, err := e.BeginReadOnly()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ro.Read(gr(0, 1)); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, ro)
+		if got := e.Stats(); got != want {
+			t.Errorf("plane %v: Stats() = %+v, want %+v", plane != nil, got, want)
+		}
+		e.Close()
+	}
+}
+
+// statsScript drives one of every counted read and abort through a fresh
+// engine over twoLevel (class 0 writes segment 0; class 1 writes segment 1
+// and reads segment 0) and returns its Stats.
+func statsScript(t *testing.T, plane *obs.Plane) cc.Stats {
+	t.Helper()
+	e, err := NewEngine(Config{Partition: twoLevel(t), WallInterval: 8, Obs: plane})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer e.Close()
-	txn, err := e.Begin(0)
-	if err != nil {
-		t.Fatal(err)
+	begin := func(txn cc.Txn, err error) cc.Txn {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return txn
 	}
-	write(t, txn, gr(0, 1), "a")
-	mustCommit(t, txn)
-	ro, err := e.BeginReadOnly()
-	if err != nil {
-		t.Fatal(err)
+	wantAbort := func(err error, reason string) {
+		t.Helper()
+		if cc.AbortReason(err) != reason {
+			t.Fatalf("got %v, want a %s abort", err, reason)
+		}
 	}
-	if _, err := ro.Read(gr(0, 1)); err != nil {
-		t.Fatal(err)
-	}
+
+	w := begin(e.Begin(0))
+	write(t, w, gr(0, 1), "a")
+	read(t, w, gr(0, 1)) // own write
+	mustCommit(t, w)
+	b := begin(e.Begin(0))
+	read(t, b, gr(0, 1)) // Protocol B
+	mustCommit(t, b)
+	a := begin(e.Begin(1))
+	read(t, a, gr(0, 1)) // Protocol A
+	mustCommit(t, a)
+	ro := begin(e.BeginReadOnly())
+	read(t, ro, gr(0, 1)) // Protocol C
 	mustCommit(t, ro)
-	if e.obs != nil {
-		t.Fatal("engine built an obs layer without a plane")
+	path := begin(e.BeginReadOnlyOnPath(1))
+	read(t, path, gr(0, 1)) // A-path
+	mustCommit(t, path)
+
+	ah := begin(e.BeginAdHocFor(1))
+	read(t, ah, gr(1, 1)) // ad-hoc, inside its declared set
+	_, err = ah.Read(gr(0, 1))
+	wantAbort(err, cc.ReasonClassViolation)
+	refused := begin(e.Begin(0))
+	_, err = refused.Read(gr(1, 1)) // class 0 may not read segment 1
+	wantAbort(err, cc.ReasonClassViolation)
+
+	// An older writer behind a younger registered read is rejected.
+	old := begin(e.Begin(0))
+	young := begin(e.Begin(0))
+	read(t, young, gr(0, 9)) // Protocol B
+	wantAbort(old.Write(gr(0, 9), []byte("late")), cc.ReasonWriteRejected)
+	mustCommit(t, young)
+
+	stuck := begin(e.Begin(1))
+	if !e.ForceAbort(stuck.ID()) {
+		t.Fatal("ForceAbort found no transaction")
+	}
+	return e.Stats()
+}
+
+// TestStatsAgreeWithExposition: Stats() is the sum of the series /metrics
+// exposes, and the same whether or not a plane is attached.
+func TestStatsAgreeWithExposition(t *testing.T) {
+	plane := obs.NewPlane()
+	st := statsScript(t, plane)
+	if bare := statsScript(t, nil); bare != st {
+		t.Errorf("without a plane Stats() = %+v, with one %+v", bare, st)
+	}
+	series := make(map[string]int64)
+	sums := make(map[string]int64)
+	for _, line := range strings.Split(scrapeObs(plane), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || i < 0 {
+			continue
+		}
+		v, err := strconv.ParseInt(line[i+1:], 10, 64)
+		if err != nil {
+			continue // a summary's seconds
+		}
+		series[line[:i]] = v
+		name, _, _ := strings.Cut(line[:i], "{")
+		sums[name] += v
+	}
+	for _, c := range []struct {
+		what      string
+		got, want int64
+	}{
+		{"Begins", st.Begins, sums["hdd_txn_begins_total"]},
+		{"Commits", st.Commits, sums["hdd_txn_commits_total"]},
+		{"Aborts", st.Aborts, sums["hdd_txn_aborts_total"]},
+		{"Reads", st.Reads, sums["hdd_reads_total"]},
+		{"ReadRegistrations", st.ReadRegistrations, series[`hdd_reads_total{protocol="B"}`]},
+		{"ReadRegistrations", st.ReadRegistrations, series["hdd_read_registrations_total"]},
+		{"RejectedWrites", st.RejectedWrites, series["hdd_rejected_writes_total"]},
+		{"ReapedTxns", st.ReapedTxns, series["hdd_reaped_txns_total"]},
+	} {
+		if c.got != c.want {
+			t.Errorf("Stats().%s = %d, exposition says %d", c.what, c.got, c.want)
+		}
+	}
+	// Own write, two Protocol B, A, C, A-path and ad-hoc: the two refused
+	// reads are counted as the aborts they cause, not as reads.
+	want := cc.Stats{Begins: 10, Commits: 6, Aborts: 4, Reads: 7, Writes: 2,
+		ReadRegistrations: 2, RejectedWrites: 1, ReapedTxns: 1}
+	if st != want {
+		t.Errorf("Stats() = %+v, want %+v", st, want)
+	}
+	if got := series[`hdd_reads_total{protocol="own"}`]; got != 1 {
+		t.Errorf(`hdd_reads_total{protocol="own"} = %d, want 1`, got)
 	}
 }
 

@@ -22,10 +22,11 @@ func BenchmarkParallelLifecycle(b *testing.B) {
 }
 
 // BenchmarkParallelLifecycleObs is the identical workload with an
-// observability plane attached — the instrumented hot paths pay one
-// sharded counter increment per operation plus the stride-sampled
-// begin-window trace event. The delta against BenchmarkParallelLifecycle
-// is the plane's whole-lifecycle overhead (budget: <=5%, EXPERIMENTS.md).
+// observability plane attached. The engine counts the same events either
+// way; the plane adds its trace events (the stride-sampled begin-window
+// event, wall releases, GC prunes) and the registration that exposes the
+// counters. The delta against BenchmarkParallelLifecycle is the plane's
+// whole-lifecycle overhead (budget: <=5%, EXPERIMENTS.md).
 func BenchmarkParallelLifecycleObs(b *testing.B) {
 	benchParallelLifecycle(b, obs.NewPlane())
 }

@@ -28,9 +28,6 @@ type readOnlyTxn struct {
 	init   vclock.Time
 	bounds []vclock.Time  // indexed by segment
 	base   schema.ClassID // schema.NoClass under Protocol C
-	// reads and lockfree are the plane's read counters of this flavor
-	// (protocol C or A-path); nil when no plane is attached.
-	reads, lockfree *obs.Counter
 	// release drops the GC floor the bounds pinned at begin.
 	release  func()
 	deadline time.Time
@@ -77,10 +74,10 @@ func (t *readOnlyTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 	if bound == offPath {
 		return nil, fmt.Errorf("core: segment %d is not on the critical path above class %d", g.Segment, t.base)
 	}
-	e.ctr.Reads.Add(1)
-	if t.reads != nil {
-		t.reads.Inc()
-		t.lockfree.Inc()
+	if t.base == schema.NoClass {
+		e.reads[readC].Inc()
+	} else {
+		e.reads[readAPath].Inc()
 	}
 	val, vts, ok := e.store.ReadCommittedBefore(g, bound)
 	e.rec.RecordRead(t.init, g, vts, ok)
@@ -133,24 +130,15 @@ func (t *readOnlyTxn) finish(aborted bool, sticky error) (bool, error) {
 	e := t.eng
 	e.live.unregister(t.init)
 	at := e.clock.Tick()
-	o := e.obs
 	if !aborted {
-		e.ctr.Commits.Add(1)
-		if o != nil {
-			o.commitRO()
-		}
+		e.roCounts().commits.Inc()
 		e.rec.RecordCommit(t.init, at)
 		return true, nil
 	}
-	e.ctr.Aborts.Add(1)
+	e.roCounts().aborts.Inc()
 	if sticky != nil {
 		e.ctr.ReapedTxns.Add(1)
-	}
-	if o != nil {
-		o.abortRO()
-		if sticky != nil {
-			o.reaped(obs.NoClass, t.init)
-		}
+		e.ring.Record(obs.KindReap, obs.NoClass, int64(t.init), 0, 0)
 	}
 	e.rec.RecordAbort(t.init, at)
 	return true, nil

@@ -226,9 +226,10 @@ func TestReaperUnblocksWaitingReaders(t *testing.T) {
 		t.Fatalf("read %q, want %q", got, "committed")
 	}
 	mustCommit(t, reader)
-	if got := e.Stats().ReapedTxns; got != 1 {
-		t.Fatalf("ReapedTxns = %d", got)
-	}
+	// The reap resolves the pending version, waking the reader, before it
+	// is counted.
+	waitFor(t, 2*time.Second, func() bool { return e.Stats().ReapedTxns == 1 },
+		"the reap to be counted")
 }
 
 // TestAbandonedReadOnlyTxnReaped: an abandoned Protocol C transaction

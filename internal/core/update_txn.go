@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hdd/internal/cc"
+	"hdd/internal/obs"
 	"hdd/internal/schema"
 	"hdd/internal/vclock"
 	"hdd/internal/wal"
@@ -101,11 +102,11 @@ func (t *updateTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 		t.mu.Unlock()
 		return nil, err
 	}
-	e.ctr.Reads.Add(1)
 	if v, ok := t.writes[g]; ok {
 		// Own-write slices are immutable too: Write swaps in a fresh copy
 		// rather than editing in place, so sharing v is safe.
 		t.mu.Unlock()
+		e.reads[readOwn].Inc()
 		e.rec.RecordRead(t.init, g, t.init, true)
 		return v, nil
 	}
@@ -121,10 +122,7 @@ func (t *updateTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 				fmt.Errorf("ad-hoc transaction read segment %d outside its declared set", g.Segment))
 		}
 		val, vts, ok := e.store.ReadCommittedBefore(g, vclock.Infinity)
-		if o := e.obs; o != nil {
-			o.readsAdHoc.Inc()
-			o.lockfreeAdHoc.Inc()
-		}
+		e.reads[readAdHoc].Inc()
 		e.rec.RecordRead(t.init, g, vts, ok)
 		return val, nil
 	case g.Segment == e.part.Class(t.class).Writes:
@@ -169,10 +167,7 @@ func (t *updateTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 				return nil, t.fail(cc.ReasonReadRejected,
 					fmt.Errorf("basic-TO root read of %v at %d after write at %d", g, t.init, vts))
 			}
-			e.ctr.ReadRegistrations.Add(1)
-			if o := e.obs; o != nil {
-				o.readsB.Inc()
-			}
+			e.reads[readB].Inc()
 			e.rec.RecordRead(t.init, g, vts, ok)
 			return val, nil
 		}
@@ -182,10 +177,7 @@ func (t *updateTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 		// registered and the read cannot block (§4.2).
 		bound := e.links.A(t.class, schema.ClassID(g.Segment), t.init)
 		val, vts, ok := e.store.ReadCommittedBefore(g, bound)
-		if o := e.obs; o != nil {
-			o.readsA.Inc()
-			o.lockfreeA.Inc()
-		}
+		e.reads[readA].Inc()
 		e.rec.RecordRead(t.init, g, vts, ok)
 		return val, nil
 	default:
@@ -325,10 +317,7 @@ func (t *updateTxn) Commit() error {
 	at := e.act.FinishTxn(int(t.class), t.init, e.clock, false)
 	t.mu.Unlock()
 	e.live.unregister(t.init)
-	e.ctr.Commits.Add(1)
-	if o := e.obs; o != nil {
-		o.commitUpdate(t.class)
-	}
+	e.txns[t.class].commits.Inc()
 	e.rec.RecordCommit(t.init, at)
 	e.pollWalls()
 	e.gate.exit(t.class, t.held)
@@ -371,15 +360,10 @@ func (t *updateTxn) finishAbort(sticky error, reaped bool) bool {
 	t.mu.Unlock()
 	e.live.unregister(t.init)
 	e.gate.exit(t.class, t.held)
-	e.ctr.Aborts.Add(1)
+	e.txns[t.class].aborts.Inc()
 	if reaped {
 		e.ctr.ReapedTxns.Add(1)
-	}
-	if o := e.obs; o != nil {
-		o.abortUpdate(t.class)
-		if reaped {
-			o.reaped(int32(t.class), t.init)
-		}
+		e.ring.Record(obs.KindReap, int32(t.class), int64(t.init), 0, 0)
 	}
 	e.rec.RecordAbort(t.init, at)
 	e.pollWalls()

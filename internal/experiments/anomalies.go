@@ -6,7 +6,6 @@ import (
 
 	"hdd/internal/cc"
 	"hdd/internal/core"
-	"hdd/internal/metrics"
 	"hdd/internal/naive"
 	"hdd/internal/sched"
 	"hdd/internal/schema"
@@ -22,7 +21,7 @@ import (
 func Fig1LostUpdate(seed int64) (*Result, error) {
 	res := &Result{
 		ID:    "fig1",
-		Table: metrics.NewTable("Figure 1 — lost update under uncontrolled interleaving vs. controlled engines", "executor", "transfers", "expected", "observed", "lost", "retries"),
+		Table: NewTable("Figure 1 — lost update under uncontrolled interleaving vs. controlled engines", "executor", "transfers", "expected", "observed", "lost", "retries"),
 	}
 
 	// The paper's exact schedule, uncontrolled: t1 deposits 50, t2
@@ -157,7 +156,7 @@ func runFig34Timing(eng cc.Engine) error {
 func figAnomaly(id, title string, flavor naive.Flavor) (*Result, error) {
 	res := &Result{
 		ID:    id,
-		Table: metrics.NewTable(title, "engine", "serializable", "cycle-len", "cross-reads-registered"),
+		Table: NewTable(title, "engine", "serializable", "cycle-len", "cross-reads-registered"),
 	}
 	part, err := figure34Partition()
 	if err != nil {

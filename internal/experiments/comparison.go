@@ -6,7 +6,6 @@ import (
 
 	"hdd/internal/cc"
 	"hdd/internal/core"
-	"hdd/internal/metrics"
 	"hdd/internal/schema"
 	"hdd/internal/segctl"
 	"hdd/internal/sim"
@@ -26,7 +25,7 @@ import (
 func Fig10Comparison(seed int64, clients, txnsPerClient int) (*Result, error) {
 	res := &Result{
 		ID: "fig10",
-		Table: metrics.NewTable("Figure 10 — HDD vs SDD-1 vs MV2PL (plus classical context rows), inventory workload",
+		Table: NewTable("Figure 10 — HDD vs SDD-1 vs MV2PL (plus classical context rows), inventory workload",
 			"engine", "committed", "retries", "reg-reads/txn", "blocked-reads/txn", "rejects/txn", "deadlocks", "throughput(txn/s)"),
 	}
 	if clients <= 0 {
@@ -67,9 +66,9 @@ func Fig10Comparison(seed int64, clients, txnsPerClient int) (*Result, error) {
 			return nil, fmt.Errorf("%s: %w", kind, err)
 		}
 		st := r.Stats
-		regPerTxn := metrics.Ratio(st.ReadRegistrations, r.Committed)
-		blockedPerTxn := metrics.Ratio(st.BlockedReads, r.Committed)
-		rejPerTxn := metrics.Ratio(st.RejectedReads+st.RejectedWrites, r.Committed)
+		regPerTxn := Ratio(st.ReadRegistrations, r.Committed)
+		blockedPerTxn := Ratio(st.BlockedReads, r.Committed)
+		rejPerTxn := Ratio(st.RejectedReads+st.RejectedWrites, r.Committed)
 		res.Table.AddRow(string(kind), r.Committed, r.Retries, regPerTxn, blockedPerTxn, rejPerTxn, st.Deadlocks, r.Throughput())
 		rows = append(rows, row{kind, regPerTxn, blockedPerTxn, r.Throughput()})
 		_ = eng.Close()
@@ -109,7 +108,7 @@ func Fig10Comparison(seed int64, clients, txnsPerClient int) (*Result, error) {
 func SweepDepth(seed int64, clients, txnsPerClient int) (*Result, error) {
 	res := &Result{
 		ID: "sweep-depth",
-		Table: metrics.NewTable("Sweep — hierarchy depth (chain of k classes)",
+		Table: NewTable("Sweep — hierarchy depth (chain of k classes)",
 			"k", "engine", "reg-reads/txn", "blocked-reads/txn", "retries", "throughput(txn/s)"),
 	}
 	if clients <= 0 {
@@ -147,8 +146,8 @@ func SweepDepth(seed int64, clients, txnsPerClient int) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("k=%d %s: %w", k, kind, err)
 			}
-			reg := metrics.Ratio(r.Stats.ReadRegistrations, r.Committed)
-			res.Table.AddRow(k, string(kind), reg, metrics.Ratio(r.Stats.BlockedReads, r.Committed), r.Retries, r.Throughput())
+			reg := Ratio(r.Stats.ReadRegistrations, r.Committed)
+			res.Table.AddRow(k, string(kind), reg, Ratio(r.Stats.BlockedReads, r.Committed), r.Retries, r.Throughput())
 			if kind == KindHDD {
 				p.hdd = reg
 			} else {
@@ -175,7 +174,7 @@ func SweepDepth(seed int64, clients, txnsPerClient int) (*Result, error) {
 func SweepReadFraction(seed int64, clients, txnsPerClient int) (*Result, error) {
 	res := &Result{
 		ID: "sweep-readfrac",
-		Table: metrics.NewTable("Sweep — cross-class read fraction (3-class chain)",
+		Table: NewTable("Sweep — cross-class read fraction (3-class chain)",
 			"cross-frac", "engine", "reg-reads/txn", "blocked-reads/txn", "throughput(txn/s)"),
 	}
 	if clients <= 0 {
@@ -211,8 +210,8 @@ func SweepReadFraction(seed int64, clients, txnsPerClient int) (*Result, error) 
 			if err != nil {
 				return nil, fmt.Errorf("frac=%.1f %s: %w", frac, kind, err)
 			}
-			reg := metrics.Ratio(r.Stats.ReadRegistrations, r.Committed)
-			res.Table.AddRow(frac, string(kind), reg, metrics.Ratio(r.Stats.BlockedReads, r.Committed), r.Throughput())
+			reg := Ratio(r.Stats.ReadRegistrations, r.Committed)
+			res.Table.AddRow(frac, string(kind), reg, Ratio(r.Stats.BlockedReads, r.Committed), r.Throughput())
 			switch kind {
 			case KindHDD:
 				p.hdd = reg
@@ -238,7 +237,7 @@ func SweepReadFraction(seed int64, clients, txnsPerClient int) (*Result, error) 
 func SweepContention(seed int64, clients, txnsPerClient int) (*Result, error) {
 	res := &Result{
 		ID: "sweep-contention",
-		Table: metrics.NewTable("Sweep — contention (hot-set access fraction, 3-class chain)",
+		Table: NewTable("Sweep — contention (hot-set access fraction, 3-class chain)",
 			"hot-frac", "engine", "retries/txn", "deadlocks", "rejects/txn", "throughput(txn/s)"),
 	}
 	if clients <= 0 {
@@ -271,9 +270,9 @@ func SweepContention(seed int64, clients, txnsPerClient int) (*Result, error) {
 				return nil, fmt.Errorf("hot=%.1f %s: %w", hot, kind, err)
 			}
 			res.Table.AddRow(hot, string(kind),
-				metrics.Ratio(r.Retries, r.Committed),
+				Ratio(r.Retries, r.Committed),
 				r.Stats.Deadlocks,
-				metrics.Ratio(r.Stats.RejectedReads+r.Stats.RejectedWrites, r.Committed),
+				Ratio(r.Stats.RejectedReads+r.Stats.RejectedWrites, r.Committed),
 				r.Throughput())
 			_ = eng.Close()
 		}
@@ -301,7 +300,7 @@ func AblateWallInterval(seed int64) (*Result, error) {
 func AblateRootProtocol(seed int64, clients, txnsPerClient int) (*Result, error) {
 	res := &Result{
 		ID: "ablate-rootproto",
-		Table: metrics.NewTable("Ablation — Protocol B root variant (§4.2: basic TO vs MVTO)",
+		Table: NewTable("Ablation — Protocol B root variant (§4.2: basic TO vs MVTO)",
 			"root protocol", "committed", "retries", "rejected-reads/txn", "rejected-writes/txn", "throughput(txn/s)"),
 	}
 	// The basic-TO rejection rate is a statistical claim: enforce a
@@ -352,12 +351,12 @@ func AblateRootProtocol(seed int64, clients, txnsPerClient int) (*Result, error)
 			label = "basic TO (Bernstein'80)"
 		}
 		res.Table.AddRow(label, r.Committed, r.Retries,
-			metrics.Ratio(r.Stats.RejectedReads, r.Committed),
-			metrics.Ratio(r.Stats.RejectedWrites, r.Committed),
+			Ratio(r.Stats.RejectedReads, r.Committed),
+			Ratio(r.Stats.RejectedWrites, r.Committed),
 			r.Throughput())
 		pts = append(pts, point{
-			rejectedReads: metrics.Ratio(r.Stats.RejectedReads, r.Committed),
-			retries:       metrics.Ratio(r.Retries, r.Committed),
+			rejectedReads: Ratio(r.Stats.RejectedReads, r.Committed),
+			retries:       Ratio(r.Retries, r.Committed),
 		})
 		_ = eng.Close()
 	}
@@ -375,7 +374,7 @@ func AblateRootProtocol(seed int64, clients, txnsPerClient int) (*Result, error)
 func AblateDeployment(seed int64, clients, txnsPerClient int) (*Result, error) {
 	res := &Result{
 		ID: "ablate-deployment",
-		Table: metrics.NewTable("Ablation — deployment: shared-memory vs segment-controller message passing",
+		Table: NewTable("Ablation — deployment: shared-memory vs segment-controller message passing",
 			"deployment", "committed", "retries", "reg-reads/txn", "throughput(txn/s)"),
 	}
 	if clients <= 0 {
@@ -407,7 +406,7 @@ func AblateDeployment(seed int64, clients, txnsPerClient int) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		regs := metrics.Ratio(r.Stats.ReadRegistrations, r.Committed)
+		regs := Ratio(r.Stats.ReadRegistrations, r.Committed)
 		res.Table.AddRow(which, r.Committed, r.Retries, regs, r.Throughput())
 		pts = append(pts, point{regs: regs, tput: r.Throughput()})
 		_ = eng.Close()
@@ -427,7 +426,7 @@ func AblateDeployment(seed int64, clients, txnsPerClient int) (*Result, error) {
 func AblateGC(seed int64) (*Result, error) {
 	res := &Result{
 		ID: "ablate-gc",
-		Table: metrics.NewTable("Ablation — version garbage collection",
+		Table: NewTable("Ablation — version garbage collection",
 			"gc", "committed", "retained versions", "pruned", "throughput(txn/s)"),
 	}
 	var retained [2]int

@@ -14,7 +14,6 @@ import (
 
 	"hdd/internal/cc"
 	"hdd/internal/core"
-	"hdd/internal/metrics"
 	"hdd/internal/schema"
 	"hdd/internal/sdd1"
 	"hdd/internal/sim"
@@ -28,7 +27,7 @@ type Result struct {
 	// ID is the experiment identifier ("fig3", "sweep-depth", …).
 	ID string
 	// Table is the paper-style row set.
-	Table *metrics.Table
+	Table *Table
 	// Notes are free-form observations printed under the table.
 	Notes []string
 	// Checks are named boolean shape assertions; the test suite requires

@@ -8,7 +8,6 @@ import (
 	"hdd/internal/activity"
 	"hdd/internal/alink"
 	"hdd/internal/graph"
-	"hdd/internal/metrics"
 	"hdd/internal/schema"
 	"hdd/internal/vclock"
 	"hdd/internal/workload"
@@ -20,7 +19,7 @@ import (
 func Fig2InventoryDHG() (*Result, error) {
 	res := &Result{
 		ID:    "fig2",
-		Table: metrics.NewTable("Figure 2 — the inventory application as a hierarchical decomposition", "segment", "class", "reads", "critical parent"),
+		Table: NewTable("Figure 2 — the inventory application as a hierarchical decomposition", "segment", "class", "reads", "critical parent"),
 	}
 	part, err := workload.NewInventoryPartition(true)
 	if err != nil {
@@ -65,7 +64,7 @@ func Fig2InventoryDHG() (*Result, error) {
 func Fig5TSTRecognition(seed int64) (*Result, error) {
 	res := &Result{
 		ID:    "fig5",
-		Table: metrics.NewTable("Figure 5 — transitive semi-tree recognition", "family", "nodes", "arcs", "is-TST", "recognize"),
+		Table: NewTable("Figure 5 — transitive semi-tree recognition", "family", "nodes", "arcs", "is-TST", "recognize"),
 	}
 	type family struct {
 		name  string
@@ -154,7 +153,7 @@ func Fig5TSTRecognition(seed int64) (*Result, error) {
 func Fig6ActivityLink() (*Result, error) {
 	res := &Result{
 		ID:    "fig6",
-		Table: metrics.NewTable("Figure 6 — activity link function A_i^j over a scripted history", "m", "I_old_1(m)", "A_2^0(m)=I_old_0(I_old_1(m))"),
+		Table: NewTable("Figure 6 — activity link function A_i^j over a scripted history", "m", "I_old_1(m)", "A_2^0(m)=I_old_0(I_old_1(m))"),
 	}
 	part, err := chainPartitionN(3)
 	if err != nil {
@@ -187,7 +186,7 @@ func Fig6ActivityLink() (*Result, error) {
 func Fig7TopoFollows(seed int64) (*Result, error) {
 	res := &Result{
 		ID:    "fig7",
-		Table: metrics.NewTable("Figure 7 — the topologically-follows relation ⇒", "property", "samples", "violations"),
+		Table: NewTable("Figure 7 — the topologically-follows relation ⇒", "property", "samples", "violations"),
 	}
 	part, err := chainPartitionN(3)
 	if err != nil {

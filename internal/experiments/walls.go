@@ -7,7 +7,6 @@ import (
 
 	"hdd/internal/cc"
 	"hdd/internal/core"
-	"hdd/internal/metrics"
 	"hdd/internal/schema"
 	"hdd/internal/vclock"
 	"hdd/internal/workload"
@@ -21,7 +20,7 @@ import (
 func Fig8ReadOnlyPath(seed int64) (*Result, error) {
 	res := &Result{
 		ID: "fig8",
-		Table: metrics.NewTable("Figure 8 — read-only transactions: on-path (fictitious class) vs off-path (time wall)",
+		Table: NewTable("Figure 8 — read-only transactions: on-path (fictitious class) vs off-path (time wall)",
 			"method", "reads", "registered", "blocked", "mean staleness (ticks)"),
 	}
 	inv, err := workload.NewInventory(workload.InventoryConfig{Items: 16, WithAudit: true})
@@ -128,7 +127,7 @@ func Fig8ReadOnlyPath(seed int64) (*Result, error) {
 func Fig9TimeWall(seed int64) (*Result, error) {
 	res := &Result{
 		ID: "fig9",
-		Table: metrics.NewTable("Figure 9 — time walls: release interval vs. wall freshness",
+		Table: NewTable("Figure 9 — time walls: release interval vs. wall freshness",
 			"wall interval (ticks)", "walls released", "compute attempts", "mean wall lag (ticks)", "ro-consistency probes OK"),
 	}
 	var releasedByInterval []int

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -105,46 +104,31 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestTableRendering(t *testing.T) {
-	tab := NewTable("Figure 10", "engine", "reads/txn", "blocked")
-	tab.AddRow("HDD", 0.0, 0)
-	tab.AddRow("2PL", 6.25, 120)
-	out := tab.String()
-	if !strings.Contains(out, "Figure 10") || !strings.Contains(out, "engine") {
-		t.Fatalf("missing title/header:\n%s", out)
+// TestCounterConcurrentAdds: increments from many goroutines, spread over
+// the counter's cells, sum exactly once they stop; Inc and Add agree.
+func TestCounterConcurrentAdds(t *testing.T) {
+	const goroutines, perG = 8, 10000
+	var c Counter
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				if i%2 == 0 {
+					c.Inc()
+				} else {
+					c.Add(1)
+				}
+			}
+		}()
 	}
-	if !strings.Contains(out, "6.25") || !strings.Contains(out, "HDD") {
-		t.Fatalf("missing cells:\n%s", out)
+	wg.Wait()
+	if got := c.Load(); got != goroutines*perG {
+		t.Fatalf("Load() = %d, want %d", got, goroutines*perG)
 	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 5 { // title, header, separator, 2 rows
-		t.Fatalf("lines = %d:\n%s", len(lines), out)
-	}
-	// Columns align: separator row as wide as the header row.
-	if len(lines[1]) != len(lines[2]) {
-		t.Fatalf("separator misaligned:\n%s", out)
-	}
-}
-
-func TestFormatFloat(t *testing.T) {
-	cases := map[float64]string{
-		3:       "3",
-		123.456: "123.5",
-		12.345:  "12.35",
-		0.1234:  "0.1234",
-	}
-	for in, want := range cases {
-		if got := FormatFloat(in); got != want {
-			t.Errorf("FormatFloat(%v) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(10, 4) != 2.5 {
-		t.Fatal("Ratio broken")
-	}
-	if Ratio(10, 0) != 0 {
-		t.Fatal("Ratio by zero should be 0")
+	c.Add(-5)
+	if got := c.Load(); got != goroutines*perG-5 {
+		t.Fatalf("after Add(-5): Load() = %d, want %d", got, goroutines*perG-5)
 	}
 }

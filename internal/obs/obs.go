@@ -4,12 +4,11 @@
 // both next to net/http/pprof and a health probe.
 //
 // The package is deliberately self-contained — standard library plus the
-// repo's own internal/metrics histogram — so the instrumented layers
-// (core, wal, server) gain no external dependency. Instrumentation is
-// pay-for-what-you-use: a nil *Plane (or nil *Ring) disables everything,
-// and every hot-path instrument is a sharded padded atomic borrowed from
-// the cc.Counter idiom, so an instrumented engine stays within the
-// overhead budget EXPERIMENTS.md records.
+// repo's own internal/metrics instruments — so the instrumented layers
+// (core, wal, server) gain no external dependency. The engine counts
+// either way; a plane only exposes: the engine owns its metrics.Counter
+// values and registers them here when a plane is attached, and a nil
+// *Ring records nothing.
 //
 // # Shape
 //
@@ -29,8 +28,8 @@
 package obs
 
 // Plane bundles the metrics registry and the event-trace ring one process
-// shares between its engine and server. A nil Plane disables
-// instrumentation entirely.
+// shares between its engine and server. Without one the engine still
+// counts, but exposes nothing and traces nothing.
 type Plane struct {
 	Reg    *Registry
 	Events *Ring

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,41 +12,6 @@ import (
 
 	"hdd/internal/metrics"
 )
-
-// counterShards mirrors cc.Counter: a power of two so the cell pick is a
-// mask. Load sums all cells.
-const counterShards = 8
-
-// counterCell pads each cell to a cache line so concurrent increments
-// from different cores never false-share — the cc.Counters lesson
-// (DESIGN.md §8) applied to the metrics plane.
-type counterCell struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotone counter: sharded, cache-line-padded atomics, so
-// a hot-path increment costs one uncontended atomic add almost always.
-type Counter struct {
-	cells [counterShards]counterCell
-}
-
-// Add adds n (n >= 0 for a meaningful counter) to the counter.
-func (c *Counter) Add(n int64) {
-	c.cells[rand.Uint64()&(counterShards-1)].n.Add(n)
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the summed cells.
-func (c *Counter) Value() int64 {
-	var total int64
-	for i := range c.cells {
-		total += c.cells[i].n.Load()
-	}
-	return total
-}
 
 // Gauge is a settable instantaneous value.
 type Gauge struct {
@@ -172,9 +136,9 @@ func NewRegistry() *Registry {
 
 // Counter registers (or extends) a counter family and returns the series'
 // instrument. labels are constant key/value pairs: ("class", "0").
-func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	c := &Counter{}
-	r.register(name, help, kindCounter, labels, intCollector(c.Value))
+func (r *Registry) Counter(name, help string, labels ...string) *metrics.Counter {
+	c := &metrics.Counter{}
+	r.register(name, help, kindCounter, labels, intCollector(c.Load))
 	return c
 }
 
@@ -186,7 +150,8 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 }
 
 // CounterFunc registers a counter series whose value is read from fn at
-// scrape time — the adapter for counters the engine already maintains.
+// scrape time — the adapter for counters the engine already maintains
+// (pass a metrics.Counter's Load).
 // fn must be monotone for the series to behave as a counter.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...string) {
 	r.register(name, help, kindCounter, labels, intCollector(fn))

@@ -13,29 +13,6 @@ func scrape(r *Registry) string {
 	return b.String()
 }
 
-func TestCounterShardsSum(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("test_total", "help")
-	const workers, per = 8, 10000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != workers*per {
-		t.Fatalf("Value = %d, want %d", got, workers*per)
-	}
-	if !strings.Contains(scrape(r), "test_total 80000\n") {
-		t.Fatalf("exposition missing summed counter:\n%s", scrape(r))
-	}
-}
-
 func TestExpositionFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hdd_txn_begins_total", "Transactions begun.", "class", "0").Add(3)

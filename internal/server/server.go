@@ -65,6 +65,7 @@ import (
 	"time"
 
 	"hdd/internal/cc"
+	"hdd/internal/metrics"
 	"hdd/internal/obs"
 	"hdd/internal/wire"
 )
@@ -136,10 +137,10 @@ type Server struct {
 	// goroutines, frame-writer flush accounting, and the batch-size
 	// distribution.
 	pipelineDepth   atomic.Int64
-	inlineRequests  *obs.Counter
-	coalescedWrites *obs.Counter
-	writerFlushes   *obs.Counter
-	flushedFrames   *obs.Counter
+	inlineRequests  *metrics.Counter
+	coalescedWrites *metrics.Counter
+	writerFlushes   *metrics.Counter
+	flushedFrames   *metrics.Counter
 	batchOps        *obs.ValueHistogram
 
 	connsAccepted atomic.Int64
@@ -478,10 +479,10 @@ func (s *Server) statEntries() []wire.StatEntry {
 		{Name: "txns_open", Value: s.txnsOpen.Load()},
 		{Name: "force_aborts", Value: s.forceAborts.Load()},
 		{Name: "pipeline_depth", Value: s.pipelineDepth.Load()},
-		{Name: "inline_requests", Value: s.inlineRequests.Value()},
-		{Name: "writer_flushes", Value: s.writerFlushes.Value()},
-		{Name: "coalesced_writes", Value: s.coalescedWrites.Value()},
-		{Name: "flushed_frames", Value: s.flushedFrames.Value()},
+		{Name: "inline_requests", Value: s.inlineRequests.Load()},
+		{Name: "writer_flushes", Value: s.writerFlushes.Load()},
+		{Name: "coalesced_writes", Value: s.coalescedWrites.Load()},
+		{Name: "flushed_frames", Value: s.flushedFrames.Load()},
 	}
 	if s.activeTxns != nil {
 		entries = append(entries, wire.StatEntry{Name: "active_txns", Value: int64(s.activeTxns.ActiveTxns())})
