@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-smoke bench-e2e bench-e2e-smoke experiments examples check clean serve stress-mvstore stress-wal stress-core fuzz-wal fuzz-wire torture torture-smoke
+.PHONY: all build vet test race cover bench bench-smoke bench-e2e bench-e2e-smoke experiments examples check allocs clean serve stress-mvstore stress-wal stress-core fuzz-wal fuzz-wire torture torture-smoke
 
 all: build vet test
 
@@ -10,6 +10,12 @@ all: build vet test
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# The allocation and heap budgets, which skip under -race and so never run
+# in `check`: allocations per transaction, per hdd.Run, per read and per
+# commit, and the version store's heap per granule.
+allocs:
+	$(GO) test -count=1 -run 'Alloc|PerGranule' ./...
 
 build:
 	$(GO) build ./...

@@ -65,3 +65,54 @@ func TestEveryRegistryEngineRunsUnderRetry(t *testing.T) {
 		})
 	}
 }
+
+// TestWriteBuffersAreCallerOwned: the version store keeps the slice an
+// engine hands it, so every engine must copy a written value at its Write
+// boundary. Scribbling over the buffer after Write must change neither the
+// transaction's own read nor what later transactions read.
+func TestWriteBuffersAreCallerOwned(t *testing.T) {
+	part, err := enginereg.ChainPartition(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := hdd.GranuleID{Segment: 0, Key: 1}
+	for _, name := range enginereg.Names() {
+		t.Run(name, func(t *testing.T) {
+			eng, err := enginereg.Build(name, enginereg.Options{Partition: part})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			err = hdd.Run(eng, 0, func(tx hdd.Txn) error {
+				for _, v := range []string{"first", "second"} { // install, then overwrite
+					buf := []byte(v)
+					if err := tx.Write(g, buf); err != nil {
+						return err
+					}
+					copy(buf, "######")
+					got, err := tx.Read(g)
+					if err != nil {
+						return err
+					}
+					if string(got) != v {
+						t.Errorf("own read after scribbling over the written buffer: %q, want %q", got, v)
+					}
+				}
+				return nil
+			}, hdd.RetryPolicy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = hdd.Run(eng, 0, func(tx hdd.Txn) error {
+				got, err := tx.Read(g)
+				if err == nil && string(got) != "second" {
+					t.Errorf("committed value %q, want %q", got, "second")
+				}
+				return err
+			}, hdd.RetryPolicy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

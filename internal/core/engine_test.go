@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hdd/internal/cc"
@@ -477,30 +478,32 @@ func TestSerializabilityUnderLoad(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rec := sched.NewRecorder()
 		e := newEngine(t, branching(t), rec)
+		var kills atomic.Int64
 		var wg sync.WaitGroup
 		for c := 0; c < 8; c++ {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
 				r := rand.New(rand.NewSource(seed*100 + int64(c)))
-				for i := 0; i < 60; i++ {
+				// Past the first 60, keep the killer supplied with
+				// victims until it has force-aborted one.
+				for i := 0; i < 60 || kills.Load() == 0 && i < 100_000; i++ {
 					runRandomTxn(e, r)
 				}
 			}(c)
 		}
 		stop, killerDone := make(chan struct{}), make(chan int)
 		go func() {
-			r, n := rand.New(rand.NewSource(seed)), 0
+			r := rand.New(rand.NewSource(seed))
 			for {
 				select {
 				case <-stop:
-					killerDone <- n
+					killerDone <- int(kills.Load())
 					return
 				default:
 				}
-				// Transaction ids are initiation ticks: aim just below now.
-				if e.ForceAbort(e.Clock().Now() - vclock.Time(r.Intn(8))) {
-					n++
+				if ids := liveIDs(e); len(ids) > 0 && e.ForceAbort(ids[r.Intn(len(ids))]) {
+					kills.Add(1)
 				}
 				runtime.Gosched()
 			}
@@ -523,6 +526,21 @@ func TestSerializabilityUnderLoad(t *testing.T) {
 		t.Fatal("the killer never force-aborted a transaction; test vacuous")
 	}
 	t.Logf("force-aborted %d in-flight transactions", killed)
+}
+
+// liveIDs returns the ids of the engine's in-flight transactions, read
+// from its registry.
+func liveIDs(e *Engine) []cc.TxnID {
+	var ids []cc.TxnID
+	for i := range e.live.stripes {
+		s := &e.live.stripes[i]
+		s.mu.Lock()
+		for id := range s.txns {
+			ids = append(ids, id)
+		}
+		s.mu.Unlock()
+	}
+	return ids
 }
 
 // runRandomTxn executes one random transaction against the branching

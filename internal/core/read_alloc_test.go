@@ -103,7 +103,7 @@ func TestLockFreeReadZeroAllocs(t *testing.T) {
 const (
 	protocolCTxnAllocs   = 3
 	pathReadOnlyAllocs   = 5
-	updateTxnCycleAllocs = 11
+	updateTxnCycleAllocs = 8
 )
 
 // TestTxnAllocBudgets pins the per-transaction allocations of the Protocol C

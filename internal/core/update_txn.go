@@ -251,9 +251,10 @@ func (t *updateTxn) Write(g schema.GranuleID, value []byte) error {
 		return t.fail(cc.ReasonClassViolation,
 			fmt.Errorf("class %d (%q) may not write segment %d", t.class, e.part.Class(t.class).Name, g.Segment))
 	}
+	value = append([]byte(nil), value...) // the one copy: store and write set share it
 	if _, ok := t.writes[g]; ok {
 		e.store.UpdatePending(g, t.init, value)
-		t.writes[g] = append([]byte(nil), value...)
+		t.writes[g] = value
 		t.mu.Unlock()
 		return nil
 	}
@@ -267,7 +268,7 @@ func (t *updateTxn) Write(g schema.GranuleID, value []byte) error {
 	if t.writes == nil {
 		t.writes = make(map[schema.GranuleID][]byte)
 	}
-	t.writes[g] = append([]byte(nil), value...)
+	t.writes[g] = value
 	e.rec.RecordWrite(t.init, g, t.init)
 	t.mu.Unlock()
 	return nil
@@ -358,13 +359,13 @@ func (t *updateTxn) finishAbort(sticky error, reaped bool) bool {
 	}
 	at := e.act.FinishTxn(int(t.class), t.init, e.clock, true)
 	t.mu.Unlock()
-	e.live.unregister(t.init)
-	e.gate.exit(t.class, t.held)
-	e.txns[t.class].aborts.Inc()
-	if reaped {
+	if reaped { // counted before the gate lets a waiting Begin observe it
 		e.ctr.ReapedTxns.Add(1)
 		e.ring.Record(obs.KindReap, int32(t.class), int64(t.init), 0, 0)
 	}
+	e.live.unregister(t.init)
+	e.gate.exit(t.class, t.held)
+	e.txns[t.class].aborts.Inc()
 	e.rec.RecordAbort(t.init, at)
 	e.pollWalls()
 	return true

@@ -26,28 +26,21 @@ var maxValue = wal.MaxRecord - len(wal.AppendRecord(nil, &wal.Record{Kind: wal.K
 // It reads each chain's published array without a lock (committed versions
 // are immutable); engines quiesce writers first, so chains are consistent.
 func (s *Store) WriteCheckpoint(w io.Writer) (vclock.Time, error) {
-	type entry struct {
-		g schema.GranuleID
-		c *chain
-	}
-	var entries []entry
-	s.chains.Range(func(k, v any) bool {
-		entries = append(entries, entry{k.(schema.GranuleID), v.(*chain)})
-		return true
-	})
-	slices.SortFunc(entries, func(a, b entry) int { return granuleCmp(a.g, b.g) })
+	var chains []*chain
+	s.each(func(c *chain) { chains = append(chains, c) })
+	slices.SortFunc(chains, func(a, b *chain) int { return granuleCmp(a.g, b.g) })
 	bw := bufio.NewWriter(w) // its errors are sticky: Flush reports the first
 	frame, high := []byte(nil), vclock.Time(0)
-	for _, e := range entries {
-		vs := e.c.view()
+	for _, c := range chains {
+		vs := c.view()
 		for i := range vs {
 			if v := &vs[i]; v.committed() {
 				if len(v.value) > maxValue {
-					return 0, fmt.Errorf("mvstore: checkpoint: %v@%d holds %d bytes, over the %d a frame carries", e.g, v.ts, len(v.value), maxValue)
+					return 0, fmt.Errorf("mvstore: checkpoint: %v@%d holds %d bytes, over the %d a frame carries", c.g, v.ts, len(v.value), maxValue)
 				}
 				high = max(high, v.ts)
 				frame = wal.AppendFrame(frame[:0], &wal.Record{
-					Kind: wal.KindWrite, Txn: v.ts, Seg: e.g.Segment, Key: e.g.Key, Value: v.value})
+					Kind: wal.KindWrite, Txn: v.ts, Seg: c.g.Segment, Key: c.g.Key, Value: v.value})
 				_, _ = bw.Write(frame)
 			}
 		}

@@ -31,13 +31,20 @@
 // runtime reclaims the header once the last such reader drops it: no epoch
 // or hazard-pointer machinery is needed.
 //
-// Immutable-value contract: values returned by every read path alias
-// store-owned immutable memory. Callers must not modify them; engines make
-// the single defensive copy at their public cc.Txn.Read boundary (zero-copy
-// consumers like the wire server use the shared slice directly).
+// Chains are found through a flat directory, an insert-only open-addressing
+// table a reader probes after one atomic load, with no lock or allocation;
+// a create places the chain under a leaf mutex, doubling the table past half
+// full. Chains are never removed.
+//
+// Ownership: the store keeps the value slice it is given and never writes
+// to it. Engines make the one copy of a written value at cc.Txn.Write, as of
+// a read value at cc.Txn.Read; values returned by every read path alias that
+// immutable memory (the wire server uses the shared slice directly). A
+// pending version has a done channel only once a Protocol B reader waits.
 package mvstore
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -73,8 +80,8 @@ type version struct {
 	// readTS is the largest read timestamp registered against this
 	// version (Protocol B / MVTO bookkeeping). Zero if never registered.
 	readTS vclock.Time
-	// done is closed when the version leaves Pending (commit or abort);
-	// nil once resolved.
+	// done is made by the first registered reader that waits for the
+	// version and closed when it leaves Pending; nil otherwise.
 	done chan struct{}
 }
 
@@ -101,6 +108,28 @@ type header struct {
 	vers []version
 }
 
+// inline is a header and its array in one object.
+type inline[A any] struct {
+	header
+	arr A
+}
+
+// newHeader returns an empty header with room for capacity versions; the
+// small capacities that hold most chains are one object.
+func newHeader(capacity int) *header {
+	switch capacity {
+	case 1:
+		b := new(inline[[1]version])
+		b.vers = b.arr[:]
+		return &b.header
+	case 2:
+		b := new(inline[[2]version])
+		b.vers = b.arr[:]
+		return &b.header
+	}
+	return &header{vers: make([]version, capacity)}
+}
+
 type chain struct {
 	// mu serializes mutators (install/commit/abort/update/prune) and the
 	// registered Protocol B read path. The wait-free committed-read paths
@@ -115,11 +144,16 @@ type chain struct {
 	// first version afterwards, or a same-class reader/writer pair can
 	// cycle.
 	initRTS vclock.Time
-	// queued is set (under mu) while the chain sits on the store's prune
-	// queue or on a list a GC pass detached from it; next links that list.
-	queued bool
-	next   *chain
+	// next links the prune queue, or a list a GC pass detached from it;
+	// non-nil exactly while the chain is queued. Guarded by mu.
+	next *chain
+	// g is the granule the chain belongs to: the directory's key.
+	g schema.GranuleID
 }
+
+// queueEnd ends every prune-queue list. Without a queued flag a chain is 48
+// bytes, a size class the churning values and headers do not share.
+var queueEnd = new(chain)
 
 // view returns the published chain. Without c.mu, only ts and — once
 // version.committed says so — value and commitTS may be read from it.
@@ -164,7 +198,7 @@ func (c *chain) splice(vs []version, lo, hi int, ins *version) {
 		live++
 		capacity = max(live, 2*capacity)
 	}
-	h := &header{vers: make([]version, capacity)}
+	h := newHeader(capacity)
 	n := copy(h.vers, vs[:lo])
 	if ins != nil {
 		h.vers[n] = *ins
@@ -178,9 +212,9 @@ func (c *chain) splice(vs []version, lo, hi int, ins *version) {
 // insert places a new pending version at index at of the published chain
 // vs. The common case — the chain's tail, with spare capacity — writes the
 // next free slot and advances the published length; anything else
-// republishes. Callers must hold c.mu.
+// republishes. The version keeps value. Callers must hold c.mu.
 func (c *chain) insert(vs []version, at int, ts vclock.Time, value []byte) {
-	v := version{ts: ts, value: append([]byte(nil), value...), done: make(chan struct{})}
+	v := version{ts: ts, value: value}
 	if h := c.head.Load(); h != nil && at == len(vs) && at < len(h.vers) {
 		h.vers[at] = v // spare capacity: no reader indexes it yet
 		h.n.Store(int64(at + 1))
@@ -192,11 +226,13 @@ func (c *chain) insert(vs []version, at int, ts vclock.Time, value []byte) {
 // Store is a sharded multi-version key/value store. It is safe for
 // concurrent use.
 type Store struct {
-	// chains maps schema.GranuleID -> *chain. A sync.Map so the wait-free
-	// read paths resolve granule → chain without a directory lock (chains
-	// are created once and never removed — the read-mostly shape sync.Map
-	// is built for).
-	chains sync.Map
+	// chains is the directory: a power-of-two table, at most half full,
+	// that only gains chains; createMu serializes creates and guards
+	// nchains. A reader holding a replaced table finds every chain created
+	// before it loaded that table: growing copies them.
+	chains   atomic.Pointer[[]atomic.Pointer[chain]]
+	createMu sync.Mutex
+	nchains  int
 
 	// prunable is the prune queue: a lock-free stack of the chains a GC
 	// pass could shrink, linked through chain.next. Pushes happen under the
@@ -217,13 +253,13 @@ type Store struct {
 // checkpoint load) found the chain holding two versions and queued it, and
 // only GC dequeues.
 func (s *Store) enqueue(c *chain) {
-	if c.queued {
+	if c.next != nil { // queued already
 		return
 	}
-	c.queued = true
 	for {
-		c.next = s.prunable.Load()
-		if s.prunable.CompareAndSwap(c.next, c) {
+		head := s.prunable.Load()
+		c.next = cmp.Or(head, queueEnd)
+		if s.prunable.CompareAndSwap(head, c) {
 			return
 		}
 	}
@@ -231,18 +267,56 @@ func (s *Store) enqueue(c *chain) {
 
 // New returns an empty Store.
 func New() *Store {
-	return &Store{}
+	s, t := &Store{}, make([]atomic.Pointer[chain], 16)
+	s.chains.Store(&t)
+	return s
 }
 
+// probe returns the index of g's slot in t: the one holding its chain, or
+// the empty one where its chain goes. Probes run linearly from g's hash.
+func probe(t []atomic.Pointer[chain], g schema.GranuleID) int {
+	h := (g.Key ^ uint64(g.Segment)<<48) * 0x9e3779b97f4a7c15
+	i := int(h^h>>29) & (len(t) - 1)
+	for c := t[i].Load(); c != nil && c.g != g; c = t[i].Load() {
+		i = (i + 1) & (len(t) - 1)
+	}
+	return i
+}
+
+// chainOf returns g's chain, creating it if create is set (nil if it does
+// not exist and create is not). A lookup is one atomic load and a probe.
 func (s *Store) chainOf(g schema.GranuleID, create bool) *chain {
-	if v, ok := s.chains.Load(g); ok {
-		return v.(*chain)
+	t := *s.chains.Load()
+	if c := t[probe(t, g)].Load(); c != nil || !create {
+		return c
 	}
-	if !create {
-		return nil
+	s.createMu.Lock()
+	defer s.createMu.Unlock()
+	t = *s.chains.Load()
+	i := probe(t, g)
+	if c := t[i].Load(); c != nil {
+		return c
 	}
-	v, _ := s.chains.LoadOrStore(g, &chain{})
-	return v.(*chain)
+	c := &chain{g: g}
+	if s.nchains++; 2*s.nchains <= len(t) {
+		t[i].Store(c)
+		return c
+	}
+	grown := make([]atomic.Pointer[chain], 2*len(t))
+	s.each(func(old *chain) { grown[probe(grown, old.g)].Store(old) })
+	grown[probe(grown, g)].Store(c)
+	s.chains.Store(&grown)
+	return c
+}
+
+// each calls f for every chain in the published directory.
+func (s *Store) each(f func(*chain)) {
+	t := *s.chains.Load()
+	for i := range t {
+		if c := t[i].Load(); c != nil {
+			f(c)
+		}
+	}
 }
 
 // ErrVersionExists is returned when installing a version whose timestamp is
@@ -283,8 +357,10 @@ func (s *Store) commitAt(g schema.GranuleID, ts, commitTS vclock.Time) {
 	}
 	vs[i].commitTS = commitTS
 	atomic.StoreUint32(&vs[i].state, uint32(Committed))
-	close(vs[i].done)
-	vs[i].done = nil
+	if vs[i].done != nil {
+		close(vs[i].done)
+		vs[i].done = nil
+	}
 	if len(vs) >= 2 {
 		s.enqueue(c)
 	}
@@ -337,7 +413,9 @@ func (s *Store) Abort(g schema.GranuleID, ts vclock.Time) {
 	if i < 0 || vs[i].ts != ts || vs[i].committed() {
 		return
 	}
-	close(vs[i].done)
+	if vs[i].done != nil {
+		close(vs[i].done)
+	}
 	c.splice(vs, i, i+1, nil)
 	s.versionsAborted.Add(1)
 }
@@ -403,6 +481,9 @@ func (s *Store) ReadRegistered(g schema.GranuleID, bound, readerTS vclock.Time) 
 	}
 	v := &vs[i]
 	if !v.committed() {
+		if v.done == nil {
+			v.done = make(chan struct{})
+		}
 		done := v.done
 		pendingTS := v.ts
 		c.mu.Unlock()
@@ -471,9 +552,9 @@ func (s *Store) InstallChecked(g schema.GranuleID, writerTS vclock.Time, value [
 // UpdatePending replaces the value of the pending version of g at ts —
 // a transaction overwriting its own earlier write. It panics if no such
 // pending version exists (engines only call it for granules they installed).
-// The replacement swaps the version's value slice for a fresh copy; the
-// previous bytes are never written over, preserving the immutability of
-// anything a reader may already hold.
+// The version keeps value in place of its previous slice; the previous
+// bytes are never written over, preserving the immutability of anything a
+// reader may already hold.
 func (s *Store) UpdatePending(g schema.GranuleID, ts vclock.Time, value []byte) {
 	c := s.chainOf(g, false)
 	if c == nil {
@@ -486,7 +567,7 @@ func (s *Store) UpdatePending(g schema.GranuleID, ts vclock.Time, value []byte) 
 	if i < 0 || vs[i].ts != ts || vs[i].committed() {
 		panic(fmt.Sprintf("mvstore: update of missing pending version %v@%d", g, ts))
 	}
-	vs[i].value = append([]byte(nil), value...)
+	vs[i].value = value
 }
 
 // RejectedError reports an MVTO write rejection.
@@ -526,10 +607,10 @@ func (s *Store) GC(watermark vclock.Time) int {
 // detaches its own list, and takes one chain.mu at a time.
 func (s *Store) Prune(watermark vclock.Time) (pruned, visited int) {
 	var next *chain
-	for c := s.prunable.Swap(nil); c != nil; c = next {
+	for c := s.prunable.Swap(nil); c != nil && c != queueEnd; c = next {
 		visited++
 		c.mu.Lock()
-		next, c.next, c.queued = c.next, nil, false
+		next, c.next = c.next, nil
 		vs := c.view()
 		// Keep the latest committed version below the watermark; drop the
 		// committed versions before it. Pending versions below keep cannot
@@ -589,13 +670,10 @@ func (s *Store) Stats() Stats {
 }
 
 // TotalVersions counts retained versions across all granules (O(n); for
-// tests and the GC ablation experiment). It traverses the lock-free chain
+// tests and the GC ablation experiment). It traverses the published
 // directory and reads each chain's published length.
 func (s *Store) TotalVersions() int {
 	total := 0
-	s.chains.Range(func(_, v any) bool {
-		total += len(v.(*chain).view())
-		return true
-	})
+	s.each(func(c *chain) { total += len(c.view()) })
 	return total
 }

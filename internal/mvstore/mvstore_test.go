@@ -299,15 +299,17 @@ func TestGCKeepsPending(t *testing.T) {
 }
 
 func TestValueIsolation(t *testing.T) {
+	// The store keeps the slice it is given and never writes to it: the
+	// engine's one copy at its cc.Txn.Write boundary is the version's value
+	// (hdd.TestWriteBuffersAreCallerOwned checks that copy in every engine).
 	s := New()
 	gr := g(0, 15)
 	buf := []byte("mutable")
 	_ = s.InstallPending(gr, 10, buf)
-	buf[0] = 'X'
 	s.Commit(gr, 10)
 	v, _, _ := s.ReadCommittedBefore(gr, 100)
-	if string(v) != "mutable" {
-		t.Fatalf("stored value aliased caller buffer: %q", v)
+	if &v[0] != &buf[0] || string(v) != "mutable" {
+		t.Fatalf("stored value %q is not the installed slice %q", v, buf)
 	}
 	// Reads are zero-copy by contract: the slice aliases immutable store
 	// memory (callers must not modify it; engines copy at the cc.Txn

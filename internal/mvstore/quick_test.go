@@ -225,7 +225,7 @@ func (c *refChain) pending() []int {
 // other goroutine uses the store.
 func queuedChains(s *Store) map[*chain]bool {
 	q := map[*chain]bool{}
-	for c := s.prunable.Load(); c != nil; c = c.next {
+	for c := s.prunable.Load(); c != nil && c != queueEnd; c = c.next {
 		q[c] = true
 	}
 	return q
@@ -374,10 +374,10 @@ func TestQuickModelAgainstFullSweep(t *testing.T) {
 					}
 				}
 				if ch := s.chainOf(g, false); ch != nil {
-					if ch.queued != queued[ch] {
-						fail(step, "granule %d: queued flag %v but on the queue: %v", k, ch.queued, queued[ch])
+					if (ch.next != nil) != queued[ch] {
+						fail(step, "granule %d: next set %v but on the queue: %v", k, ch.next != nil, queued[ch])
 					}
-					if committed >= 2 && !ch.queued {
+					if committed >= 2 && ch.next == nil {
 						fail(step, "granule %d holds %d committed versions and is not queued", k, committed)
 					}
 				}

@@ -209,9 +209,10 @@ func (t *txn) Write(g schema.GranuleID, value []byte) error {
 	}
 	e := t.eng
 	e.ctr.Writes.Add(1)
+	value = append([]byte(nil), value...) // the one copy: store and write set share it
 	if w, ok := t.writes[g]; ok {
 		e.store.UpdatePending(g, w.ts, value)
-		t.writes[g] = ownWrite{ts: w.ts, value: append([]byte(nil), value...)}
+		t.writes[g] = ownWrite{ts: w.ts, value: value}
 		return nil
 	}
 	var wts vclock.Time
@@ -241,7 +242,7 @@ func (t *txn) Write(g schema.GranuleID, value []byte) error {
 	if t.writes == nil {
 		t.writes = make(map[schema.GranuleID]ownWrite)
 	}
-	t.writes[g] = ownWrite{ts: wts, value: append([]byte(nil), value...)}
+	t.writes[g] = ownWrite{ts: wts, value: value}
 	e.rec.RecordWrite(t.init, g, wts)
 	return nil
 }

@@ -213,7 +213,7 @@ func (c *Controller) writeB(req request) response {
 	if i+1 < len(ch.versions) {
 		return response{err: fmt.Errorf("segctl: write of %v at %d rejected: newer version exists", req.g, req.ts), rejects: 1}
 	}
-	ch.versions = append(ch.versions, version{ts: req.ts, value: append([]byte(nil), req.value...)})
+	ch.versions = append(ch.versions, version{ts: req.ts, value: req.value})
 	return response{ok: true}
 }
 
@@ -227,7 +227,7 @@ func (c *Controller) update(req request) {
 	if i < 0 || ch.versions[i].ts != req.ts || ch.versions[i].commit {
 		panic("segctl: update of missing pending version")
 	}
-	ch.versions[i].value = append([]byte(nil), req.value...)
+	ch.versions[i].value = req.value
 }
 
 // finish commits or aborts a transaction's pending versions in this
@@ -307,7 +307,7 @@ func (c *Controller) ReadRegistered(g schema.GranuleID, bound, readerTS vclock.T
 }
 
 // InstallChecked performs the Protocol B admission check and pending
-// install.
+// install. The version keeps value, as mvstore's do.
 func (c *Controller) InstallChecked(g schema.GranuleID, ts vclock.Time, value []byte) error {
 	return c.call(request{kind: reqWriteB, g: g, ts: ts, value: value}).err
 }

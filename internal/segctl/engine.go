@@ -197,9 +197,10 @@ func (t *txn) Write(g schema.GranuleID, value []byte) error {
 		t.abort()
 		return err
 	}
+	value = append([]byte(nil), value...) // the one copy: store and write set share it
 	if _, ok := t.writes[g]; ok {
 		e.controller(g.Segment).UpdatePending(g, t.init, value)
-		t.writes[g] = append([]byte(nil), value...)
+		t.writes[g] = value
 		return nil
 	}
 	if err := e.controller(g.Segment).InstallChecked(g, t.init, value); err != nil {
@@ -210,7 +211,7 @@ func (t *txn) Write(g schema.GranuleID, value []byte) error {
 	if t.writes == nil {
 		t.writes = make(map[schema.GranuleID][]byte)
 	}
-	t.writes[g] = append([]byte(nil), value...)
+	t.writes[g] = value
 	e.rec.RecordWrite(t.init, g, t.init)
 	return nil
 }

@@ -132,9 +132,10 @@ func (t *mvtoTxn) Write(g schema.GranuleID, value []byte) error {
 	}
 	e := t.eng
 	e.ctr.Writes.Add(1)
+	value = append([]byte(nil), value...) // the one copy: store and write set share it
 	if _, ok := t.writes[g]; ok {
 		e.store.UpdatePending(g, t.init, value)
-		t.writes[g] = append([]byte(nil), value...)
+		t.writes[g] = value
 		return nil
 	}
 	if err := e.store.InstallChecked(g, t.init, value); err != nil {
@@ -145,7 +146,7 @@ func (t *mvtoTxn) Write(g schema.GranuleID, value []byte) error {
 	if t.writes == nil {
 		t.writes = make(map[schema.GranuleID][]byte)
 	}
-	t.writes[g] = append([]byte(nil), value...)
+	t.writes[g] = value
 	e.rec.RecordWrite(t.init, g, t.init)
 	return nil
 }

@@ -186,9 +186,10 @@ func (t *lockTxn) Write(g schema.GranuleID, value []byte) error {
 		t.abort()
 		return &cc.AbortError{Reason: cc.ReasonDeadlock, Err: err}
 	}
+	value = append([]byte(nil), value...) // the one copy: store and write set share it
 	if w, ok := t.writes[g]; ok {
 		e.store.UpdatePending(g, w.ts, value)
-		t.writes[g] = ownWrite{ts: w.ts, value: append([]byte(nil), value...)}
+		t.writes[g] = ownWrite{ts: w.ts, value: value}
 		return nil
 	}
 	// Version timestamps are install instants: the exclusive lock
@@ -201,7 +202,7 @@ func (t *lockTxn) Write(g schema.GranuleID, value []byte) error {
 	if t.writes == nil {
 		t.writes = make(map[schema.GranuleID]ownWrite)
 	}
-	t.writes[g] = ownWrite{ts: wts, value: append([]byte(nil), value...)}
+	t.writes[g] = ownWrite{ts: wts, value: value}
 	e.rec.RecordWrite(t.init, g, wts)
 	return nil
 }

@@ -115,14 +115,17 @@ func Run(eng Beginner, class ClassID, fn func(Txn) error, p RetryPolicy) error {
 // backoff schedule.
 func RunCtx(ctx context.Context, eng Beginner, class ClassID, fn func(Txn) error, p RetryPolicy) error {
 	p = p.withDefaults()
-	seed := p.Seed
-	if seed == 0 {
-		seed = int64(p.BaseDelay) ^ int64(p.MaxDelay)<<20 ^ 0x9e3779b9
-	}
-	rng := rand.New(rand.NewSource(seed))
+	var rng *rand.Rand // built on the first backoff: a source is 5 KB
 	var last error
 	for attempt := 0; p.MaxAttempts < 0 || attempt < p.MaxAttempts; attempt++ {
 		if attempt > 0 {
+			if rng == nil {
+				seed := p.Seed
+				if seed == 0 {
+					seed = int64(p.BaseDelay) ^ int64(p.MaxDelay)<<20 ^ 0x9e3779b9
+				}
+				rng = rand.New(rand.NewSource(seed))
+			}
 			if err := sleepBackoff(ctx, p, backoff(p, rng, attempt-1)); err != nil {
 				return err
 			}

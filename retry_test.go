@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hdd/internal/cc"
+	"slices"
 	"testing"
 	"time"
 )
@@ -300,5 +301,34 @@ func TestRunCtxCancelDuringBackoff(t *testing.T) {
 	}
 	if attempts != 1 {
 		t.Fatalf("attempts = %d, want 1", attempts)
+	}
+}
+
+// TestRetryJitterSchedule pins the backoff delays Run hands to Sleep over
+// six aborted attempts, for a fixed Seed and for the Seed 0 default: when
+// the RNG is built does not change the schedule.
+func TestRetryJitterSchedule(t *testing.T) {
+	e := retryEngine(t)
+	for _, c := range []struct {
+		seed int64
+		want []time.Duration
+	}{
+		{42, []time.Duration{365020, 440326, 642471, 7080788, 310754, 6496584}},
+		{0, []time.Duration{725251, 919705, 2540376, 2662774, 1372309, 5408558}},
+	} {
+		var slept []time.Duration
+		attempts := 0
+		err := Run(e, 0, func(Txn) error {
+			if attempts++; attempts <= 6 {
+				return &cc.AbortError{Reason: cc.ReasonWriteRejected}
+			}
+			return nil
+		}, RetryPolicy{MaxAttempts: 7, BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond, Seed: c.seed, Sleep: noSleep(&slept)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(slept, c.want) {
+			t.Errorf("Seed %d: slept %v, want %v", c.seed, slept, c.want)
+		}
 	}
 }
