@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-smoke bench-e2e bench-e2e-smoke experiments examples check allocs clean serve stress-mvstore stress-wal stress-core fuzz-wal fuzz-wire torture torture-smoke
+.PHONY: all build vet test race cover bench bench-smoke bench-e2e bench-e2e-smoke experiments examples check allocs clean serve stress-mvstore stress-wal stress-core stress-client fuzz-wal fuzz-wire torture torture-smoke
 
 all: build vet test
 
@@ -80,6 +80,13 @@ stress-wal:
 # §10 and §13.
 stress-core:
 	$(GO) test -race -count=10 -run 'Serializab|AdHoc|Reap|ReadOnly|Path|Close|Snapshot|Durable|Uncommitted|Poison|LogHolds|Legacy|Stats|Obs' ./internal/core/
+
+# The client's multiplexed connection, repeated under the race detector:
+# pooled call cells, the per-connection deadline sweep, values carved from
+# the read chunk, frame-writer liveness and redial after a server restart.
+# The allocation budgets it names skip under -race; `allocs` runs them.
+stress-client:
+	$(GO) test -race -count=20 -run 'Timeout|Alloc|Ownership|Liveness|Restart' ./client/
 
 # Short fixed-budget fuzz of the one on-disk format: the log's record
 # decoder and replay loop, and checkpoints, which are log segments (the

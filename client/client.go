@@ -33,6 +33,10 @@
 // connections, and the server force-aborts any transactions left open — no
 // explicit hand-off is required, though calling Abort promptly is kinder
 // to walls and GC.
+//
+// A value a read returns belongs to the caller. Values up to 1 KiB are
+// carved from an 8 KiB chunk per connection, and a retained value keeps
+// its chunk alive: copy a small value to keep it long without the chunk.
 package client
 
 import (
@@ -106,8 +110,8 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		o.conns = 1
 	}
 	if o.requestTimeout <= 0 {
-		// Unset or not positive: a zero timer and a write deadline of now
-		// would fail every round trip.
+		// Unset or not positive: the deadline sweep and the write
+		// deadline would fail every round trip at once.
 		o.requestTimeout = 30 * time.Second
 	}
 	c := &Client{addr: addr, opt: o, slots: make([]*mconn, o.conns)}
@@ -269,6 +273,7 @@ func (c *Client) slot() (*mconn, error) {
 	c.slots[i] = m
 	c.smu.Unlock()
 	go m.readLoop()
+	go m.sweep()
 	return m, nil
 }
 
@@ -284,8 +289,9 @@ func (c *Client) dropSlot(m *mconn) {
 	c.smu.Unlock()
 }
 
-// dialRaw opens one TCP connection with Nagle disabled (the protocol is
-// request–response; coalescing happens explicitly, server-side).
+// dialRaw opens one TCP connection with Nagle disabled: the protocol is
+// request–response, and both ends coalesce frames explicitly, in their
+// wire.FrameWriter.
 func (c *Client) dialRaw() (net.Conn, error) {
 	nc, err := net.DialTimeout("tcp", c.addr, c.opt.dialTimeout)
 	if err != nil {

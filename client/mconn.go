@@ -4,6 +4,15 @@ package client
 // request carries a fresh tag, a single reader goroutine demultiplexes
 // responses back to their callers by tag. This is what lets the client run
 // many concurrent Txns over a small fixed connection set.
+//
+// A round trip allocates only the value it returns. A request waits in a
+// pooled call cell whose reply channel is made once; each cell gets
+// exactly one delivery, from the reader or from fail. No timer is armed
+// per request: one deadline sweep per connection stamps each pending call
+// with a deadline the first time it sees it, and fails the connection
+// once any call is past its own. A call therefore fails between one and
+// 1.25 request timeouts after it was sent. Read values are copied out of
+// the frame into a per-connection chunk.
 
 import (
 	"errors"
@@ -32,22 +41,37 @@ type mconn struct {
 	pending map[uint64]*mcall
 	dead    atomic.Bool // written under pmu, with deadErr
 	deadErr error
+	done    chan struct{} // closed by fail: stops the sweep
+
+	chunk []byte // readLoop only: where read values are carved from
 }
 
-// writeBuf sizes a conn's write buffer. Request frames are small; a burst
-// of them fits, and a large value passes through unbuffered.
-const writeBuf = 4096
+const (
+	// writeBuf sizes a conn's write buffer. Request frames are small; a
+	// burst of them fits, and a large value passes through unbuffered.
+	writeBuf = 4096
+	// chunkSize and maxCarved: read values up to maxCarved bytes are
+	// carved from a chunkSize chunk: one allocation serves many reads, and
+	// short-lived copies do not scatter long-lived objects of their size
+	// class over half-empty spans. A larger value gets its own allocation.
+	chunkSize = 8 << 10
+	maxCarved = 1 << 10
+)
 
-// mcall is one in-flight request awaiting its tagged response.
+// mcall is one in-flight request awaiting its tagged response. Cells are
+// pooled: the caller returns one once it has taken its single delivery.
 type mcall struct {
-	op wire.Op
-	ch chan mresult // buffered (1): delivery never blocks the reader
+	op       wire.Op
+	deadline time.Time    // stamped by the sweep, under pmu
+	ch       chan mresult // buffered (1): delivery never blocks the reader
 }
 
 type mresult struct {
 	resp wire.Response
 	err  error
 }
+
+var calls = sync.Pool{New: func() any { return &mcall{ch: make(chan mresult, 1)} }}
 
 func newMconn(cl *Client, nc net.Conn, timeout time.Duration) *mconn {
 	return &mconn{
@@ -57,6 +81,7 @@ func newMconn(cl *Client, nc net.Conn, timeout time.Duration) *mconn {
 		fw:      wire.NewFrameWriter(nc, writeBuf, timeout, nil),
 		timeout: timeout,
 		pending: make(map[uint64]*mcall),
+		done:    make(chan struct{}),
 	}
 }
 
@@ -68,11 +93,13 @@ func newMconn(cl *Client, nc net.Conn, timeout time.Duration) *mconn {
 func (m *mconn) roundTrip(req *wire.Request) (wire.Response, error) {
 	tag := m.tags.Add(1)
 	req.Tag = tag
-	call := &mcall{op: req.Op, ch: make(chan mresult, 1)}
+	call := calls.Get().(*mcall)
+	call.op, call.deadline = req.Op, time.Time{}
 	m.pmu.Lock()
 	if m.dead.Load() {
 		err := m.deadErr
 		m.pmu.Unlock()
+		calls.Put(call)
 		return wire.Response{}, err
 	}
 	m.pending[tag] = call
@@ -88,24 +115,58 @@ func (m *mconn) roundTrip(req *wire.Request) (wire.Response, error) {
 	wire.PutBuffer(bp)
 	if err != nil {
 		m.fail(fmt.Errorf("client: sending %v: %w", req.Op, err))
-		res := <-call.ch // fail delivered to every pending call, ours included
-		return res.resp, res.err
 	}
+	// The reader, or fail (a send error, the sweep, Close), delivers once.
+	res := <-call.ch
+	calls.Put(call)
+	return res.resp, res.err
+}
 
-	timer := time.NewTimer(m.timeout)
-	defer timer.Stop()
-	select {
-	case res := <-call.ch:
-		return res.resp, res.err
-	case <-timer.C:
-		// Tags are never reused on a conn, so a late response could be
-		// discarded safely — but a conn that missed a deadline is either
-		// stalled or talking to a wedged server; kill it so every caller
-		// fails fast instead of queueing behind it.
-		m.fail(fmt.Errorf("client: %v response not received within %v", req.Op, m.timeout))
-		res := <-call.ch
-		return res.resp, res.err
+// sweep runs for the conn's life, every quarter timeout. Tags are never
+// reused on a conn, so a late response could be discarded safely — but a
+// conn that missed a deadline is either stalled or talking to a wedged
+// server; fail it so every caller fails fast instead of queueing behind it.
+func (m *mconn) sweep() {
+	tick := time.NewTicker(m.timeout/4 + 1) // + 1: positive for any timeout
+	defer tick.Stop()
+	for {
+		select {
+		case <-m.done:
+			return
+		case <-tick.C:
+		}
+		var late wire.Op // read under pmu: a delivered cell is reused at once
+		expired := false
+		m.pmu.Lock()
+		now := time.Now() // every call in pending was sent before now
+		for _, call := range m.pending {
+			if call.deadline.IsZero() {
+				call.deadline = now.Add(m.timeout)
+			} else if !expired && !now.Before(call.deadline) {
+				late, expired = call.op, true
+			}
+		}
+		m.pmu.Unlock()
+		if expired {
+			m.fail(fmt.Errorf("client: %v response not received within %v", late, m.timeout))
+			return
+		}
 	}
+}
+
+// own copies a read value out of the frame buffer, carving it from the
+// conn's chunk. The result is capped at its length, so a caller's append
+// reallocates instead of writing over the next value.
+func (m *mconn) own(v []byte) []byte {
+	if len(v) > maxCarved {
+		return append([]byte(nil), v...)
+	}
+	if cap(m.chunk)-len(m.chunk) < len(v) {
+		m.chunk = make([]byte, 0, chunkSize)
+	}
+	off := len(m.chunk)
+	m.chunk = append(m.chunk, v...)
+	return m.chunk[off:len(m.chunk):len(m.chunk)]
 }
 
 // readLoop is the conn's reader goroutine: frame in, tag out, deliver to
@@ -144,6 +205,11 @@ func (m *mconn) readLoop() {
 			m.fail(fmt.Errorf("client: %w", err))
 			return
 		}
+		// The decoded values alias rbuf, which the next frame reuses.
+		resp.Value = m.own(resp.Value)
+		for i := range resp.Batch {
+			resp.Batch[i].Value = m.own(resp.Batch[i].Value)
+		}
 		call.ch <- mresult{resp: resp}
 	}
 }
@@ -162,6 +228,7 @@ func (m *mconn) fail(err error) {
 	pend := m.pending
 	m.pending = make(map[uint64]*mcall)
 	m.pmu.Unlock()
+	close(m.done)
 	m.nc.Close()
 	for _, call := range pend {
 		call.ch <- mresult{err: err}

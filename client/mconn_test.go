@@ -5,6 +5,7 @@ package client
 // a connection, and must cost a lone caller nothing.
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"runtime"
@@ -241,12 +242,14 @@ func TestDialRejectsOtherWireVersion(t *testing.T) {
 			return
 		}
 		defer nc.Close()
-		if _, err := wire.ReadFrame(nc, nil); err != nil {
+		if _, err := wire.ReadFrame(bufio.NewReader(nc), nil); err != nil {
 			return
 		}
 		msg := "wire: protocol version 2, want 1"
 		v1 := append([]byte{1, byte(wire.StatusError), 0, 0, 0, byte(len(msg))}, msg...)
-		wire.WriteFrame(nc, v1)
+		bw := bufio.NewWriter(nc)
+		wire.WriteFrame(bw, v1)
+		bw.Flush()
 	}()
 	_, err = Dial(l.Addr().String(), WithRequestTimeout(10*time.Second))
 	if err == nil || !strings.Contains(err.Error(), "server speaks wire version 1, this client requires 2") {

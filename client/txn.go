@@ -36,7 +36,8 @@ func (t *Txn) ID() hdd.Time { return hdd.Time(t.id) }
 func (t *Txn) Class() hdd.ClassID { return t.class }
 
 // Read returns the value of g visible to this transaction, or (nil, nil)
-// if the granule does not exist at the visible instant.
+// if the granule does not exist at the visible instant. The caller owns the
+// value; retaining it keeps its chunk (≤ 8 KiB, see the package doc) alive.
 func (t *Txn) Read(g hdd.GranuleID) ([]byte, error) {
 	if t.done {
 		return nil, cc.ErrTxnDone

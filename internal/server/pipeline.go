@@ -134,7 +134,7 @@ func (s *session) admit(wait bool) bool {
 func (s *session) runInline(req *wire.Request, t cc.Txn) {
 	resp := s.timed(req, t)
 	resp.Tag = req.Tag
-	s.wbuf = wire.AppendResponse2(s.wbuf[:0], req.Op, resp)
+	s.wbuf = wire.AppendResponse2(s.wbuf[:0], req.Op, &resp)
 	s.srv.inlineRequests.Inc()
 	// A failed writer has closed the connection: the next read ends serve.
 	if s.fw.Append(s.wbuf) == nil {
@@ -181,10 +181,10 @@ func (s *session) run(req *wire.Request, t cc.Txn) {
 // finishing together share one socket write. The slot is released only
 // after the frame is sent, so teardown's inflight.Wait() loses nothing. A
 // send error has closed the connection, which ends serve.
-func (s *session) complete(req *wire.Request, resp *wire.Response) {
+func (s *session) complete(req *wire.Request, resp wire.Response) {
 	resp.Tag = req.Tag
 	bp := wire.GetBuffer()
-	*bp = wire.AppendResponse2((*bp)[:0], req.Op, resp)
+	*bp = wire.AppendResponse2((*bp)[:0], req.Op, &resp)
 	_ = s.fw.Send(*bp, len(s.sem) > 1)
 	wire.PutBuffer(bp)
 	s.srv.pipelineDepth.Add(-1)

@@ -220,7 +220,7 @@ func TestOutOfOrderResponses(t *testing.T) {
 	br := bufio.NewReader(nc)
 	send := func(req *wire.Request) {
 		t.Helper()
-		if err := wire.WriteFrame(nc, wire.AppendRequest2(nil, req)); err != nil {
+		if err := writeFrame(nc, wire.AppendRequest2(nil, req)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,7 +280,7 @@ func TestOutOfOrderResponses(t *testing.T) {
 // naming the offending version — followed by a clean close.
 func expectV1Rejected(t *testing.T, nc net.Conn, br *bufio.Reader, v1 []byte) {
 	t.Helper()
-	if err := wire.WriteFrame(nc, v1); err != nil {
+	if err := writeFrame(nc, v1); err != nil {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -335,7 +335,7 @@ func TestVersionDowngradeRejected(t *testing.T) {
 	defer nc.Close()
 	br := bufio.NewReader(nc)
 
-	if err := wire.WriteFrame(nc, wire.AppendRequest2(nil, &wire.Request{Op: wire.OpHello, Tag: 1})); err != nil {
+	if err := writeFrame(nc, wire.AppendRequest2(nil, &wire.Request{Op: wire.OpHello, Tag: 1})); err != nil {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))

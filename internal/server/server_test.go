@@ -5,6 +5,7 @@ package server_test
 // Everything here runs under -race in CI (make check).
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -332,6 +333,7 @@ func TestOrphanedConnectionForceAbort(t *testing.T) {
 type rawConn struct {
 	t   *testing.T
 	nc  net.Conn
+	br  *bufio.Reader
 	tag uint64
 }
 
@@ -342,17 +344,26 @@ func rawDial(t *testing.T, addr string) *rawConn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	return &rawConn{t: t, nc: nc}
+	return &rawConn{t: t, nc: nc, br: bufio.NewReader(nc)}
+}
+
+// writeFrame sends payload as one frame on nc.
+func writeFrame(nc net.Conn, payload []byte) error {
+	w := bufio.NewWriter(nc)
+	if err := wire.WriteFrame(w, payload); err != nil {
+		return err
+	}
+	return w.Flush()
 }
 
 func (r *rawConn) roundTrip(req *wire.Request) wire.Response {
 	r.t.Helper()
 	r.tag++
 	req.Tag = r.tag
-	if err := wire.WriteFrame(r.nc, wire.AppendRequest2(nil, req)); err != nil {
+	if err := writeFrame(r.nc, wire.AppendRequest2(nil, req)); err != nil {
 		r.t.Fatalf("sending %v: %v", req.Op, err)
 	}
-	payload, err := wire.ReadFrame(r.nc, nil)
+	payload, err := wire.ReadFrame(r.br, nil)
 	if err != nil {
 		r.t.Fatalf("awaiting %v response: %v", req.Op, err)
 	}

@@ -160,7 +160,7 @@ func (s *session) setReadDeadline() {
 }
 
 // timed runs handle under the opcode's request-latency histogram.
-func (s *session) timed(req *wire.Request, t cc.Txn) *wire.Response {
+func (s *session) timed(req *wire.Request, t cc.Txn) wire.Response {
 	start := time.Now()
 	resp := s.handle(req, t)
 	if h := s.srv.latencyFor(req.Op); h != nil {
@@ -172,7 +172,7 @@ func (s *session) timed(req *wire.Request, t cc.Txn) *wire.Response {
 // handle dispatches one decoded request. t is the transaction a
 // transaction-addressed request names (dispatch resolved it), nil for
 // requests that name none. It never returns nil.
-func (s *session) handle(req *wire.Request, t cc.Txn) *wire.Response {
+func (s *session) handle(req *wire.Request, t cc.Txn) wire.Response {
 	switch req.Op {
 	case wire.OpBegin:
 		if s.srv.isDraining() {
@@ -217,21 +217,21 @@ func (s *session) handle(req *wire.Request, t cc.Txn) *wire.Response {
 		return s.beginResponse(t, err, s.srv.waitFreeRO)
 
 	case wire.OpHello:
-		return &wire.Response{Status: wire.StatusOK,
+		return wire.Response{Status: wire.StatusOK,
 			EngineName: s.srv.eng.Name(), Caps: uint64(s.srv.caps)}
 
 	case wire.OpRead, wire.OpWrite, wire.OpCommit, wire.OpAbort, wire.OpBatch:
 		return s.handleTxnOp(req, t)
 
 	case wire.OpStats:
-		return &wire.Response{Status: wire.StatusOK, Stats: s.srv.statEntries()}
+		return wire.Response{Status: wire.StatusOK, Stats: s.srv.statEntries()}
 	}
-	return &wire.Response{Status: wire.StatusError,
+	return wire.Response{Status: wire.StatusError,
 		Message: fmt.Sprintf("server: unhandled opcode %v", req.Op)}
 }
 
 // handleTxnOp executes one operation on an open transaction.
-func (s *session) handleTxnOp(req *wire.Request, t cc.Txn) *wire.Response {
+func (s *session) handleTxnOp(req *wire.Request, t cc.Txn) wire.Response {
 	var err error
 	switch req.Op {
 	case wire.OpRead:
@@ -240,7 +240,7 @@ func (s *session) handleTxnOp(req *wire.Request, t cc.Txn) *wire.Response {
 		// immutable engine memory and is consumed immediately — encoded
 		// into the response frame before the next request can touch the
 		// transaction. The defensive copy the public API owes its callers
-		// happens client-side, in the wire decoder.
+		// happens client-side, in the connection's reader.
 		var val []byte
 		if sr, ok := t.(cc.SharedReader); ok {
 			val, err = sr.ReadShared(g)
@@ -252,7 +252,7 @@ func (s *session) handleTxnOp(req *wire.Request, t cc.Txn) *wire.Response {
 		}
 		// The embedded API distinguishes a missing granule ((nil, nil))
 		// from an empty value; Found carries that bit across the wire.
-		return &wire.Response{Status: wire.StatusOK, Found: val != nil, Value: val}
+		return wire.Response{Status: wire.StatusOK, Found: val != nil, Value: val}
 
 	case wire.OpWrite:
 		if len(req.Value) > wire.MaxValue {
@@ -274,7 +274,7 @@ func (s *session) handleTxnOp(req *wire.Request, t cc.Txn) *wire.Response {
 	if err != nil {
 		return errResponse(err)
 	}
-	return &wire.Response{Status: wire.StatusOK}
+	return wire.Response{Status: wire.StatusOK}
 }
 
 // handleBatch executes an OpBatch request: the declared operations run in
@@ -284,7 +284,7 @@ func (s *session) handleTxnOp(req *wire.Request, t cc.Txn) *wire.Response {
 // individually). The accumulated response size is guarded against
 // MaxFrame so a batch of large reads degrades into a typed error, not a
 // dead connection.
-func (s *session) handleBatch(req *wire.Request, t cc.Txn) *wire.Response {
+func (s *session) handleBatch(req *wire.Request, t cc.Txn) wire.Response {
 	sr, shared := t.(cc.SharedReader)
 	results := make([]wire.BatchResult, 0, len(req.Batch))
 	respSize := 32 // header + count headroom
@@ -321,12 +321,12 @@ func (s *session) handleBatch(req *wire.Request, t cc.Txn) *wire.Response {
 		results = append(results, wire.BatchResult{Found: val != nil, Value: val})
 	}
 	s.srv.batchOps.Observe(int64(len(req.Batch)))
-	return &wire.Response{Status: wire.StatusOK, Batch: results}
+	return wire.Response{Status: wire.StatusOK, Batch: results}
 }
 
 // batchErrResponse maps a batch operation's error onto the wire, keeping
 // the typed status and naming the failing index.
-func batchErrResponse(i int, err error) *wire.Response {
+func batchErrResponse(i int, err error) wire.Response {
 	resp := errResponse(err)
 	resp.Message = fmt.Sprintf("batch op %d: %s", i, resp.Message)
 	return resp
@@ -335,7 +335,7 @@ func batchErrResponse(i int, err error) *wire.Response {
 // beginResponse registers a freshly begun transaction with the session and
 // encodes the handle the client will use to address it. waitFree marks a
 // read-only transaction of an engine that declared cc.CapWaitFreeReadOnly.
-func (s *session) beginResponse(t cc.Txn, err error, waitFree bool) *wire.Response {
+func (s *session) beginResponse(t cc.Txn, err error, waitFree bool) wire.Response {
 	if err != nil {
 		return errResponse(err)
 	}
@@ -344,7 +344,7 @@ func (s *session) beginResponse(t cc.Txn, err error, waitFree bool) *wire.Respon
 	s.txns[id] = &sessTxn{t: t, waitFree: waitFree}
 	s.tmu.Unlock()
 	s.srv.txnsOpen.Add(1)
-	return &wire.Response{Status: wire.StatusOK, Txn: id, Class: int32(t.Class())}
+	return wire.Response{Status: wire.StatusOK, Txn: id, Class: int32(t.Class())}
 }
 
 func (s *session) dropTxn(id uint64) {
@@ -415,13 +415,13 @@ func (s *session) reapOpenTxns() {
 }
 
 // errResponse maps an engine error onto the wire status taxonomy.
-func errResponse(err error) *wire.Response {
+func errResponse(err error) wire.Response {
 	st, reason, msg := wire.StatusOf(err)
-	return &wire.Response{Status: st, Reason: reason, Message: msg}
+	return wire.Response{Status: st, Reason: reason, Message: msg}
 }
 
-func unknownTxn(id uint64) *wire.Response {
-	return &wire.Response{Status: wire.StatusError,
+func unknownTxn(id uint64) wire.Response {
+	return wire.Response{Status: wire.StatusError,
 		Message: fmt.Sprintf("server: no open transaction %d on this connection", id)}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -53,16 +54,18 @@ func (c *sinkConn) frames(t *testing.T) [][]byte {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := bytes.NewReader(c.buf.Bytes())
+	r := bufio.NewReader(bytes.NewReader(c.buf.Bytes()))
 	var out [][]byte
-	for r.Len() > 0 {
+	for {
 		p, err := ReadFrame(r, nil)
+		if err == io.EOF {
+			return out
+		}
 		if err != nil {
 			t.Fatalf("frame %d on the socket: %v", len(out), err)
 		}
 		out = append(out, p)
 	}
-	return out
 }
 
 // flushLog is an onFlush hook recording the frames each flush carried.
@@ -236,10 +239,7 @@ func TestFrameWriterErrorLatches(t *testing.T) {
 }
 
 func TestFrameBuffered(t *testing.T) {
-	var stream bytes.Buffer
-	WriteFrame(&stream, []byte("hello"))
-	WriteFrame(&stream, nil)
-	whole := stream.Bytes()
+	whole := frameStream(t, []byte("hello"), nil)
 	for cut, want := range map[int]bool{0: false, 3: false, 4: false, 8: false, 9: true, len(whole): true} {
 		br := bufio.NewReader(bytes.NewReader(whole[:cut]))
 		br.Peek(1) // fill the buffer, as a preceding ReadFrame would have

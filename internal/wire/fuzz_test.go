@@ -1,9 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // The fuzz targets pin the decoder's safety contract: for arbitrary input
@@ -100,9 +104,26 @@ func fuzzResponse(t *testing.T, opByte byte, p []byte) {
 	if got := AppendResponse2(nil, op, &resp); !bytes.Equal(got, p) {
 		t.Fatalf("re-encode mismatch for %v:\n in  %x\n out %x", op, p, got)
 	}
-	if len(resp.Value) > len(p) || len(resp.Stats)*10 > len(p) || len(resp.Batch) > len(p) {
+	if len(resp.Stats)*10 > len(p) || len(resp.Batch) > len(p) {
 		t.Fatalf("decoded fields larger than payload")
 	}
+	// Read values alias the payload, capped at their own length.
+	inPayload := func(v []byte) {
+		if len(v) > 0 && (cap(v) != len(v) || !within(v, p)) {
+			t.Fatalf("read value of %d bytes (cap %d) is not a capped slice of the payload", len(v), cap(v))
+		}
+	}
+	inPayload(resp.Value)
+	for i := range resp.Batch {
+		inPayload(resp.Batch[i].Value)
+	}
+}
+
+// within reports whether v lies inside p's memory.
+func within(v, p []byte) bool {
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(p)))
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(v)))
+	return at >= start && at+uintptr(len(v)) <= start+uintptr(len(p))
 }
 
 // FuzzDecodeResponse starts the response property from the untagged
@@ -157,10 +178,15 @@ func FuzzDecodeResponse2(f *testing.F) {
 	f.Fuzz(fuzzResponse)
 }
 
+// FuzzReadFrame reads a stream through a 16-byte bufio.Reader, so headers
+// and payloads straddle refills, and checks every outcome against a
+// direct parse of the stream.
 func FuzzReadFrame(f *testing.F) {
 	frame := func(p []byte) []byte {
 		var b bytes.Buffer
-		WriteFrame(&b, p)
+		w := bufio.NewWriter(&b)
+		WriteFrame(w, p)
+		w.Flush()
 		return b.Bytes()
 	}
 	f.Add(frame([]byte("payload")))
@@ -170,21 +196,42 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 100, 'a', 'b'})          // truncated payload
 	f.Add([]byte{0, 0})                            // truncated header
 	f.Add(append(frame([]byte("x")), 0, 0, 0, 99)) // second frame truncated
+	f.Add(append(frame([]byte("0123456789ab")), frame([]byte("header straddles the refill"))...))
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		r := bytes.NewReader(stream)
+		r := bufio.NewReaderSize(bytes.NewReader(stream), 16)
 		var buf []byte
-		for {
+		for rest := stream; ; {
 			payload, err := ReadFrame(r, buf)
-			if err != nil {
-				if err != io.EOF && err != io.ErrUnexpectedEOF &&
-					len(payload) != 0 {
-					t.Fatalf("payload returned alongside error %v", err)
+			var n uint32
+			if len(rest) >= 4 {
+				n = binary.BigEndian.Uint32(rest)
+			}
+			switch {
+			case len(rest) == 0:
+				if err != io.EOF {
+					t.Fatalf("at the end of the stream: got %v, want io.EOF", err)
+				}
+				return
+			case len(rest) < 4:
+				if err != io.ErrUnexpectedEOF {
+					t.Fatalf("%d-byte header: got %v, want io.ErrUnexpectedEOF", len(rest), err)
+				}
+				return
+			case n > MaxFrame:
+				if err == nil || !strings.Contains(err.Error(), "MaxFrame") {
+					t.Fatalf("frame declaring %d bytes: got %v", n, err)
+				}
+				return
+			case uint64(len(rest)-4) < uint64(n):
+				if err != io.ErrUnexpectedEOF {
+					t.Fatalf("truncated %d-byte payload: got %v, want io.ErrUnexpectedEOF", n, err)
 				}
 				return
 			}
-			if len(payload) > MaxFrame {
-				t.Fatalf("payload of %d bytes exceeds MaxFrame", len(payload))
+			if err != nil || !bytes.Equal(payload, rest[4:4+n]) {
+				t.Fatalf("frame of %d bytes: got (%x, %v)", n, payload, err)
 			}
+			rest = rest[4+n:]
 			buf = payload[:cap(payload)]
 		}
 	})

@@ -247,14 +247,14 @@ type StatEntry struct {
 	Value int64
 }
 
-// WriteFrame writes payload as one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
+// WriteFrame buffers payload as one length-prefixed frame in w. The
+// header is built in w's free buffer space, so a frame whose header fits
+// there (FrameWriter makes room first) costs no allocation.
+func WriteFrame(w *bufio.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame (%d)", len(payload), MaxFrame)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)))); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -262,22 +262,24 @@ func WriteFrame(w io.Writer, payload []byte) error {
 }
 
 // ReadFrame reads one frame, reusing buf when it is large enough, and
-// returns the payload. The declared length is validated against MaxFrame
-// before anything is allocated. A clean EOF before the header is returned
-// as io.EOF (end of session); a truncated header or payload is
-// io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
+// returns the payload. The header is peeked in r's buffer and its declared
+// length validated against MaxFrame before anything is allocated. A clean
+// EOF before the header is returned as io.EOF (end of session); a
+// truncated header or payload is io.ErrUnexpectedEOF. An error inside the
+// header (a read deadline, say) consumes nothing.
+func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
 			return nil, io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame declares %d bytes, exceeding MaxFrame (%d)", n, MaxFrame)
 	}
+	r.Discard(4)
 	if uint32(cap(buf)) < n {
 		buf = make([]byte, n)
 	} else {
@@ -372,7 +374,7 @@ func AppendRequest2(buf []byte, req *Request) []byte {
 
 // DecodeRequestAny decodes one request payload. It is strict: a version
 // byte other than Version2, unknown opcodes, truncated fields, oversized
-// counts, and trailing bytes are all errors.
+// counts, and trailing bytes are all errors. Write values are copies.
 func DecodeRequestAny(p []byte) (Request, error) {
 	d := decoder{b: p}
 	if err := d.version(); err != nil {
@@ -417,7 +419,7 @@ func DecodeRequestAny(p []byte) (Request, error) {
 		req.Txn = d.u64()
 		req.Seg = d.i32()
 		req.Key = d.u64()
-		req.Value = d.bytes()
+		req.Value = d.owned()
 	case OpCommit, OpAbort:
 		req.Txn = d.u64()
 	case OpBatch:
@@ -441,7 +443,7 @@ func DecodeRequestAny(p []byte) (Request, error) {
 				req.Batch[i].Seg = d.i32()
 				req.Batch[i].Key = d.u64()
 				if req.Batch[i].Write {
-					req.Batch[i].Value = d.bytes()
+					req.Batch[i].Value = d.owned()
 				}
 			}
 		}
@@ -511,7 +513,9 @@ func AppendResponse2(buf []byte, op Op, resp *Response) []byte {
 
 // DecodeResponse2 decodes one response payload, with the same strictness
 // as DecodeRequestAny; the caller learned op from the pending request the
-// tag names (see ResponseTag).
+// tag names (see ResponseTag). Read values (Value, and each Batch entry's)
+// alias p, capped at their length: they are valid until p is reused, and a
+// caller that keeps one past that must copy it.
 func DecodeResponse2(op Op, p []byte) (Response, error) {
 	d := decoder{b: p}
 	if err := d.version(); err != nil {
@@ -738,17 +742,18 @@ func (d *decoder) i32() int32 {
 	return 0
 }
 
-// bytes reads a uint32-prefixed byte field into a fresh copy (frames reuse
-// their read buffer, so aliasing it would let the next frame clobber the
-// value). The length is bounded by the remaining payload before any
-// allocation.
+// bytes reads a uint32-prefixed byte field as a slice of the payload,
+// capped at its length so an append cannot run into the bytes after it.
+// The length is bounded by the remaining payload.
 func (d *decoder) bytes() []byte {
 	n := d.u32len()
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
+	return d.take(n)[:n:n]
+}
+
+// owned reads a byte field into a fresh copy: a request is executed after
+// its read buffer has taken the next frame.
+func (d *decoder) owned() []byte {
+	return append([]byte(nil), d.bytes()...)
 }
 
 func (d *decoder) str() string {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -101,16 +102,11 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	payloads := [][]byte{[]byte("one"), {}, []byte("three")}
-	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatal(err)
-		}
-	}
+	buf := bufio.NewReader(bytes.NewReader(frameStream(t, payloads...)))
 	var reuse []byte
 	for i, want := range payloads {
-		got, err := ReadFrame(&buf, reuse)
+		got, err := ReadFrame(buf, reuse)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -119,15 +115,31 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		reuse = got[:cap(got)]
 	}
-	if _, err := ReadFrame(&buf, reuse); err != io.EOF {
+	if _, err := ReadFrame(buf, reuse); err != io.EOF {
 		t.Fatalf("after last frame: got %v, want io.EOF", err)
 	}
+}
+
+// frameStream encodes payloads as one stream of frames.
+func frameStream(t testing.TB, payloads ...[]byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	w := bufio.NewWriter(&b)
+	for _, p := range payloads {
+		if err := WriteFrame(w, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 func TestReadFrameRejectsOversizedLength(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	_, err := ReadFrame(bytes.NewReader(hdr[:]), nil)
+	_, err := ReadFrame(bufio.NewReader(bytes.NewReader(hdr[:])), nil)
 	if err == nil || !strings.Contains(err.Error(), "MaxFrame") {
 		t.Fatalf("oversized frame: got %v", err)
 	}
@@ -140,11 +152,11 @@ func TestReadFrameTruncated(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr[:], 100)
 	buf.Write(hdr[:])
 	buf.WriteString("abc")
-	if _, err := ReadFrame(&buf, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadFrame(bufio.NewReader(&buf), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated payload: got %v, want io.ErrUnexpectedEOF", err)
 	}
 	// Truncated header.
-	if _, err := ReadFrame(bytes.NewReader([]byte{0, 0}), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader([]byte{0, 0})), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated header: got %v, want io.ErrUnexpectedEOF", err)
 	}
 }
@@ -252,5 +264,32 @@ func TestErrorMappingRoundTrip(t *testing.T) {
 	wrapped := &cc.AbortError{Reason: cc.ReasonTimedOut, Err: cc.ErrTxnDone}
 	if st, _, _ := StatusOf(wrapped); st != StatusAbort {
 		t.Fatalf("StatusOf(abort wrapping ErrTxnDone) = %v, want StatusAbort", st)
+	}
+}
+
+// TestFrameAllocs: a frame's header lives in the bufio buffers, so writing
+// and reading frames through them allocates nothing.
+func TestFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under -race")
+	}
+	payload := []byte("a request or response payload")
+	var sock bytes.Buffer
+	bw := bufio.NewWriter(&sock)
+	br := bufio.NewReader(&sock)
+	buf := make([]byte, 0, 64)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := WriteFrame(bw, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFrame(br, buf)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("read back (%q, %v)", got, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a frame written and read through bufio allocates %.0f times, want 0", allocs)
 	}
 }
