@@ -160,6 +160,7 @@ func (e *Engine) walFlushHook(r *obs.Registry) func(wal.Flush) {
 	fsync := r.Histogram("hdd_wal_fsync_seconds", "Duration of each WAL flush-batch fsync.")
 	held := r.Histogram("hdd_wal_hold_seconds", "How long the flusher held a batch open for committers due back.")
 	waiters := r.ValueHistogram("hdd_wal_commit_waiters", "Commit markers acknowledged per flushed batch.")
+	inFlight := r.ValueHistogram("hdd_wal_flushes_in_flight", "Flushes whose fsync was still running when a batch's flush started.")
 	var holds [3]*metrics.Counter
 	for out, name := range [...]string{wal.HoldNone: "none", wal.HoldReady: "ready", wal.HoldExpired: "expired"} {
 		holds[out] = r.Counter("hdd_wal_hold_total",
@@ -169,6 +170,7 @@ func (e *Engine) walFlushHook(r *obs.Registry) func(wal.Flush) {
 	return func(f wal.Flush) {
 		fsync.Observe(f.Sync)
 		waiters.Observe(int64(f.Waiters))
+		inFlight.Observe(int64(f.InFlight))
 		holds[f.Hold].Inc()
 		if f.Hold != wal.HoldNone {
 			held.Observe(f.Held)

@@ -212,6 +212,7 @@ func TestEngineObsDurable(t *testing.T) {
 		"hdd_wal_log_bytes", "hdd_wal_snapshots_total",
 		"hdd_wal_hold_total", "hdd_wal_hold_seconds",
 		"hdd_wal_commit_waiters", "hdd_wal_return_seconds",
+		"hdd_wal_flushes_in_flight",
 	} {
 		if !strings.Contains(out, "# TYPE "+name+" ") {
 			t.Errorf("family %s not registered", name)
@@ -222,8 +223,9 @@ func TestEngineObsDurable(t *testing.T) {
 		t.Error("fsync histogram recorded nothing despite durable commits")
 	}
 	// One committer at a time: every batch acknowledges one marker and is
-	// flushed without a hold.
+	// flushed without a hold, and none beside another.
 	wantSeries(t, out, `hdd_wal_commit_waiters{quantile="0.5"} 1`)
+	wantSeries(t, out, `hdd_wal_flushes_in_flight{quantile="0.99"} 0`)
 	wantSeries(t, out, `hdd_wal_hold_total{outcome="ready"} 0`)
 	wantSeries(t, out, `hdd_wal_hold_total{outcome="expired"} 0`)
 	wantSeries(t, out, "hdd_wal_hold_seconds_count 0")

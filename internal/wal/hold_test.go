@@ -352,6 +352,53 @@ func TestHoldLeavesPoissonArrivalsAlone(t *testing.T) {
 	t.Logf("mean latency %v, reference %v, %d of %d flushes held", got, want, held, len(fl))
 }
 
+// TestOpenLoopCommitWaitsOneFlush: a commit arriving on its own is
+// flushed beside the flush in flight, not behind it, so open-loop commits
+// at three per flush time are acknowledged about one flush after they
+// arrive. A single flusher makes each wait out the rest of the flush in
+// flight too, near twice that.
+func TestOpenLoopCommitWaitsOneFlush(t *testing.T) {
+	l, _, rec := openHoldLog(t, Options{})
+	const n = 300
+	rng := rand.New(rand.NewSource(35))
+	latency := make([]time.Duration, n)
+	var wg sync.WaitGroup
+	t0 := time.Now()
+	var due time.Duration
+	for i := 0; i < n; i++ {
+		due += time.Duration(rng.ExpFloat64() * float64(holdSync) / 3)
+		time.Sleep(time.Until(t0.Add(due)))
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start := time.Now()
+			if err := l.Commit(commitRecord(vclock.Time(i + 1)))(); err != nil {
+				t.Error(err)
+			}
+			latency[i] = time.Since(start)
+		}(i)
+	}
+	wg.Wait()
+	var flush, mean time.Duration
+	fl := rec.from(0)
+	var overlapped int
+	for _, f := range fl {
+		flush += f.Sync
+		if f.InFlight > 0 {
+			overlapped++
+		}
+	}
+	flush /= time.Duration(len(fl))
+	for _, d := range latency {
+		mean += d
+	}
+	mean /= n
+	if mean > flush*13/10 {
+		t.Errorf("mean commit latency %v under Poisson arrivals, want at most 1.3 flush times (%v)", mean, flush)
+	}
+	t.Logf("mean latency %v, flush %v, %d commits in %d flushes, %d started beside another", mean, flush, n, len(fl), overlapped)
+}
+
 // TestGroupCommitFixedWindow: a positive FlushInterval still holds every
 // batch for the whole interval from its first commit marker, and the byte
 // threshold still cuts it short.

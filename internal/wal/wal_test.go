@@ -2,14 +2,18 @@ package wal
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hdd/internal/vclock"
+	"hdd/internal/vfs"
 )
 
 func sampleRecords() []Record {
@@ -466,5 +470,67 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 	wantN := len(want) - 1 + 1 // lost the severed final record, gained txn 99
 	if len(recs) != wantN || recs[len(recs)-1].Txn != 99 {
 		t.Errorf("replayed %d records ending %+v, want %d ending txn 99", len(recs), recs[len(recs)-1], wantN)
+	}
+}
+
+// TestCommitAllocsUnderOverlap: with commits arriving scattered enough
+// that flushes overlap, a flush allocates one wait function its commits
+// share and nothing else: no flush slot, goroutine, channel, buffer or
+// hold timer. A single flusher allocated a batch and its done channel per
+// flush and a wait function per commit. The bound leaves room for the
+// test's own committer goroutines starting.
+func TestCommitAllocsUnderOverlap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const syncTime = 2 * time.Millisecond
+	var overlapped atomic.Int64
+	l, err := Open(filepath.Join(t.TempDir(), "wal"), -1, Options{
+		FS:      &slowSyncFS{FS: vfs.OS{}, d: syncTime},
+		OnFlush: func(f Flush) { overlapped.Add(int64(min(f.InFlight, 1))) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const committers, rounds = 4, 150
+	recs := make([]Record, committers)
+	rngs := make([]*rand.Rand, committers)
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(int64(i)))
+	}
+	var wg sync.WaitGroup
+	run := func() {
+		wg.Add(committers)
+		for i := 0; i < committers; i++ {
+			go func(r *Record, rng *rand.Rand) {
+				defer wg.Done()
+				for k := 0; k < rounds; k++ {
+					time.Sleep(time.Duration(rng.Int63n(int64(2 * syncTime))))
+					r.Kind, r.Txn = KindCommit, r.Txn+1
+					if err := l.Commit(r)(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(&recs[i], rngs[i])
+		}
+		wg.Wait()
+	}
+	run() // warm-up: buffers and goroutine timers
+	var m0, m1 runtime.MemStats
+	b0, o0 := l.Stats().Batches, overlapped.Load()
+	runtime.ReadMemStats(&m0)
+	run()
+	runtime.ReadMemStats(&m1)
+	batches := l.Stats().Batches - b0
+	perFlush := float64(m1.Mallocs-m0.Mallocs) / float64(batches)
+	t.Logf("%d commits, %d flushes, %d beside another: %.2f allocations per flush",
+		committers*rounds, batches, overlapped.Load()-o0, perFlush)
+	if o := overlapped.Load() - o0; o < batches/10 {
+		t.Fatalf("only %d of %d flushes started beside another; the test needs overlap", o, batches)
+	}
+	if perFlush > 1.25 {
+		t.Errorf("%.2f allocations per flush, want the one shared wait function", perFlush)
 	}
 }
