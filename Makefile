@@ -60,10 +60,10 @@ serve:
 
 # The version store's concurrency tests, repeated under the race detector:
 # wait-free readers against committing writers and pruning GC, parallel GC
-# passes on the prune queue, and the model test against a full-sweep
-# reference. See DESIGN.md §14.
+# passes on the prune queue, the model test against a full-sweep
+# reference, and lookups racing creates in the directory. See DESIGN.md §14.
 stress-mvstore:
-	$(GO) test -race -count=20 -run 'Concurrent|Quick|Queue' ./internal/mvstore/
+	$(GO) test -race -count=20 -run 'Concurrent|Quick|Queue|Lookup' ./internal/mvstore/
 
 # The group commit's timing tests, repeated under the race detector: the
 # hold decision, cohorts re-forming over a slow device, the lone committer,
@@ -75,13 +75,13 @@ stress-wal:
 
 # The transaction lifecycle, repeated under the race detector: the recorder's
 # serializability check with force-aborts racing every transaction kind,
-# ad-hoc gates, the reaper, read-only variants and shutdown, plus the
+# the reaper, read-only variants and shutdown, plus the
 # durability tests around the commit path that writes the log: snapshots
 # racing commits and GC, recovery, fail-stop poisoning and the log's
 # contents, and the counters Stats and /metrics share. See DESIGN.md §8,
 # §10 and §13.
 stress-core:
-	$(GO) test -race -count=10 -run 'Serializab|AdHoc|Reap|ReadOnly|Path|Close|Snapshot|Durable|Uncommitted|Poison|LogHolds|Legacy|Stats|Obs' ./internal/core/
+	$(GO) test -race -count=10 -run 'Serializab|Reap|ReadOnly|Path|Close|Snapshot|Durable|Uncommitted|Poison|LogHolds|Legacy|Stats|Obs' ./internal/core/
 
 # The client's multiplexed connection, repeated under the race detector:
 # pooled call cells, the per-connection deadline sweep, values carved from

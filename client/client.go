@@ -1,6 +1,6 @@
 // Package client is the Go client for the networked HDD service
 // (internal/server, cmd/hddserver). It exposes the same Txn-shaped API as
-// the embedded engine — Begin/BeginReadOnly/BeginAdHocFor return an
+// the embedded engine — Begin/BeginReadOnly/BeginReadOnlyFor return an
 // hdd.Txn — so code written against the library, including hdd.Run /
 // hdd.RunCtx retry loops, works unchanged against a remote engine:
 //
@@ -137,17 +137,6 @@ func (c *Client) BeginReadOnly() (hdd.Txn, error) {
 	return c.begin(&wire.Request{Op: wire.OpBeginReadOnly})
 }
 
-// BeginAdHocFor starts a §7.1 ad-hoc update transaction writing writeSeg
-// and reading only the declared segments; the server drains the conflicting
-// classes before it returns.
-func (c *Client) BeginAdHocFor(writeSeg hdd.SegmentID, reads ...hdd.SegmentID) (hdd.Txn, error) {
-	req := &wire.Request{Op: wire.OpBeginAdHocFor, WriteSeg: int32(writeSeg)}
-	for _, r := range reads {
-		req.ReadSegs = append(req.ReadSegs, int32(r))
-	}
-	return c.begin(req)
-}
-
 // BeginReadOnlyFor starts a read-only transaction declared to read only
 // the given segments, letting the engine pick the freshest protocol the
 // declaration allows. Engines without the scoped read-only capability
@@ -165,7 +154,7 @@ type ServerInfo struct {
 	// Engine is the engine's name ("HDD", "MV2PL", ...).
 	Engine string
 	// Caps is the engine's capability set; check bits with Caps.Has before
-	// using capability-gated calls like BeginAdHocFor.
+	// using capability-gated calls like BeginReadOnlyFor.
 	Caps hdd.Capability
 }
 

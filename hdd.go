@@ -85,8 +85,6 @@ const (
 	CapForceAbort = cc.CapForceAbort
 	// CapTimeoutBegin: per-transaction deadlines via BeginWithTimeout.
 	CapTimeoutBegin = cc.CapTimeoutBegin
-	// CapAdHocBegin: §7.1 ad-hoc updates with declared access sets.
-	CapAdHocBegin = cc.CapAdHocBegin
 	// CapScopedReadOnly: read-only transactions declared over a segment
 	// set via BeginReadOnlyFor.
 	CapScopedReadOnly = cc.CapScopedReadOnly
@@ -128,7 +126,7 @@ var ErrDurabilityFailed = cc.ErrDurabilityFailed
 
 // ErrNotSupported is returned — locally or across the wire
 // (wire.StatusUnsupported) — when an operation needs a capability the
-// serving engine does not implement, e.g. BeginAdHocFor against a 2PL
+// serving engine does not implement, e.g. BeginReadOnlyFor against a 2PL
 // baseline. It is not an abort; feature-detect with Client.ServerInfo (or
 // cc.CapabilitiesOf embedded) instead of retrying.
 var ErrNotSupported = cc.ErrNotSupported

@@ -160,62 +160,8 @@ func TestCrossEngineInventorySerializable(t *testing.T) {
 	}
 }
 
-// TestHDDAdHocIntegration drives ad-hoc cross-branch updates through the
-// public-ish core API alongside the inventory mix.
-func TestHDDAdHocIntegration(t *testing.T) {
-	inv, err := workload.NewInventory(workload.InventoryConfig{Items: 8, WithAudit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := sched.NewRecorder()
-	eng, err := core.NewEngine(core.Config{Partition: inv.Partition(), Recorder: rec, WallInterval: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(c)))
-			for i := 0; i < 50; i++ {
-				runRetry(t, eng, workload.ClassEventEntry, inv.EventEntry, r)
-				if i%10 == 0 {
-					runRetry(t, eng, workload.ClassInventory, inv.PostInventory, r)
-				}
-			}
-		}(c)
-	}
-	// Concurrent ad-hoc transactions reconciling across branches.
-	for i := 0; i < 10; i++ {
-		ah, err := eng.BeginAdHoc(workload.SegOnOrder)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lv, err := ah.Read(workload.LevelKey(i % 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		au, err := ah.Read(workload.AuditKey(i % 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ah.Write(workload.OrderKey(i%8, 1000+int64(i)), workload.PutInt64(workload.GetInt64(lv)+workload.GetInt64(au))); err != nil {
-			_ = ah.Abort()
-			continue
-		}
-		if err := ah.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wg.Wait()
-	if g := rec.Build(); !g.Serializable() {
-		t.Fatalf("not serializable:\n%s", g.ExplainCycle())
-	}
-}
-
 // TestSoak runs the full inventory mix against HDD for several seconds
-// with GC, checkpoints and ad-hoc transactions interleaved, then verifies
+// with GC and checkpoints interleaved, then verifies
 // application-level conservation and serializability. Skipped under
 // -short.
 func TestSoak(t *testing.T) {
@@ -259,7 +205,7 @@ func TestSoak(t *testing.T) {
 			}
 		}(c)
 	}
-	// Periodic operational interference: checkpoints and ad-hoc txns.
+	// Periodic operational interference: checkpoints.
 	opsDone := make(chan struct{})
 	go func() {
 		defer close(opsDone)
@@ -267,23 +213,6 @@ func TestSoak(t *testing.T) {
 			var sink countingWriter
 			if err := eng.WriteCheckpoint(&sink); err != nil {
 				t.Errorf("checkpoint: %v", err)
-				return
-			}
-			ah, err := eng.BeginAdHoc(workload.SegProfiles)
-			if err != nil {
-				t.Errorf("adhoc: %v", err)
-				return
-			}
-			if _, err := ah.Read(workload.LevelKey(i)); err != nil {
-				t.Errorf("adhoc read: %v", err)
-				return
-			}
-			if err := ah.Write(workload.ProfileKey(i), workload.PutInt64(int64(i))); err != nil {
-				_ = ah.Abort()
-				continue
-			}
-			if err := ah.Commit(); err != nil {
-				t.Errorf("adhoc commit: %v", err)
 				return
 			}
 		}

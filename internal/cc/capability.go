@@ -3,12 +3,12 @@ package cc
 // The backend capability contract. cc.Engine is deliberately small — Begin,
 // BeginReadOnly, Stats, Close — because that is all six baselines share.
 // Everything else the service stack uses (orphan force-abort, per-txn
-// deadlines, §7.1 ad-hoc admission, §5 scoped read-only begins, durability
-// introspection, checkpointing) is an *optional* capability: a narrow
-// interface an engine may additionally implement. The server feature-detects
-// capabilities at session setup via CapabilitiesOf/As* and answers opcodes
-// that need a missing capability with a typed "unsupported" status instead
-// of panicking or silently misbehaving (DESIGN.md §12).
+// deadlines, §5 scoped read-only begins, durability introspection,
+// checkpointing) is an *optional* capability: a narrow interface an engine
+// may additionally implement. The server feature-detects capabilities at
+// session setup via CapabilitiesOf/As* and answers opcodes that need a
+// missing capability with a typed "unsupported" status instead of panicking
+// or silently misbehaving (DESIGN.md §12).
 
 import (
 	"errors"
@@ -20,7 +20,7 @@ import (
 )
 
 // ErrNotSupported reports that an operation needs a capability the engine
-// does not implement (e.g. BeginAdHocFor against a 2PL backend). It is not
+// does not implement (e.g. BeginReadOnlyFor against a 2PL backend). It is not
 // an AbortError — retrying cannot help — and it round-trips the wire as a
 // typed status so errors.Is(err, ErrNotSupported) holds remotely too.
 var ErrNotSupported = errors.New("cc: operation not supported by this engine")
@@ -46,8 +46,10 @@ type TimeoutBeginner interface {
 	BeginWithTimeout(class schema.ClassID, timeout time.Duration) (Txn, error)
 }
 
-// AdHocBeginner begins §7.1 ad-hoc update transactions with a declared
-// access set, draining conflicting classes before returning.
+// AdHocBeginner is the begin method of the removed §7.1 ad-hoc update
+// transactions. No engine implements it and no capability bit names it;
+// it stays declared only because the separate bench module still
+// references it.
 type AdHocBeginner interface {
 	BeginAdHocFor(writeSeg schema.SegmentID, reads ...schema.SegmentID) (Txn, error)
 }
@@ -121,8 +123,8 @@ const (
 	CapForceAbort Capability = 1 << iota
 	// CapTimeoutBegin: the engine implements TimeoutBeginner.
 	CapTimeoutBegin
-	// CapAdHocBegin: the engine implements AdHocBeginner.
-	CapAdHocBegin
+	// Bit 2 named the removed ad-hoc begin capability; it stays unassigned.
+	_
 	// CapScopedReadOnly: the engine implements ScopedReadOnlyBeginner.
 	CapScopedReadOnly
 	// CapActiveTxns: the engine implements ActiveTxnCounter.
@@ -144,7 +146,6 @@ var capNames = []struct {
 }{
 	{CapForceAbort, "force-abort"},
 	{CapTimeoutBegin, "timeout-begin"},
-	{CapAdHocBegin, "adhoc-begin"},
 	{CapScopedReadOnly, "scoped-readonly"},
 	{CapActiveTxns, "active-txns"},
 	{CapDurability, "durability"},
@@ -191,9 +192,6 @@ func CapabilitiesOf(e Engine) Capability {
 	if _, ok := e.(TimeoutBeginner); ok {
 		c |= CapTimeoutBegin
 	}
-	if _, ok := e.(AdHocBeginner); ok {
-		c |= CapAdHocBegin
-	}
 	if _, ok := e.(ScopedReadOnlyBeginner); ok {
 		c |= CapScopedReadOnly
 	}
@@ -229,14 +227,6 @@ func AsForceAborter(e Engine) (ForceAborter, bool) {
 // AsTimeoutBeginner returns the engine's TimeoutBeginner capability, if backed.
 func AsTimeoutBeginner(e Engine) (TimeoutBeginner, bool) {
 	if b, ok := e.(TimeoutBeginner); ok && CapabilitiesOf(e).Has(CapTimeoutBegin) {
-		return b, true
-	}
-	return nil, false
-}
-
-// AsAdHocBeginner returns the engine's AdHocBeginner capability, if backed.
-func AsAdHocBeginner(e Engine) (AdHocBeginner, bool) {
-	if b, ok := e.(AdHocBeginner); ok && CapabilitiesOf(e).Has(CapAdHocBegin) {
 		return b, true
 	}
 	return nil, false

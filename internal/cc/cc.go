@@ -134,9 +134,8 @@ var ErrEngineClosed = errors.New("cc: engine closed")
 // ErrDurabilityFailed marks the fail-stop state of a durable engine whose
 // storage failed (a write or fsync error on the log). The engine is
 // permanently degraded: the commit that hit the failure — and every queued
-// or subsequent commit — returns this error, and new update or ad-hoc
-// transactions are rejected with it, while read-only traffic keeps
-// serving. It is not an AbortError: retrying cannot succeed until the
+// or subsequent commit — returns this error, and new update transactions
+// are rejected with it, while read-only traffic keeps serving. It is not an AbortError: retrying cannot succeed until the
 // process is restarted against repaired storage (DESIGN.md §11).
 var ErrDurabilityFailed = errors.New("cc: durability failed; engine is read-only")
 

@@ -33,8 +33,8 @@ func readAndMutate(t *testing.T, txn cc.Txn, g schema.GranuleID, want string) {
 
 // TestReadBuffersAreCallerOwned covers every read path the engine serves:
 // Protocol A (upward cross-segment), Protocol B (own root segment),
-// read-your-own-writes, Protocol C (wall reads), path read-only, and
-// ad-hoc — each must return a defensive copy.
+// read-your-own-writes, Protocol C (wall reads) and path read-only — each
+// must return a defensive copy.
 func TestReadBuffersAreCallerOwned(t *testing.T) {
 	e, err := NewEngine(Config{Partition: twoLevel(t), WallInterval: 1})
 	if err != nil {
@@ -107,17 +107,6 @@ func TestReadBuffersAreCallerOwned(t *testing.T) {
 			t.Fatal(err)
 		}
 		readAndMutate(t, txn, gr(0, 1), "upper")
-		mustCommit(t, txn)
-	})
-
-	t.Run("ad hoc", func(t *testing.T) {
-		txn, err := e.BeginAdHoc(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		readAndMutate(t, txn, gr(0, 1), "upper")
-		write(t, txn, gr(1, 3), "adhoc")
-		readAndMutate(t, txn, gr(1, 3), "adhoc")
 		mustCommit(t, txn)
 	})
 }

@@ -3,23 +3,43 @@ package core
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"hdd/internal/mvstore"
 )
 
-// WriteCheckpoint quiesces update processing (via the §7.1 admission
-// gates: it takes every class gate exclusively, waiting for in-flight
-// update transactions to finish and briefly holding off new ones) and
-// serializes every committed version to w. Read-only transactions keep
-// running against released walls throughout — the store serializes the
-// committed versions of each chain's published array, immutable once
-// committed, so the checkpointer and the wait-free readers share memory
-// without synchronizing, and the quiesced gates guarantee the chains are
-// mutually consistent. A committed value longer than one log frame carries
+// classGate is one RWMutex per class. An update transaction of class c
+// holds gate[c] shared for its lifetime; WriteCheckpoint and Snapshot take
+// every class exclusively (lockAll), which waits for the in-flight update
+// transactions to finish and holds off new ones until unlockAll. Read-only
+// transactions never touch it.
+type classGate []sync.RWMutex
+
+// lockAll acquires every class exclusively, in ascending order.
+func (g classGate) lockAll() {
+	for i := range g {
+		g[i].Lock()
+	}
+}
+
+func (g classGate) unlockAll() {
+	for i := len(g) - 1; i >= 0; i-- {
+		g[i].Unlock()
+	}
+}
+
+// WriteCheckpoint quiesces update processing (it takes every class gate
+// exclusively, waiting for in-flight update transactions to finish and
+// briefly holding off new ones) and serializes every committed version to
+// w. Read-only transactions keep running against released walls
+// throughout — the store serializes the committed versions of each chain's
+// published array, immutable once committed, so the checkpointer and the
+// wait-free readers share memory without synchronizing, and the quiesced
+// gates guarantee the chains are mutually consistent. A committed value longer than one log frame carries
 // (just under 1 MiB; every wire.MaxValue-sized value fits) is an error.
 func (e *Engine) WriteCheckpoint(w io.Writer) error {
-	all := e.gate.lockAll()
-	defer e.gate.unlock(all)
+	e.gate.lockAll()
+	defer e.gate.unlockAll()
 	if _, err := e.store.WriteCheckpoint(w); err != nil {
 		return fmt.Errorf("core: writing checkpoint: %w", err)
 	}

@@ -82,9 +82,6 @@ func TestOperationsAfterClose(t *testing.T) {
 	if _, err := e.BeginReadOnlyFor(0); !errors.Is(err, cc.ErrEngineClosed) {
 		t.Fatalf("BeginReadOnlyFor after Close: %v", err)
 	}
-	if _, err := e.BeginAdHoc(0); !errors.Is(err, cc.ErrEngineClosed) {
-		t.Fatalf("BeginAdHoc after Close: %v", err)
-	}
 }
 
 // TestCloseFailsLiveTxnOperations: a transaction begun before Close cannot

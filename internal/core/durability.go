@@ -150,7 +150,7 @@ func (e *Engine) Degraded() (bool, error) {
 }
 
 // rejectDegraded is the begin-path check: on a poisoned engine it counts
-// and returns the typed rejection for new update/ad-hoc work. Read-only
+// and returns the typed rejection for new update work. Read-only
 // begins never call it — degraded mode keeps serving reads.
 func (e *Engine) rejectDegraded() error {
 	if e.dur == nil {
@@ -343,8 +343,8 @@ func (e *Engine) replayWAL(r io.Reader, high *vclock.Time) (valid, records int64
 	})
 }
 
-// Snapshot quiesces update processing (taking every §7.1 admission gate,
-// exactly like WriteCheckpoint), writes the store to the snapshot file
+// Snapshot quiesces update processing (taking every class gate, exactly
+// like WriteCheckpoint), writes the store to the snapshot file
 // atomically (tmp + fsync + rename), and truncates the WAL. Read-only
 // transactions keep running throughout. It is the log-bounding duty of
 // §7.3, run by the background snapshotter past Config.SnapshotBytes and
@@ -363,8 +363,8 @@ func (e *Engine) Snapshot() error {
 	}
 	snapStart := time.Now()
 	superseded := e.dur.log.Size()
-	all := e.gate.lockAll()
-	defer e.gate.unlock(all)
+	e.gate.lockAll()
+	defer e.gate.unlockAll()
 	// Make the log complete up to the quiesce point first: if the
 	// checkpoint write fails we still have a fully durable log. A sync
 	// failure here is a WAL storage failure — fail-stop.

@@ -22,14 +22,13 @@
 // # Layout
 //
 // The engine has two transaction types. updateTxn (update_txn.go) runs
-// Protocols A and B for a class, and also runs §7.1 ad-hoc transactions,
-// which hold their conflict set's admission gates (adhoc.go). readOnlyTxn
-// (readonly_txn.go) reads below per-segment bounds fixed at begin: a
-// released time wall under Protocol C, or a fictitious class's thresholds
-// on a critical path. lifecycle.go holds the two begin paths, gc.go
-// garbage collection, registry.go the striped in-flight registry and
-// reaper.go the stuck-transaction reaper. DESIGN.md §8 maps every lock and
-// atomic in these files and states the ordering rules between them.
+// Protocols A and B for a class. readOnlyTxn (readonly_txn.go) reads below
+// per-segment bounds fixed at begin: a released time wall under Protocol
+// C, or a fictitious class's thresholds on a critical path. lifecycle.go
+// holds the two begin paths, gc.go garbage collection, registry.go the
+// striped in-flight registry, reaper.go the stuck-transaction reaper and
+// checkpoint.go the class gate. DESIGN.md §8 maps every lock and atomic in
+// these files and states the ordering rules between them.
 //
 // # Fault tolerance
 //
@@ -172,9 +171,9 @@ type Engine struct {
 	ring        *obs.Ring
 	beginSample []atomic.Uint64
 
-	// gate admits ordinary update transactions shared per class and §7.1
-	// ad-hoc transactions exclusive over their conflict set; see adhoc.go.
-	gate adhocGate
+	// gate is held shared by each update transaction of its class and
+	// exclusively by a checkpoint; see checkpoint.go.
+	gate classGate
 
 	rootProto RootProtocol
 
@@ -236,8 +235,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		txns:        make([]classCounts, n+1),
 		closed:      make(chan struct{}),
 		beginSample: make([]atomic.Uint64, n),
+		gate:        make(classGate, n),
 	}
-	e.gate.init(cfg.Partition)
 	e.live.init()
 	if cfg.Obs != nil {
 		// Set before the durability layer so a degraded event raised

@@ -469,8 +469,8 @@ func TestWallConsistentAcrossBranches(t *testing.T) {
 }
 
 // TestSerializabilityUnderLoad is the main property test: many concurrent
-// clients over the branching partition, with read-only and ad-hoc
-// transactions mixed in and a killer force-aborting random in-flight ones
+// clients over the branching partition, with read-only transactions mixed
+// in and a killer force-aborting random in-flight ones
 // the way the reaper and the server's orphan cleanup do, must always
 // produce an acyclic dependency graph (Theorems 1 and 2).
 func TestSerializabilityUnderLoad(t *testing.T) {
@@ -545,10 +545,10 @@ func liveIDs(e *Engine) []cc.TxnID {
 
 // runRandomTxn executes one random transaction against the branching
 // partition: class 0 writes events; class 1 derives from 0; class 2 from
-// 0 and 1; class 3 from 0; plus Protocol C read-only transactions, on-path
-// read-only transactions (the fictitious class below class 2) and declared
-// ad-hoc transactions that read both branches and write segment 2. Aborted
-// attempts are retried a bounded number of times.
+// 0 and 1; class 3 from 0; plus Protocol C read-only transactions over the
+// whole database and over the two incomparable branches D1 and D3, and
+// on-path read-only transactions (the fictitious class below class 2).
+// Aborted attempts are retried a bounded number of times.
 func runRandomTxn(e *Engine, r *rand.Rand) {
 	kind := r.Intn(12)
 	for attempt := 0; attempt < 50; attempt++ {
@@ -568,13 +568,13 @@ func runRandomTxn(e *Engine, r *rand.Rand) {
 			err = doRMW(tx, r, 3, []int{0})
 		case kind < 10: // Protocol C read-only
 			tx, _ := e.BeginReadOnly()
-			err = doReads(tx, r, 4)
+			err = doReads(tx, r, 0, 1, 2, 3)
 		case kind < 11: // read-only on the critical path 0 → 1 → 2
 			tx, _ := e.BeginReadOnlyFor(0, 1, 2)
-			err = doReads(tx, r, 3)
-		default: // ad-hoc: reads two incomparable branches
-			tx, _ := e.BeginAdHocFor(2, 1, 3)
-			err = doRMW(tx, r, 2, []int{1, 3})
+			err = doReads(tx, r, 0, 1, 2)
+		default: // Protocol C across the incomparable branches D1 and D3
+			tx, _ := e.BeginReadOnly()
+			err = doReads(tx, r, 1, 3)
 		}
 		if err == nil {
 			return
@@ -585,10 +585,10 @@ func runRandomTxn(e *Engine, r *rand.Rand) {
 	}
 }
 
-// doReads reads four random granules of segments 0..segs-1 and commits.
-func doReads(tx cc.Txn, r *rand.Rand, segs int) error {
+// doReads reads four random granules of the given segments and commits.
+func doReads(tx cc.Txn, r *rand.Rand, segs ...int) error {
 	for i := 0; i < 4; i++ {
-		if _, err := tx.Read(gr(r.Intn(segs), r.Intn(16))); err != nil {
+		if _, err := tx.Read(gr(segs[r.Intn(len(segs))], r.Intn(16))); err != nil {
 			_ = tx.Abort()
 			return err
 		}

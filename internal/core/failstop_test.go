@@ -79,9 +79,6 @@ func TestFsyncFailurePoisonsEngine(t *testing.T) {
 	if _, err := e.Begin(0); !errors.Is(err, cc.ErrDurabilityFailed) {
 		t.Fatalf("Begin on poisoned engine = %v, want cc.ErrDurabilityFailed", err)
 	}
-	if _, err := e.BeginAdHocFor(0); !errors.Is(err, cc.ErrDurabilityFailed) {
-		t.Fatalf("BeginAdHocFor on poisoned engine = %v, want cc.ErrDurabilityFailed", err)
-	}
 	// The typed error is terminal, not an abort: retry loops must stop.
 	if cc.IsAbort(failErr) {
 		t.Fatal("ErrDurabilityFailed must not satisfy IsAbort")

@@ -1,11 +1,10 @@
 package core
 
 // Transaction admission: the Begin* family. Every path follows the same
-// shape — admission gate (update transactions only), barrier-windowed
+// shape — class gate (update transactions only), barrier-windowed
 // initiation tick, counter/recorder bookkeeping, registration with the
-// reaper — and differs only in the protocol state it pins at begin. Update
-// and ad-hoc begins share beginUpdate; both read-only variants share
-// beginReadOnly.
+// reaper — and differs only in the protocol state it pins at begin. Both
+// read-only variants share beginReadOnly.
 
 import (
 	"fmt"
@@ -28,32 +27,23 @@ func (e *Engine) BeginWithTimeout(class schema.ClassID, timeout time.Duration) (
 	if class < 0 || int(class) >= e.part.NumClasses() {
 		return nil, fmt.Errorf("core: unknown class %d", class)
 	}
-	return e.beginUpdate(class, timeout, nil, nil)
-}
-
-// beginUpdate starts an update transaction of class. An ordinary one
-// (held == nil) takes a share of its class's admission gate; an ad-hoc one
-// locks its conflict set held exclusively, waiting for the in-flight
-// update transactions of those classes to drain.
-func (e *Engine) beginUpdate(class schema.ClassID, timeout time.Duration, held []schema.ClassID, readSet map[schema.SegmentID]bool) (cc.Txn, error) {
 	if err := e.closedErr(); err != nil {
 		return nil, err
 	}
 	// Fail-stop (DESIGN.md §11): a poisoned engine admits no new update
-	// work — its commits could not be made durable — and an ad-hoc
-	// transaction is rejected before it drains any gates. Read-only begins
-	// stay open.
+	// work — its commits could not be made durable. Read-only begins stay
+	// open.
 	if err := e.rejectDegraded(); err != nil {
 		return nil, err
 	}
-	e.gate.enter(class, held)
+	e.gate[class].RLock()
 	// BeginTxn's barrier window guarantees that any instant later drawn
 	// through the activity set's TickBarrier observes this registration —
 	// the property every I_old(m) evaluation relies on (see activity.Set).
 	init := e.act.BeginTxn(int(class), e.clock)
 	e.countBegin(class, init)
 	e.rec.RecordBegin(init, class, false)
-	t := &updateTxn{eng: e, init: init, class: class, held: held, readSet: readSet,
+	t := &updateTxn{eng: e, init: init, class: class,
 		deadline: deadlineFor(timeout), cancel: make(chan struct{})}
 	e.live.register(init, t)
 	return t, nil

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"hdd/internal/cc"
 	"hdd/internal/schema"
@@ -107,97 +106,5 @@ func TestConcurrentLifecycleBarrierObserver(t *testing.T) {
 	obsWG.Wait()
 	if n := e.ActiveTxns(); n != 0 {
 		t.Fatalf("%d transactions still registered after all finished", n)
-	}
-}
-
-// TestAdHocNarrowGate: BeginAdHocFor drains only the classes whose TST row
-// conflicts with the declared access set. On the branching partition,
-// writing segment 2 and reading segment 1 conflicts with classes 1 and 2
-// (their roots are accessed) but not with class 0 (its root is untouched
-// and it reads nothing the ad-hoc transaction writes) or class 3 (reads
-// only segment 0).
-func TestAdHocNarrowGate(t *testing.T) {
-	e := newEngine(t, branching(t), nil)
-	defer e.Close()
-
-	// Hold open an update transaction of a non-conflicting class. With the
-	// old whole-engine gate, BeginAdHocFor would block behind it forever.
-	open0, err := e.Begin(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ah, err := e.BeginAdHocFor(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Non-conflicting classes run full lifecycles while the ad-hoc
-	// transaction is active.
-	for _, c := range []schema.ClassID{0, 3} {
-		txn, err := e.Begin(c)
-		if err != nil {
-			t.Fatalf("class %d begin during ad-hoc: %v", c, err)
-		}
-		write(t, txn, gr(int(c), 9), "concurrent")
-		mustCommit(t, txn)
-	}
-
-	// A conflicting class is held off until the ad-hoc commit.
-	began1 := make(chan struct{})
-	go func() {
-		txn, err := e.Begin(1)
-		if err == nil {
-			_ = txn.Abort()
-		}
-		close(began1)
-	}()
-	select {
-	case <-began1:
-		t.Fatal("class 1 began while a conflicting ad-hoc transaction was active")
-	case <-time.After(30 * time.Millisecond):
-	}
-
-	if _, err := ah.Read(gr(1, 9)); err != nil {
-		t.Fatalf("declared read: %v", err)
-	}
-	write(t, ah, gr(2, 9), "adhoc")
-	mustCommit(t, ah)
-	<-began1
-	mustCommit(t, open0)
-}
-
-// TestAdHocDeclaredReadEnforced: a declared ad-hoc transaction reading
-// outside its declared set aborts with a class violation — the conflict
-// set it drained does not cover that segment, so the solo-execution
-// argument would not hold.
-func TestAdHocDeclaredReadEnforced(t *testing.T) {
-	e := newEngine(t, branching(t), nil)
-	defer e.Close()
-
-	ah, err := e.BeginAdHocFor(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = ah.Read(gr(3, 1))
-	if !cc.IsAbort(err) || cc.AbortReason(err) != cc.ReasonClassViolation {
-		t.Fatalf("undeclared read err = %v", err)
-	}
-	// The abort released the held gates: a conflicting class begins again.
-	txn, err := e.Begin(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, txn)
-}
-
-// TestAdHocForUnknownSegment rejects out-of-range declared segments.
-func TestAdHocForUnknownSegment(t *testing.T) {
-	e := newEngine(t, branching(t), nil)
-	defer e.Close()
-	if _, err := e.BeginAdHocFor(2, 99); err == nil {
-		t.Fatal("expected error for unknown read segment")
-	}
-	if _, err := e.BeginAdHocFor(99); err == nil {
-		t.Fatal("expected error for unknown write segment")
 	}
 }

@@ -41,12 +41,11 @@ const (
 	readAPath                  // critical-path read-only transaction
 	readB                      // update transaction, root segment (registered)
 	readC                      // below a released time wall
-	readAdHoc                  // latest committed, conflict set drained
 	readOwn                    // an update transaction's own pending write
 	numReadProtos
 )
 
-var readProtoNames = [numReadProtos]string{"A", "A-path", "B", "C", "adhoc", "own"}
+var readProtoNames = [numReadProtos]string{"A", "A-path", "B", "C", "own"}
 
 // classCounts is one class's transaction lifecycle.
 type classCounts struct{ begins, commits, aborts metrics.Counter }
@@ -90,13 +89,13 @@ func (e *Engine) register(r *obs.Registry) {
 		r.CounterFunc("hdd_txn_aborts_total", abortsHelp, n.aborts.Load, "class", cls)
 	}
 	for p, name := range readProtoNames {
-		r.CounterFunc("hdd_reads_total", "Reads served, by protocol (A, A-path, B, C, adhoc, own).",
+		r.CounterFunc("hdd_reads_total", "Reads served, by protocol (A, A-path, B, C, own).",
 			e.reads[p].Load, "protocol", name)
 	}
-	// Every Protocol A, A-path, C and ad-hoc read takes the store's
-	// wait-free committed-read path (published-chain load, no locks, no
-	// allocations); Protocol B reads mutate the chain by definition.
-	for _, p := range []readProto{readA, readAPath, readC, readAdHoc} {
+	// Every Protocol A, A-path and C read takes the store's wait-free
+	// committed-read path (published-chain load, no locks, no allocations);
+	// Protocol B reads mutate the chain by definition.
+	for _, p := range []readProto{readA, readAPath, readC} {
 		r.CounterFunc("hdd_reads_lockfree_total",
 			"Reads served by the wait-free committed-read path (no locks, no allocations), by protocol.",
 			e.reads[p].Load, "protocol", readProtoNames[p])
@@ -215,7 +214,7 @@ func (e *Engine) registerWAL(r *obs.Registry) {
 		e.dur.snapshotErrs.Load)
 }
 
-// countBegin counts an update or ad-hoc begin in its class and records a
+// countBegin counts an update begin in its class and records a
 // stride-sampled begin-window event carrying the initiation tick.
 func (e *Engine) countBegin(class schema.ClassID, init vclock.Time) {
 	e.txns[class].begins.Inc()

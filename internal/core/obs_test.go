@@ -86,33 +86,31 @@ func TestEngineObsMetrics(t *testing.T) {
 	}
 	pro.Abort()
 
-	// Ad-hoc §7.1 transaction: exact read + write + commit, counted under
-	// its write segment's class.
-	ah, err := e.BeginAdHocFor(1, 0)
+	// Class 1 update that commits: Protocol A read + own-root write.
+	t1b, err := e.Begin(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ah.Read(gr(0, 1)); err != nil {
+	if _, err := t1b.Read(gr(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	write(t, ah, gr(1, 1), "b")
-	mustCommit(t, ah)
+	write(t, t1b, gr(1, 1), "b")
+	mustCommit(t, t1b)
 
 	out := scrapeObs(plane)
 	wantSeries(t, out,
 		`hdd_txn_begins_total{class="0"} 2`,
 		`hdd_txn_commits_total{class="0"} 2`,
-		`hdd_txn_begins_total{class="1"} 2`, // the update + the ad-hoc
+		`hdd_txn_begins_total{class="1"} 2`,
 		`hdd_txn_commits_total{class="1"} 1`,
 		`hdd_txn_aborts_total{class="1"} 1`,
 		`hdd_txn_begins_total{class="ro"} 2`,
 		`hdd_txn_commits_total{class="ro"} 1`,
 		`hdd_txn_aborts_total{class="ro"} 1`,
-		`hdd_reads_total{protocol="A"} 1`,
+		`hdd_reads_total{protocol="A"} 2`,
 		`hdd_reads_total{protocol="A-path"} 1`,
 		`hdd_reads_total{protocol="B"} 1`,
 		`hdd_reads_total{protocol="C"} 1`,
-		`hdd_reads_total{protocol="adhoc"} 1`,
 		`hdd_active_txns 0`,
 		`hdd_durability_degraded 0`,
 	)
@@ -310,10 +308,6 @@ func statsScript(t *testing.T, plane *obs.Plane) cc.Stats {
 	read(t, path, gr(0, 1)) // A-path
 	mustCommit(t, path)
 
-	ah := begin(e.BeginAdHocFor(1))
-	read(t, ah, gr(1, 1)) // ad-hoc, inside its declared set
-	_, err = ah.Read(gr(0, 1))
-	wantAbort(err, cc.ReasonClassViolation)
 	refused := begin(e.Begin(0))
 	_, err = refused.Read(gr(1, 1)) // class 0 may not read segment 1
 	wantAbort(err, cc.ReasonClassViolation)
@@ -372,9 +366,9 @@ func TestStatsAgreeWithExposition(t *testing.T) {
 			t.Errorf("Stats().%s = %d, exposition says %d", c.what, c.got, c.want)
 		}
 	}
-	// Own write, two Protocol B, A, C, A-path and ad-hoc: the two refused
-	// reads are counted as the aborts they cause, not as reads.
-	want := cc.Stats{Begins: 10, Commits: 6, Aborts: 4, Reads: 7, Writes: 2,
+	// Own write, two Protocol B, A, C and A-path: the refused read is
+	// counted as the abort it causes, not as a read.
+	want := cc.Stats{Begins: 9, Commits: 6, Aborts: 3, Reads: 6, Writes: 2,
 		ReadRegistrations: 2, RejectedWrites: 1, ReapedTxns: 1}
 	if st != want {
 		t.Errorf("Stats() = %+v, want %+v", st, want)

@@ -37,13 +37,13 @@ type liveTxn interface {
 	reap() bool
 }
 
-// ActiveTxns reports the number of in-flight transactions (update,
-// read-only, and ad-hoc), for tests and monitoring.
+// ActiveTxns reports the number of in-flight transactions (update and
+// read-only), for tests and monitoring.
 func (e *Engine) ActiveTxns() int { return e.live.count() }
 
 // ForceAbort force-aborts the in-flight transaction with the given id,
 // exactly as the background reaper would: its pending versions,
-// activity-table entry, admission-gate holds, and wall-floor acquisitions
+// activity-table entry, class-gate share, and wall-floor acquisitions
 // are released, the kill is counted in Stats().ReapedTxns, and any
 // straggling operation on the transaction observes a cc.AbortError with
 // cc.ReasonTimedOut. It reports whether this call performed the abort

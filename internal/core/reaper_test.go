@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -259,40 +260,34 @@ func TestAbandonedReadOnlyTxnReaped(t *testing.T) {
 	}
 }
 
-// TestAbandonedAdHocTxnReaped: an abandoned ad-hoc transaction holds the
-// exclusive update gate — the worst stall — and reaping it unblocks every
-// waiting Begin.
-func TestAbandonedAdHocTxnReaped(t *testing.T) {
+// TestReaperUnblocksCheckpoint: an abandoned update transaction holds its
+// class's gate share, so a checkpoint, which takes every class gate
+// exclusively, waits behind it; reaping the transaction lets the
+// checkpoint through.
+func TestReaperUnblocksCheckpoint(t *testing.T) {
 	e := newTimeoutEngine(t, 25*time.Millisecond)
 
-	adhoc, err := e.BeginAdHoc(0)
+	txn, err := e.Begin(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	write(t, adhoc, gr(0, 7), "solo")
-	// Client vanishes; a new update transaction must eventually get in.
+	write(t, txn, gr(0, 7), "abandoned")
+	// Client vanishes; the checkpoint must eventually get in.
 	done := make(chan error, 1)
-	go func() {
-		txn, err := e.Begin(0)
-		if err != nil {
-			done <- err
-			return
-		}
-		done <- txn.Commit()
-	}()
+	go func() { done <- e.WriteCheckpoint(io.Discard) }()
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("begin after adhoc reap: %v", err)
+			t.Fatalf("checkpoint after reap: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Begin still blocked on the abandoned ad-hoc transaction")
+		t.Fatal("checkpoint still blocked on the abandoned transaction")
 	}
 	if got := e.Stats().ReapedTxns; got != 1 {
 		t.Fatalf("ReapedTxns = %d", got)
 	}
-	if err := adhoc.Commit(); cc.AbortReason(err) != cc.ReasonTimedOut {
-		t.Fatalf("commit of reaped adhoc txn: %v", err)
+	if err := txn.Commit(); cc.AbortReason(err) != cc.ReasonTimedOut {
+		t.Fatalf("commit of reaped txn: %v", err)
 	}
 }
 

@@ -19,7 +19,6 @@ var (
 	_ cc.CapabilityReporter     = (*Engine)(nil)
 	_ cc.ForceAborter           = (*Engine)(nil)
 	_ cc.TimeoutBeginner        = (*Engine)(nil)
-	_ cc.AdHocBeginner          = (*Engine)(nil)
 	_ cc.ScopedReadOnlyBeginner = (*Engine)(nil)
 	_ cc.ActiveTxnCounter       = (*Engine)(nil)
 	_ cc.DurabilityIntrospector = (*Engine)(nil)
@@ -50,20 +49,6 @@ func (f *Engine) BeginWithTimeout(class schema.ClassID, timeout time.Duration) (
 		return nil, cc.NotSupported(f.Name(), "BeginWithTimeout")
 	}
 	t, err := b.BeginWithTimeout(class, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return f.wrapTxn(t), nil
-}
-
-// BeginAdHocFor implements cc.AdHocBeginner, injecting faults into the
-// returned transaction.
-func (f *Engine) BeginAdHocFor(writeSeg schema.SegmentID, reads ...schema.SegmentID) (cc.Txn, error) {
-	b, ok := cc.AsAdHocBeginner(f.inner)
-	if !ok {
-		return nil, cc.NotSupported(f.Name(), "BeginAdHocFor")
-	}
-	t, err := b.BeginAdHocFor(writeSeg, reads...)
 	if err != nil {
 		return nil, err
 	}

@@ -27,8 +27,8 @@ func TestCapabilityPassthrough(t *testing.T) {
 	if outer != inner&^cc.CapWaitFreeReadOnly {
 		t.Fatalf("capabilities through the wrapper: inner %v, outer %v, want inner minus %v", inner, outer, cc.CapWaitFreeReadOnly)
 	}
-	want := cc.CapForceAbort | cc.CapTimeoutBegin | cc.CapAdHocBegin |
-		cc.CapScopedReadOnly | cc.CapActiveTxns
+	want := cc.CapForceAbort | cc.CapTimeoutBegin | cc.CapScopedReadOnly |
+		cc.CapActiveTxns
 	if !outer.Has(want) {
 		t.Fatalf("capabilities = %v, want at least %v", outer, want)
 	}
@@ -66,21 +66,7 @@ func TestCapabilityPassthrough(t *testing.T) {
 		t.Fatal("ForceAbort did not use reaper semantics")
 	}
 
-	// Ad-hoc and scoped read-only begins delegate and wrap.
-	ah, ok := cc.AsAdHocBeginner(f)
-	if !ok {
-		t.Fatal("AsAdHocBeginner(wrapper) = false")
-	}
-	at, err := ah.BeginAdHocFor(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := at.(*Txn); !ok {
-		t.Fatalf("BeginAdHocFor returned %T, want *Txn", at)
-	}
-	if err := at.Abort(); err != nil {
-		t.Fatal(err)
-	}
+	// Scoped read-only begins delegate and wrap.
 	ro, ok := cc.AsScopedReadOnlyBeginner(f)
 	if !ok {
 		t.Fatal("AsScopedReadOnlyBeginner(wrapper) = false")
@@ -143,8 +129,8 @@ func TestCapabilityVetoOnBareEngine(t *testing.T) {
 	if _, err := f.BeginWithTimeout(0, time.Second); !errors.Is(err, cc.ErrNotSupported) {
 		t.Fatalf("BeginWithTimeout = %v, want ErrNotSupported", err)
 	}
-	if _, err := f.BeginAdHocFor(0); !errors.Is(err, cc.ErrNotSupported) {
-		t.Fatalf("BeginAdHocFor = %v, want ErrNotSupported", err)
+	if _, err := f.BeginReadOnlyFor(0); !errors.Is(err, cc.ErrNotSupported) {
+		t.Fatalf("BeginReadOnlyFor = %v, want ErrNotSupported", err)
 	}
 	if err := f.Snapshot(); !errors.Is(err, cc.ErrNotSupported) {
 		t.Fatalf("Snapshot = %v, want ErrNotSupported", err)

@@ -92,6 +92,44 @@ func TestDirectoryConcurrentGrowth(t *testing.T) {
 	}
 }
 
+// TestLookupNeverReturnsAnotherGranule: a lookup of an absent granule
+// races the create of another granule whose probe starts at the same
+// slot. The lookup must return nil, never the chain the create just stored
+// in the slot the lookup found empty. D0:2 and D2:2 collide in a fresh
+// 16-slot table; the engine's load test once read D2:2's version as
+// D0:2's this way.
+func TestLookupNeverReturnsAnotherGranule(t *testing.T) {
+	absent, other := g(0, 2), g(2, 2)
+	empty := make([]atomic.Pointer[chain], 16)
+	i, _ := probe(empty, absent)
+	if j, _ := probe(empty, other); i != j {
+		t.Fatalf("%v and %v no longer share a first slot; pick another pair", absent, other)
+	}
+	for round := 0; round < 2000; round++ {
+		s := New()
+		var spinning, stop atomic.Bool
+		done := make(chan *chain)
+		go func() {
+			for !stop.Load() {
+				if c := s.chainOf(absent, false); c != nil {
+					done <- c
+					return
+				}
+				spinning.Store(true)
+			}
+			done <- nil
+		}()
+		for !spinning.Load() {
+			runtime.Gosched()
+		}
+		s.chainOf(other, true)
+		stop.Store(true)
+		if c := <-done; c != nil {
+			t.Fatalf("round %d: lookup of absent %v returned the chain of %v", round, absent, c.g)
+		}
+	}
+}
+
 // TestHeapPerGranule pins what the store keeps per granule: a granule of
 // one committed 64-byte version costs its chain, one header that holds
 // its array, the value the engine handed over, and a share of the

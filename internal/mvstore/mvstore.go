@@ -272,39 +272,48 @@ func New() *Store {
 	return s
 }
 
-// probe returns the index of g's slot in t: the one holding its chain, or
-// the empty one where its chain goes. Probes run linearly from g's hash.
-func probe(t []atomic.Pointer[chain], g schema.GranuleID) int {
+// probe returns the index of g's slot in t and what the probe loaded
+// there: g's chain, or nil for the empty slot where its chain goes. Probes
+// run linearly from g's hash. The chain is returned rather than loaded
+// again by the caller: a concurrent create may fill the empty slot with
+// another granule's chain in between.
+func probe(t []atomic.Pointer[chain], g schema.GranuleID) (int, *chain) {
 	h := (g.Key ^ uint64(g.Segment)<<48) * 0x9e3779b97f4a7c15
 	i := int(h^h>>29) & (len(t) - 1)
-	for c := t[i].Load(); c != nil && c.g != g; c = t[i].Load() {
+	c := t[i].Load()
+	for c != nil && c.g != g {
 		i = (i + 1) & (len(t) - 1)
+		c = t[i].Load()
 	}
-	return i
+	return i, c
 }
 
 // chainOf returns g's chain, creating it if create is set (nil if it does
 // not exist and create is not). A lookup is one atomic load and a probe.
 func (s *Store) chainOf(g schema.GranuleID, create bool) *chain {
 	t := *s.chains.Load()
-	if c := t[probe(t, g)].Load(); c != nil || !create {
+	if _, c := probe(t, g); c != nil || !create {
 		return c
 	}
 	s.createMu.Lock()
 	defer s.createMu.Unlock()
 	t = *s.chains.Load()
-	i := probe(t, g)
-	if c := t[i].Load(); c != nil {
+	i, c := probe(t, g)
+	if c != nil {
 		return c
 	}
-	c := &chain{g: g}
+	c = &chain{g: g}
 	if s.nchains++; 2*s.nchains <= len(t) {
 		t[i].Store(c)
 		return c
 	}
 	grown := make([]atomic.Pointer[chain], 2*len(t))
-	s.each(func(old *chain) { grown[probe(grown, old.g)].Store(old) })
-	grown[probe(grown, g)].Store(c)
+	s.each(func(old *chain) {
+		j, _ := probe(grown, old.g)
+		grown[j].Store(old)
+	})
+	j, _ := probe(grown, g)
+	grown[j].Store(c)
 	s.chains.Store(&grown)
 	return c
 }

@@ -78,7 +78,7 @@ func TestEngineMatrix(t *testing.T) {
 			if info.Caps != srv.Capabilities() {
 				t.Fatalf("ServerInfo.Caps = %v, server detected %v", info.Caps, srv.Capabilities())
 			}
-			if name == "HDD" && !info.Caps.Has(hdd.CapAdHocBegin|hdd.CapScopedReadOnly|hdd.CapForceAbort) {
+			if name == "HDD" && !info.Caps.Has(hdd.CapScopedReadOnly|hdd.CapForceAbort) {
 				t.Fatalf("HDD capabilities = %v, missing expected bits", info.Caps)
 			}
 
@@ -283,23 +283,6 @@ func provokeAbort(t *testing.T, c *client.Client, engine string) {
 // session keeps serving afterwards.
 func checkCapabilityGating(t *testing.T, c *client.Client, caps hdd.Capability) {
 	t.Helper()
-	if caps.Has(hdd.CapAdHocBegin) {
-		tx, err := c.BeginAdHocFor(1, 0)
-		if err != nil {
-			t.Fatalf("BeginAdHocFor with capability: %v", err)
-		}
-		if err := tx.Abort(); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		_, err := c.BeginAdHocFor(1, 0)
-		if !errors.Is(err, hdd.ErrNotSupported) {
-			t.Fatalf("BeginAdHocFor without capability = %v, want ErrNotSupported", err)
-		}
-		if hdd.IsAbort(err) {
-			t.Fatal("ErrNotSupported classified as abort; retry loops would spin")
-		}
-	}
 	if caps.Has(hdd.CapScopedReadOnly) {
 		tx, err := c.BeginReadOnlyFor(0, 1)
 		if err != nil {
@@ -315,6 +298,9 @@ func checkCapabilityGating(t *testing.T, c *client.Client, caps hdd.Capability) 
 		_, err := c.BeginReadOnlyFor(0)
 		if !errors.Is(err, hdd.ErrNotSupported) {
 			t.Fatalf("BeginReadOnlyFor without capability = %v, want ErrNotSupported", err)
+		}
+		if hdd.IsAbort(err) {
+			t.Fatal("ErrNotSupported classified as abort; retry loops would spin")
 		}
 	}
 	// The connection survives unsupported answers: a plain transaction

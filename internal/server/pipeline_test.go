@@ -195,14 +195,15 @@ func TestPipelineOrphanDisconnect(t *testing.T) {
 }
 
 // TestOutOfOrderResponses proves the pipelining claim at the byte level:
-// on one v2 connection, a request that blocks server-side (an ad-hoc
-// begin draining a conflicting open class) is overtaken by a later
-// request's response. Tags are what keep the demux sound, so the test
+// on one v2 connection, a request that blocks server-side (a Protocol B
+// read of a granule a sibling transaction holds pending) is overtaken by a
+// later request's response. Tags are what keep the demux sound, so the test
 // asserts on them directly.
 func TestOutOfOrderResponses(t *testing.T) {
 	_, addr := startServer(t, 2, core.Config{TxnTimeout: 30 * time.Second}, server.Options{})
 
-	// Hold class 0 open so the raw conn's ad-hoc begin must wait.
+	// An older class 0 transaction holds a pending version of the granule
+	// the raw conn's read must wait on.
 	holder := dial(t, addr)
 	htx, err := holder.Begin(0)
 	if err != nil {
@@ -238,12 +239,21 @@ func TestOutOfOrderResponses(t *testing.T) {
 		return tag, payload
 	}
 
-	send(&wire.Request{Op: wire.OpBeginAdHocFor, Tag: 1, WriteSeg: 0})
-	send(&wire.Request{Op: wire.OpHello, Tag: 2})
-
+	send(&wire.Request{Op: wire.OpBegin, Tag: 1, Class: 0})
 	tag, payload := recv()
-	if tag != 2 {
-		t.Fatalf("first response carries tag %d, want 2 (Hello overtaking the blocked ad-hoc begin)", tag)
+	begun, err := wire.DecodeResponse2(wire.OpBegin, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tag != 1 || begun.Status != wire.StatusOK {
+		t.Fatalf("begin answered with tag %d: %+v", tag, begun)
+	}
+	send(&wire.Request{Op: wire.OpRead, Tag: 2, Txn: begun.Txn, Seg: 0, Key: 1})
+	send(&wire.Request{Op: wire.OpHello, Tag: 3})
+
+	tag, payload = recv()
+	if tag != 3 {
+		t.Fatalf("first response carries tag %d, want 3 (Hello overtaking the blocked read)", tag)
 	}
 	hello, err := wire.DecodeResponse2(wire.OpHello, payload)
 	if err != nil {
@@ -253,25 +263,26 @@ func TestOutOfOrderResponses(t *testing.T) {
 		t.Fatalf("hello response: %+v", hello)
 	}
 
-	// Release the held class; the blocked begin completes and answers.
+	// Commit the holder; the blocked read completes and answers with its
+	// write.
 	if err := htx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	tag, payload = recv()
-	if tag != 1 {
-		t.Fatalf("second response carries tag %d, want 1", tag)
+	if tag != 2 {
+		t.Fatalf("second response carries tag %d, want 2", tag)
 	}
-	begun, err := wire.DecodeResponse2(wire.OpBeginAdHocFor, payload)
+	read, err := wire.DecodeResponse2(wire.OpRead, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if begun.Status != wire.StatusOK {
-		t.Fatalf("ad-hoc begin after release: %+v", begun)
+	if read.Status != wire.StatusOK || string(read.Value) != "held" {
+		t.Fatalf("read after release: %+v", read)
 	}
-	// Tidy: abort the ad-hoc transaction so teardown has nothing to reap.
-	send(&wire.Request{Op: wire.OpAbort, Tag: 3, Txn: begun.Txn})
-	if tag, _ = recv(); tag != 3 {
-		t.Fatalf("abort answered with tag %d, want 3", tag)
+	// Tidy: abort the transaction so teardown has nothing to reap.
+	send(&wire.Request{Op: wire.OpAbort, Tag: 4, Txn: begun.Txn})
+	if tag, _ = recv(); tag != 4 {
+		t.Fatalf("abort answered with tag %d, want 4", tag)
 	}
 }
 

@@ -118,7 +118,6 @@ type Server struct {
 	caps       cc.Capability
 	waitFreeRO bool // caps has CapWaitFreeReadOnly: read-only txns run inline
 	forceAbort cc.ForceAborter
-	adhoc      cc.AdHocBeginner
 	scopedRO   cc.ScopedReadOnlyBeginner
 	activeTxns cc.ActiveTxnCounter
 	dur        cc.DurabilityIntrospector
@@ -172,7 +171,6 @@ func New(eng cc.Engine, opts Options) *Server {
 	}
 	s.waitFreeRO = s.caps.Has(cc.CapWaitFreeReadOnly)
 	s.forceAbort, _ = cc.AsForceAborter(eng)
-	s.adhoc, _ = cc.AsAdHocBeginner(eng)
 	s.scopedRO, _ = cc.AsScopedReadOnlyBeginner(eng)
 	s.activeTxns, _ = cc.AsActiveTxnCounter(eng)
 	s.dur, _ = cc.AsDurabilityIntrospector(eng)
@@ -189,7 +187,6 @@ func New(eng cc.Engine, opts Options) *Server {
 var opLabels = map[wire.Op]string{
 	wire.OpBegin:            "begin",
 	wire.OpBeginReadOnly:    "begin_ro",
-	wire.OpBeginAdHocFor:    "begin_adhoc_for",
 	wire.OpBeginReadOnlyFor: "begin_ro_for",
 	wire.OpRead:             "read",
 	wire.OpWrite:            "write",

@@ -199,43 +199,6 @@ func TestEndToEndMixedWorkload(t *testing.T) {
 	}
 }
 
-// TestAdHocOverWire exercises the §7.1 path through the service: an ad-hoc
-// update writing one segment while reading another, with its conflict-set
-// drain, committing over the wire.
-func TestAdHocOverWire(t *testing.T) {
-	_, addr := startServer(t, 3, core.Config{TxnTimeout: 5 * time.Second}, server.Options{})
-	c := dial(t, addr)
-
-	seed, err := c.Begin(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.Write(hdd.GranuleID{Segment: 0, Key: 1}, []byte("base")); err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	tx, err := c.BeginAdHocFor(2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tx.Read(hdd.GranuleID{Segment: 0, Key: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "base" {
-		t.Fatalf("ad-hoc read: got %q, want \"base\"", got)
-	}
-	if err := tx.Write(hdd.GranuleID{Segment: 2, Key: 1}, []byte("derived")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAbortPropagation forces a Protocol B write rejection and checks the
 // client observes a real abort — hdd.IsAbort true — and that the unchanged
 // retry loop then succeeds with a fresh transaction.
@@ -281,19 +244,23 @@ func TestAbortPropagation(t *testing.T) {
 }
 
 // TestOrphanedConnectionForceAbort kills a client mid-transaction — the
-// acceptance scenario — while the orphan holds the most obstructive thing
-// in the engine: an ad-hoc transaction's exclusive admission gates. The
-// session teardown must force-abort it so a subsequent Begin on a
-// conflicting class succeeds immediately, not after the reap interval.
+// acceptance scenario — while the orphan holds a pending version that a
+// later Protocol B read of the same granule must wait on. The session
+// teardown must force-abort it so that read returns promptly, not after
+// the reap interval.
 func TestOrphanedConnectionForceAbort(t *testing.T) {
 	srv, addr := startServer(t, 2, core.Config{TxnTimeout: time.Minute}, server.Options{})
 
 	// Speak the wire protocol directly so nothing in the client tidies up
 	// behind our back.
 	rc := rawDial(t, addr)
-	resp := rc.roundTrip(&wire.Request{Op: wire.OpBeginAdHocFor, WriteSeg: 1, ReadSegs: []int32{0}})
+	resp := rc.roundTrip(&wire.Request{Op: wire.OpBegin, Class: 0})
 	if resp.Status != wire.StatusOK {
-		t.Fatalf("begin ad-hoc: %+v", resp)
+		t.Fatalf("begin: %+v", resp)
+	}
+	w := rc.roundTrip(&wire.Request{Op: wire.OpWrite, Txn: resp.Txn, Seg: 0, Key: 1, Value: []byte("orphaned")})
+	if w.Status != wire.StatusOK {
+		t.Fatalf("write: %+v", w)
 	}
 	if n := engineActiveTxns(t, srv); n != 1 {
 		t.Fatalf("ActiveTxns = %d with the orphan open", n)
@@ -302,19 +269,27 @@ func TestOrphanedConnectionForceAbort(t *testing.T) {
 	// Kill the client. No Abort was ever sent.
 	rc.nc.Close()
 
-	// A Begin of a conflicting class must succeed promptly: it blocks on
-	// the ad-hoc gates until the session teardown force-aborts the orphan.
+	// A younger transaction's Protocol B read of the orphan's granule
+	// blocks on its pending version until the session teardown
+	// force-aborts the orphan, and must then return promptly.
 	c := dial(t, addr, client.WithRequestTimeout(5*time.Second))
 	start := time.Now()
 	tx, err := c.Begin(0)
 	if err != nil {
-		t.Fatalf("Begin after orphaned ad-hoc: %v", err)
+		t.Fatal(err)
+	}
+	got, err := tx.Read(hdd.GranuleID{Segment: 0, Key: 1})
+	if err != nil {
+		t.Fatalf("read behind the orphaned write: %v", err)
+	}
+	if got != nil {
+		t.Fatalf("read %q; the orphan's write must not be visible", got)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if waited := time.Since(start); waited > 3*time.Second {
-		t.Fatalf("Begin took %v; orphan cleanup should not wait for the reaper deadline", waited)
+		t.Fatalf("read took %v; orphan cleanup should not wait for the reaper deadline", waited)
 	}
 
 	waitFor(t, time.Second, func() bool { return engineActiveTxns(t, srv) == 0 })

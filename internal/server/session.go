@@ -4,8 +4,8 @@ package server
 // order and pipelines them (pipeline.go). The session owns the
 // transactions it began; teardown — for any reason: disconnect, protocol
 // error, idle timeout, shutdown — force-aborts whatever is still open so
-// an abandoned client can never wedge walls, GC, or ad-hoc admission
-// gates.
+// an abandoned client can never wedge walls, GC, or a checkpoint waiting
+// on its class gate.
 
 import (
 	"bufio"
@@ -188,20 +188,6 @@ func (s *session) handle(req *wire.Request, t cc.Txn) wire.Response {
 		t, err := s.srv.eng.BeginReadOnly()
 		return s.beginResponse(t, err, s.srv.waitFreeRO)
 
-	case wire.OpBeginAdHocFor:
-		if s.srv.isDraining() {
-			return errResponse(cc.ErrEngineClosed)
-		}
-		if s.srv.adhoc == nil {
-			return errResponse(cc.NotSupported(s.srv.eng.Name(), "BeginAdHocFor"))
-		}
-		reads := make([]schema.SegmentID, len(req.ReadSegs))
-		for i, r := range req.ReadSegs {
-			reads[i] = schema.SegmentID(r)
-		}
-		t, err := s.srv.adhoc.BeginAdHocFor(schema.SegmentID(req.WriteSeg), reads...)
-		return s.beginResponse(t, err, false)
-
 	case wire.OpBeginReadOnlyFor:
 		if s.srv.isDraining() {
 			return errResponse(cc.ErrEngineClosed)
@@ -368,11 +354,10 @@ func (s *session) dropTxn(id uint64) {
 func (s *session) teardown() {
 	// Reap BEFORE quiescing: an in-flight operation can be blocked inside
 	// the engine on a transaction this same session owns (an MVTO read
-	// waiting on a sibling's uncommitted write, an ad-hoc begin parked on a
-	// sibling's admission gate). Waiting for it first would deadlock until
-	// the engine reaper's deadline; aborting the owners resolves those
-	// waits now. Force-abort is reaper machinery and is safe against
-	// concurrently running operations on the same transaction.
+	// waiting on a sibling's uncommitted write). Waiting for it first would
+	// deadlock until the engine reaper's deadline; aborting the owners
+	// resolves those waits now. Force-abort is reaper machinery and is safe
+	// against concurrently running operations on the same transaction.
 	s.reapOpenTxns()
 	// Quiesce the pipeline: every admitted request finishes and sends its
 	// response; then flush what the session goroutine itself buffered, so

@@ -21,7 +21,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	for _, req := range []Request{
 		{Op: OpBegin, Class: 1},
 		{Op: OpBeginReadOnly},
-		{Op: OpBeginAdHocFor, WriteSeg: 2, ReadSegs: []int32{0, 1}},
+		{Op: OpBeginReadOnlyFor},
 		{Op: OpBeginReadOnlyFor, ReadSegs: []int32{0, 2}},
 		{Op: OpHello},
 		{Op: OpRead, Txn: 7, Seg: 1, Key: 9},
@@ -49,7 +49,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{1, 250})
 	f.Add([]byte{0, byte(OpBegin), 0, 0, 0, 1})
 	f.Add([]byte{1, byte(OpWrite), 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte{1, byte(OpBeginAdHocFor), 0, 0, 0, 1, 0xFF, 0xFF})
+	f.Add([]byte{1, 3, 0, 0, 0, 1, 0xFF, 0xFF}) // retired op 3, forged count
 	f.Add([]byte{1, byte(OpBeginReadOnlyFor), 0xFF, 0xFF})
 	f.Add(append(AppendRequest2(nil, &Request{Op: OpCommit, Txn: 1}), 0))
 	f.Add([]byte{Version2, byte(OpStats), 0, 0}) // truncated tag
@@ -141,7 +141,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		{OpWrite, Response{Status: StatusEngineClosed, Message: "closed"}},
 		{OpHello, Response{Status: StatusOK, EngineName: "HDD", Caps: 0x7F}},
 		{OpBeginReadOnlyFor, Response{Status: StatusOK, Txn: 4, Class: -1}},
-		{OpBeginAdHocFor, Response{Status: StatusUnsupported, Message: "not supported"}},
+		{OpBeginReadOnlyFor, Response{Status: StatusUnsupported, Message: "not supported"}},
 	} {
 		c := c
 		f.Add(byte(c.op), AppendResponse2(nil, c.op, &c.resp))

@@ -77,12 +77,13 @@ type Op byte
 const (
 	OpBegin         Op = 1 // begin an update transaction of a class
 	OpBeginReadOnly Op = 2 // begin an ad-hoc read-only transaction (Protocol C)
-	OpBeginAdHocFor Op = 3 // begin a §7.1 ad-hoc update with a declared access set
-	OpRead          Op = 4 // read one granule in an open transaction
-	OpWrite         Op = 5 // write one granule in an open transaction
-	OpCommit        Op = 6 // commit an open transaction
-	OpAbort         Op = 7 // abort an open transaction
-	OpStats         Op = 8 // snapshot engine + server counters
+	// Op 3 began the removed §7.1 ad-hoc update; it stays unassigned, and
+	// a frame carrying it is rejected as an unknown opcode.
+	OpRead   Op = 4 // read one granule in an open transaction
+	OpWrite  Op = 5 // write one granule in an open transaction
+	OpCommit Op = 6 // commit an open transaction
+	OpAbort  Op = 7 // abort an open transaction
+	OpStats  Op = 8 // snapshot engine + server counters
 	// OpHello reports what the connection is talking to: the backend
 	// engine's name and its capability bits (cc.Capability), so a client
 	// can feature-detect before issuing capability-gated opcodes.
@@ -103,8 +104,6 @@ func (o Op) String() string {
 		return "Begin"
 	case OpBeginReadOnly:
 		return "BeginReadOnly"
-	case OpBeginAdHocFor:
-		return "BeginAdHocFor"
 	case OpRead:
 		return "Read"
 	case OpWrite:
@@ -150,8 +149,8 @@ const (
 	// abort, so retry loops stop instead of hammering a poisoned engine.
 	StatusDurabilityFailed Status = 5
 	// StatusUnsupported reports that the opcode needs a capability the
-	// serving backend does not implement (e.g. OpBeginAdHocFor against a
-	// 2PL engine). The client surfaces cc.ErrNotSupported — typed, not a
+	// serving backend does not implement (e.g. OpBeginReadOnlyFor against
+	// a 2PL engine). The client surfaces cc.ErrNotSupported — typed, not a
 	// panic or a generic error, so callers can feature-detect by probing
 	// or, better, read the capability bits from OpHello first.
 	StatusUnsupported Status = 6
@@ -186,9 +185,7 @@ type Request struct {
 
 	// Class is the update class for OpBegin.
 	Class int32
-	// WriteSeg and ReadSegs declare an OpBeginAdHocFor access set.
-	// ReadSegs alone declares an OpBeginReadOnlyFor read scope.
-	WriteSeg int32
+	// ReadSegs declares an OpBeginReadOnlyFor read scope.
 	ReadSegs []int32
 
 	// Txn addresses an open transaction (OpRead/OpWrite/OpCommit/OpAbort/
@@ -330,12 +327,6 @@ func AppendRequest2(buf []byte, req *Request) []byte {
 		e.i32(req.Class)
 	case OpBeginReadOnly, OpStats, OpHello:
 		// no operands
-	case OpBeginAdHocFor:
-		e.i32(req.WriteSeg)
-		e.u16(uint16(len(req.ReadSegs)))
-		for _, s := range req.ReadSegs {
-			e.i32(s)
-		}
 	case OpBeginReadOnlyFor:
 		e.u16(uint16(len(req.ReadSegs)))
 		for _, s := range req.ReadSegs {
@@ -388,18 +379,6 @@ func DecodeRequestAny(p []byte) (Request, error) {
 		req.Class = d.i32()
 	case OpBeginReadOnly, OpStats, OpHello:
 		// no operands
-	case OpBeginAdHocFor:
-		req.WriteSeg = d.i32()
-		n := int(d.u16())
-		if d.err == nil && n*4 > len(d.b) {
-			return Request{}, fmt.Errorf("wire: ad-hoc read set declares %d segments, only %d bytes remain", n, len(d.b))
-		}
-		if d.err == nil && n > 0 {
-			req.ReadSegs = make([]int32, n)
-			for i := range req.ReadSegs {
-				req.ReadSegs[i] = d.i32()
-			}
-		}
 	case OpBeginReadOnlyFor:
 		n := int(d.u16())
 		if d.err == nil && n*4 > len(d.b) {
@@ -470,7 +449,7 @@ func AppendResponse2(buf []byte, op Op, resp *Response) []byte {
 		return e.buf
 	}
 	switch op {
-	case OpBegin, OpBeginReadOnly, OpBeginAdHocFor, OpBeginReadOnlyFor:
+	case OpBegin, OpBeginReadOnly, OpBeginReadOnlyFor:
 		e.u64(resp.Txn)
 		e.i32(resp.Class)
 	case OpHello:
@@ -527,7 +506,7 @@ func DecodeResponse2(op Op, p []byte) (Response, error) {
 	switch resp.Status {
 	case StatusOK:
 		switch op {
-		case OpBegin, OpBeginReadOnly, OpBeginAdHocFor, OpBeginReadOnlyFor:
+		case OpBegin, OpBeginReadOnly, OpBeginReadOnlyFor:
 			resp.Txn = d.u64()
 			resp.Class = d.i32()
 		case OpHello:

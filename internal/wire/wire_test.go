@@ -21,8 +21,6 @@ func requestCases() []Request {
 	return []Request{
 		{Op: OpBegin, Class: 2},
 		{Op: OpBeginReadOnly},
-		{Op: OpBeginAdHocFor, WriteSeg: 1, ReadSegs: []int32{0, 2}},
-		{Op: OpBeginAdHocFor, WriteSeg: 0},
 		{Op: OpRead, Txn: 42, Seg: 1, Key: 7},
 		{Op: OpWrite, Txn: 42, Seg: 1, Key: 7, Value: []byte("hello")},
 		{Op: OpWrite, Txn: 42, Seg: 0, Key: 0, Value: []byte{}},
@@ -80,7 +78,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{OpHello, Response{Status: StatusOK, EngineName: "MV2PL", Caps: 0}},
 		{OpHello, Response{Status: StatusOK, EngineName: "HDD", Caps: 0x7F}},
 		{OpBeginReadOnlyFor, Response{Status: StatusOK, Txn: 21, Class: -1}},
-		{OpBeginAdHocFor, Response{Status: StatusUnsupported, Message: "MV2PL does not implement BeginAdHocFor"}},
+		{OpBeginReadOnlyFor, Response{Status: StatusUnsupported, Message: "MV2PL does not implement BeginReadOnlyFor"}},
 	}
 	for i, c := range cases {
 		p := AppendResponse2(nil, c.op, &c.resp)
@@ -170,30 +168,39 @@ func TestDecodeRequestErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		p    []byte
+		want string // a substring of the error, when it matters
 	}{
-		{"empty", nil},
-		{"bad version", append([]byte{99}, AppendRequest2(nil, &Request{Op: OpBegin, Class: 1})[1:]...)},
-		{"unknown opcode", prefix(200)},
-		{"truncated begin", append(prefix(byte(OpBegin)), 0)},
-		{"trailing bytes", append(AppendRequest2(nil, &Request{Op: OpCommit, Txn: 1}), 0xFF)},
+		{"empty", nil, ""},
+		{"bad version", append([]byte{99}, AppendRequest2(nil, &Request{Op: OpBegin, Class: 1})[1:]...), ""},
+		{"unknown opcode", prefix(200), "unknown opcode"},
+		// Op 3 began the removed ad-hoc update; it stays unassigned. A
+		// well-formed frame of the old shape (write segment, no reads) is
+		// an unknown opcode, and so is its forged-count variant below.
+		{"retired op 3", append(prefix(3), 0, 0, 0, 1, 0, 0), "unknown opcode 3"},
+		{"truncated begin", append(prefix(byte(OpBegin)), 0), ""},
+		{"trailing bytes", append(AppendRequest2(nil, &Request{Op: OpCommit, Txn: 1}), 0xFF), ""},
 		{"forged value length", append(prefix(byte(OpWrite)),
 			0, 0, 0, 0, 0, 0, 0, 1, // txn
 			0, 0, 0, 0, // seg
 			0, 0, 0, 0, 0, 0, 0, 2, // key
 			0xFF, 0xFF, 0xFF, 0xFF, // value length 4 GiB, nothing follows
-		)},
-		{"forged adhoc count", append(prefix(byte(OpBeginAdHocFor)),
+		), ""},
+		{"forged adhoc count", append(prefix(3),
 			0, 0, 0, 1, // writeSeg
 			0xFF, 0xFF, // 65535 read segments, nothing follows
-		)},
+		), "unknown opcode 3"},
 		{"forged readonly scope count", append(prefix(byte(OpBeginReadOnlyFor)),
 			0xFF, 0xFF, // 65535 segments, nothing follows
-		)},
+		), ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := DecodeRequestAny(c.p); err == nil {
+			_, err := DecodeRequestAny(c.p)
+			if err == nil {
 				t.Fatalf("DecodeRequestAny(%x) succeeded, want error", c.p)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("DecodeRequestAny(%x) = %v, want an error containing %q", c.p, err, c.want)
 			}
 		})
 	}
@@ -237,7 +244,7 @@ func TestErrorMappingRoundTrip(t *testing.T) {
 			func(err error) bool { return errors.Is(err, cc.ErrDurabilityFailed) }},
 		{"durability failed is not abort", cc.ErrDurabilityFailed, func(err error) bool { return !cc.IsAbort(err) }},
 		{"plain error", errors.New("boom"), func(err error) bool { return err != nil && !cc.IsAbort(err) }},
-		{"not supported", cc.NotSupported("MV2PL", "BeginAdHocFor"),
+		{"not supported", cc.NotSupported("MV2PL", "BeginReadOnlyFor"),
 			func(err error) bool { return errors.Is(err, cc.ErrNotSupported) }},
 		{"not supported is not abort", cc.ErrNotSupported, func(err error) bool { return !cc.IsAbort(err) }},
 	}

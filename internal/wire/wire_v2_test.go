@@ -12,7 +12,6 @@ func v2RequestCases() []Request {
 	return []Request{
 		{Op: OpBegin, Tag: 1, Class: 2},
 		{Op: OpBeginReadOnly, Tag: 0xFFFFFFFFFFFFFFFF},
-		{Op: OpBeginAdHocFor, Tag: 3, WriteSeg: 1, ReadSegs: []int32{0, 2}},
 		{Op: OpBeginReadOnlyFor, Tag: 4, ReadSegs: []int32{0, 3}},
 		{Op: OpRead, Tag: 5, Txn: 42, Seg: 1, Key: 7},
 		{Op: OpWrite, Tag: 6, Txn: 42, Seg: 1, Key: 7, Value: []byte("hello")},

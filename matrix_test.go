@@ -53,16 +53,6 @@ func soakVariant(t *testing.T, gc int64, ops, reports bool, seed int64) bool {
 			for i := 0; i < 5; i++ {
 				var sink countingWriter
 				_ = eng.WriteCheckpoint(&sink)
-				ah, err := eng.BeginAdHoc(workload.SegProfiles)
-				if err != nil {
-					return
-				}
-				_, _ = ah.Read(workload.LevelKey(i))
-				if err := ah.Write(workload.ProfileKey(i), workload.PutInt64(int64(i))); err != nil {
-					_ = ah.Abort()
-					continue
-				}
-				_ = ah.Commit()
 			}
 		}()
 	}
@@ -72,8 +62,7 @@ func soakVariant(t *testing.T, gc int64, ops, reports bool, seed int64) bool {
 
 // TestSerializabilityMatrix runs the inventory soak under every
 // combination of the operational features that historically interacted
-// with the concurrency machinery (GC, ad-hoc/checkpoint operations,
-// read-only reports) and requires a serializable schedule from each. The
+// with the concurrency machinery (GC, checkpoints, read-only reports) and requires a serializable schedule from each. The
 // "full" and "no-ops" rows are regression tests for three distinct bugs:
 // the begin barrier (late initiation registration shrinking thresholds),
 // the finish barrier (commit ticks landing late and inflating thresholds),
