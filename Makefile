@@ -65,13 +65,16 @@ serve:
 stress-mvstore:
 	$(GO) test -race -count=20 -run 'Concurrent|Quick|Queue|Lookup' ./internal/mvstore/
 
-# The group commit's timing tests, repeated under the race detector: the
-# hold decision, cohorts re-forming over a slow device, the lone committer,
-# the fixed window, the sticky poison latch, open-loop commits flushed
-# beside the flush in flight, a failed fsync failing the batches after it,
-# and a writeback error reaching every overlapping fsync. See DESIGN.md §10.3.
+# The group commit, repeated under the race detector: the wall-clock smoke
+# tests that Log drives its scheduler (cohorts over a slow device, the lone
+# committer, the fixed window, open-loop commits beside the flush in
+# flight), the sticky poison latch, a failed fsync failing the batches
+# after it, a writeback error reaching every overlapping fsync, and the
+# device model's table and assertions. The second line runs the model
+# alone: it is deterministic, so any failure is a bug. See DESIGN.md §10.3.
 stress-wal:
-	$(GO) test -race -count=20 -run 'Hold|Cohort|LoneCommitter|GroupCommit|Poison|OpenLoop|FailedSync|Overlap' ./internal/wal/
+	$(GO) test -race -count=20 -run 'Hold|Cohort|LoneCommitter|GroupCommit|Poison|OpenLoop|FailedSync|Overlap|Model' ./internal/wal/
+	$(GO) test -count=200 -run 'Model' ./internal/wal/
 
 # The transaction lifecycle, repeated under the race detector: the recorder's
 # serializability check with force-aborts racing every transaction kind,
