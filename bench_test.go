@@ -91,9 +91,6 @@ func BenchmarkSweepReadFraction(b *testing.B) { runExperiment(b, "sweep-readfrac
 // BenchmarkSweepContention — abort behaviour vs hot-set skew.
 func BenchmarkSweepContention(b *testing.B) { runExperiment(b, "sweep-contention") }
 
-// BenchmarkAblateWallInterval — §5.2 design choice: wall pacing.
-func BenchmarkAblateWallInterval(b *testing.B) { runExperiment(b, "ablate-wall") }
-
 // BenchmarkAblateGC — §7.3 design choice: version garbage collection.
 func BenchmarkAblateGC(b *testing.B) { runExperiment(b, "ablate-gc") }
 

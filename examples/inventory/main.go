@@ -42,25 +42,8 @@ func main() {
 		defer wg.Done()
 		r := rand.New(rand.NewSource(seed))
 		for i := 0; i < n; i++ {
-			for attempt := 0; attempt < 100; attempt++ {
-				tx, err := eng.Begin(class)
-				if err != nil {
-					log.Fatal(err)
-				}
-				if err := fn(tx, r); err != nil {
-					_ = tx.Abort()
-					if hdd.IsAbort(err) {
-						continue
-					}
-					log.Fatal(err)
-				}
-				if err := tx.Commit(); err != nil {
-					if hdd.IsAbort(err) {
-						continue
-					}
-					log.Fatal(err)
-				}
-				break
+			if err := hdd.Run(eng, class, func(t hdd.Txn) error { return fn(t, r) }, hdd.RetryPolicy{}); err != nil {
+				log.Fatal(err)
 			}
 		}
 	}

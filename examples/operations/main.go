@@ -49,18 +49,8 @@ func main() {
 				default:
 					class, fn = workload.ClassAudit, inv.AuditEvents
 				}
-				for attempt := 0; attempt < 100; attempt++ {
-					tx, _ := eng.Begin(class)
-					if err := fn(tx, r); err != nil {
-						_ = tx.Abort()
-						if hdd.IsAbort(err) {
-							continue
-						}
-						log.Fatal(err)
-					}
-					if err := tx.Commit(); err == nil || !hdd.IsAbort(err) {
-						break
-					}
+				if err := hdd.Run(eng, class, func(t hdd.Txn) error { return fn(t, r) }, hdd.RetryPolicy{}); err != nil {
+					log.Fatal(err)
 				}
 			}
 		}(c)

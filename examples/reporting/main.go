@@ -54,9 +54,10 @@ func main() {
 				default:
 					class, fn = workload.ClassAudit, inv.AuditEvents
 				}
-				if runRetry(eng, class, fn, r) {
-					updates.Add(1)
+				if err := hdd.Run(eng, class, func(t hdd.Txn) error { return fn(t, r) }, hdd.RetryPolicy{}); err != nil {
+					log.Fatal(err)
 				}
+				updates.Add(1)
 			}
 		}(c)
 	}
@@ -101,28 +102,4 @@ func main() {
 	if inconsistencies > 0 {
 		log.Fatal("consistency violated")
 	}
-}
-
-func runRetry(eng *core.Engine, class hdd.ClassID, fn func(cc.Txn, *rand.Rand) error, r *rand.Rand) bool {
-	for attempt := 0; attempt < 100; attempt++ {
-		tx, err := eng.Begin(class)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := fn(tx, r); err != nil {
-			_ = tx.Abort()
-			if hdd.IsAbort(err) {
-				continue
-			}
-			log.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			if hdd.IsAbort(err) {
-				continue
-			}
-			log.Fatal(err)
-		}
-		return true
-	}
-	return false
 }

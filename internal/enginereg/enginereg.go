@@ -1,9 +1,9 @@
 // Package enginereg is the shared engine registry: every concurrency-control
 // engine the repo implements, by name, buildable from one neutral Options
-// struct. Both front ends use it — cmd/hddsim to sweep engines in-process
-// and cmd/hddserver to pick the backend it serves — so the set of engines,
-// their names, and their construction defaults cannot drift between the
-// simulator and the service.
+// struct. Both front ends use it — internal/experiments (cmd/hddbench) to
+// sweep engines in-process and cmd/hddserver to pick the backend it
+// serves — so the set of engines, their names, and their construction
+// defaults cannot drift between the experiments and the service.
 //
 // Names are matched loosely: lookup lowercases and strips '-'/'_', so
 // "SDD-1", "sdd1" and "sdd_1" all resolve to the same entry. Registration
@@ -179,8 +179,8 @@ func durableNames() []string {
 // ChainPartition builds the k-class chain: class i writes segment i and
 // may read segments 0..i-1. The induced DHG is a total order, trivially a
 // transitive semi-tree — the deepest TST-legal hierarchy, so all three
-// HDD protocols are exercised. It is the topology both cmd front ends
-// default to.
+// HDD protocols are exercised. It is the topology cmd/hddserver and the
+// benchmark (bench/) default to.
 func ChainPartition(k int) (*schema.Partition, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("enginereg: chain partition needs >= 1 class, got %d", k)

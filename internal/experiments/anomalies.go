@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 
+	"hdd"
 	"hdd/internal/cc"
 	"hdd/internal/core"
+	"hdd/internal/enginereg"
 	"hdd/internal/naive"
 	"hdd/internal/sched"
 	"hdd/internal/schema"
@@ -41,8 +43,8 @@ func Fig1LostUpdate(seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, kind := range AllEngineKinds {
-		eng, err := buildEngine(kind, bank.Partition(), nil)
+	for _, name := range fig10Engines {
+		eng, err := enginereg.Build(name, engineOptions(bank.Partition()))
 		if err != nil {
 			return nil, err
 		}
@@ -60,12 +62,15 @@ func Fig1LostUpdate(seed int64) (*Result, error) {
 			Mix:           []sim.TxnKind{{Name: "deposit-1", Weight: 1, Class: workload.ClassTeller, Fn: plusOne}},
 		})
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", kind, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		sum := auditSum(bank, eng)
+		sum, err := auditSum(bank, eng)
+		if err != nil {
+			return nil, fmt.Errorf("%s: audit: %w", name, err)
+		}
 		expected := r.Committed
-		res.Table.AddRow(string(kind), r.Committed, expected, sum, expected-sum, r.Retries)
-		res.check(fmt.Sprintf("%s preserves the balance invariant", kind), sum == expected)
+		res.Table.AddRow(name, r.Committed, expected, sum, expected-sum, r.Retries)
+		res.check(fmt.Sprintf("%s preserves the balance invariant", name), sum == expected)
 		_ = eng.Close()
 	}
 	res.note("each committed deposit adds exactly 1; a sound engine ends with sum == committed count")
@@ -73,24 +78,13 @@ func Fig1LostUpdate(seed int64) (*Result, error) {
 }
 
 // auditSum reads the total balance through a fresh transaction.
-func auditSum(bank *workload.Banking, eng cc.Engine) int64 {
-	for {
-		tx, err := eng.Begin(workload.ClassTeller)
-		if err != nil {
-			panic(err)
-		}
-		sum, err := bank.AuditSum(tx)
-		if err == nil {
-			if err := tx.Commit(); err == nil {
-				return sum
-			}
-			continue
-		}
-		_ = tx.Abort()
-		if !cc.IsAbort(err) {
-			panic(err)
-		}
-	}
+func auditSum(bank *workload.Banking, eng cc.Engine) (sum int64, err error) {
+	err = hdd.Run(eng, workload.ClassTeller, func(t hdd.Txn) error {
+		var err error
+		sum, err = bank.AuditSum(t)
+		return err
+	}, sim.RetryPolicy)
+	return sum, err
 }
 
 // figure34Partition is the 3-level slice of the inventory application the

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"hdd/internal/cc"
 	"hdd/internal/core"
+	"hdd/internal/enginereg"
 	"hdd/internal/schema"
-	"hdd/internal/segctl"
 	"hdd/internal/sim"
 	"hdd/internal/workload"
 )
@@ -35,19 +34,14 @@ func Fig10Comparison(seed int64, clients, txnsPerClient int) (*Result, error) {
 		txnsPerClient = 150
 	}
 
-	type row struct {
-		kind       EngineKind
-		regPerTxn  float64
-		blocked    float64
-		throughput float64
-	}
-	var rows []row
-	for _, kind := range AllEngineKinds {
+	type row struct{ regPerTxn, blocked, throughput float64 }
+	rows := make(map[string]row)
+	for _, name := range fig10Engines {
 		inv, err := workload.NewInventory(workload.InventoryConfig{Items: 48, WithAudit: true, ReorderPoint: 20})
 		if err != nil {
 			return nil, err
 		}
-		eng, err := buildEngine(kind, inv.Partition(), nil)
+		eng, err := enginereg.Build(name, engineOptions(inv.Partition()))
 		if err != nil {
 			return nil, err
 		}
@@ -63,26 +57,17 @@ func Fig10Comparison(seed int64, clients, txnsPerClient int) (*Result, error) {
 			OpDelay: 50 * time.Microsecond,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", kind, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		st := r.Stats
 		regPerTxn := Ratio(st.ReadRegistrations, r.Committed)
 		blockedPerTxn := Ratio(st.BlockedReads, r.Committed)
 		rejPerTxn := Ratio(st.RejectedReads+st.RejectedWrites, r.Committed)
-		res.Table.AddRow(string(kind), r.Committed, r.Retries, regPerTxn, blockedPerTxn, rejPerTxn, st.Deadlocks, r.Throughput())
-		rows = append(rows, row{kind, regPerTxn, blockedPerTxn, r.Throughput()})
+		res.Table.AddRow(name, r.Committed, r.Retries, regPerTxn, blockedPerTxn, rejPerTxn, st.Deadlocks, r.Throughput())
+		rows[name] = row{regPerTxn, blockedPerTxn, r.Throughput()}
 		_ = eng.Close()
 	}
-
-	get := func(k EngineKind) row {
-		for _, r := range rows {
-			if r.kind == k {
-				return r
-			}
-		}
-		return row{}
-	}
-	hdd, sdd, mv2pl, pl2, to, mvto := get(KindHDD), get(KindSDD1), get(KindMV2PL), get(Kind2PL), get(KindTO), get(KindMVTO)
+	hdd, sdd, mv2pl, pl2, to, mvto := rows["HDD"], rows["SDD-1"], rows["MV2PL"], rows["2PL"], rows["TO"], rows["MVTO"]
 
 	// The paper's headline: HDD registers strictly fewer reads per
 	// transaction than every registering baseline — cross-class and
@@ -121,7 +106,7 @@ func SweepDepth(seed int64, clients, txnsPerClient int) (*Result, error) {
 	var saved []point
 	for _, k := range []int{1, 2, 3, 4, 6} {
 		var p point
-		for _, kind := range []EngineKind{KindHDD, KindMVTO} {
+		for _, name := range []string{"HDD", "MVTO"} {
 			syn, err := workload.NewSynthetic(workload.SyntheticConfig{
 				Topology: workload.Chain, Segments: k,
 				GranulesPerSegment: 2048, OpsPerTxn: 10, WritesPerTxn: 2,
@@ -130,7 +115,7 @@ func SweepDepth(seed int64, clients, txnsPerClient int) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			eng, err := buildEngine(kind, syn.Partition(), nil)
+			eng, err := enginereg.Build(name, engineOptions(syn.Partition()))
 			if err != nil {
 				return nil, err
 			}
@@ -144,11 +129,11 @@ func SweepDepth(seed int64, clients, txnsPerClient int) (*Result, error) {
 			}
 			r, err := sim.Run(sim.Config{Engine: eng, Clients: clients, TxnsPerClient: txnsPerClient, Seed: seed, Mix: mix})
 			if err != nil {
-				return nil, fmt.Errorf("k=%d %s: %w", k, kind, err)
+				return nil, fmt.Errorf("k=%d %s: %w", k, name, err)
 			}
 			reg := Ratio(r.Stats.ReadRegistrations, r.Committed)
-			res.Table.AddRow(k, string(kind), reg, Ratio(r.Stats.BlockedReads, r.Committed), r.Retries, r.Throughput())
-			if kind == KindHDD {
+			res.Table.AddRow(k, name, reg, Ratio(r.Stats.BlockedReads, r.Committed), r.Retries, r.Throughput())
+			if name == "HDD" {
 				p.hdd = reg
 			} else {
 				p.mvto = reg
@@ -188,7 +173,7 @@ func SweepReadFraction(seed int64, clients, txnsPerClient int) (*Result, error) 
 	points := make([]point, 0, len(fracs))
 	for _, frac := range fracs {
 		var p point
-		for _, kind := range []EngineKind{KindHDD, KindMVTO, Kind2PL} {
+		for _, name := range []string{"HDD", "MVTO", "2PL"} {
 			syn, err := workload.NewSynthetic(workload.SyntheticConfig{
 				Topology: workload.Chain, Segments: 3,
 				GranulesPerSegment: 2048, OpsPerTxn: 10, WritesPerTxn: 2,
@@ -197,7 +182,7 @@ func SweepReadFraction(seed int64, clients, txnsPerClient int) (*Result, error) 
 			if err != nil {
 				return nil, err
 			}
-			eng, err := buildEngine(kind, syn.Partition(), nil)
+			eng, err := enginereg.Build(name, engineOptions(syn.Partition()))
 			if err != nil {
 				return nil, err
 			}
@@ -208,16 +193,16 @@ func SweepReadFraction(seed int64, clients, txnsPerClient int) (*Result, error) 
 			}
 			r, err := sim.Run(sim.Config{Engine: eng, Clients: clients, TxnsPerClient: txnsPerClient, Seed: seed, Mix: mix})
 			if err != nil {
-				return nil, fmt.Errorf("frac=%.1f %s: %w", frac, kind, err)
+				return nil, fmt.Errorf("frac=%.1f %s: %w", frac, name, err)
 			}
 			reg := Ratio(r.Stats.ReadRegistrations, r.Committed)
-			res.Table.AddRow(frac, string(kind), reg, Ratio(r.Stats.BlockedReads, r.Committed), r.Throughput())
-			switch kind {
-			case KindHDD:
+			res.Table.AddRow(frac, name, reg, Ratio(r.Stats.BlockedReads, r.Committed), r.Throughput())
+			switch name {
+			case "HDD":
 				p.hdd = reg
-			case KindMVTO:
+			case "MVTO":
 				p.mvto = reg
-			case Kind2PL:
+			case "2PL":
 				p.pl2 = reg
 			}
 			_ = eng.Close()
@@ -247,7 +232,7 @@ func SweepContention(seed int64, clients, txnsPerClient int) (*Result, error) {
 		txnsPerClient = 100
 	}
 	for _, hot := range []float64{0.0, 0.3, 0.6, 0.9} {
-		for _, kind := range []EngineKind{KindHDD, Kind2PL, KindMVTO} {
+		for _, name := range []string{"HDD", "2PL", "MVTO"} {
 			syn, err := workload.NewSynthetic(workload.SyntheticConfig{
 				Topology: workload.Chain, Segments: 3,
 				GranulesPerSegment: 1024, OpsPerTxn: 8, WritesPerTxn: 2,
@@ -256,7 +241,7 @@ func SweepContention(seed int64, clients, txnsPerClient int) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			eng, err := buildEngine(kind, syn.Partition(), nil)
+			eng, err := enginereg.Build(name, engineOptions(syn.Partition()))
 			if err != nil {
 				return nil, err
 			}
@@ -267,9 +252,9 @@ func SweepContention(seed int64, clients, txnsPerClient int) (*Result, error) {
 			}
 			r, err := sim.Run(sim.Config{Engine: eng, Clients: clients, TxnsPerClient: txnsPerClient, Seed: seed, Mix: mix})
 			if err != nil {
-				return nil, fmt.Errorf("hot=%.1f %s: %w", hot, kind, err)
+				return nil, fmt.Errorf("hot=%.1f %s: %w", hot, name, err)
 			}
-			res.Table.AddRow(hot, string(kind),
+			res.Table.AddRow(hot, name,
 				Ratio(r.Retries, r.Committed),
 				r.Stats.Deadlocks,
 				Ratio(r.Stats.RejectedReads+r.Stats.RejectedWrites, r.Committed),
@@ -279,18 +264,6 @@ func SweepContention(seed int64, clients, txnsPerClient int) (*Result, error) {
 	}
 	res.check("sweep completed", true)
 	return res, nil
-}
-
-// AblateWallInterval isolates the §5.2 design choice: the wall release
-// interval trades read-only freshness against wall-computation work.
-func AblateWallInterval(seed int64) (*Result, error) {
-	r, err := Fig9TimeWall(seed)
-	if err != nil {
-		return nil, err
-	}
-	r.ID = "ablate-wall"
-	r.Table.Title = "Ablation — wall release interval (same harness as Figure 9)"
-	return r, nil
 }
 
 // AblateRootProtocol isolates Protocol B's §4.2 either/or: basic
@@ -385,17 +358,15 @@ func AblateDeployment(seed int64, clients, txnsPerClient int) (*Result, error) {
 	}
 	type point struct{ regs, tput float64 }
 	var pts []point
-	for _, which := range []string{"shared-memory (core)", "message-passing (segctl)"} {
+	for _, d := range []struct{ label, engine string }{
+		{"shared-memory (core)", "HDD"},
+		{"message-passing (segctl)", "HDD-msg"},
+	} {
 		inv, err := workload.NewInventory(workload.InventoryConfig{Items: 48, WithAudit: true, ReorderPoint: 20})
 		if err != nil {
 			return nil, err
 		}
-		var eng cc.Engine
-		if which == "shared-memory (core)" {
-			eng, err = core.NewEngine(core.Config{Partition: inv.Partition(), WallInterval: 512})
-		} else {
-			eng, err = segctl.NewEngine(segctl.Config{Partition: inv.Partition(), WallInterval: 512})
-		}
+		eng, err := enginereg.Build(d.engine, engineOptions(inv.Partition()))
 		if err != nil {
 			return nil, err
 		}
@@ -407,7 +378,7 @@ func AblateDeployment(seed int64, clients, txnsPerClient int) (*Result, error) {
 			return nil, err
 		}
 		regs := Ratio(r.Stats.ReadRegistrations, r.Committed)
-		res.Table.AddRow(which, r.Committed, r.Retries, regs, r.Throughput())
+		res.Table.AddRow(d.label, r.Committed, r.Retries, regs, r.Throughput())
 		pts = append(pts, point{regs: regs, tput: r.Throughput()})
 		_ = eng.Close()
 	}

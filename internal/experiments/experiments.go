@@ -12,13 +12,9 @@ package experiments
 import (
 	"fmt"
 
-	"hdd/internal/cc"
-	"hdd/internal/core"
+	"hdd/internal/enginereg"
 	"hdd/internal/schema"
-	"hdd/internal/sdd1"
 	"hdd/internal/sim"
-	"hdd/internal/tso"
-	"hdd/internal/twopl"
 	"hdd/internal/workload"
 )
 
@@ -74,42 +70,15 @@ func (r *Result) String() string {
 	return s
 }
 
-// EngineKind names a comparison engine.
-type EngineKind string
+// fig10Engines lists the engines of the Figure 10 comparison by their
+// internal/enginereg names: HDD first, then the two systems the paper
+// compares against, then the classical context rows.
+var fig10Engines = []string{"HDD", "SDD-1", "MV2PL", "2PL", "TO", "MVTO"}
 
-// Comparison engines.
-const (
-	KindHDD   EngineKind = "HDD"
-	KindSDD1  EngineKind = "SDD-1"
-	KindMV2PL EngineKind = "MV2PL"
-	Kind2PL   EngineKind = "2PL"
-	KindTO    EngineKind = "TO"
-	KindMVTO  EngineKind = "MVTO"
-)
-
-// AllEngineKinds lists the engines of the Figure 10 comparison, HDD first,
-// then the two systems the paper compares against, then the classical
-// context rows.
-var AllEngineKinds = []EngineKind{KindHDD, KindSDD1, KindMV2PL, Kind2PL, KindTO, KindMVTO}
-
-// buildEngine constructs an engine of the given kind over a partition.
-func buildEngine(kind EngineKind, part *schema.Partition, rec cc.Recorder) (cc.Engine, error) {
-	switch kind {
-	case KindHDD:
-		return core.NewEngine(core.Config{Partition: part, Recorder: rec, WallInterval: 512, GCEveryCommits: 256})
-	case KindSDD1:
-		return sdd1.NewEngine(sdd1.Config{Partition: part, Recorder: rec})
-	case KindMV2PL:
-		return twopl.NewEngine(twopl.Config{Variant: twopl.MultiVersion, Recorder: rec}), nil
-	case Kind2PL:
-		return twopl.NewEngine(twopl.Config{Variant: twopl.Strict, Recorder: rec}), nil
-	case KindTO:
-		return tso.NewBasic(tso.BasicConfig{Recorder: rec}), nil
-	case KindMVTO:
-		return tso.NewMVTO(tso.MVTOConfig{Recorder: rec}), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown engine kind %q", kind)
-	}
+// engineOptions are the settings every engine of a comparison is built
+// with.
+func engineOptions(part *schema.Partition) enginereg.Options {
+	return enginereg.Options{Partition: part, WallInterval: 512, GCEveryCommits: 256}
 }
 
 // inventoryMix builds the standard transaction mix over the inventory

@@ -61,9 +61,3 @@ func TestResultHelpers(t *testing.T) {
 		t.Fatalf("Notes = %v", r.Notes)
 	}
 }
-
-func TestBuildEngineUnknown(t *testing.T) {
-	if _, err := buildEngine("bogus", nil, nil); err == nil {
-		t.Fatal("expected error")
-	}
-}

@@ -40,7 +40,6 @@ var Registry = []struct {
 	{"sweep-depth", "read-sync overhead vs hierarchy depth", func(p Params) (*Result, error) { return SweepDepth(p.Seed, p.Clients, p.TxnsPerClient) }},
 	{"sweep-readfrac", "overhead vs cross-class read fraction", func(p Params) (*Result, error) { return SweepReadFraction(p.Seed, p.Clients, p.TxnsPerClient) }},
 	{"sweep-contention", "abort behaviour vs hot-set skew", func(p Params) (*Result, error) { return SweepContention(p.Seed, p.Clients, p.TxnsPerClient) }},
-	{"ablate-wall", "wall release interval ablation", func(p Params) (*Result, error) { return AblateWallInterval(p.Seed) }},
 	{"ablate-rootproto", "Protocol B root variant: basic TO vs MVTO", func(p Params) (*Result, error) { return AblateRootProtocol(p.Seed, p.Clients, p.TxnsPerClient) }},
 	{"ablate-deployment", "shared-memory vs message-passing segment controllers", func(p Params) (*Result, error) { return AblateDeployment(p.Seed, p.Clients, p.TxnsPerClient) }},
 	{"ablate-gc", "version garbage collection ablation", func(p Params) (*Result, error) { return AblateGC(p.Seed) }},

@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"sync"
 
+	"hdd"
 	"hdd/internal/cc"
 	"hdd/internal/core"
 	"hdd/internal/schema"
+	"hdd/internal/sim"
 	"hdd/internal/vclock"
 	"hdd/internal/workload"
 )
@@ -33,21 +35,8 @@ func Fig8ReadOnlyPath(seed int64) (*Result, error) {
 	}
 
 	// Update churn in the background.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r := rand.New(rand.NewSource(seed))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			runInventoryTxn(eng, inv, r)
-		}
-	}()
+	stopChurn := churn(eng, inv, seed)
+	defer stopChurn()
 
 	// Staleness: how far behind "now" is the version bound the reader
 	// uses for the events segment.
@@ -84,8 +73,9 @@ func Fig8ReadOnlyPath(seed int64) (*Result, error) {
 		}
 		_ = wro.Commit()
 	}
-	close(stop)
-	wg.Wait()
+	if err := stopChurn(); err != nil {
+		return nil, err
+	}
 
 	// Registration and blocking checks on a quiescent system, so
 	// background Protocol B reads cannot pollute the counters: both
@@ -168,37 +158,21 @@ func runWallInterval(seed int64, interval vclock.Time) (released, attempts int, 
 	if err != nil {
 		return 0, 0, 0, 0, 0, err
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for c := 0; c < 2; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed + 100 + int64(c)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				runInventoryTxn(eng, inv, r)
-			}
-		}(c)
-	}
+	stopChurn := churn(eng, inv, seed+100, seed+101)
+	defer stopChurn()
 
 	var lagSum int64
 	r := rand.New(rand.NewSource(seed))
-	const churn = 2000
-	for i := 0; i < churn; i++ {
-		runInventoryTxn(eng, inv, r)
+	for i := 0; i < 2000; i++ {
+		if err := runInventoryTxn(eng, inv, r); err != nil {
+			return 0, 0, 0, 0, 0, err
+		}
 		if i%10 != 9 {
 			continue
 		}
 		probes++
 		ro, err := eng.BeginReadOnly()
 		if err != nil {
-			close(stop)
-			wg.Wait()
 			return 0, 0, 0, 0, 0, err
 		}
 		lagSum += int64(eng.Clock().Now() - eng.Walls().Current().Threshold(workload.SegEvents))
@@ -212,14 +186,51 @@ func runWallInterval(seed int64, interval vclock.Time) (released, attempts int, 
 		}
 		_ = ro.Commit()
 	}
-	close(stop)
-	wg.Wait()
+	if err := stopChurn(); err != nil {
+		return 0, 0, 0, 0, 0, err
+	}
 	released, attempts = eng.Walls().Stats()
 	return released, attempts, float64(lagSum) / float64(probes), probesOK, probes, nil
 }
 
-// runInventoryTxn executes one random inventory transaction with retry.
-func runInventoryTxn(eng cc.Engine, inv *workload.Inventory, r *rand.Rand) {
+// churn runs random inventory transactions against eng, one goroutine
+// per seed, until the returned stop is called. stop waits for the
+// goroutines and returns the first error any of them met; calling it again
+// returns the same error.
+func churn(eng cc.Engine, inv *workload.Inventory, seeds ...int64) (stop func() error) {
+	done := make(chan struct{})
+	errs := make(chan error, len(seeds))
+	for _, seed := range seeds {
+		go func(r *rand.Rand) {
+			for {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				if err := runInventoryTxn(eng, inv, r); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(rand.New(rand.NewSource(seed)))
+	}
+	return sync.OnceValue(func() error {
+		close(done)
+		var first error
+		for range seeds {
+			if err := <-errs; err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	})
+}
+
+// runInventoryTxn runs one random inventory transaction to commit,
+// retrying aborts as the simulator does.
+func runInventoryTxn(eng cc.Engine, inv *workload.Inventory, r *rand.Rand) error {
 	var class schema.ClassID
 	var fn func(cc.Txn, *rand.Rand) error
 	switch r.Intn(8) {
@@ -236,24 +247,5 @@ func runInventoryTxn(eng cc.Engine, inv *workload.Inventory, r *rand.Rand) {
 			class, fn = workload.ClassProfiles, inv.BuildProfile
 		}
 	}
-	for attempt := 0; attempt < 100; attempt++ {
-		tx, err := eng.Begin(class)
-		if err != nil {
-			panic(err)
-		}
-		if err := fn(tx, r); err != nil {
-			_ = tx.Abort()
-			if cc.IsAbort(err) {
-				continue
-			}
-			panic(err)
-		}
-		if err := tx.Commit(); err != nil {
-			if cc.IsAbort(err) {
-				continue
-			}
-			panic(err)
-		}
-		return
-	}
+	return hdd.Run(eng, class, func(t hdd.Txn) error { return fn(t, r) }, sim.RetryPolicy)
 }

@@ -19,7 +19,6 @@
 package fault
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -30,11 +29,12 @@ import (
 )
 
 // ErrCrashed is returned by operations on a transaction whose simulated
-// client has crashed. The crashed client never calls Abort — that is the
-// point: the underlying transaction stays active until an engine-side
-// reaper (or nothing) cleans it up. Drivers treat it like an abort for
-// retry purposes but must not expect the transaction to have been released.
-var ErrCrashed = errors.New("fault: simulated client crash")
+// client has crashed. It is an abort (cc.IsAbort reports true, reason
+// "client-crash"), so a retry loop such as hdd.Run starts a fresh attempt
+// — but the crashed client never calls Abort, and that is the point: the
+// underlying transaction stays active until an engine-side reaper (or
+// nothing) cleans it up. Test for it with errors.Is.
+var ErrCrashed = &cc.AbortError{Reason: "client-crash"}
 
 // Config parameterizes the injector. All probabilities are in [0, 1] and
 // are evaluated independently.

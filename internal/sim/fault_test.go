@@ -30,18 +30,17 @@ func TestRunSurvivesFaults(t *testing.T) {
 	defer e.Close()
 
 	res, err := Run(Config{
-		Engine:        e,
+		Engine: fault.Wrap(e, fault.Config{
+			Seed:        11,
+			CrashProb:   0.05,
+			AbandonProb: 0.05,
+		}),
 		Clients:       4,
 		TxnsPerClient: 50,
 		Seed:          3,
 		OpDelay:       200 * time.Microsecond,
 		Mix: []TxnKind{
 			{Name: "transfer", Weight: 1, Class: workload.ClassTeller, Fn: b.Transfer},
-		},
-		Faults: &fault.Config{
-			Seed:        11,
-			CrashProb:   0.05,
-			AbandonProb: 0.05,
 		},
 	})
 	if err != nil {

@@ -5,24 +5,29 @@
 // carries out).
 //
 // A Runner starts one goroutine per client; each repeatedly picks a
-// transaction kind by weight, runs it against the engine, commits, and
-// retries from scratch on abort (counting the retry). The run is bounded by
+// transaction kind by weight and runs it to commit through hdd.Run, which
+// retries from scratch on abort (the runner counts the retries). The run is bounded by
 // transactions per client, so results are comparable across engines
 // regardless of their speed.
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"hdd"
 	"hdd/internal/cc"
-	"hdd/internal/fault"
-	"hdd/internal/metrics"
 	"hdd/internal/schema"
 )
+
+// RetryPolicy is the simulator's retry schedule for hdd.Run: an aborted
+// attempt is retried at once, with no backoff, and a transaction still
+// aborting after 10 000 retries fails the run (a guard against livelock
+// in broken engines).
+var RetryPolicy = hdd.RetryPolicy{MaxAttempts: 10001, Sleep: func(time.Duration) {}}
 
 // TxnKind is one entry in a workload mix.
 type TxnKind struct {
@@ -52,29 +57,16 @@ type Config struct {
 	TxnsPerClient int
 	// Seed makes the run reproducible.
 	Seed int64
-	// MaxRetries bounds per-transaction retries before the run fails
-	// (guards against livelock in broken engines). Defaults to 10000.
-	MaxRetries int
 	// OpDelay injects a fixed latency before every read and write,
 	// modelling the storage access a real system would pay. With it,
 	// blocking and serialization show up in throughput — the pure
 	// in-memory engines are otherwise so fast that synchronization
 	// stalls are invisible. Zero disables.
 	OpDelay time.Duration
-	// Faults, when non-nil, wraps the engine in a deterministic
-	// fault-injection harness (see internal/fault): seeded delays, client
-	// crashes mid-transaction, abandoned-without-abort transactions, and
-	// stalled commits. A crashed client's attempt counts as a retry; the
-	// abandoned transaction is left to the engine's reaper. Engines
-	// without stuck-transaction reaping can wedge under faults that
-	// abandon update transactions — that is the phenomenon the harness
-	// exists to expose.
-	Faults *fault.Config
 }
 
 // Result summarizes a run.
 type Result struct {
-	EngineName string
 	// Committed is the number of committed transactions (clients ×
 	// quota).
 	Committed int64
@@ -82,13 +74,8 @@ type Result struct {
 	Retries int64
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
-	// Latency is the per-committed-transaction latency distribution
-	// (including its retries).
-	Latency *metrics.Histogram
 	// Stats is the engine counter delta over the run.
 	Stats cc.Stats
-	// PerKind counts committed transactions per mix entry.
-	PerKind map[string]int64
 }
 
 // Throughput returns committed transactions per second.
@@ -113,9 +100,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.TxnsPerClient <= 0 {
 		cfg.TxnsPerClient = 100
 	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 10000
-	}
 	totalWeight := 0
 	for i, k := range cfg.Mix {
 		if k.Weight <= 0 {
@@ -127,19 +111,10 @@ func Run(cfg Config) (*Result, error) {
 		totalWeight += k.Weight
 	}
 
-	res := &Result{
-		EngineName: cfg.Engine.Name(),
-		Latency:    &metrics.Histogram{},
-		PerKind:    make(map[string]int64),
-	}
-	eng := cfg.Engine
-	if cfg.Faults != nil {
-		eng = fault.Wrap(cfg.Engine, *cfg.Faults)
-	}
 	before := cfg.Engine.Stats()
 
 	var (
-		mu       sync.Mutex // guards res.PerKind, res.Retries
+		retries  atomic.Int64
 		wg       sync.WaitGroup
 		firstErr error
 		errOnce  sync.Once
@@ -152,28 +127,26 @@ func Run(cfg Config) (*Result, error) {
 			r := rand.New(rand.NewSource(cfg.Seed + int64(client)*7919))
 			for n := 0; n < cfg.TxnsPerClient; n++ {
 				kind := pick(cfg.Mix, totalWeight, r)
-				t0 := time.Now()
-				retries, err := runOne(eng, kind, r, cfg.MaxRetries, cfg.OpDelay)
+				retried, err := runOne(cfg.Engine, kind, r, cfg.OpDelay)
 				if err != nil {
 					errOnce.Do(func() { firstErr = fmt.Errorf("sim: client %d: %w", client, err) })
 					return
 				}
-				res.Latency.Observe(time.Since(t0))
-				mu.Lock()
-				res.PerKind[kind.Name]++
-				res.Retries += int64(retries)
-				mu.Unlock()
+				retries.Add(int64(retried))
 			}
 		}(c)
 	}
 	wg.Wait()
-	res.Elapsed = time.Since(start)
+	elapsed := time.Since(start)
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	res.Committed = int64(cfg.Clients) * int64(cfg.TxnsPerClient)
-	res.Stats = cfg.Engine.Stats().Sub(before)
-	return res, nil
+	return &Result{
+		Committed: int64(cfg.Clients) * int64(cfg.TxnsPerClient),
+		Retries:   retries.Load(),
+		Elapsed:   elapsed,
+		Stats:     cfg.Engine.Stats().Sub(before),
+	}, nil
 }
 
 // delayTxn wraps a transaction, paying a fixed latency per operation.
@@ -205,44 +178,25 @@ func pick(mix []TxnKind, total int, r *rand.Rand) *TxnKind {
 	return &mix[len(mix)-1]
 }
 
-// runOne executes a single transaction to commit, retrying aborted
-// attempts. It returns the number of retries consumed.
-func runOne(eng cc.Engine, kind *TxnKind, r *rand.Rand, maxRetries int, opDelay time.Duration) (int, error) {
-	for attempt := 0; ; attempt++ {
-		if attempt > maxRetries {
-			return attempt, fmt.Errorf("transaction %q exceeded %d retries", kind.Name, maxRetries)
-		}
-		var (
-			t   cc.Txn
-			err error
-		)
-		if kind.ReadOnly {
-			t, err = eng.BeginReadOnly()
-		} else {
-			t, err = eng.Begin(kind.Class)
-		}
-		if err != nil {
-			return attempt, err
-		}
+// runOne executes a single transaction to commit through hdd.Run, which
+// retries aborted attempts (a simulated client crash from internal/fault
+// is one: the crashed attempt is abandoned, not aborted). It returns the
+// number of retries consumed.
+func runOne(eng cc.Engine, kind *TxnKind, r *rand.Rand, opDelay time.Duration) (int, error) {
+	class := kind.Class
+	if kind.ReadOnly {
+		class = hdd.NoClass
+	}
+	attempts := 0
+	err := hdd.Run(eng, class, func(t hdd.Txn) error {
+		attempts++
 		if opDelay > 0 {
 			t = &delayTxn{Txn: t, d: opDelay}
 		}
-		if err := kind.Fn(t, r); err != nil {
-			// A simulated client crash must NOT abort: the transaction is
-			// abandoned in the engine (fault.Txn.Abort is a no-op after a
-			// crash, so the call below is harmless either way).
-			_ = t.Abort()
-			if cc.IsAbort(err) || errors.Is(err, fault.ErrCrashed) {
-				continue
-			}
-			return attempt, err
-		}
-		if err := t.Commit(); err != nil {
-			if cc.IsAbort(err) || errors.Is(err, cc.ErrTxnDone) || errors.Is(err, fault.ErrCrashed) {
-				continue
-			}
-			return attempt, err
-		}
-		return attempt, nil
+		return kind.Fn(t, r)
+	}, RetryPolicy)
+	if err != nil {
+		return attempts, fmt.Errorf("transaction %q: %w", kind.Name, err)
 	}
+	return attempts - 1, nil
 }

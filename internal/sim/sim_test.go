@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"hdd/internal/cc"
@@ -42,9 +43,6 @@ func TestRunBasics(t *testing.T) {
 	if res.Committed != 100 {
 		t.Fatalf("Committed = %d", res.Committed)
 	}
-	if res.PerKind["transfer"] != 100 {
-		t.Fatalf("PerKind = %v", res.PerKind)
-	}
 	if res.Stats.Commits != 100+res.Retries {
 		// Each retry that later commits still counts one commit; aborted
 		// attempts count as engine aborts, not commits.
@@ -56,16 +54,11 @@ func TestRunBasics(t *testing.T) {
 	if res.Throughput() <= 0 {
 		t.Fatal("throughput not positive")
 	}
-	if res.Latency.Count() != 100 {
-		t.Fatalf("latency observations = %d", res.Latency.Count())
-	}
-	if res.EngineName != "HDD" {
-		t.Fatalf("EngineName = %q", res.EngineName)
-	}
 }
 
 func TestRunMixedKindsAndReadOnly(t *testing.T) {
 	e, b := bankingEngine(t)
+	var audits atomic.Int64
 	res, err := Run(Config{
 		Engine:        e,
 		Clients:       3,
@@ -74,6 +67,10 @@ func TestRunMixedKindsAndReadOnly(t *testing.T) {
 		Mix: []TxnKind{
 			{Name: "transfer", Weight: 3, Class: workload.ClassTeller, Fn: b.Transfer},
 			{Name: "audit", Weight: 1, ReadOnly: true, Fn: func(tx cc.Txn, r *rand.Rand) error {
+				if tx.Class() != schema.NoClass {
+					t.Errorf("audit ran in class %d, want a read-only transaction", tx.Class())
+				}
+				audits.Add(1)
 				_, err := b.AuditSum(tx)
 				return err
 			}},
@@ -82,10 +79,10 @@ func TestRunMixedKindsAndReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PerKind["transfer"]+res.PerKind["audit"] != 60 {
-		t.Fatalf("PerKind = %v", res.PerKind)
+	if res.Committed != 60 {
+		t.Fatalf("Committed = %d", res.Committed)
 	}
-	if res.PerKind["audit"] == 0 {
+	if audits.Load() == 0 {
 		t.Fatal("no audits ran; weights broken")
 	}
 }

@@ -40,10 +40,12 @@ type RetryPolicy struct {
 	// Seed makes the jitter sequence reproducible; 0 seeds from the
 	// backoff parameters (still deterministic).
 	Seed int64
-	// Sleep replaces the inter-attempt wait, for tests. Nil means a real
-	// timed wait that RunCtx interrupts when its context is cancelled; a
-	// non-nil Sleep is called as-is (and is therefore not cancellable
-	// mid-wait, though cancellation is still observed between attempts).
+	// Sleep replaces the inter-attempt wait: tests install a spy, and the
+	// simulator (internal/sim) a no-op for immediate retries. Nil means a
+	// real timed wait that RunCtx interrupts when its context is
+	// cancelled; a non-nil Sleep is called as-is (and is therefore not
+	// cancellable mid-wait, though cancellation is still observed between
+	// attempts).
 	Sleep func(time.Duration)
 }
 

@@ -2,13 +2,14 @@ package hdd
 
 import (
 	"context"
-
 	"errors"
 	"fmt"
-	"hdd/internal/cc"
 	"slices"
 	"testing"
 	"time"
+
+	"hdd/internal/cc"
+	"hdd/internal/fault"
 )
 
 func retryPartition(t *testing.T) *Partition {
@@ -143,6 +144,25 @@ func TestRunExhaustsAttempts(t *testing.T) {
 		if d <= 0 {
 			t.Fatalf("backoff %d is %v", i, d)
 		}
+	}
+}
+
+// TestRunRetriesCrashedClient: a simulated client crash is an abort, so
+// Run retries it, but the crashed attempt is abandoned rather than aborted
+// and stays active in the engine until a reaper collects it.
+func TestRunRetriesCrashedClient(t *testing.T) {
+	e := retryEngine(t)
+	f := fault.Wrap(e, fault.Config{Seed: 1, AbandonProb: 1})
+	var slept []time.Duration
+	err := Run(f, 0, func(txn Txn) error {
+		return txn.Write(GranuleID{Segment: 0, Key: 1}, []byte("v"))
+	}, RetryPolicy{MaxAttempts: 3, Sleep: noSleep(&slept)})
+	var rerr *RetryError
+	if !errors.As(err, &rerr) || !errors.Is(err, fault.ErrCrashed) {
+		t.Fatalf("got %v, want a *RetryError whose last error is fault.ErrCrashed", err)
+	}
+	if n := e.ActiveTxns(); n != 3 {
+		t.Fatalf("ActiveTxns = %d, want the 3 abandoned attempts", n)
 	}
 }
 
