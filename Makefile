@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-smoke bench-e2e bench-e2e-smoke experiments examples check allocs clean serve stress-mvstore stress-wal stress-core stress-client fuzz-wal fuzz-wire torture torture-smoke
+.PHONY: all build vet test race cover bench bench-smoke bench-e2e bench-e2e-smoke experiments examples check allocs clean serve stress-mvstore stress-wal stress-core stress-client stress-server fuzz-wal fuzz-wire torture torture-smoke
 
 all: build vet test
 
@@ -92,6 +92,14 @@ stress-core:
 # The allocation budgets it names skip under -race; `allocs` runs them.
 stress-client:
 	$(GO) test -race -count=20 -run 'Timeout|Alloc|Ownership|Liveness|Restart' ./client/
+
+# The server's session, repeated under the race detector: requests run
+# inline on the session goroutine beside the per-transaction FIFO (a read
+# that must wait falls back, order holds), pipelined and out-of-order
+# responses, orphaned connections, the drain, degraded mode and begins
+# beside a pending checkpoint. See DESIGN.md §15.
+stress-server:
+	$(GO) test -race -count=20 -run 'Inline|Pipeline|OutOfOrder|Orphan|Drain|Degraded|Checkpoint' ./internal/server/
 
 # Short fixed-budget fuzz of the one on-disk format: the log's record
 # decoder and replay loop, and checkpoints, which are log segments (the

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hdd"
 	"hdd/internal/cc"
@@ -63,11 +64,15 @@ func main() {
 	}
 
 	// Reporting clients: each report reads items' levels and audit
-	// summaries — a cross-branch, wall-consistent view.
-	const reports = 400
+	// summaries — a cross-branch, wall-consistent view. Reporting goes on
+	// until the churn has committed minUpdates too (or for 10 s at most):
+	// reports that all ran before the first commit would check nothing.
+	const minReports, minUpdates = 400, 400
 	var inconsistencies int
+	reports := 0
 	r := rand.New(rand.NewSource(77))
-	for i := 0; i < reports; i++ {
+	deadline := time.Now().Add(10 * time.Second)
+	for ; reports < minReports || updates.Load() < minUpdates && time.Now().Before(deadline); reports++ {
 		ro, err := eng.BeginReadOnly()
 		if err != nil {
 			log.Fatal(err)
@@ -101,5 +106,8 @@ func main() {
 		st.ReadRegistrations, reports)
 	if inconsistencies > 0 {
 		log.Fatal("consistency violated")
+	}
+	if updates.Load() == 0 {
+		log.Fatal("no update committed during the reports: the consistency check saw nothing")
 	}
 }

@@ -163,13 +163,16 @@ func (e *Engine) rejectDegraded() error {
 	return nil
 }
 
-// commitDurabilityErr converts a failed commit-marker wait into the error
-// the client sees. A storage failure poisons the engine (fail-stop) and
-// surfaces cc.ErrDurabilityFailed; a benign close race — the engine shut
-// down with the batch unflushed — stays an ordinary non-durable error and
-// does not poison.
+// commitDurabilityErr converts a commit-marker wait's error into the error
+// the client sees (nil stays nil). A storage failure poisons the engine
+// (fail-stop) and surfaces cc.ErrDurabilityFailed; a benign close race —
+// the engine shut down with the batch unflushed — stays an ordinary
+// non-durable error and does not poison.
 func (e *Engine) commitDurabilityErr(id vclock.Time, err error) error {
-	if errors.Is(err, wal.ErrClosed) {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, wal.ErrClosed):
 		return fmt.Errorf("core: commit %d applied in memory but not durable: %w", id, err)
 	}
 	e.dur.poison(err)

@@ -24,19 +24,35 @@ func (e *Engine) Begin(class schema.ClassID) (cc.Txn, error) {
 // BeginWithTimeout starts an update transaction with a per-transaction
 // deadline overriding Config.TxnTimeout; timeout <= 0 means no deadline.
 func (e *Engine) BeginWithTimeout(class schema.ClassID, timeout time.Duration) (cc.Txn, error) {
+	t, _, err := e.begin(class, timeout, false)
+	return t, err
+}
+
+// TryBegin is Begin for a caller that must not wait: it reports ok=false,
+// having done nothing, while a checkpoint holds or awaits the class gate.
+func (e *Engine) TryBegin(class schema.ClassID) (t cc.Txn, ok bool, err error) {
+	return e.begin(class, e.txnTimeout, true)
+}
+
+// begin is BeginWithTimeout, or with try set TryBegin.
+func (e *Engine) begin(class schema.ClassID, timeout time.Duration, try bool) (cc.Txn, bool, error) {
 	if class < 0 || int(class) >= e.part.NumClasses() {
-		return nil, fmt.Errorf("core: unknown class %d", class)
+		return nil, true, fmt.Errorf("core: unknown class %d", class)
 	}
 	if err := e.closedErr(); err != nil {
-		return nil, err
+		return nil, true, err
 	}
 	// Fail-stop (DESIGN.md §11): a poisoned engine admits no new update
 	// work — its commits could not be made durable. Read-only begins stay
 	// open.
 	if err := e.rejectDegraded(); err != nil {
-		return nil, err
+		return nil, true, err
 	}
-	e.gate[class].RLock()
+	if !try {
+		e.gate[class].RLock()
+	} else if !e.gate[class].TryRLock() {
+		return nil, false, nil
+	}
 	// BeginTxn's barrier window guarantees that any instant later drawn
 	// through the activity set's TickBarrier observes this registration —
 	// the property every I_old(m) evaluation relies on (see activity.Set).
@@ -46,7 +62,7 @@ func (e *Engine) BeginWithTimeout(class schema.ClassID, timeout time.Duration) (
 	t := &updateTxn{eng: e, init: init, class: class,
 		deadline: deadlineFor(timeout), cancel: make(chan struct{})}
 	e.live.register(init, t)
-	return t, nil
+	return t, true, nil
 }
 
 // BeginReadOnly implements cc.Engine: it starts an ad-hoc read-only

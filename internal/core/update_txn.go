@@ -87,15 +87,28 @@ func (t *updateTxn) Read(g schema.GranuleID) ([]byte, error) { return copyOut(t.
 // cc.ErrEngineClosed). The returned slice aliases immutable engine-owned
 // memory.
 func (t *updateTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
+	val, _, err := t.read(g, true)
+	return val, err
+}
+
+// TryReadShared is ReadShared for a caller that must not wait: a Protocol
+// B read that would wait behind a pending version reports ok=false having
+// registered nothing. Protocol A and own-write reads always complete.
+func (t *updateTxn) TryReadShared(g schema.GranuleID) (val []byte, ok bool, err error) {
+	return t.read(g, false)
+}
+
+// read is ReadShared, or with block unset TryReadShared.
+func (t *updateTxn) read(g schema.GranuleID, block bool) ([]byte, bool, error) {
 	e := t.eng
 	if err := e.closedErr(); err != nil {
-		return nil, err
+		return nil, true, err
 	}
 	t.mu.Lock()
 	if t.done {
 		err := doneErr(t.deadErr)
 		t.mu.Unlock()
-		return nil, err
+		return nil, true, err
 	}
 	if v, ok := t.writes[g]; ok {
 		// Own-write slices are immutable too: Write swaps in a fresh copy
@@ -103,7 +116,7 @@ func (t *updateTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 		t.mu.Unlock()
 		e.reads[readOwn].Inc()
 		e.rec.RecordRead(t.init, g, t.init, true)
-		return v, nil
+		return v, true, nil
 	}
 	t.mu.Unlock()
 	switch {
@@ -125,12 +138,15 @@ func (t *updateTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 				// no-deadlock argument only covers waits on elders.
 				if e.rootProto == RootBasicTO && vts > t.init {
 					e.ctr.RejectedReads.Add(1)
-					return nil, t.fail(cc.ReasonReadRejected,
+					return nil, true, t.fail(cc.ReasonReadRejected,
 						fmt.Errorf("basic-TO root read of %v at %d behind prewrite at %d", g, t.init, vts))
+				}
+				if !block {
+					return nil, false, nil
 				}
 				e.ctr.BlockedReads.Add(1)
 				if err := t.awaitResolve(g, wait); err != nil {
-					return nil, err
+					return nil, true, err
 				}
 				// The reaper may have force-aborted the transaction while
 				// the read was blocked; re-check before touching the
@@ -139,19 +155,19 @@ func (t *updateTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 				if t.done {
 					err := doneErr(t.deadErr)
 					t.mu.Unlock()
-					return nil, err
+					return nil, true, err
 				}
 				t.mu.Unlock()
 				continue
 			}
 			if e.rootProto == RootBasicTO && ok && vts > t.init {
 				e.ctr.RejectedReads.Add(1)
-				return nil, t.fail(cc.ReasonReadRejected,
+				return nil, true, t.fail(cc.ReasonReadRejected,
 					fmt.Errorf("basic-TO root read of %v at %d after write at %d", g, t.init, vts))
 			}
 			e.reads[readB].Inc()
 			e.rec.RecordRead(t.init, g, vts, ok)
-			return val, nil
+			return val, true, nil
 		}
 	case e.part.MayRead(t.class, g.Segment):
 		// Protocol A: the segment is higher in the DHG; serve the latest
@@ -161,9 +177,9 @@ func (t *updateTxn) ReadShared(g schema.GranuleID) ([]byte, error) {
 		val, vts, ok := e.store.ReadCommittedBefore(g, bound)
 		e.reads[readA].Inc()
 		e.rec.RecordRead(t.init, g, vts, ok)
-		return val, nil
+		return val, true, nil
 	default:
-		return nil, t.fail(cc.ReasonClassViolation,
+		return nil, true, t.fail(cc.ReasonClassViolation,
 			fmt.Errorf("class %d (%q) may not read segment %d", t.class, e.part.Class(t.class).Name, g.Segment))
 	}
 }
@@ -272,15 +288,25 @@ func (t *updateTxn) Write(g schema.GranuleID, value []byte) error {
 // later lost in a crash — the accepted read-side anomaly DESIGN.md §10.3
 // documents.
 func (t *updateTxn) Commit() error {
+	wait, err := t.CommitAsync()
+	if wait != nil {
+		return wait()
+	}
+	return err
+}
+
+// CommitAsync is Commit up to the wait for durability: the log append and
+// the version flips are done when it returns, and the returned wait (nil
+// without a log or a write) blocks until the commit is durable.
+func (t *updateTxn) CommitAsync() (wait func() error, err error) {
 	e := t.eng
 	t.mu.Lock()
 	if t.done {
 		err := doneErr(t.deadErr)
 		t.mu.Unlock()
-		return err
+		return nil, err
 	}
 	t.done = true
-	var wait func() error
 	if e.dur != nil && len(t.writes) > 0 {
 		// An append that fails (closed or poisoned log) fails the marker
 		// behind it the same way, so its error surfaces through wait.
@@ -289,7 +315,8 @@ func (t *updateTxn) Commit() error {
 			rec.Seg, rec.Key, rec.Value = g.Segment, g.Key, v
 			e.dur.log.Append(&rec)
 		}
-		wait = e.dur.log.Commit(&wal.Record{Kind: wal.KindCommit, Txn: t.init})
+		logWait := e.dur.log.Commit(&wal.Record{Kind: wal.KindCommit, Txn: t.init})
+		wait = func() error { return e.commitDurabilityErr(t.init, logWait()) }
 	}
 	for g := range t.writes {
 		e.store.Commit(g, t.init)
@@ -302,12 +329,7 @@ func (t *updateTxn) Commit() error {
 	e.pollWalls()
 	e.gate[t.class].RUnlock()
 	e.maybeGC()
-	if wait != nil {
-		if err := wait(); err != nil {
-			return e.commitDurabilityErr(t.init, err)
-		}
-	}
-	return nil
+	return wait, nil
 }
 
 // Abort implements cc.Txn.

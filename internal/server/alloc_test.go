@@ -72,3 +72,72 @@ func TestInlineReadAllocs(t *testing.T) {
 		t.Fatalf("a burst of %d inline reads allocates %.0f objects, want 0", burst, allocs)
 	}
 }
+
+// updateTxnAllocs is TestUpdateAllocs' budget, in objects per update
+// transaction for the whole process, server and test client together.
+const updateTxnAllocs = 8
+
+// TestUpdateAllocs pins the allocations of one update transaction served
+// inline: a begin, a Protocol A read, a Protocol B read, a 64-byte write
+// and a memory-only commit, each read, decoded, executed on the session
+// goroutine and answered without a handler goroutine. The written value
+// is copied once, by the engine's Write: the decoder aliases it in the
+// read buffer.
+func TestUpdateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under -race")
+	}
+	_, addr := startServer(t, 2, core.Config{WallInterval: 64, GCEveryCommits: 64}, server.Options{})
+	c := v2dial(t, addr)
+	frame := func(buf []byte, req *wire.Request) []byte {
+		n := len(buf)
+		buf = wire.AppendRequest2(append(buf, 0, 0, 0, 0), req)
+		p := len(buf) - n - 4
+		buf[n], buf[n+1], buf[n+2], buf[n+3] = byte(p>>24), byte(p>>16), byte(p>>8), byte(p)
+		return buf
+	}
+	begin := frame(nil, &wire.Request{Op: wire.OpBegin, Tag: 1, Class: 1})
+	value := bytes.Repeat([]byte{7}, 64)
+	out, in := make([]byte, 0, 512), make([]byte, 0, 256)
+	recv := func(op wire.Op) wire.Response {
+		payload, err := wire.ReadFrame(c.br, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in = payload[:cap(payload)]
+		resp, err := wire.DecodeResponse2(op, payload)
+		if err != nil || resp.Status != wire.StatusOK {
+			t.Fatalf("%v: %+v, %v", op, resp, err)
+		}
+		return resp
+	}
+	key := uint64(0)
+	txn := func() {
+		key = (key + 1) % 64
+		if _, err := c.nc.Write(begin); err != nil {
+			t.Fatal(err)
+		}
+		id := recv(wire.OpBegin).Txn
+		out = frame(out[:0], &wire.Request{Op: wire.OpRead, Tag: 2, Txn: id, Seg: 0, Key: key})
+		out = frame(out, &wire.Request{Op: wire.OpRead, Tag: 3, Txn: id, Seg: 1, Key: key})
+		out = frame(out, &wire.Request{Op: wire.OpWrite, Tag: 4, Txn: id, Seg: 1, Key: key, Value: value})
+		out = frame(out, &wire.Request{Op: wire.OpCommit, Tag: 5, Txn: id})
+		if _, err := c.nc.Write(out); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []wire.Op{wire.OpRead, wire.OpRead, wire.OpWrite, wire.OpCommit} {
+			recv(op)
+		}
+	}
+	for i := 0; i < 256; i++ { // every key written, chains and the session warm
+		txn()
+	}
+	inline := serverStat(t, c, "inline_requests")
+	allocs := testing.AllocsPerRun(500, txn)
+	if n := serverStat(t, c, "inline_requests") - inline; n != 501*5 {
+		t.Fatalf("%d of %d requests ran inline", n, 501*5)
+	}
+	if allocs > updateTxnAllocs {
+		t.Fatalf("an update transaction served inline allocates %.0f objects, budget %d", allocs, updateTxnAllocs)
+	}
+}

@@ -218,6 +218,20 @@ func TestCrashRecoveryUnderLoad(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("workload never reached the ack goal")
 	}
+	// The writers' begins, writes and commits run on the session
+	// goroutine, so recovery is checked on that path: the read-only
+	// transactions alone (3 inline requests per 7 commits per writer)
+	// cannot account for more inline requests than acknowledged commits.
+	mu.Lock()
+	ackedBefore := len(acked)
+	mu.Unlock()
+	// t.Errorf, not Fatalf: the server process must still be killed below.
+	if st, err := ghostClient.Stats(); err != nil {
+		t.Errorf("stats before the kill: %v", err)
+	} else if st["inline_requests"] <= int64(ackedBefore) {
+		t.Errorf("inline_requests = %d after %d acknowledged commits: update transactions did not run inline",
+			st["inline_requests"], ackedBefore)
+	}
 	if err := proc.Process.Kill(); err != nil {
 		t.Fatalf("SIGKILL: %v", err)
 	}

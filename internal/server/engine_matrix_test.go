@@ -24,12 +24,13 @@ import (
 	"hdd/client"
 	"hdd/internal/cc"
 	"hdd/internal/enginereg"
+	"hdd/internal/fault"
 	"hdd/internal/server"
 )
 
 // startEngineServer boots the named registry engine behind a loopback
 // server, durable when dataDir is set. Shutdown/cleanup mirrors startServer.
-func startEngineServer(t *testing.T, name string, classes int, dataDir string) (*server.Server, string) {
+func startEngineServer(t *testing.T, name string, classes int, dataDir string, wrapped bool) (*server.Server, string) {
 	t.Helper()
 	part, err := enginereg.ChainPartition(classes)
 	if err != nil {
@@ -38,6 +39,9 @@ func startEngineServer(t *testing.T, name string, classes int, dataDir string) (
 	eng, err := enginereg.Build(name, enginereg.Options{Partition: part, TxnTimeout: 10 * time.Second, DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if wrapped {
+		eng = fault.Wrap(eng, fault.Config{Seed: 1})
 	}
 	srv := server.New(eng, server.Options{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -56,14 +60,18 @@ func startEngineServer(t *testing.T, name string, classes int, dataDir string) (
 }
 
 func TestEngineMatrix(t *testing.T) {
-	for _, leg := range append(enginereg.Names(), "HDD+WAL") {
+	for _, leg := range append(enginereg.Names(), "HDD+WAL", "HDD+fault") {
 		t.Run(leg, func(t *testing.T) {
-			name, durable := strings.CutSuffix(leg, "+WAL")
+			name, variant, _ := strings.Cut(leg, "+")
+			durable := variant == "WAL"
 			dataDir := ""
 			if durable {
 				dataDir = t.TempDir()
 			}
-			srv, addr := startEngineServer(t, name, 3, dataDir)
+			// The fault-wrapped engine injects nothing; its transactions
+			// offer none of the entry points that never wait, so nothing
+			// runs inline (checkStats).
+			srv, addr := startEngineServer(t, name, 3, dataDir, variant == "fault")
 			c := dial(t, addr)
 
 			// Hello: the wire reports who we are talking to, and the
@@ -352,7 +360,7 @@ func checkStats(t *testing.T, c *client.Client, info client.ServerInfo) {
 func TestUnknownSegmentReadKeepsServing(t *testing.T) {
 	for _, name := range []string{"HDD", "HDD-msg", "SDD-1"} {
 		t.Run(name, func(t *testing.T) {
-			_, addr := startEngineServer(t, name, 3, "")
+			_, addr := startEngineServer(t, name, 3, "", false)
 			c := dial(t, addr)
 			ro, err := c.BeginReadOnly()
 			if err != nil {
@@ -409,7 +417,7 @@ func TestWaitFreeReadOnlyByEngine(t *testing.T) {
 // therefore leaves the session goroutine, and sibling transactions on the
 // same connection keep being served while it waits.
 func TestBlockedReadOnlyDoesNotStallSession(t *testing.T) {
-	_, addr := startEngineServer(t, "2PL", 2, "")
+	_, addr := startEngineServer(t, "2PL", 2, "", false)
 	c := dial(t, addr, client.WithConns(1))
 	hot := hdd.GranuleID{Segment: 0, Key: 1}
 

@@ -1,17 +1,18 @@
 package server
 
 // The pipelined session path (DESIGN.md §15). The session goroutine
-// decodes frames and sorts them by one question: can this operation block?
-//
-// It cannot when it begins, or belongs to, a read-only transaction of an
-// engine that declared cc.CapWaitFreeReadOnly (HDD's Protocol C reads
-// synchronise with nobody — Theorem 2). Those run inline, on the session
-// goroutine; the response is flushed once the read buffer holds no further
-// complete frame, so a burst of pipelined reads costs one read(2), no
-// goroutine hand-off and one write(2). Everything else may wait — on a
-// lock, a pending version, the log, a gate — and leaves the reader: a
-// per-transaction FIFO drained by at most one goroutine at a time, or a
-// goroutine of its own for requests that name no transaction.
+// decodes frames and runs inline what the engine can do without waiting,
+// so it never waits on anything a peer must still send: every operation of
+// a read-only transaction of an engine declaring cc.CapWaitFreeReadOnly
+// (Theorem 2), and each step of an update transaction offering the entry
+// points below that need not wait. HDD's wait for a class gate a
+// checkpoint holds or awaits (begin), a pending version (Protocol B read)
+// and the fsync (commit; only this wait moves to a goroutine). Inline
+// responses are flushed once the read buffer holds no further complete
+// frame: a burst of pipelined reads costs one read(2), no goroutine
+// hand-off and one write(2). The rest leaves the reader: a per-transaction
+// FIFO drained by at most one goroutine at a time, or a goroutine of its
+// own for requests that name no transaction.
 //
 // Ordering contract: operations addressing the same transaction execute
 // (and are answered) in arrival order. An operation goes inline only when
@@ -26,13 +27,29 @@ package server
 // closes the connection and ends the session.
 
 import (
+	"bytes"
+	"time"
+
 	"hdd/internal/cc"
+	"hdd/internal/schema"
 	"hdd/internal/wire"
 )
 
 // pipeWriteBuf sizes the session's socket write buffer: large enough
 // that one flush carries the responses to a deep burst of reads.
 const pipeWriteBuf = 64 << 10
+
+// The update-transaction entry points that never wait (*core.Engine's):
+// each completes or reports ok=false having done nothing.
+type (
+	tryBeginner interface {
+		TryBegin(class schema.ClassID) (t cc.Txn, ok bool, err error)
+	}
+	inlineTxn interface {
+		TryReadShared(g schema.GranuleID) (val []byte, ok bool, err error)
+		CommitAsync() (wait func() error, err error)
+	}
+)
 
 // sessTxn is one open transaction plus its FIFO of pending requests. The
 // drain goroutine (at most one per transaction, spawned lazily) executes
@@ -42,6 +59,8 @@ type sessTxn struct {
 	// waitFree: no read, commit or abort of t can block (set at begin,
 	// from the engine's declared capability, never changed).
 	waitFree bool
+	// upd is t when it offers the update entry points that never wait.
+	upd inlineTxn
 
 	// q and running are guarded by the owning session's tmu (the queues
 	// are touched only at enqueue/dequeue, never during engine calls, so
@@ -50,7 +69,7 @@ type sessTxn struct {
 	running bool
 }
 
-// dispatch routes one decoded request: inline when it cannot block,
+// dispatch routes one decoded request: inline when it cannot wait,
 // otherwise through admission (blocking when MaxPipeline are in flight)
 // into its transaction's FIFO or a goroutine of its own.
 func (s *session) dispatch(req *wire.Request) {
@@ -58,10 +77,13 @@ func (s *session) dispatch(req *wire.Request) {
 	case wire.OpRead, wire.OpWrite, wire.OpCommit, wire.OpAbort, wire.OpBatch:
 		s.tmu.Lock()
 		st, ok := s.txns[req.Txn]
-		if ok && st.waitFree && !st.running && len(st.q) == 0 && !writes(req) {
+		if ok && !st.running && len(st.q) == 0 {
 			s.tmu.Unlock()
-			s.runInline(req, st.t)
-			return
+			if s.runInline(req, st) {
+				return
+			}
+			// It would wait; only this goroutine enqueues, so the FIFO is idle.
+			s.tmu.Lock()
 		}
 		if !s.admit(false) { // full: wait for a slot without holding tmu
 			s.tmu.Unlock()
@@ -71,7 +93,7 @@ func (s *session) dispatch(req *wire.Request) {
 		}
 		if !ok {
 			s.tmu.Unlock()
-			s.complete(req, unknownTxn(req.Txn))
+			s.complete(req.Op, req.Tag, unknownTxn(req.Txn))
 			return
 		}
 		st.q = append(st.q, clone(req))
@@ -80,9 +102,8 @@ func (s *session) dispatch(req *wire.Request) {
 			go s.drainTxn(st)
 		}
 		s.tmu.Unlock()
-	case wire.OpBeginReadOnly, wire.OpBeginReadOnlyFor:
-		if s.srv.waitFreeRO {
-			s.runInline(req, nil)
+	case wire.OpBegin, wire.OpBeginReadOnly, wire.OpBeginReadOnlyFor:
+		if s.runInline(req, nil) {
 			return
 		}
 		fallthrough
@@ -92,10 +113,14 @@ func (s *session) dispatch(req *wire.Request) {
 	}
 }
 
-// clone copies a request header for a handler to own (decoded
-// variable-length fields are already fresh allocations).
+// clone copies a request for a handler to own: the decoder aliases write
+// values in the read buffer, which the next frame overwrites.
 func clone(req *wire.Request) *wire.Request {
 	r := *req
+	r.Value = bytes.Clone(r.Value)
+	for i := range r.Batch {
+		r.Batch[i].Value = bytes.Clone(r.Batch[i].Value)
+	}
 	return &r
 }
 
@@ -129,10 +154,54 @@ func (s *session) admit(wait bool) bool {
 	return true
 }
 
-// runInline executes a request that cannot block on the session goroutine
-// and buffers its response; serve flushes when the burst ends.
-func (s *session) runInline(req *wire.Request, t cc.Txn) {
-	resp := s.timed(req, t)
+// runInline executes req (of st, nil for a begin) on the session goroutine
+// unless it would wait, and reports whether it did; serve flushes the
+// response. A commit's fsync wait answers from a goroutine with a slot.
+func (s *session) runInline(req *wire.Request, st *sessTxn) bool {
+	start := time.Now()
+	var resp wire.Response
+	switch {
+	case req.Op == wire.OpBegin:
+		if s.srv.tryBegin == nil || s.srv.isDraining() {
+			return false
+		}
+		t, ok, err := s.srv.tryBegin.TryBegin(schema.ClassID(req.Class))
+		if !ok {
+			return false
+		}
+		resp = s.beginResponse(t, err, false)
+	case st == nil: // a read-only begin
+		if !s.srv.waitFreeRO {
+			return false
+		}
+		resp = s.handle(req, nil)
+	case st.waitFree && !writes(req), st.upd != nil && (req.Op == wire.OpWrite || req.Op == wire.OpAbort):
+		resp = s.handle(req, st.t)
+	case st.upd == nil || req.Op == wire.OpBatch:
+		return false
+	case req.Op == wire.OpRead:
+		val, ok, err := st.upd.TryReadShared(schema.GranuleID{Segment: schema.SegmentID(req.Seg), Key: req.Key})
+		if !ok {
+			return false
+		}
+		resp = readResponse(val, err)
+	default: // OpCommit
+		wait, err := st.upd.CommitAsync()
+		s.dropTxn(req.Txn)
+		if wait != nil {
+			s.srv.inlineRequests.Inc()
+			s.admit(true)
+			tag := req.Tag
+			go func() {
+				resp := errResponse(wait())
+				s.observe(wire.OpCommit, start)
+				s.complete(wire.OpCommit, tag, resp)
+			}()
+			return true
+		}
+		resp = errResponse(err)
+	}
+	s.observe(req.Op, start)
 	resp.Tag = req.Tag
 	s.wbuf = wire.AppendResponse2(s.wbuf[:0], req.Op, &resp)
 	s.srv.inlineRequests.Inc()
@@ -140,6 +209,7 @@ func (s *session) runInline(req *wire.Request, t cc.Txn) {
 	if s.fw.Append(s.wbuf) == nil {
 		s.unflushed = true
 	}
+	return true
 }
 
 // flushInline flushes the responses the session goroutine has buffered.
@@ -173,7 +243,10 @@ func (s *session) drainTxn(st *sessTxn) {
 
 // run executes one admitted request and sends its response.
 func (s *session) run(req *wire.Request, t cc.Txn) {
-	s.complete(req, s.timed(req, t))
+	start := time.Now()
+	resp := s.handle(req, t)
+	s.observe(req.Op, start)
+	s.complete(req.Op, req.Tag, resp)
 }
 
 // complete sends an admitted request's response, tag echoed. With other
@@ -181,10 +254,10 @@ func (s *session) run(req *wire.Request, t cc.Txn) {
 // finishing together share one socket write. The slot is released only
 // after the frame is sent, so teardown's inflight.Wait() loses nothing. A
 // send error has closed the connection, which ends serve.
-func (s *session) complete(req *wire.Request, resp wire.Response) {
-	resp.Tag = req.Tag
+func (s *session) complete(op wire.Op, tag uint64, resp wire.Response) {
+	resp.Tag = tag
 	bp := wire.GetBuffer()
-	*bp = wire.AppendResponse2((*bp)[:0], req.Op, &resp)
+	*bp = wire.AppendResponse2((*bp)[:0], op, &resp)
 	_ = s.fw.Send(*bp, len(s.sem) > 1)
 	wire.PutBuffer(bp)
 	s.srv.pipelineDepth.Add(-1)

@@ -116,7 +116,8 @@ type Server struct {
 	// does not back the capability, and every use is nil-guarded — the
 	// missing-capability answer is a typed status, never a panic.
 	caps       cc.Capability
-	waitFreeRO bool // caps has CapWaitFreeReadOnly: read-only txns run inline
+	waitFreeRO bool        // caps has CapWaitFreeReadOnly: read-only txns run inline
+	tryBegin   tryBeginner // update begins that never wait run inline
 	forceAbort cc.ForceAborter
 	scopedRO   cc.ScopedReadOnlyBeginner
 	activeTxns cc.ActiveTxnCounter
@@ -170,6 +171,7 @@ func New(eng cc.Engine, opts Options) *Server {
 		drained:   make(chan struct{}),
 	}
 	s.waitFreeRO = s.caps.Has(cc.CapWaitFreeReadOnly)
+	s.tryBegin, _ = eng.(tryBeginner)
 	s.forceAbort, _ = cc.AsForceAborter(eng)
 	s.scopedRO, _ = cc.AsScopedReadOnlyBeginner(eng)
 	s.activeTxns, _ = cc.AsActiveTxnCounter(eng)
@@ -222,7 +224,7 @@ func (s *Server) registerMetrics() {
 		"Requests currently admitted and unanswered, across all sessions.",
 		s.pipelineDepth.Load)
 	s.inlineRequests = r.Counter("hdd_server_inline_requests_total",
-		"Requests executed on the session goroutine because they cannot block (the rest take a handler goroutine).")
+		"Requests executed on the session goroutine because the engine could serve them without waiting: read-only transactions of a wait-free engine, and update begins, reads, writes, aborts and commits that needed no wait (a commit counts when its log record is appended; its fsync wait takes a goroutine). The rest take a handler goroutine.")
 	s.coalescedWrites = r.Counter("hdd_server_coalesced_writes_total",
 		"Socket flushes that carried more than one response frame.")
 	s.writerFlushes = r.Counter("hdd_server_writer_flushes_total",

@@ -25,7 +25,7 @@ import (
 
 // chainPartition mirrors cmd/hddserver's topology: class i writes segment
 // i and reads everything below.
-func chainPartition(t *testing.T, k int) *schema.Partition {
+func chainPartition(t testing.TB, k int) *schema.Partition {
 	t.Helper()
 	names := make([]string, k)
 	specs := make([]schema.ClassSpec, k)
@@ -48,7 +48,7 @@ func chainPartition(t *testing.T, k int) *schema.Partition {
 // startServer spins up an engine + server on a loopback listener and
 // returns the server and its address. The server (and engine) are torn
 // down in cleanup unless the test shut them down itself.
-func startServer(t *testing.T, classes int, cfg core.Config, opts server.Options) (*server.Server, string) {
+func startServer(t testing.TB, classes int, cfg core.Config, opts server.Options) (*server.Server, string) {
 	t.Helper()
 	cfg.Partition = chainPartition(t, classes)
 	eng, err := core.NewEngine(cfg)

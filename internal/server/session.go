@@ -159,14 +159,12 @@ func (s *session) setReadDeadline() {
 	}
 }
 
-// timed runs handle under the opcode's request-latency histogram.
-func (s *session) timed(req *wire.Request, t cc.Txn) wire.Response {
-	start := time.Now()
-	resp := s.handle(req, t)
-	if h := s.srv.latencyFor(req.Op); h != nil {
+// observe records a request that started at start in the opcode's
+// request-latency histogram.
+func (s *session) observe(op wire.Op, start time.Time) {
+	if h := s.srv.latencyFor(op); h != nil {
 		h.Observe(time.Since(start))
 	}
-	return resp
 }
 
 // handle dispatches one decoded request. t is the transaction a
@@ -227,18 +225,10 @@ func (s *session) handleTxnOp(req *wire.Request, t cc.Txn) wire.Response {
 		// into the response frame before the next request can touch the
 		// transaction. The defensive copy the public API owes its callers
 		// happens client-side, in the connection's reader.
-		var val []byte
 		if sr, ok := t.(cc.SharedReader); ok {
-			val, err = sr.ReadShared(g)
-		} else {
-			val, err = t.Read(g)
+			return readResponse(sr.ReadShared(g))
 		}
-		if err != nil {
-			return errResponse(err)
-		}
-		// The embedded API distinguishes a missing granule ((nil, nil))
-		// from an empty value; Found carries that bit across the wire.
-		return wire.Response{Status: wire.StatusOK, Found: val != nil, Value: val}
+		return readResponse(t.Read(g))
 
 	case wire.OpWrite:
 		if len(req.Value) > wire.MaxValue {
@@ -261,6 +251,16 @@ func (s *session) handleTxnOp(req *wire.Request, t cc.Txn) wire.Response {
 		return errResponse(err)
 	}
 	return wire.Response{Status: wire.StatusOK}
+}
+
+// readResponse answers a read. The embedded API distinguishes a missing
+// granule ((nil, nil)) from an empty value; Found carries that bit across
+// the wire.
+func readResponse(val []byte, err error) wire.Response {
+	if err != nil {
+		return errResponse(err)
+	}
+	return wire.Response{Status: wire.StatusOK, Found: val != nil, Value: val}
 }
 
 // handleBatch executes an OpBatch request: the declared operations run in
@@ -326,8 +326,9 @@ func (s *session) beginResponse(t cc.Txn, err error, waitFree bool) wire.Respons
 		return errResponse(err)
 	}
 	id := uint64(t.ID())
+	upd, _ := t.(inlineTxn)
 	s.tmu.Lock()
-	s.txns[id] = &sessTxn{t: t, waitFree: waitFree}
+	s.txns[id] = &sessTxn{t: t, waitFree: waitFree, upd: upd}
 	s.tmu.Unlock()
 	s.srv.txnsOpen.Add(1)
 	return wire.Response{Status: wire.StatusOK, Txn: id, Class: int32(t.Class())}

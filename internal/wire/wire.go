@@ -365,7 +365,9 @@ func AppendRequest2(buf []byte, req *Request) []byte {
 
 // DecodeRequestAny decodes one request payload. It is strict: a version
 // byte other than Version2, unknown opcodes, truncated fields, oversized
-// counts, and trailing bytes are all errors. Write values are copies.
+// counts, and trailing bytes are all errors. Write values (Value, and each
+// Batch entry's) alias p, capped at their length: a caller that keeps one
+// past p's reuse must copy it.
 func DecodeRequestAny(p []byte) (Request, error) {
 	d := decoder{b: p}
 	if err := d.version(); err != nil {
@@ -398,7 +400,7 @@ func DecodeRequestAny(p []byte) (Request, error) {
 		req.Txn = d.u64()
 		req.Seg = d.i32()
 		req.Key = d.u64()
-		req.Value = d.owned()
+		req.Value = d.bytes()
 	case OpCommit, OpAbort:
 		req.Txn = d.u64()
 	case OpBatch:
@@ -422,7 +424,7 @@ func DecodeRequestAny(p []byte) (Request, error) {
 				req.Batch[i].Seg = d.i32()
 				req.Batch[i].Key = d.u64()
 				if req.Batch[i].Write {
-					req.Batch[i].Value = d.owned()
+					req.Batch[i].Value = d.bytes()
 				}
 			}
 		}
@@ -727,12 +729,6 @@ func (d *decoder) i32() int32 {
 func (d *decoder) bytes() []byte {
 	n := d.u32len()
 	return d.take(n)[:n:n]
-}
-
-// owned reads a byte field into a fresh copy: a request is executed after
-// its read buffer has taken the next frame.
-func (d *decoder) owned() []byte {
-	return append([]byte(nil), d.bytes()...)
 }
 
 func (d *decoder) str() string {
