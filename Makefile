@@ -13,7 +13,8 @@ check:
 
 # The allocation and heap budgets, which skip under -race and so never run
 # in `check`: allocations per transaction, per hdd.Run, per read and per
-# commit, and the version store's heap per granule.
+# commit, the version store's heap per granule, and the heap's
+# fragmentation per granule under the embedded benchmark's shape.
 allocs:
 	$(GO) test -count=1 -run 'Alloc|PerGranule' ./...
 
@@ -78,13 +79,15 @@ stress-wal:
 
 # The transaction lifecycle, repeated under the race detector: the recorder's
 # serializability check with force-aborts racing every transaction kind,
-# the reaper, read-only variants and shutdown, plus the
+# the reaper, read-only variants and shutdown, force-aborts of update
+# transactions with and without an on-demand cancel channel, a 4 096-granule
+# write set committed and aborted, plus the
 # durability tests around the commit path that writes the log: snapshots
 # racing commits and GC, recovery, fail-stop poisoning and the log's
 # contents, and the counters Stats and /metrics share. See DESIGN.md §8,
 # §10 and §13.
 stress-core:
-	$(GO) test -race -count=10 -run 'Serializab|Reap|ReadOnly|Path|Close|Snapshot|Durable|Uncommitted|Poison|LogHolds|Legacy|Stats|Obs' ./internal/core/
+	$(GO) test -race -count=10 -run 'Serializab|Reap|ReadOnly|Path|Close|Snapshot|Durable|Uncommitted|Poison|LogHolds|Legacy|Stats|Obs|OnDemand|WriteSet' ./internal/core/
 
 # The client's multiplexed connection, repeated under the race detector:
 # pooled call cells, the per-connection deadline sweep, values carved from

@@ -37,7 +37,9 @@ func (t *Txn) Class() hdd.ClassID { return t.class }
 
 // Read returns the value of g visible to this transaction, or (nil, nil)
 // if the granule does not exist at the visible instant. The caller owns the
-// value; retaining it keeps its chunk (≤ 8 KiB, see the package doc) alive.
+// value, but it shares a per-connection chunk with other reads: retaining
+// it keeps that chunk (≤ 8 KiB, see the package doc) alive, as an
+// embedded hdd.Txn's Read keeps its per-transaction chunk alive.
 func (t *Txn) Read(g hdd.GranuleID) ([]byte, error) {
 	if t.done {
 		return nil, cc.ErrTxnDone

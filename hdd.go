@@ -65,7 +65,9 @@ type (
 	DurabilityMode = core.DurabilityMode
 	// Engine is the HDD concurrency-control engine.
 	Engine = core.Engine
-	// Txn is one transaction (update or read-only).
+	// Txn is one transaction (update or read-only). A value Read returns
+	// is the caller's, but shares a per-transaction chunk with the
+	// transaction's other reads: keeping it keeps that chunk alive.
 	Txn = cc.Txn
 	// Stats is a snapshot of engine counters.
 	Stats = cc.Stats

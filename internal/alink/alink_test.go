@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"hdd/internal/activity"
 	"hdd/internal/schema"
@@ -525,5 +526,44 @@ func TestWallManagerForce(t *testing.T) {
 	w := mgr.Force()
 	if w.At <= before {
 		t.Fatalf("Force did not advance the wall: %d then %d", before, w.At)
+	}
+}
+
+// TestWallManagerIdlePollTakesNoLock: with no wall pending and the
+// interval not elapsed, Poll has nothing to do and must return without
+// the manager's mutex, which every completion would otherwise take. A
+// pending wall still takes the slow path.
+func TestWallManagerIdlePollTakesNoLock(t *testing.T) {
+	part := deepPartition(t)
+	act := activity.NewSet(4)
+	links := New(part, act)
+	clock := vclock.NewClock()
+	mgr := NewWallManager(links, clock, 10, 3)
+	polled := make(chan bool)
+	mgr.mu.Lock()
+	go func() { polled <- mgr.Poll() }()
+	select {
+	case released := <-polled:
+		if released {
+			t.Fatal("an idle Poll released a wall")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("an idle Poll waited for the manager's mutex")
+	}
+	mgr.mu.Unlock()
+
+	// A wall pending behind an active transaction: every Poll must try it,
+	// and the one after the transaction commits releases it.
+	init := clock.Tick()
+	act.Class(1).Begin(init)
+	for i := 0; i < 12; i++ {
+		clock.Tick()
+	}
+	if mgr.Poll() {
+		t.Fatal("wall released despite an active mid-class transaction")
+	}
+	act.Class(1).Commit(init, clock.Tick())
+	if !mgr.Poll() {
+		t.Fatal("a Poll after the commit did not release the pending wall")
 	}
 }

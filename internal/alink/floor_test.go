@@ -14,8 +14,10 @@ func TestAcquireCurrentPinsFloor(t *testing.T) {
 	clock := vclock.NewClock()
 	mgr := NewWallManager(links, clock, 4, 1)
 
-	w1, release1 := mgr.AcquireCurrent()
-	floor1 := wallFloor(w1)
+	w1, floor1 := mgr.AcquireCurrent()
+	if floor1 != wallFloor(w1) {
+		t.Fatalf("AcquireCurrent handed back floor %d, the wall's is %d", floor1, wallFloor(w1))
+	}
 	if mgr.SafeFloor() > floor1 {
 		t.Fatalf("SafeFloor %d above acquired floor %d", mgr.SafeFloor(), floor1)
 	}
@@ -34,20 +36,18 @@ func TestAcquireCurrentPinsFloor(t *testing.T) {
 	if mgr.SafeFloor() > floor1 {
 		t.Fatalf("SafeFloor %d escaped pinned floor %d", mgr.SafeFloor(), floor1)
 	}
-	release1()
+	mgr.Release(floor1)
 	if mgr.SafeFloor() <= floor1 {
 		t.Fatalf("SafeFloor %d still at old floor after release", mgr.SafeFloor())
 	}
-	// Idempotent release: a second call must not underflow another
-	// holder's pin of the same floor value.
-	_, r2 := mgr.AcquireCurrent()
-	release1()
-	release1()
-	cur := mgr.Current()
-	if mgr.SafeFloor() > wallFloor(cur) {
-		t.Fatal("double release corrupted the floor multiset")
-	}
-	r2()
+	// Releasing a floor nobody holds is a caller's bug, not a no-op: it
+	// would otherwise drop another holder's pin of the same instant.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second release of the same hold did not panic")
+		}
+	}()
+	mgr.Release(floor1)
 }
 
 func TestAcquireFloorMultiset(t *testing.T) {
@@ -65,21 +65,21 @@ func TestAcquireFloorMultiset(t *testing.T) {
 		t.Fatal("setup: current wall floor too low")
 	}
 
-	rA := mgr.AcquireFloor(7)
-	rB := mgr.AcquireFloor(7)
-	rC := mgr.AcquireFloor(3)
+	mgr.AcquireFloor(7)
+	mgr.AcquireFloor(7)
+	mgr.AcquireFloor(3)
 	if mgr.SafeFloor() != 3 {
 		t.Fatalf("SafeFloor = %d, want 3", mgr.SafeFloor())
 	}
-	rC()
+	mgr.Release(3)
 	if mgr.SafeFloor() != 7 {
 		t.Fatalf("SafeFloor = %d, want 7", mgr.SafeFloor())
 	}
-	rA()
+	mgr.Release(7)
 	if mgr.SafeFloor() != 7 {
 		t.Fatalf("SafeFloor = %d, want 7 (second holder)", mgr.SafeFloor())
 	}
-	rB()
+	mgr.Release(7)
 	if mgr.SafeFloor() == 7 {
 		t.Fatal("floor 7 survived all releases")
 	}

@@ -1,8 +1,10 @@
 package alink
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"hdd/internal/schema"
 	"hdd/internal/vclock"
@@ -28,11 +30,12 @@ type WallManager struct {
 	mu      sync.Mutex
 	current *TimeWall
 	// pendingAt is the instant m of a wall that has been scheduled but is
-	// not yet computable; 0 means none pending.
-	pendingAt vclock.Time
-	// lastScheduled is the instant the most recent wall was scheduled at,
-	// used to pace releases by interval.
-	lastScheduled vclock.Time
+	// not yet computable; 0 means none pending. lastScheduled is the
+	// instant the most recent wall was scheduled at, used to pace
+	// releases by interval. Both change only under mu; they are atomic so
+	// that Poll can see without mu that it has nothing to do.
+	pendingAt     atomic.Int64
+	lastScheduled atomic.Int64
 	released      int // number of walls released, for metrics
 	attempts      int // number of computability attempts, for metrics
 	// floors is a multiset of instants still referenced by in-flight
@@ -62,22 +65,23 @@ func NewWallManager(links *Links, clock *vclock.Clock, interval vclock.Time, sta
 }
 
 func (m *WallManager) scheduleLocked(now vclock.Time) {
-	m.pendingAt = now
-	m.lastScheduled = now
+	m.pendingAt.Store(int64(now))
+	m.lastScheduled.Store(int64(now))
 }
 
 func (m *WallManager) tryReleaseLocked() bool {
-	if m.pendingAt == 0 {
+	at := vclock.Time(m.pendingAt.Load())
+	if at == 0 {
 		return false
 	}
 	m.attempts++
-	w, ok := m.links.ComputeWall(m.start, m.pendingAt)
+	w, ok := m.links.ComputeWall(m.start, at)
 	if !ok {
 		return false
 	}
 	w.Released = m.clock.Tick()
 	m.current = w
-	m.pendingAt = 0
+	m.pendingAt.Store(0)
 	m.released++
 	return true
 }
@@ -85,11 +89,20 @@ func (m *WallManager) tryReleaseLocked() bool {
 // Poll advances the manager: schedules a new wall if the release interval
 // has elapsed, and attempts to release any pending wall. It returns true if
 // a wall was released by this call.
+//
+// With no wall pending and the interval not yet elapsed there is nothing
+// to do, and Poll returns without taking mu. A completion that makes a
+// pending wall computable cannot be missed this way: a wall is scheduled
+// (pendingAt stored) before its first release attempt, so a Poll that
+// still loads pendingAt == 0 follows a completion that attempt sees.
 func (m *WallManager) Poll() bool {
 	now := m.clock.Now()
+	if m.pendingAt.Load() == 0 && now-vclock.Time(m.lastScheduled.Load()) < m.interval {
+		return false
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.pendingAt == 0 && now-m.lastScheduled >= m.interval {
+	if m.pendingAt.Load() == 0 && now-vclock.Time(m.lastScheduled.Load()) >= m.interval {
 		// Barrier tick: every transaction initiated below the wall's
 		// instant is already registered, so the E evaluation at m is
 		// stable and the release check sees every admitted transaction.
@@ -124,43 +137,42 @@ func (m *WallManager) Current() *TimeWall {
 }
 
 // AcquireCurrent returns the most recent wall and registers its smallest
-// component as an in-flight floor until release is called. Read-only
+// component, floor, as an in-flight floor until Release(floor). Read-only
 // transactions acquire their wall this way so garbage collection never
 // prunes versions or activity history their (possibly superseded) wall
-// still directs them to. release is idempotent.
-func (m *WallManager) AcquireCurrent() (w *TimeWall, release func()) {
+// still directs them to.
+func (m *WallManager) AcquireCurrent() (w *TimeWall, floor vclock.Time) {
 	m.mu.Lock()
 	w = m.current
-	floor := wallFloor(w)
+	floor = wallFloor(w)
 	m.floors[floor]++
 	m.mu.Unlock()
-	return w, m.releaseFunc(floor)
+	return w, floor
 }
 
-// AcquireFloor registers an arbitrary instant as an in-flight floor (path
-// read-only transactions pin their activity-link thresholds this way).
-// release is idempotent.
-func (m *WallManager) AcquireFloor(floor vclock.Time) (release func()) {
+// AcquireFloor registers an arbitrary instant as an in-flight floor until
+// Release(floor) (path read-only transactions pin their activity-link
+// thresholds this way).
+func (m *WallManager) AcquireFloor(floor vclock.Time) {
 	m.mu.Lock()
 	m.floors[floor]++
 	m.mu.Unlock()
-	return m.releaseFunc(floor)
 }
 
-func (m *WallManager) releaseFunc(floor vclock.Time) func() {
-	released := false
-	return func() {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if released {
-			return
-		}
-		released = true
-		if m.floors[floor] <= 1 {
-			delete(m.floors, floor)
-		} else {
-			m.floors[floor]--
-		}
+// Release drops one hold of floor. Each acquisition must be released
+// exactly once: floors are a multiset, and a second release would drop
+// another holder's pin of the same instant. Releasing a floor nobody
+// holds panics.
+func (m *WallManager) Release(floor vclock.Time) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch n := m.floors[floor]; {
+	case n > 1:
+		m.floors[floor]--
+	case n == 1:
+		delete(m.floors, floor)
+	default:
+		panic(fmt.Sprintf("alink: release of floor %d, which is not held", floor))
 	}
 }
 
@@ -183,8 +195,8 @@ func (m *WallManager) SafeFloor() vclock.Time {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	floor := vclock.Infinity
-	if m.pendingAt != 0 && m.pendingAt < floor {
-		floor = m.pendingAt
+	if at := vclock.Time(m.pendingAt.Load()); at != 0 && at < floor {
+		floor = at
 	}
 	if m.current != nil {
 		if f := wallFloor(m.current); f < floor {

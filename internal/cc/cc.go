@@ -50,6 +50,10 @@ type Txn interface {
 	//
 	// The returned slice is a defensive copy owned by the caller: mutating
 	// it never affects the store, other transactions, or subsequent reads.
+	// The HDD engine carves it from a chunk it shares with the
+	// transaction's other reads, so keeping it keeps that chunk (256 B)
+	// alive; the networked client carves it from a per-connection chunk.
+	// Appending to it reallocates.
 	Read(g schema.GranuleID) ([]byte, error)
 	// Write buffers or installs a new value for g. The engine copies
 	// value; the caller may reuse the slice after Write returns.

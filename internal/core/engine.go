@@ -30,6 +30,15 @@
 // checkpoint.go the class gate. DESIGN.md §8 maps every lock and atomic in
 // these files and states the ordering rules between them.
 //
+// # Allocation
+//
+// A transaction allocates itself, one chunk its Read copies are carved
+// from, and what the store keeps (each written value's copy, and a version
+// array now and then). A value Read returns shares that per-transaction
+// chunk with the transaction's other reads, so keeping it keeps the chunk
+// (256 B) alive; ReadShared copies nothing. DESIGN.md §14.5 lists the
+// objects and their size classes.
+//
 // # Fault tolerance
 //
 // The paper assumes well-behaved transactions: C_late_i(m) only becomes

@@ -59,8 +59,7 @@ func (e *Engine) begin(class schema.ClassID, timeout time.Duration, try bool) (c
 	init := e.act.BeginTxn(int(class), e.clock)
 	e.countBegin(class, init)
 	e.rec.RecordBegin(init, class, false)
-	t := &updateTxn{eng: e, init: init, class: class,
-		deadline: deadlineFor(timeout), cancel: make(chan struct{})}
+	t := &updateTxn{eng: e, init: init, class: class, deadline: deadlineFor(timeout)}
 	e.live.register(init, t)
 	return t, true, nil
 }
@@ -100,8 +99,8 @@ func (e *Engine) beginReadOnly(base schema.ClassID) (cc.Txn, error) {
 		// against garbage collection: a newer wall may release meanwhile,
 		// and GC keyed only to the current wall would prune versions this
 		// transaction's wall still directs it to.
-		wall, release := e.walls.AcquireCurrent()
-		t.bounds, t.release = wall.Component, release
+		wall, floor := e.walls.AcquireCurrent()
+		t.bounds, t.floor = wall.Component, floor
 	} else {
 		// The fictitious-class thresholds evaluate I_old at this instant,
 		// so it must be a barrier tick. They are pinned eagerly for every
@@ -120,7 +119,8 @@ func (e *Engine) beginReadOnly(base schema.ClassID) (cc.Txn, error) {
 			t.bounds[s] = e.links.AFrom(base, target, t.init)
 			floor = vclock.Min(floor, t.bounds[s])
 		}
-		t.release = e.walls.AcquireFloor(floor)
+		e.walls.AcquireFloor(floor)
+		t.floor = floor
 	}
 	e.roCounts().begins.Inc()
 	e.rec.RecordBegin(t.init, schema.NoClass, true)

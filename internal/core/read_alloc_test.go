@@ -99,11 +99,14 @@ func TestLockFreeReadZeroAllocs(t *testing.T) {
 // measured with testing.AllocsPerRun on an engine with no plane attached.
 // The read-only budgets cover begin, three ReadShared calls and commit; the
 // update budget covers the BenchmarkUpdateTxnCycle shape (two copying
-// Reads, one Write, commit).
+// Reads, one Write, commit). A Protocol C transaction allocates only
+// itself, the path variant also its bounds; the update cycle allocates
+// the transaction, its read chunk, the caller's value and the engine's
+// copy of it.
 const (
-	protocolCTxnAllocs   = 3
-	pathReadOnlyAllocs   = 5
-	updateTxnCycleAllocs = 8
+	protocolCTxnAllocs   = 1
+	pathReadOnlyAllocs   = 2
+	updateTxnCycleAllocs = 4
 )
 
 // TestTxnAllocBudgets pins the per-transaction allocations of the Protocol C

@@ -23,18 +23,24 @@ const offPath vclock.Time = -1
 //   - on a critical path (§5, Figure 8) they are the activity-link
 //     thresholds of a fictitious class just below base, and segments off
 //     the path hold offPath.
+//
+// A readOnlyTxn is 136 bytes, in the 144 B size class, which no
+// long-lived store object shares (see updateTxn).
 type readOnlyTxn struct {
 	eng    *Engine
 	init   vclock.Time
 	bounds []vclock.Time  // indexed by segment
 	base   schema.ClassID // schema.NoClass under Protocol C
-	// release drops the GC floor the bounds pinned at begin.
-	release  func()
+	// floor is the GC floor the bounds pinned at begin; finish releases
+	// it.
+	floor    vclock.Time
 	deadline time.Time
 
 	mu      sync.Mutex
 	done    bool
 	deadErr error
+	// chunk is where Read carves its copies from (readChunk).
+	chunk readChunk
 }
 
 var _ cc.Txn = (*readOnlyTxn)(nil)
@@ -47,8 +53,11 @@ func (t *readOnlyTxn) ID() cc.TxnID { return t.init }
 // Class implements cc.Txn.
 func (t *readOnlyTxn) Class() schema.ClassID { return schema.NoClass }
 
-// Read implements cc.Txn.
-func (t *readOnlyTxn) Read(g schema.GranuleID) ([]byte, error) { return copyOut(t.ReadShared(g)) }
+// Read implements cc.Txn. The copy is carved from the transaction's read
+// chunk, so keeping it keeps that chunk alive (readChunk).
+func (t *readOnlyTxn) Read(g schema.GranuleID) ([]byte, error) {
+	return t.chunk.copyOut(t.ReadShared(g))
+}
 
 // ReadShared implements cc.SharedReader: the latest committed version
 // below the granule's segment bound, wait-free into the store's published
@@ -126,8 +135,8 @@ func (t *readOnlyTxn) finish(aborted bool, sticky error) (bool, error) {
 	t.done = true
 	t.deadErr = sticky
 	t.mu.Unlock()
-	t.release()
 	e := t.eng
+	e.walls.Release(t.floor)
 	e.live.unregister(t.init)
 	at := e.clock.Tick()
 	if !aborted {

@@ -22,6 +22,13 @@ import (
 // force-abort either observes an installed pending version (and removes
 // it) or excludes the install entirely — no version can leak past the
 // abort and pin the activity tables forever.
+//
+// An updateTxn is 184 bytes, in the 192 B size class, and its read chunk
+// is 256 B: neither is a class the store's long-lived objects use (48 B
+// chains, 64 B values, 96 B and 160 B one- and two-version headers).
+// Short-lived objects sharing those classes leave their spans half empty
+// once they are freed: at 96 B this struct measured +8 % on embedded_mem's
+// mem_mb (results/issue36/README.md). Check a change with unsafe.Sizeof.
 type updateTxn struct {
 	eng      *Engine
 	init     vclock.Time
@@ -34,17 +41,63 @@ type updateTxn struct {
 	// shutdown); subsequent operations return it so the client learns the
 	// transaction was killed rather than finished.
 	deadErr error
-	// cancel is closed by a force-abort to wake a blocked read.
+	// cancel is made by the first Protocol B read that must wait, under
+	// mu after the done check, and closed by a force-abort to wake it;
+	// nil while no read has waited.
 	cancel chan struct{}
-	// writes tracks granules with an installed pending version, for
-	// commit/abort and read-your-own-writes.
-	writes map[schema.GranuleID][]byte
+	// writes is the write set: one entry per granule with an installed
+	// pending version, in first-write order, holding its latest value.
+	// It starts in first, so a one-granule write set allocates nothing;
+	// index finds an entry once the set outgrows a short scan.
+	writes []writeEntry
+	index  map[schema.GranuleID]int
+	first  [1]writeEntry
+	// chunk is where Read carves its copies from (readChunk).
+	chunk readChunk
+}
 
-	// _ keeps updateTxn at 128 bytes. At 96 it shares a size class with the
-	// store's long-lived one-version headers (inline[[1]version]), and the
-	// short-lived transactions then leave those spans half empty:
-	// embedded_mem's mem_mb measured +8 % (results/issue36/README.md).
-	_ [32]byte
+// writeEntry is one granule of an update transaction's write set and the
+// value its pending version holds.
+type writeEntry struct {
+	g     schema.GranuleID
+	value []byte
+}
+
+// indexFrom is the write-set size from which updateTxn keeps an index
+// map: below it a linear scan is cheaper than hashing.
+const indexFrom = 8
+
+// pending returns the index of g's entry in the write set, or -1.
+func (t *updateTxn) pending(g schema.GranuleID) int {
+	if t.index != nil {
+		if i, ok := t.index[g]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range t.writes {
+		if t.writes[i].g == g {
+			return i
+		}
+	}
+	return -1
+}
+
+// addWrite appends g to the write set, indexing it once the set is large.
+func (t *updateTxn) addWrite(g schema.GranuleID, value []byte) {
+	if t.writes == nil {
+		t.writes = t.first[:0]
+	}
+	t.writes = append(t.writes, writeEntry{g, value})
+	switch n := len(t.writes); {
+	case n > indexFrom:
+		t.index[g] = n - 1
+	case n == indexFrom:
+		t.index = make(map[schema.GranuleID]int, 2*indexFrom)
+		for i, w := range t.writes {
+			t.index[w.g] = i
+		}
+	}
 }
 
 var _ cc.Txn = (*updateTxn)(nil)
@@ -66,17 +119,42 @@ func doneErr(sticky error) error {
 	return cc.ErrTxnDone
 }
 
+// readChunk is where a transaction's Read copies are carved from: one
+// allocation serves several reads, and it is sized into a class the
+// store's long-lived objects do not use (48 B chains, 64 B values, 96 B
+// one-version headers), so short-lived copies no longer pin half-empty
+// spans of those classes. A copy keeps its whole chunk alive.
+type readChunk []byte
+
+const (
+	// readChunkSize and maxCarved: values up to maxCarved bytes are
+	// carved from a readChunkSize chunk; larger ones are copied alone.
+	readChunkSize = 256
+	maxCarved     = 128
+)
+
 // copyOut is Read's defensive copy of a ReadShared result: the public
-// boundary never hands callers engine-owned memory.
-func copyOut(val []byte, err error) ([]byte, error) {
-	if val == nil || err != nil {
+// boundary never hands callers engine-owned memory. The copy is capped at
+// its length, so a caller's append reallocates instead of writing over
+// the next copy in the chunk.
+func (c *readChunk) copyOut(val []byte, err error) ([]byte, error) {
+	if len(val) == 0 || err != nil {
 		return nil, err
 	}
-	return append([]byte(nil), val...), nil
+	if len(val) > maxCarved {
+		return append([]byte(nil), val...), nil
+	}
+	if cap(*c)-len(*c) < len(val) {
+		*c = make([]byte, 0, readChunkSize)
+	}
+	off := len(*c)
+	*c = append(*c, val...)
+	return (*c)[off:len(*c):len(*c)], nil
 }
 
-// Read implements cc.Txn.
-func (t *updateTxn) Read(g schema.GranuleID) ([]byte, error) { return copyOut(t.ReadShared(g)) }
+// Read implements cc.Txn. The copy is carved from the transaction's read
+// chunk, so keeping it keeps that chunk alive (readChunk).
+func (t *updateTxn) Read(g schema.GranuleID) ([]byte, error) { return t.chunk.copyOut(t.ReadShared(g)) }
 
 // ReadShared implements cc.SharedReader. Reads in the root segment follow
 // Protocol B (registered, may wait) and reads in higher segments follow
@@ -110,9 +188,10 @@ func (t *updateTxn) read(g schema.GranuleID, block bool) ([]byte, bool, error) {
 		t.mu.Unlock()
 		return nil, true, err
 	}
-	if v, ok := t.writes[g]; ok {
+	if i := t.pending(g); i >= 0 {
 		// Own-write slices are immutable too: Write swaps in a fresh copy
 		// rather than editing in place, so sharing v is safe.
+		v := t.writes[i].value
 		t.mu.Unlock()
 		e.reads[readOwn].Inc()
 		e.rec.RecordRead(t.init, g, t.init, true)
@@ -144,8 +223,19 @@ func (t *updateTxn) read(g schema.GranuleID, block bool) ([]byte, bool, error) {
 				if !block {
 					return nil, false, nil
 				}
+				t.mu.Lock()
+				if t.done {
+					err := doneErr(t.deadErr)
+					t.mu.Unlock()
+					return nil, true, err
+				}
+				if t.cancel == nil {
+					t.cancel = make(chan struct{})
+				}
+				cancel := t.cancel
+				t.mu.Unlock()
 				e.ctr.BlockedReads.Add(1)
-				if err := t.awaitResolve(g, wait); err != nil {
+				if err := t.awaitResolve(g, wait, cancel); err != nil {
 					return nil, true, err
 				}
 				// The reaper may have force-aborted the transaction while
@@ -193,9 +283,9 @@ func (t *updateTxn) fail(reason string, err error) error {
 
 // awaitResolve blocks a Protocol B read until the pending version it is
 // waiting on resolves, the transaction deadline expires, the reaper kills
-// the transaction, or the engine shuts down. A nil return means the
-// version resolved and the read should retry.
-func (t *updateTxn) awaitResolve(g schema.GranuleID, resolved <-chan struct{}) error {
+// the transaction (closing cancel), or the engine shuts down. A nil return
+// means the version resolved and the read should retry.
+func (t *updateTxn) awaitResolve(g schema.GranuleID, resolved, cancel <-chan struct{}) error {
 	e := t.eng
 	var timerC <-chan time.Time
 	if !t.deadline.IsZero() {
@@ -210,7 +300,7 @@ func (t *updateTxn) awaitResolve(g schema.GranuleID, resolved <-chan struct{}) e
 	select {
 	case <-resolved:
 		return nil
-	case <-t.cancel:
+	case <-cancel:
 		// Force-aborted while blocked; deadErr was set before cancel
 		// closed.
 		t.mu.Lock()
@@ -249,9 +339,9 @@ func (t *updateTxn) Write(g schema.GranuleID, value []byte) error {
 			fmt.Errorf("class %d (%q) may not write segment %d", t.class, e.part.Class(t.class).Name, g.Segment))
 	}
 	value = append([]byte(nil), value...) // the one copy: store and write set share it
-	if _, ok := t.writes[g]; ok {
+	if i := t.pending(g); i >= 0 {
 		e.store.UpdatePending(g, t.init, value)
-		t.writes[g] = value
+		t.writes[i].value = value
 		t.mu.Unlock()
 		return nil
 	}
@@ -260,10 +350,7 @@ func (t *updateTxn) Write(g schema.GranuleID, value []byte) error {
 		e.ctr.RejectedWrites.Add(1)
 		return t.fail(cc.ReasonWriteRejected, err)
 	}
-	if t.writes == nil {
-		t.writes = make(map[schema.GranuleID][]byte)
-	}
-	t.writes[g] = value
+	t.addWrite(g, value)
 	e.rec.RecordWrite(t.init, g, t.init)
 	t.mu.Unlock()
 	return nil
@@ -275,8 +362,8 @@ func (t *updateTxn) Write(g schema.GranuleID, value []byte) error {
 // (the mutexes on both structures give the necessary happens-before).
 //
 // With durability enabled, this is the one place anything reaches the
-// WAL: one Write record per granule in the write set, carrying its final
-// value, then the commit marker, all enqueued *before* the version flips,
+// WAL: one Write record per granule in the write set, in first-write
+// order and carrying its final value, then the commit marker, all enqueued *before* the version flips,
 // still under t.mu and the gate share. A dependent transaction can only
 // observe this transaction's versions after the flip, so its own marker
 // is enqueued — and therefore flushed — after this one, which is the
@@ -311,15 +398,15 @@ func (t *updateTxn) CommitAsync() (wait func() error, err error) {
 		// An append that fails (closed or poisoned log) fails the marker
 		// behind it the same way, so its error surfaces through wait.
 		rec := wal.Record{Kind: wal.KindWrite, Txn: t.init}
-		for g, v := range t.writes {
-			rec.Seg, rec.Key, rec.Value = g.Segment, g.Key, v
+		for _, w := range t.writes {
+			rec.Seg, rec.Key, rec.Value = w.g.Segment, w.g.Key, w.value
 			e.dur.log.Append(&rec)
 		}
 		logWait := e.dur.log.Commit(&wal.Record{Kind: wal.KindCommit, Txn: t.init})
 		wait = func() error { return e.commitDurabilityErr(t.init, logWait()) }
 	}
-	for g := range t.writes {
-		e.store.Commit(g, t.init)
+	for _, w := range t.writes {
+		e.store.Commit(w.g, t.init)
 	}
 	at := e.act.FinishTxn(int(t.class), t.init, e.clock, false)
 	t.mu.Unlock()
@@ -353,10 +440,12 @@ func (t *updateTxn) finishAbort(sticky error, reaped bool) bool {
 	}
 	t.done = true
 	t.deadErr = sticky
-	close(t.cancel)
+	if t.cancel != nil {
+		close(t.cancel)
+	}
 	e := t.eng
-	for g := range t.writes {
-		e.store.Abort(g, t.init)
+	for _, w := range t.writes {
+		e.store.Abort(w.g, t.init)
 	}
 	at := e.act.FinishTxn(int(t.class), t.init, e.clock, true)
 	t.mu.Unlock()

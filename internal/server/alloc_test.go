@@ -75,7 +75,10 @@ func TestInlineReadAllocs(t *testing.T) {
 
 // updateTxnAllocs is TestUpdateAllocs' budget, in objects per update
 // transaction for the whole process, server and test client together.
-const updateTxnAllocs = 8
+// The engine's share is the transaction and the written value's copy:
+// ReadShared makes no read chunk, and neither a write-set map nor a
+// cancel channel is made up front.
+const updateTxnAllocs = 5
 
 // TestUpdateAllocs pins the allocations of one update transaction served
 // inline: a begin, a Protocol A read, a Protocol B read, a 64-byte write

@@ -58,6 +58,9 @@ func TestInlineUpdateReadFallsBackToFIFO(t *testing.T) {
 		t.Fatalf("inline_requests %d -> %d: a read that waits, or an operation behind it, ran inline", inline, n)
 	}
 
+	// Commit only once the read waits on the FIFO's goroutine: a commit
+	// that overtakes it lets the read find the version committed.
+	waitFor(t, 5*time.Second, func() bool { return serverStat(t, c, "blocked_reads") == 1 })
 	c.send(&wire.Request{Op: wire.OpCommit, Tag: 20, Txn: w.Txn})
 	var order []uint64 // the reader's tags, in the order answered
 	for i := 0; i < 4; i++ {
