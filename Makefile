@@ -91,10 +91,12 @@ stress-core:
 
 # The client's multiplexed connection, repeated under the race detector:
 # pooled call cells, the per-connection deadline sweep, values carved from
-# the read chunk, frame-writer liveness and redial after a server restart.
+# the read chunk, frame-writer liveness, the reader's hold over a burst of
+# responses (one request write per burst; no held frame strands) and
+# redial after a server restart.
 # The allocation budgets it names skip under -race; `allocs` runs them.
 stress-client:
-	$(GO) test -race -count=20 -run 'Timeout|Alloc|Ownership|Liveness|Restart' ./client/
+	$(GO) test -race -count=20 -run 'Timeout|Alloc|Ownership|Liveness|Restart|Burst|Strand' ./client/
 
 # The server's session, repeated under the race detector: requests run
 # inline on the session goroutine beside the per-transaction FIFO (a read

@@ -87,9 +87,10 @@ func newMconn(cl *Client, nc net.Conn, timeout time.Duration) *mconn {
 
 // roundTrip sends one tagged request and waits for its response. Many
 // goroutines may call it concurrently; responses are matched by tag, so
-// the server answering out of order is fine. Any transport, protocol, or
-// timeout failure kills the whole conn — every waiter gets the error, and
-// the owning client redials a replacement lazily.
+// the server answering out of order is fine. The request is flushed, or
+// covered by the reader's Release, before roundTrip waits. Any transport,
+// protocol, or timeout failure kills the whole conn — every waiter gets
+// the error, and the owning client redials a replacement lazily.
 func (m *mconn) roundTrip(req *wire.Request) (wire.Response, error) {
 	tag := m.tags.Add(1)
 	req.Tag = tag
@@ -103,9 +104,11 @@ func (m *mconn) roundTrip(req *wire.Request) (wire.Response, error) {
 		return wire.Response{}, err
 	}
 	m.pending[tag] = call
-	// Other calls in flight: whoever was woken by the same burst of
-	// responses is about to send too, so let the frame writer yield for
-	// them before it flushes. Alone, it flushes at once.
+	// A caller woken by a burst of responses sends under the reader's
+	// hold: it only appends, and the reader flushes for the burst
+	// (readLoop). Outside a hold, other calls in flight may be about to
+	// send too, so let the frame writer yield for them before it flushes.
+	// Alone, it flushes at once.
 	shared := len(m.pending) > 1
 	m.pmu.Unlock()
 
@@ -173,8 +176,16 @@ func (m *mconn) own(v []byte) []byte {
 // the waiting call. Anything that breaks the demux invariants — an
 // unknown tag, an undecodable frame — kills the conn: frame alignment or
 // bookkeeping can no longer be trusted.
+//
+// The reader flushes for the burst it wakes. While another complete frame
+// is buffered it holds the frame writer, so the callers it wakes only
+// append their next requests; after the burst's last delivery it releases
+// the hold, which yields once and flushes them all in one write. Between
+// the two it never blocks: the frames it reads are already buffered and
+// each delivery goes into a one-slot channel.
 func (m *mconn) readLoop() {
 	var rbuf []byte
+	holding := false
 	for {
 		payload, err := wire.ReadFrame(m.br, rbuf)
 		if err != nil {
@@ -199,6 +210,11 @@ func (m *mconn) readLoop() {
 			m.fail(fmt.Errorf("client: response for unknown tag %d", tag))
 			return
 		}
+		more := wire.FrameBuffered(m.br)
+		if more && !holding {
+			m.fw.Hold()
+			holding = true
+		}
 		resp, err := wire.DecodeResponse2(call.op, payload)
 		if err != nil {
 			call.ch <- mresult{err: fmt.Errorf("client: %w", err)}
@@ -211,6 +227,13 @@ func (m *mconn) readLoop() {
 			resp.Batch[i].Value = m.own(resp.Batch[i].Value)
 		}
 		call.ch <- mresult{resp: resp}
+		if holding && !more {
+			holding = false
+			if err := m.fw.Release(); err != nil {
+				m.fail(fmt.Errorf("client: sending: %w", err))
+				return
+			}
+		}
 	}
 }
 

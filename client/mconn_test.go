@@ -71,6 +71,47 @@ func flushStats(t *testing.T, c *Client) (frames, flushes int64) {
 	return stats["flushed_frames"], stats["writer_flushes"]
 }
 
+// runCallers runs callers goroutines, each running txns transactions of
+// class that read reads granules of their own (no engine conflicts, only
+// wire traffic), and fails the test if any errs or they are not all done
+// within limit.
+func runCallers(t *testing.T, c *Client, class hdd.ClassID, callers, txns, reads int, limit time.Duration) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for w := 0; w < callers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < txns; i++ {
+				err := hdd.Run(c, class, func(tx hdd.Txn) error {
+					for r := 0; r < reads; r++ {
+						if _, err := tx.Read(hdd.GranuleID{Segment: 0, Key: uint64(w*reads + r)}); err != nil {
+							return err
+						}
+					}
+					return nil
+				}, hdd.RetryPolicy{})
+				if err != nil {
+					errs <- fmt.Errorf("caller %d txn %d: %w", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(limit):
+		t.Fatalf("callers still waiting after %v: a frame was appended and never flushed", limit)
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
 // TestFrameWriterLiveness: 16 callers × 30 transactions over one mconn,
 // on one P and on four, through the inline path (read-only transactions)
 // and the handler path (update transactions). Every call returns — a
@@ -89,40 +130,7 @@ func TestFrameWriterLiveness(t *testing.T) {
 				}
 				frames0, flushes0 := flushStats(t, c)
 
-				var wg sync.WaitGroup
-				errs := make(chan error, callers)
-				for w := 0; w < callers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for i := 0; i < txns; i++ {
-							err := hdd.Run(c, class, func(tx hdd.Txn) error {
-								// Distinct keys per caller: no engine conflicts, only wire traffic.
-								g := hdd.GranuleID{Segment: 0, Key: uint64(w)}
-								if _, err := tx.Read(g); err != nil {
-									return err
-								}
-								_, err := tx.Read(g)
-								return err
-							}, hdd.RetryPolicy{})
-							if err != nil {
-								errs <- fmt.Errorf("caller %d txn %d: %w", w, i, err)
-								return
-							}
-						}
-					}(w)
-				}
-				finished := make(chan struct{})
-				go func() { wg.Wait(); close(finished) }()
-				select {
-				case <-finished:
-				case <-time.After(60 * time.Second):
-					t.Fatal("callers still waiting after 60s: a frame was appended and never flushed")
-				}
-				close(errs)
-				for err := range errs {
-					t.Fatal(err)
-				}
+				runCallers(t, c, class, callers, txns, 2, 60*time.Second)
 
 				frames1, flushes1 := flushStats(t, c)
 				frames, flushes := frames1-frames0, flushes1-flushes0
@@ -130,16 +138,140 @@ func TestFrameWriterLiveness(t *testing.T) {
 					t.Fatalf("server flushed %d response frames for %d round trips", frames, want)
 				}
 				m := c.slots[0]
-				t.Logf("server: %d frames in %d flushes (%.1f per flush); client yields: %d",
-					frames, flushes, float64(frames)/float64(flushes), m.fw.Yields())
+				cflushes, cframes := m.fw.Flushes()
+				t.Logf("server: %d frames in %d flushes (%.1f per flush); client: %d frames in %d flushes (%.1f per flush), %d yields",
+					frames, flushes, float64(frames)/float64(flushes),
+					cframes, cflushes, float64(cframes)/float64(cflushes), m.fw.Yields())
 				if procs == 1 && frames < 4*flushes {
 					t.Fatalf("%d callers on one P: %d response frames took %d socket flushes, want at least 4 per flush", callers, frames, flushes)
+				}
+				if procs == 1 && cframes < 4*cflushes {
+					t.Fatalf("%d callers on one P: %d request frames took %d socket flushes, want at least 4 per flush", callers, cframes, cflushes)
 				}
 				if m.fw.Yields() == 0 {
 					t.Fatal("16 concurrent callers never yielded to each other before flushing")
 				}
 			})
 		}
+	}
+}
+
+// TestBurstLeavesInOneWrite: 16 callers on one connection and one P. The
+// server answers them in bursts, and the callers one burst wakes send
+// their next requests in one write: the reader holds the frame writer
+// while it delivers and flushes for all of them after the last delivery
+// (about 12 frames per write). The bound sits above the 7 a connection
+// reaches when the first caller woken flushes alone, 1 + 15 per burst.
+func TestBurstLeavesInOneWrite(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c := serveHDD(t)
+	m := c.slots[0]
+	flushes0, frames0 := m.fw.Flushes()
+	runCallers(t, c, hdd.NoClass, 16, 40, 8, 60*time.Second)
+	flushes1, frames1 := m.fw.Flushes()
+	flushes, frames := flushes1-flushes0, frames1-frames0
+	perWrite := float64(frames) / float64(flushes)
+	t.Logf("client: %d request frames in %d writes (%.1f per write); yields: %d", frames, flushes, perWrite, m.fw.Yields())
+	if perWrite < 9.5 {
+		t.Fatalf("16 callers on one P sent %.1f request frames per write, want at least 9.5", perWrite)
+	}
+}
+
+// burstServer answers every request on l's first connection with a found
+// read. It holds its answers until first requests have arrived and sends
+// those in one write; after that it answers whatever its read buffer
+// holds, again in one write.
+func burstServer(l net.Listener, first int) {
+	nc, err := l.Accept()
+	if err != nil {
+		return
+	}
+	defer nc.Close()
+	br, bw := bufio.NewReader(nc), bufio.NewWriter(nc)
+	var buf []byte
+	for n := 1; ; n++ {
+		p, err := wire.ReadFrame(br, nil)
+		if err != nil {
+			return
+		}
+		req, err := wire.DecodeRequestAny(p)
+		if err != nil {
+			return
+		}
+		buf = wire.AppendResponse2(buf[:0], req.Op, &wire.Response{Status: wire.StatusOK, Tag: req.Tag, Found: true, Value: []byte("v")})
+		if wire.WriteFrame(bw, buf) != nil {
+			return
+		}
+		if n >= first && !wire.FrameBuffered(br) && bw.Flush() != nil {
+			return
+		}
+	}
+}
+
+// TestHeldFrameNeverStrands: one burst of 16 responses wakes 16 callers;
+// half of them stop sending (they park until the test ends, at most 5 s)
+// and the other half go on. The reader's hold covers the frames the
+// senders append while it delivers, and its release must not wait for the
+// callers that stopped: every call of the senders returns within 1 s.
+func TestHeldFrameNeverStrands(t *testing.T) {
+	const callers, rounds = 16, 200
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			go burstServer(l, callers)
+			nc, err := net.Dial("tcp", l.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := newMconn(nil, nc, 3*time.Second) // a stranded call fails after 3-3.75 s
+			go m.readLoop()
+			go m.sweep()
+			defer m.fail(errClientClosed)
+
+			park := make(chan struct{})
+			unpark := time.AfterFunc(5*time.Second, func() { close(park) })
+			var sending, parked sync.WaitGroup
+			errs := make(chan error, callers)
+			for w := 0; w < callers; w++ {
+				wg := &sending
+				if w%2 == 1 {
+					wg = &parked
+				}
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < rounds; i++ {
+						if w%2 == 1 && i == 1 {
+							<-park // woken by the first burst, sends nothing more
+							return
+						}
+						start := time.Now()
+						if _, err := m.roundTrip(&wire.Request{Op: wire.OpRead, Txn: 1, Key: uint64(w)}); err != nil {
+							errs <- fmt.Errorf("caller %d call %d: %w", w, i, err)
+							return
+						}
+						if d := time.Since(start); d > time.Second && i > 0 {
+							errs <- fmt.Errorf("caller %d call %d took %v while half the callers parked", w, i, d)
+							return
+						}
+					}
+				}(w)
+			}
+			sending.Wait()
+			if unpark.Stop() {
+				close(park)
+			}
+			parked.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -319,7 +319,11 @@ func (e *Engine) replayWAL(r io.Reader, high *vclock.Time) (valid, records int64
 				m = make(map[schema.GranuleID][]byte)
 				pending[rec.Txn] = m
 			}
-			m[schema.GranuleID{Segment: rec.Seg, Key: rec.Key}] = rec.Value
+			v := rec.Value
+			if v == nil {
+				v = []byte{} // an empty value decodes as nil; nil reads as no granule
+			}
+			m[schema.GranuleID{Segment: rec.Seg, Key: rec.Key}] = v
 		case wal.KindAbort:
 			observe(rec.Txn)
 			delete(pending[rec.Txn], schema.GranuleID{Segment: rec.Seg, Key: rec.Key})

@@ -136,10 +136,14 @@ const (
 // copyOut is Read's defensive copy of a ReadShared result: the public
 // boundary never hands callers engine-owned memory. The copy is capped at
 // its length, so a caller's append reallocates instead of writing over
-// the next copy in the chunk.
+// the next copy in the chunk. nil stays nil (no such granule); an empty
+// value copies to a non-nil empty slice.
 func (c *readChunk) copyOut(val []byte, err error) ([]byte, error) {
-	if len(val) == 0 || err != nil {
+	if val == nil || err != nil {
 		return nil, err
+	}
+	if len(val) == 0 {
+		return []byte{}, nil
 	}
 	if len(val) > maxCarved {
 		return append([]byte(nil), val...), nil
@@ -338,7 +342,9 @@ func (t *updateTxn) Write(g schema.GranuleID, value []byte) error {
 		return t.fail(cc.ReasonClassViolation,
 			fmt.Errorf("class %d (%q) may not write segment %d", t.class, e.part.Class(t.class).Name, g.Segment))
 	}
-	value = append([]byte(nil), value...) // the one copy: store and write set share it
+	// The one copy: store and write set share it. Never nil, even when
+	// empty: a nil value reads as a granule that does not exist.
+	value = append(make([]byte, 0, len(value)), value...)
 	if i := t.pending(g); i >= 0 {
 		e.store.UpdatePending(g, t.init, value)
 		t.writes[i].value = value

@@ -93,7 +93,11 @@ func ReadCheckpoint(r io.Reader) (*Store, vclock.Time, error) {
 			publish()
 		}
 		g, last, high = next, rec.Txn, max(high, rec.Txn)
-		vs = append(vs, version{ts: rec.Txn, value: rec.Value, state: uint32(Committed)})
+		v := rec.Value
+		if v == nil {
+			v = []byte{} // an empty value decodes as nil; nil reads as no granule
+		}
+		vs = append(vs, version{ts: rec.Txn, value: v, state: uint32(Committed)})
 		return nil
 	})
 	switch {

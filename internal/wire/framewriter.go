@@ -12,9 +12,12 @@ import (
 // shared by every goroutine that sends frames on it (client callers on
 // one end, the server's session goroutine and handlers on the other).
 // Frames are appended to one buffer under a mutex and leave in as few
-// socket writes as the scheduler allows: a sender that is not alone on the
-// connection yields once before flushing, so every goroutine woken by the
-// same burst appends first, and whoever runs next flushes for all.
+// socket writes as the scheduler allows. Whoever wakes a burst of senders
+// at once may Hold the writer and Release it after the last wake-up: the
+// senders only append, and the Release flushes for all of them. Outside a
+// hold, a sender that is not alone on the connection yields once before
+// flushing, so goroutines woken together append first, and whoever runs
+// next flushes for all; a sender that is alone flushes at once.
 //
 // The write deadline is armed once per unflushed burst. The first write
 // error latches and closes the connection; every later call returns it.
@@ -27,7 +30,9 @@ type FrameWriter struct {
 	bw       *bufio.Writer
 	appended uint64 // frames appended so far
 	flushed  uint64 // value of appended at the last flush
+	flushes  uint64 // socket flushes so far
 	yields   uint64
+	held     bool // between Hold and Release: Send leaves the flush to Release
 	err      error
 }
 
@@ -58,32 +63,66 @@ func (w *FrameWriter) Flush() error {
 	return err
 }
 
-// Send appends one frame and returns once it is flushed. shared says
-// other requests are in flight on this connection: the sender then yields
-// once between append and flush, and skips the flush if a later sender's
-// covered its frame. A sender that is alone flushes at once.
+// Send appends one frame and returns once it is flushed or covered by a
+// Release. Under a hold it only appends. Otherwise shared says other
+// requests are in flight on this connection: the sender then yields once
+// between append and flush, and skips the flush if a later sender's, or a
+// hold begun meanwhile, covers its frame. A sender that is alone flushes
+// at once.
 func (w *FrameWriter) Send(payload []byte, shared bool) error {
 	w.mu.Lock()
 	seq, err := w.appendLocked(payload)
-	if err == nil && shared {
+	if err == nil && shared && !w.held {
 		w.yields++
 		w.mu.Unlock()
 		runtime.Gosched()
 		w.mu.Lock()
 		err = w.err
 	}
-	if err == nil && w.flushed < seq {
+	if err == nil && w.flushed < seq && !w.held {
 		err = w.flushLocked()
 	}
 	w.mu.Unlock()
 	return err
 }
 
-// Yields reports how many Sends yielded before flushing.
+// Hold puts the writer on hold until Release: Sends append and return
+// without yielding or flushing. The holder is waking the senders (the
+// client's reader delivering a burst of responses), and between Hold and
+// Release it must never block, so a frame appended under the hold never
+// waits on a sender that stops sending.
+func (w *FrameWriter) Hold() {
+	w.mu.Lock()
+	w.held = true
+	w.mu.Unlock()
+}
+
+// Release ends a hold. It yields once, so the senders the holder woke
+// append first, then flushes everything appended under the hold in one
+// socket write. Its error is the writer's latched error, as Send's is.
+func (w *FrameWriter) Release() error {
+	runtime.Gosched()
+	w.mu.Lock()
+	w.yields++
+	w.held = false
+	err := w.flushLocked()
+	w.mu.Unlock()
+	return err
+}
+
+// Yields reports how many times a Send or a Release yielded before
+// flushing.
 func (w *FrameWriter) Yields() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.yields
+}
+
+// Flushes reports the socket flushes so far and the frames they carried.
+func (w *FrameWriter) Flushes() (flushes, frames uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.flushes, w.flushed
 }
 
 func (w *FrameWriter) appendLocked(payload []byte) (seq uint64, err error) {
@@ -117,6 +156,7 @@ func (w *FrameWriter) flushLocked() error {
 	if w.onFlush != nil {
 		w.onFlush(int(w.appended - w.flushed))
 	}
+	w.flushes++
 	w.flushed = w.appended
 	return nil
 }

@@ -147,6 +147,36 @@ func TestFrameWriterSharedCoalesces(t *testing.T) {
 	}
 }
 
+// TestFrameWriterHold: under a hold, Sends only append — alone or shared,
+// they neither yield nor write — and Release flushes them all in one
+// socket write with one yield. After it a lone Send flushes at once again.
+func TestFrameWriterHold(t *testing.T) {
+	c, log := &sinkConn{}, &flushLog{}
+	w := NewFrameWriter(c, 4096, time.Second, log.observe)
+	w.Hold()
+	for i := 0; i < 5; i++ {
+		if err := w.Send([]byte{byte(i)}, i%2 == 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.writes != 0 || w.Yields() != 0 {
+		t.Fatalf("under a hold: %d socket writes, %d yields, want none", c.writes, w.Yields())
+	}
+	if err := w.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if c.writes != 1 || len(c.frames(t)) != 5 || w.Yields() != 1 {
+		t.Fatalf("Release: %d socket writes carrying %d frames, %d yields; want 1 write of 5 frames, 1 yield",
+			c.writes, len(c.frames(t)), w.Yields())
+	}
+	if err := w.Send([]byte("x"), false); err != nil {
+		t.Fatal(err)
+	}
+	if flushes, frames := w.Flushes(); c.writes != 2 || flushes != 2 || frames != 6 || log.total() != 6 {
+		t.Fatalf("after the hold: %d socket writes, Flushes() = %d, %d; want 2 writes, 2 flushes of 6 frames", c.writes, flushes, frames)
+	}
+}
+
 // TestFrameWriterAppendThenFlush: Append buffers, Flush writes once, the
 // deadline is armed once per burst, and a Flush with nothing buffered
 // costs nothing.
