@@ -160,10 +160,13 @@ func (e *Engine) walFlushHook(r *obs.Registry) func(wal.Flush) {
 	held := r.Histogram("hdd_wal_hold_seconds", "How long the flusher held a batch open for committers due back.")
 	waiters := r.ValueHistogram("hdd_wal_commit_waiters", "Commit markers acknowledged per flushed batch.")
 	inFlight := r.ValueHistogram("hdd_wal_flushes_in_flight", "Flushes whose fsync was still running when a batch's flush started.")
-	var holds [3]*metrics.Counter
+	var holds, holdCommits [3]*metrics.Counter
 	for out, name := range [...]string{wal.HoldNone: "none", wal.HoldReady: "ready", wal.HoldExpired: "expired"} {
 		holds[out] = r.Counter("hdd_wal_hold_total",
 			"Flushed batches by how the flusher's hold ended: none (flushed at once), ready (before its bound: the committers due are back), expired (ran to its bound).",
+			"outcome", name)
+		holdCommits[out] = r.Counter("hdd_wal_hold_commits_total",
+			"Commit markers acknowledged by flushed batches, by how the batch's hold ended (as hdd_wal_hold_total): an expired hold delays every commit in it.",
 			"outcome", name)
 	}
 	return func(f wal.Flush) {
@@ -171,6 +174,7 @@ func (e *Engine) walFlushHook(r *obs.Registry) func(wal.Flush) {
 		waiters.Observe(int64(f.Waiters))
 		inFlight.Observe(int64(f.InFlight))
 		holds[f.Hold].Inc()
+		holdCommits[f.Hold].Add(int64(f.Waiters))
 		if f.Hold != wal.HoldNone {
 			held.Observe(f.Held)
 		}

@@ -208,7 +208,7 @@ func TestEngineObsDurable(t *testing.T) {
 		"hdd_wal_fsync_seconds", "hdd_wal_records_total",
 		"hdd_wal_flush_batches_total", "hdd_wal_syncs_total",
 		"hdd_wal_log_bytes", "hdd_wal_snapshots_total",
-		"hdd_wal_hold_total", "hdd_wal_hold_seconds",
+		"hdd_wal_hold_total", "hdd_wal_hold_commits_total", "hdd_wal_hold_seconds",
 		"hdd_wal_commit_waiters", "hdd_wal_return_seconds",
 		"hdd_wal_flushes_in_flight",
 	} {
@@ -226,6 +226,8 @@ func TestEngineObsDurable(t *testing.T) {
 	wantSeries(t, out, `hdd_wal_flushes_in_flight{quantile="0.99"} 0`)
 	wantSeries(t, out, `hdd_wal_hold_total{outcome="ready"} 0`)
 	wantSeries(t, out, `hdd_wal_hold_total{outcome="expired"} 0`)
+	wantSeries(t, out, `hdd_wal_hold_commits_total{outcome="none"} 5`)
+	wantSeries(t, out, `hdd_wal_hold_commits_total{outcome="expired"} 0`)
 	wantSeries(t, out, "hdd_wal_hold_seconds_count 0")
 
 	kinds := eventKinds(plane)

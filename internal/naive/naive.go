@@ -16,6 +16,7 @@
 package naive
 
 import (
+	"bytes"
 	"fmt"
 
 	"hdd/internal/cc"
@@ -159,7 +160,7 @@ func (t *txn) Read(g schema.GranuleID) ([]byte, error) {
 	e.ctr.Reads.Add(1)
 	if w, ok := t.writes[g]; ok {
 		e.rec.RecordRead(t.init, g, w.ts, true)
-		return append([]byte(nil), w.value...), nil
+		return bytes.Clone(w.value), nil
 	}
 	if t.inRoot(g) {
 		switch e.flavor {
@@ -186,7 +187,7 @@ func (t *txn) Read(g schema.GranuleID) ([]byte, error) {
 				}
 				e.ctr.ReadRegistrations.Add(1)
 				e.rec.RecordRead(t.init, g, vts, ok)
-				return append([]byte(nil), val...), nil
+				return bytes.Clone(val), nil
 			}
 		}
 	}
@@ -195,7 +196,7 @@ func (t *txn) Read(g schema.GranuleID) ([]byte, error) {
 	// a defensive copy.
 	val, vts, ok := e.store.ReadCommittedBefore(g, vclock.Infinity)
 	e.rec.RecordRead(t.init, g, vts, ok)
-	return append([]byte(nil), val...), nil
+	return bytes.Clone(val), nil
 }
 
 // Write implements cc.Txn: writes stay fully controlled under either
@@ -209,7 +210,7 @@ func (t *txn) Write(g schema.GranuleID, value []byte) error {
 	}
 	e := t.eng
 	e.ctr.Writes.Add(1)
-	value = append([]byte(nil), value...) // the one copy: store and write set share it
+	value = bytes.Clone(value) // the one copy: store and write set share it
 	if w, ok := t.writes[g]; ok {
 		e.store.UpdatePending(g, w.ts, value)
 		t.writes[g] = ownWrite{ts: w.ts, value: value}

@@ -23,6 +23,7 @@
 package sdd1
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -178,7 +179,7 @@ func (t *txn) Read(g schema.GranuleID) ([]byte, error) {
 	e.ctr.Reads.Add(1)
 	if v, ok := t.writes[g]; ok {
 		e.rec.RecordRead(t.init, g, t.init, true)
-		return append([]byte(nil), v...), nil
+		return bytes.Clone(v), nil
 	}
 	writerClass := schema.ClassID(g.Segment)
 	if writerClass != t.class && !t.drained[writerClass] {
@@ -196,7 +197,7 @@ func (t *txn) Read(g schema.GranuleID) ([]byte, error) {
 	e.rec.RecordRead(t.init, g, vts, ok)
 	// The store returns shared immutable memory; the cc.Txn boundary owes
 	// the caller a defensive copy.
-	return append([]byte(nil), val...), nil
+	return bytes.Clone(val), nil
 }
 
 // Write implements cc.Txn: writes go to the transaction's own segment; the
@@ -216,7 +217,7 @@ func (t *txn) Write(g schema.GranuleID, value []byte) error {
 		return err
 	}
 	e.ctr.Writes.Add(1)
-	value = append([]byte(nil), value...) // the one copy: store and write set share it
+	value = bytes.Clone(value) // the one copy: store and write set share it
 	if _, ok := t.writes[g]; ok {
 		e.store.UpdatePending(g, t.init, value)
 		t.writes[g] = value

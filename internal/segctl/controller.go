@@ -16,6 +16,7 @@
 package segctl
 
 import (
+	"bytes"
 	"fmt"
 
 	"hdd/internal/schema"
@@ -169,7 +170,7 @@ func (c *Controller) readBelow(req request) response {
 	for i := ch.locate(req.bound); i >= 0; i-- {
 		if ch.versions[i].commit {
 			v := ch.versions[i]
-			return response{value: append([]byte(nil), v.value...), ts: v.ts, ok: true}
+			return response{value: bytes.Clone(v.value), ts: v.ts, ok: true}
 		}
 	}
 	return response{}
@@ -197,7 +198,7 @@ func (c *Controller) readB(req request) (response, bool) {
 		v.readTS = req.readerTS
 		c.regs++
 	}
-	return response{value: append([]byte(nil), v.value...), ts: v.ts, ok: true}, false
+	return response{value: bytes.Clone(v.value), ts: v.ts, ok: true}, false
 }
 
 // writeB serves Protocol B writes: MVTO admission check + pending install.

@@ -1,6 +1,7 @@
 package segctl
 
 import (
+	"bytes"
 	"fmt"
 
 	"hdd/internal/activity"
@@ -160,7 +161,7 @@ func (t *txn) Read(g schema.GranuleID) ([]byte, error) {
 	e.ctr.Reads.Add(1)
 	if v, ok := t.writes[g]; ok {
 		e.rec.RecordRead(t.init, g, t.init, true)
-		return append([]byte(nil), v...), nil
+		return bytes.Clone(v), nil
 	}
 	root := e.part.Class(t.class).Writes
 	switch {
@@ -170,12 +171,12 @@ func (t *txn) Read(g schema.GranuleID) ([]byte, error) {
 		val, vts, ok := e.controller(g.Segment).ReadRegistered(g, t.init, t.init)
 		e.ctr.ReadRegistrations.Add(1)
 		e.rec.RecordRead(t.init, g, vts, ok)
-		return append([]byte(nil), val...), nil
+		return bytes.Clone(val), nil
 	case e.part.MayRead(t.class, g.Segment):
 		bound := e.links.A(t.class, schema.ClassID(g.Segment), t.init)
 		val, vts, ok := e.controller(g.Segment).ReadBelow(g, bound)
 		e.rec.RecordRead(t.init, g, vts, ok)
-		return append([]byte(nil), val...), nil
+		return bytes.Clone(val), nil
 	default:
 		err := &cc.AbortError{Reason: cc.ReasonClassViolation,
 			Err: fmt.Errorf("class %d may not read segment %d", t.class, g.Segment)}
@@ -197,7 +198,7 @@ func (t *txn) Write(g schema.GranuleID, value []byte) error {
 		t.abort()
 		return err
 	}
-	value = append([]byte(nil), value...) // the one copy: store and write set share it
+	value = bytes.Clone(value) // the one copy: store and write set share it
 	if _, ok := t.writes[g]; ok {
 		e.controller(g.Segment).UpdatePending(g, t.init, value)
 		t.writes[g] = value
@@ -299,7 +300,7 @@ func (t *roTxn) Read(g schema.GranuleID) ([]byte, error) {
 	e.rec.RecordRead(t.init, g, vts, ok)
 	// The store returns shared immutable memory; the cc.Txn boundary owes
 	// the caller a defensive copy.
-	return append([]byte(nil), val...), nil
+	return bytes.Clone(val), nil
 }
 
 // Write implements cc.Txn; read-only transactions cannot write.

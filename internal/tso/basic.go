@@ -7,6 +7,7 @@
 package tso
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -143,7 +144,7 @@ func (t *basicTxn) Read(g schema.GranuleID) ([]byte, error) {
 	e.ctr.Reads.Add(1)
 	if v, ok := t.writes[g]; ok {
 		e.rec.RecordRead(t.init, g, t.init, true)
-		return append([]byte(nil), v...), nil
+		return bytes.Clone(v), nil
 	}
 	gr := e.granuleOf(g)
 	for {
@@ -176,7 +177,7 @@ func (t *basicTxn) Read(g schema.GranuleID) ([]byte, error) {
 		if val == nil {
 			return nil, nil
 		}
-		return append([]byte(nil), val...), nil
+		return bytes.Clone(val), nil
 	}
 }
 
@@ -193,7 +194,7 @@ func (t *basicTxn) Write(g schema.GranuleID, value []byte) error {
 	e := t.eng
 	e.ctr.Writes.Add(1)
 	if _, ok := t.writes[g]; ok {
-		t.writes[g] = append([]byte(nil), value...)
+		t.writes[g] = bytes.Clone(value)
 		return nil
 	}
 	gr := e.granuleOf(g)
@@ -224,12 +225,12 @@ func (t *basicTxn) Write(g schema.GranuleID, value []byte) error {
 			<-done
 			continue
 		}
-		gr.pending = &prewrite{ts: t.init, value: append([]byte(nil), value...), done: make(chan struct{})}
+		gr.pending = &prewrite{ts: t.init, value: bytes.Clone(value), done: make(chan struct{})}
 		gr.mu.Unlock()
 		if t.writes == nil {
 			t.writes = make(map[schema.GranuleID][]byte)
 		}
-		t.writes[g] = append([]byte(nil), value...)
+		t.writes[g] = bytes.Clone(value)
 		e.rec.RecordWrite(t.init, g, t.init)
 		return nil
 	}
@@ -250,7 +251,7 @@ func (t *basicTxn) Commit() error {
 			gr.mu.Unlock()
 			panic(fmt.Sprintf("tso: commit of %v without prewrite", g))
 		}
-		gr.value = append([]byte(nil), v...)
+		gr.value = bytes.Clone(v)
 		gr.wts = t.init
 		gr.pending = nil
 		p.committed = true

@@ -1,6 +1,7 @@
 package tso
 
 import (
+	"bytes"
 	"fmt"
 
 	"hdd/internal/cc"
@@ -104,7 +105,7 @@ func (t *mvtoTxn) Read(g schema.GranuleID) ([]byte, error) {
 	e.ctr.Reads.Add(1)
 	if v, ok := t.writes[g]; ok {
 		e.rec.RecordRead(t.init, g, t.init, true)
-		return append([]byte(nil), v...), nil
+		return bytes.Clone(v), nil
 	}
 	for {
 		val, vts, ok, wait := e.store.ReadRegistered(g, t.init, t.init)
@@ -117,7 +118,7 @@ func (t *mvtoTxn) Read(g schema.GranuleID) ([]byte, error) {
 		e.rec.RecordRead(t.init, g, vts, ok)
 		// The store returns shared immutable memory; the cc.Txn boundary
 		// owes the caller a defensive copy.
-		return append([]byte(nil), val...), nil
+		return bytes.Clone(val), nil
 	}
 }
 
@@ -132,7 +133,7 @@ func (t *mvtoTxn) Write(g schema.GranuleID, value []byte) error {
 	}
 	e := t.eng
 	e.ctr.Writes.Add(1)
-	value = append([]byte(nil), value...) // the one copy: store and write set share it
+	value = bytes.Clone(value) // the one copy: store and write set share it
 	if _, ok := t.writes[g]; ok {
 		e.store.UpdatePending(g, t.init, value)
 		t.writes[g] = value

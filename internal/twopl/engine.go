@@ -1,6 +1,7 @@
 package twopl
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -148,7 +149,7 @@ func (t *lockTxn) Read(g schema.GranuleID) ([]byte, error) {
 	e.ctr.Reads.Add(1)
 	if w, ok := t.writes[g]; ok {
 		e.rec.RecordRead(t.init, g, w.ts, true)
-		return append([]byte(nil), w.value...), nil
+		return bytes.Clone(w.value), nil
 	}
 	blocked, err := e.locks.Acquire(t.init, g, Shared)
 	if blocked {
@@ -164,7 +165,7 @@ func (t *lockTxn) Read(g schema.GranuleID) ([]byte, error) {
 	e.rec.RecordRead(t.init, g, vts, ok)
 	// The store returns shared immutable memory; the cc.Txn boundary owes
 	// the caller a defensive copy.
-	return append([]byte(nil), val...), nil
+	return bytes.Clone(val), nil
 }
 
 // Write implements cc.Txn: exclusive lock, then install a pending version.
@@ -186,7 +187,7 @@ func (t *lockTxn) Write(g schema.GranuleID, value []byte) error {
 		t.abort()
 		return &cc.AbortError{Reason: cc.ReasonDeadlock, Err: err}
 	}
-	value = append([]byte(nil), value...) // the one copy: store and write set share it
+	value = bytes.Clone(value) // the one copy: store and write set share it
 	if w, ok := t.writes[g]; ok {
 		e.store.UpdatePending(g, w.ts, value)
 		t.writes[g] = ownWrite{ts: w.ts, value: value}
@@ -279,7 +280,7 @@ func (t *snapshotTxn) Read(g schema.GranuleID) ([]byte, error) {
 	e.rec.RecordRead(t.init, g, vts, ok)
 	// The store returns shared immutable memory; the cc.Txn boundary owes
 	// the caller a defensive copy.
-	return append([]byte(nil), val...), nil
+	return bytes.Clone(val), nil
 }
 
 // Write implements cc.Txn; snapshot transactions cannot write.

@@ -192,10 +192,18 @@ func (m *model) handle(e event) {
 	}
 }
 
+// holdAlways makes every model hold whenever holdLeft says to, as sched
+// did before it learned which holds pay: the reference the hold outcomes
+// are judged against.
+var holdAlways bool
+
 // flusher looks once, as Log's flusher does when it wakes.
 func (m *model) flusher() {
 	m.kicked, m.timer = false, time.Time{}
 	for {
+		if holdAlways {
+			m.s.stray = 0
+		}
 		d := m.s.decide(m.now)
 		if d > 0 {
 			if d != forever {
@@ -367,15 +375,47 @@ type modelRow struct {
 	shape string
 	fl    []*mflush
 	merge int // flush at which a split cohort merges; -1 for none
+	loop  loop
 }
+
+// loop is who sends a row's markers: committers that come back when
+// acknowledged, arrivals that come regardless, or both (or neither).
+type loop uint8
+
+const (
+	closedLoop loop = iota
+	openLoop
+	mixedLoop
+)
 
 func (r modelRow) String() string {
 	per, mean, p95 := stats(r.fl)
+	held, expired := holdShares(r.fl)
 	merge := "-"
 	if r.merge >= 0 {
 		merge = fmt.Sprint(r.merge)
 	}
-	return fmt.Sprintf("%-34s %6.2f %6.3f %6.3f %5s", r.shape, per, mean, p95, merge)
+	return fmt.Sprintf("%-34s %6.2f %6.3f %6.3f %5s %5.1f %5.1f", r.shape, per, mean, p95, merge, 100*held, 100*expired)
+}
+
+// holdShares is the share of fl's markers whose flush was held, and of
+// those whose hold ran to its bound.
+func holdShares(fl []*mflush) (held, expired float64) {
+	var n, h, e int
+	for _, f := range fl {
+		n += len(f.markers)
+		switch f.Hold {
+		case HoldReady:
+			h += len(f.markers)
+		case HoldExpired:
+			h += len(f.markers)
+			e += len(f.markers)
+		}
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	return float64(h) / float64(n), float64(e) / float64(n)
 }
 
 // modelRows runs every shape.
@@ -384,11 +424,11 @@ func modelRows(t testing.TB) []modelRow {
 	for _, k := range []int{1, 2, 4, 8, 16} {
 		for _, t := range []float64{0, 0.25, 0.5, 0.75, 1} {
 			m := newModel(k, t, t+0.1, 0, int64(k))
-			rows = append(rows, modelRow{fmt.Sprintf("closed k=%d think=%.2f-%.2f", k, t, t+0.1), m.steady(), -1})
+			rows = append(rows, modelRow{fmt.Sprintf("closed k=%d think=%.2f-%.2f", k, t, t+0.1), m.steady(), -1, closedLoop})
 		}
 	}
 	for _, r := range []float64{0.5, 1, 2, 3, 4, 8} {
-		rows = append(rows, modelRow{fmt.Sprintf("poisson %.1f/flush", r), newModel(0, 0, 0, r, 7).steady(), -1})
+		rows = append(rows, modelRow{fmt.Sprintf("poisson %.1f/flush", r), newModel(0, 0, 0, r, 7).steady(), -1, openLoop})
 	}
 	for _, c := range []struct {
 		k      int
@@ -396,18 +436,18 @@ func modelRows(t testing.TB) []modelRow {
 		rate   float64
 	}{{4, 0.5, 0.6, 1}, {8, 0.25, 0.35, 2}, {2, 0, 0.1, 4}} {
 		rows = append(rows, modelRow{fmt.Sprintf("closed k=%d think=%.2f-%.2f + poisson %.0f", c.k, c.lo, c.hi, c.rate),
-			newModel(c.k, c.lo, c.hi, c.rate, 3).steady(), -1})
+			newModel(c.k, c.lo, c.hi, c.rate, 3).steady(), -1, mixedLoop})
 	}
 	split := splitModel()
 	rows = append(rows,
-		modelRow{"forced 4+4 split", split, merged(split, 8)},
-		modelRow{"absent committer", absentModel()[1:], -1},
-		modelRow{"lone committer", newModel(1, 0.15, 0.15, 0, 1).steady(), -1},
-		modelRow{"idle log, then one marker", []*mflush{idleModel()}, -1},
-		modelRow{"update_durable: 8 closed, 0.51", newModel(8, 0.46, 0.56, 0, 13).steady(), -1},
-		modelRow{"mixed_contended: poisson 3.6", newModel(0, 0, 0, 3.6, 13).steady(), -1},
-		modelRow{"mixed_contended: recorded arrivals", recordedModel(t, false), -1},
-		modelRow{"  and recorded flush times", recordedModel(t, true), -1})
+		modelRow{"forced 4+4 split", split, merged(split, 8), closedLoop},
+		modelRow{"absent committer", absentModel()[1:], -1, closedLoop},
+		modelRow{"lone committer", newModel(1, 0.15, 0.15, 0, 1).steady(), -1, closedLoop},
+		modelRow{"idle log, then one marker", []*mflush{idleModel()}, -1, mixedLoop},
+		modelRow{"update_durable: 8 closed, 0.51", newModel(8, 0.46, 0.56, 0, 13).steady(), -1, closedLoop},
+		modelRow{"mixed_contended: poisson 3.6", newModel(0, 0, 0, 3.6, 13).steady(), -1, openLoop},
+		modelRow{"mixed_contended: recorded arrivals", recordedModel(t, false), -1, openLoop},
+		modelRow{"  and recorded flush times", recordedModel(t, true), -1, openLoop})
 	return rows
 }
 
@@ -415,7 +455,7 @@ func modelRows(t testing.TB) []modelRow {
 // every shape. Any change to it is a change of rule, made on purpose.
 func TestModelTable(t *testing.T) {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "%-34s %6s %6s %6s %5s\n", "shape", "c/sync", "mean", "p95", "merge")
+	fmt.Fprintf(&b, "%-34s %6s %6s %6s %5s %5s %5s\n", "shape", "c/sync", "mean", "p95", "merge", "held%", "exp%")
 	for _, r := range modelRows(t) {
 		fmt.Fprintln(&b, r)
 	}
@@ -551,5 +591,38 @@ func TestModelLeavesPoissonArrivalsAlone(t *testing.T) {
 func TestModelOpenLoopCommitWaitsOneFlush(t *testing.T) {
 	if _, mean, _ := stats(poissonModel(300, 3, 35)); mean > 1.3 {
 		t.Errorf("mean commit latency %.3f flushes under Poisson arrivals, want at most 1.3", mean)
+	}
+}
+
+// TestModelHoldsOnlyWhatPays: sched stops holding for committers that do
+// not come back within the hold's bound. Against the same rows run with
+// every hold taken (holdAlways), open-loop and recorded rows lose at least
+// three quarters of their waiters in expired holds, while no closed-loop
+// row gains an expired waiter or loses more than 5 % of its commits per
+// sync.
+func TestModelHoldsOnlyWhatPays(t *testing.T) {
+	holdAlways = true
+	defer func() { holdAlways = false }()
+	always := modelRows(t)
+	holdAlways = false
+	for i, r := range modelRows(t) {
+		a := always[i]
+		_, exp := holdShares(r.fl)
+		_, was := holdShares(a.fl)
+		per, _, _ := stats(r.fl)
+		perWas, _, _ := stats(a.fl)
+		switch r.loop {
+		case openLoop:
+			if exp > was/4 {
+				t.Errorf("%s: %.1f%% of waiters in expired holds, want at most a quarter of %.1f%%", r.shape, 100*exp, 100*was)
+			}
+		case closedLoop:
+			if exp > was {
+				t.Errorf("%s: %.1f%% of waiters in expired holds, want at most %.1f%%", r.shape, 100*exp, 100*was)
+			}
+			if per < perWas*0.95 {
+				t.Errorf("%s: %.2f commits per sync, want within 5%% of %.2f", r.shape, per, perWas)
+			}
+		}
 	}
 }

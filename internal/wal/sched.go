@@ -27,7 +27,17 @@ type sched struct {
 	youngAt  time.Time // when the youngest started
 	young    bool      // it was held for a returning cohort
 	blocked  bool      // decide waits for a resolve, which alone kicks it
+
+	stray float64 // share of recent commit markers that came with nobody due
 }
+
+// A marker that arrives while nobody is due comes from a committer no
+// acknowledgement released: open-loop traffic, which comes whether or not
+// the batch is held. Once more than one marker in sixteen does
+// (strayMax), the committers counted due are not the ones arriving and a
+// hold would mostly run to its bound, so none is begun. stray is an EWMA
+// of that event with gain strayGain; a closed-loop cohort keeps it near 0.
+const strayGain, strayMax = 1.0 / 128, 1.0 / 16
 
 // pending reports whether the open batch has anything to flush.
 func (s *sched) pending() bool { return s.waiters > 0 || s.sync || s.full }
@@ -41,6 +51,10 @@ func (s *sched) append(now time.Time, marker, full bool) bool {
 		if s.due == 1 {
 			s.sample(now.Sub(s.ackAt))
 		}
+		s.stray -= s.stray * strayGain
+		if s.due == 0 && !s.ackAt.IsZero() { // before any ack nobody can be due
+			s.stray += strayGain
+		}
 		s.due = max(s.due-1, 0)
 	}
 	return (marker || full) && !s.blocked
@@ -51,7 +65,7 @@ func (s *sched) append(now time.Time, marker, full bool) bool {
 // the batch starts beside the flushes in flight only while the youngest is
 // under half a flush old and neither was held for a returning cohort
 // (overlapped, a cohort splits), else it waits for a resolve and holds
-// afresh. A commit arriving on its own waits for its own flush only.
+// afresh. Open-loop commits are not held (strayMax).
 func (s *sched) decide(now time.Time) time.Duration {
 	if s.blocked || !s.pending() {
 		return forever
@@ -83,9 +97,9 @@ func (s *sched) outcome(now time.Time) HoldOutcome {
 }
 
 // holdLeft reports how much longer to hold the open batch (<= 0: none); a
-// Sync, the byte threshold or Close ends any hold, FlushInterval's too.
-// Those due are expected within w: the return estimate padded with its
-// deviation, so scattered open-loop arrivals never look due in time, less
+// Sync, the byte threshold or Close ends any hold, FlushInterval's too;
+// stray markers mean nobody worth holding for (strayMax). Those due are
+// expected within w: the return estimate padded with its deviation, less
 // the time since the ack. After the first look a marker came since prev, so
 // w is at most now-prev per marker due: early returns must not end a hold.
 func (s *sched) holdLeft(now time.Time) time.Duration {
@@ -94,6 +108,9 @@ func (s *sched) holdLeft(now time.Time) time.Duration {
 	}
 	if s.interval > 0 {
 		return s.interval
+	}
+	if s.stray > strayMax {
+		return 0
 	}
 	since := now.Sub(s.ackAt)
 	w := max(s.ret+s.dev-since, 0)

@@ -31,7 +31,10 @@ import (
 // flusher wakes. A closed-loop cohort shares one fsync: the open batch is
 // held while committers recent batches acknowledged are due back soon
 // enough that waiting costs less than flushing without them (holdWorth).
-// A lone or open-loop commit is not held, and starts beside the flushes in
+// A lone commit is not held: nobody is due. Open-loop commits are not
+// held once more than one marker in sixteen arrives with nobody due
+// (strayMax): those counted due are then not the ones arriving, and holds
+// mostly run to their bound. An unheld batch starts beside the flushes in
 // flight unless the youngest is half a flush old or either was held for a
 // cohort; then records pile into the next batch (backpressure).
 // FlushInterval > 0 holds each batch a fixed time instead; FlushBytes and
