@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -314,6 +315,26 @@ func idleModel() *mflush {
 	return m.settle(m.flushes[len(m.flushes)-1:])[0]
 }
 
+// rejoinModel acknowledges one marker, lets the log idle for three flush
+// times and starts a cohort of sixteen: the acknowledged committer counts
+// as due and never comes back, so all but one of the first wave find
+// nobody due. It returns the flushes from the cohort's first on.
+func rejoinModel() []*mflush {
+	m := newModel(0, 0.25, 0.35, 0, 1)
+	m.at(0, oneOff)
+	m.runFlushes(1)
+	m.settle(m.flushes)
+	m.idle(3 * flushTime)
+	start := len(m.flushes)
+	m.gates = make([]bool, 16)
+	for i := range m.gates {
+		m.gates[i] = true
+		m.at(m.think(), i)
+	}
+	m.runFlushes(start + 40)
+	return m.settle(m.flushes[start:])
+}
+
 // poissonModel sends n open-loop markers at rate per flush time and
 // returns every flush.
 func poissonModel(n int, rate float64, seed int64) []*mflush {
@@ -438,12 +459,13 @@ func modelRows(t testing.TB) []modelRow {
 		rows = append(rows, modelRow{fmt.Sprintf("closed k=%d think=%.2f-%.2f + poisson %.0f", c.k, c.lo, c.hi, c.rate),
 			newModel(c.k, c.lo, c.hi, c.rate, 3).steady(), -1, mixedLoop})
 	}
-	split := splitModel()
+	split, rejoin := splitModel(), rejoinModel()
 	rows = append(rows,
 		modelRow{"forced 4+4 split", split, merged(split, 8), closedLoop},
 		modelRow{"absent committer", absentModel()[1:], -1, closedLoop},
 		modelRow{"lone committer", newModel(1, 0.15, 0.15, 0, 1).steady(), -1, closedLoop},
 		modelRow{"idle log, then one marker", []*mflush{idleModel()}, -1, mixedLoop},
+		modelRow{"idle log, then a cohort of 16", rejoin, merged(rejoin, 16), closedLoop},
 		modelRow{"update_durable: 8 closed, 0.51", newModel(8, 0.46, 0.56, 0, 13).steady(), -1, closedLoop},
 		modelRow{"mixed_contended: poisson 3.6", newModel(0, 0, 0, 3.6, 13).steady(), -1, openLoop},
 		modelRow{"mixed_contended: recorded arrivals", recordedModel(t, false), -1, openLoop},
@@ -594,34 +616,75 @@ func TestModelOpenLoopCommitWaitsOneFlush(t *testing.T) {
 	}
 }
 
+// figures is what TestModelHoldsOnlyWhatPays reads of a row.
+type figures struct {
+	shape                   string
+	loop                    loop
+	per, mean, p95, expired float64
+}
+
+func figuresOf(rows []modelRow) []figures {
+	out := make([]figures, len(rows))
+	for i, r := range rows {
+		out[i].shape, out[i].loop = r.shape, r.loop
+		out[i].per, out[i].mean, out[i].p95 = stats(r.fl)
+		_, out[i].expired = holdShares(r.fl)
+	}
+	return out
+}
+
+// paired holds every row's figures with the rule and with every hold
+// taken (holdAlways), made once per test binary: both runs are
+// deterministic, so repeating them under -count adds nothing
+// (TestModelTable reruns the rule).
+var paired struct {
+	once         sync.Once
+	rule, always []figures
+}
+
+func pairedRows(t testing.TB) (rule, always []figures) {
+	paired.once.Do(func() {
+		defer func() { holdAlways = false }()
+		holdAlways = true
+		paired.always = figuresOf(modelRows(t))
+		holdAlways = false
+		paired.rule = figuresOf(modelRows(t))
+	})
+	if len(paired.rule) == 0 {
+		t.Fatal("model rows were not made")
+	}
+	return paired.rule, paired.always
+}
+
 // TestModelHoldsOnlyWhatPays: sched stops holding for committers that do
 // not come back within the hold's bound. Against the same rows run with
-// every hold taken (holdAlways), open-loop and recorded rows lose at least
-// three quarters of their waiters in expired holds, while no closed-loop
-// row gains an expired waiter or loses more than 5 % of its commits per
-// sync.
+// every hold taken, open-loop and recorded rows lose at least three
+// quarters of their waiters in expired holds; no closed-loop row gains an
+// expired waiter or loses more than 5 % of its commits per sync; and no
+// row that mixes a cohort with open-loop arrivals gains an expired
+// waiter, a longer mean, or a p95 more than 5 % longer.
 func TestModelHoldsOnlyWhatPays(t *testing.T) {
-	holdAlways = true
-	defer func() { holdAlways = false }()
-	always := modelRows(t)
-	holdAlways = false
-	for i, r := range modelRows(t) {
+	rule, always := pairedRows(t)
+	for i, r := range rule {
 		a := always[i]
-		_, exp := holdShares(r.fl)
-		_, was := holdShares(a.fl)
-		per, _, _ := stats(r.fl)
-		perWas, _, _ := stats(a.fl)
 		switch r.loop {
 		case openLoop:
-			if exp > was/4 {
-				t.Errorf("%s: %.1f%% of waiters in expired holds, want at most a quarter of %.1f%%", r.shape, 100*exp, 100*was)
+			if r.expired > a.expired/4 {
+				t.Errorf("%s: %.1f%% of waiters in expired holds, want at most a quarter of %.1f%%", r.shape, 100*r.expired, 100*a.expired)
 			}
 		case closedLoop:
-			if exp > was {
-				t.Errorf("%s: %.1f%% of waiters in expired holds, want at most %.1f%%", r.shape, 100*exp, 100*was)
+			if r.expired > a.expired {
+				t.Errorf("%s: %.1f%% of waiters in expired holds, want at most %.1f%%", r.shape, 100*r.expired, 100*a.expired)
 			}
-			if per < perWas*0.95 {
-				t.Errorf("%s: %.2f commits per sync, want within 5%% of %.2f", r.shape, per, perWas)
+			if r.per < a.per*0.95 {
+				t.Errorf("%s: %.2f commits per sync, want within 5%% of %.2f", r.shape, r.per, a.per)
+			}
+		case mixedLoop:
+			if r.expired > a.expired {
+				t.Errorf("%s: %.1f%% of waiters in expired holds, want at most %.1f%%", r.shape, 100*r.expired, 100*a.expired)
+			}
+			if r.mean > a.mean || r.p95 > a.p95*1.05 {
+				t.Errorf("%s: mean %.3f, p95 %.3f flushes, want at most %.3f and within 5%% of %.3f", r.shape, r.mean, r.p95, a.mean, a.p95)
 			}
 		}
 	}

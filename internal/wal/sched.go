@@ -37,6 +37,9 @@ type sched struct {
 // (strayMax), the committers counted due are not the ones arriving and a
 // hold would mostly run to its bound, so none is begun. stray is an EWMA
 // of that event with gain strayGain; a closed-loop cohort keeps it near 0.
+// Markers more than two flush times after the last ack, or before any,
+// are not counted: whoever was due is stale, and a cohort starting on an
+// idle log would otherwise look stray.
 const strayGain, strayMax = 1.0 / 128, 1.0 / 16
 
 // pending reports whether the open batch has anything to flush.
@@ -52,7 +55,7 @@ func (s *sched) append(now time.Time, marker, full bool) bool {
 			s.sample(now.Sub(s.ackAt))
 		}
 		s.stray -= s.stray * strayGain
-		if s.due == 0 && !s.ackAt.IsZero() { // before any ack nobody can be due
+		if s.due == 0 && now.Sub(s.ackAt) < 2*s.flush {
 			s.stray += strayGain
 		}
 		s.due = max(s.due-1, 0)
@@ -100,8 +103,10 @@ func (s *sched) outcome(now time.Time) HoldOutcome {
 // Sync, the byte threshold or Close ends any hold, FlushInterval's too;
 // stray markers mean nobody worth holding for (strayMax). Those due are
 // expected within w: the return estimate padded with its deviation, less
-// the time since the ack. After the first look a marker came since prev, so
-// w is at most now-prev per marker due: early returns must not end a hold.
+// the time since the ack; the padding declines holds for committers
+// slower than a flush, whose estimate sits at its cap (DESIGN.md §10.3).
+// After the first look a marker came since prev, so w is at most now-prev
+// per marker due: early returns must not end a hold.
 func (s *sched) holdLeft(now time.Time) time.Duration {
 	if s.full || s.sync || s.closing {
 		return 0
