@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-smoke bench-e2e bench-e2e-smoke experiments examples check allocs clean serve stress-mvstore stress-wal stress-core stress-client stress-server fuzz-wal fuzz-wire torture torture-smoke
+.PHONY: all build vet test race cover bench bench-smoke bench-e2e bench-e2e-smoke experiments examples check allocs loc clean serve stress-mvstore stress-wal stress-core stress-client stress-server fuzz-wal fuzz-wire torture torture-smoke
 
 all: build vet test
 
@@ -20,6 +20,12 @@ allocs:
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines, the size trend ROADMAP.md tracks: the root module
+# without examples/ and bench/, then bench/ on its own.
+loc:
+	@echo "root module without examples/ and bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './examples/*' ! -path './bench/*' | xargs cat | wc -l)"
+	@echo "bench/: $$(find ./bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 vet:
 	$(GO) vet ./...
@@ -68,10 +74,10 @@ stress-mvstore:
 
 # The group commit, repeated under the race detector: the wall-clock smoke
 # tests that Log drives its scheduler (cohorts over a slow device, the lone
-# committer, the fixed window, open-loop commits beside the flush in
-# flight), the sticky poison latch, a failed fsync failing the batches
-# after it, a writeback error reaching every overlapping fsync, and the
-# device model's table and assertions. The second line runs the model
+# committer, open-loop commits beside the flush in flight), the pure tests
+# that a Sync and the byte threshold end a hold, the sticky poison latch, a
+# failed fsync failing the batches after it, a writeback error reaching
+# every overlapping fsync, and the device model's table and assertions. The second line runs the model
 # alone: it is deterministic, so any failure is a bug. See DESIGN.md §10.3.
 stress-wal:
 	$(GO) test -race -count=20 -run 'Hold|Cohort|LoneCommitter|GroupCommit|Poison|OpenLoop|FailedSync|Overlap|Model' ./internal/wal/

@@ -64,7 +64,6 @@ func main() {
 		quiet        = flag.Bool("quiet", false, "suppress connection-level diagnostics")
 
 		dataDir       = flag.String("data-dir", "", "durable state directory (snapshot + WAL); empty runs memory-only")
-		walFlush      = flag.Duration("wal-flush-interval", 0, "fixed group-commit wait from a batch's first commit; 0 decides per batch whether committers due back are worth holding the fsync for, and starts the fsyncs of commits arriving on their own beside the one in flight")
 		snapshotBytes = flag.Int64("snapshot-bytes", 8<<20, "WAL size that triggers a background snapshot; negative disables")
 	)
 	flag.Parse()
@@ -80,14 +79,13 @@ func main() {
 	// With -data-dir set, the engine recovers snapshot + WAL before
 	// returning, so the listener only opens on fully recovered state.
 	eng, err := enginereg.Build(*engine, enginereg.Options{
-		Partition:        part,
-		WallInterval:     vclock.Time(*wallInterval),
-		GCEveryCommits:   *gcEvery,
-		TxnTimeout:       *txnTimeout,
-		DataDir:          *dataDir,
-		WALFlushInterval: *walFlush,
-		SnapshotBytes:    *snapshotBytes,
-		Obs:              plane,
+		Partition:      part,
+		WallInterval:   vclock.Time(*wallInterval),
+		GCEveryCommits: *gcEvery,
+		TxnTimeout:     *txnTimeout,
+		DataDir:        *dataDir,
+		SnapshotBytes:  *snapshotBytes,
+		Obs:            plane,
 	})
 	if err != nil {
 		fatal(err)

@@ -85,8 +85,6 @@ const (
 	// CapForceAbort: force-abort of in-flight transactions with reaper
 	// semantics (orphan cleanup).
 	CapForceAbort = cc.CapForceAbort
-	// CapTimeoutBegin: per-transaction deadlines via BeginWithTimeout.
-	CapTimeoutBegin = cc.CapTimeoutBegin
 	// CapScopedReadOnly: read-only transactions declared over a segment
 	// set via BeginReadOnlyFor.
 	CapScopedReadOnly = cc.CapScopedReadOnly

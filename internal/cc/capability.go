@@ -2,13 +2,13 @@ package cc
 
 // The backend capability contract. cc.Engine is deliberately small — Begin,
 // BeginReadOnly, Stats, Close — because that is all six baselines share.
-// Everything else the service stack uses (orphan force-abort, per-txn
-// deadlines, §5 scoped read-only begins, durability introspection,
-// checkpointing) is an *optional* capability: a narrow interface an engine
-// may additionally implement. The server feature-detects capabilities at
-// session setup via CapabilitiesOf/As* and answers opcodes that need a
-// missing capability with a typed "unsupported" status instead of panicking
-// or silently misbehaving (DESIGN.md §12).
+// Everything else the service stack uses (orphan force-abort, §5 scoped
+// read-only begins, durability introspection, checkpointing) is an
+// *optional* capability: a narrow interface an engine may additionally
+// implement. The server feature-detects capabilities at session setup via
+// CapabilitiesOf/As* and answers opcodes that need a missing capability
+// with a typed "unsupported" status instead of panicking or silently
+// misbehaving (DESIGN.md §12).
 
 import (
 	"errors"
@@ -40,8 +40,10 @@ type ForceAborter interface {
 	ForceAbort(id TxnID) bool
 }
 
-// TimeoutBeginner begins update transactions with a per-transaction
-// deadline overriding the engine's configured timeout.
+// TimeoutBeginner is the begin method of the removed per-transaction
+// deadline. No engine implements it and no capability bit names it; it
+// stays declared only because the separate bench module still references
+// it.
 type TimeoutBeginner interface {
 	BeginWithTimeout(class schema.ClassID, timeout time.Duration) (Txn, error)
 }
@@ -121,9 +123,9 @@ type Capability uint32
 const (
 	// CapForceAbort: the engine implements ForceAborter.
 	CapForceAbort Capability = 1 << iota
-	// CapTimeoutBegin: the engine implements TimeoutBeginner.
-	CapTimeoutBegin
-	// Bit 2 named the removed ad-hoc begin capability; it stays unassigned.
+	// Bits 1 and 2 named the removed per-transaction deadline and ad-hoc
+	// begin capabilities; they stay unassigned.
+	_
 	_
 	// CapScopedReadOnly: the engine implements ScopedReadOnlyBeginner.
 	CapScopedReadOnly
@@ -145,7 +147,6 @@ var capNames = []struct {
 	name string
 }{
 	{CapForceAbort, "force-abort"},
-	{CapTimeoutBegin, "timeout-begin"},
 	{CapScopedReadOnly, "scoped-readonly"},
 	{CapActiveTxns, "active-txns"},
 	{CapDurability, "durability"},
@@ -189,9 +190,6 @@ func CapabilitiesOf(e Engine) Capability {
 	if _, ok := e.(ForceAborter); ok {
 		c |= CapForceAbort
 	}
-	if _, ok := e.(TimeoutBeginner); ok {
-		c |= CapTimeoutBegin
-	}
 	if _, ok := e.(ScopedReadOnlyBeginner); ok {
 		c |= CapScopedReadOnly
 	}
@@ -220,14 +218,6 @@ func CapabilitiesOf(e Engine) Capability {
 func AsForceAborter(e Engine) (ForceAborter, bool) {
 	if a, ok := e.(ForceAborter); ok && CapabilitiesOf(e).Has(CapForceAbort) {
 		return a, true
-	}
-	return nil, false
-}
-
-// AsTimeoutBeginner returns the engine's TimeoutBeginner capability, if backed.
-func AsTimeoutBeginner(e Engine) (TimeoutBeginner, bool) {
-	if b, ok := e.(TimeoutBeginner); ok && CapabilitiesOf(e).Has(CapTimeoutBegin) {
-		return b, true
 	}
 	return nil, false
 }

@@ -10,7 +10,6 @@ import "hdd/internal/cc"
 
 var (
 	_ cc.ForceAborter           = (*Engine)(nil)
-	_ cc.TimeoutBeginner        = (*Engine)(nil)
 	_ cc.ScopedReadOnlyBeginner = (*Engine)(nil)
 	_ cc.ActiveTxnCounter       = (*Engine)(nil)
 	_ cc.DurabilityIntrospector = (*Engine)(nil)

@@ -249,11 +249,7 @@ func (e *Engine) initDurability(cfg Config) error {
 	// Recovery step 3: reopen the log for appending, truncating the torn
 	// tail. Every append precedes its committer's marker, so a failed
 	// flush always reaches a commit wait, which poisons the engine.
-	log, err := wal.Open(walPath, valid, wal.Options{
-		FlushInterval: cfg.WALFlushInterval,
-		FS:            fs,
-		OnFlush:       onFlush,
-	})
+	log, err := wal.Open(walPath, valid, wal.Options{FS: fs, OnFlush: onFlush})
 	if err != nil {
 		return err
 	}
@@ -280,12 +276,8 @@ func (e *Engine) initDurability(cfg Config) error {
 	}
 
 	if d.snapshotBytes > 0 {
-		interval := cfg.SnapshotInterval
-		if interval <= 0 {
-			interval = time.Second
-		}
 		e.bgWG.Add(1)
-		go e.snapshotter(interval)
+		go e.snapshotter()
 	}
 	return nil
 }
@@ -293,11 +285,10 @@ func (e *Engine) initDurability(cfg Config) error {
 // replayWAL applies the redo log to the store. Writes are buffered per
 // transaction and installed only when that transaction's commit marker
 // appears — a transaction without a durable marker never happened
-// (no-steal redo-only recovery). The engine writes nothing else, but a
-// log from an earlier build also holds Abort records, which drop a
-// buffered write, and Prune records, which re-run GC; both are honoured.
-// high is advanced over every timestamp seen, committed or not, so the
-// restarted clock can never re-issue a timestamp that reached the log.
+// (no-steal redo-only recovery); wal.Replay refuses a log from an earlier
+// build that holds Abort or Prune records. high is advanced over every
+// timestamp seen, committed or not, so the restarted clock can never
+// re-issue a timestamp that reached the log.
 //
 // Replay goes through the store's ordinary mutation entry points
 // (InstallPending, Commit, GC), so each replayed commit is published to
@@ -324,9 +315,6 @@ func (e *Engine) replayWAL(r io.Reader, high *vclock.Time) (valid, records int64
 				v = []byte{} // an empty value decodes as nil; nil reads as no granule
 			}
 			m[schema.GranuleID{Segment: rec.Seg, Key: rec.Key}] = v
-		case wal.KindAbort:
-			observe(rec.Txn)
-			delete(pending[rec.Txn], schema.GranuleID{Segment: rec.Seg, Key: rec.Key})
 		case wal.KindCommit:
 			observe(rec.Txn)
 			for g, v := range pending[rec.Txn] {
@@ -342,9 +330,6 @@ func (e *Engine) replayWAL(r io.Reader, high *vclock.Time) (valid, records int64
 				e.store.Commit(g, rec.Txn)
 			}
 			delete(pending, rec.Txn)
-		case wal.KindPrune:
-			observe(rec.Watermark)
-			e.store.GC(rec.Watermark)
 		}
 		return nil
 	})
@@ -433,11 +418,11 @@ func (e *Engine) writeSnapshotFile(path string) error {
 	return nil
 }
 
-// snapshotter polls the log size and snapshots once it crosses the
-// configured threshold, bounding recovery time and disk use.
-func (e *Engine) snapshotter(interval time.Duration) {
+// snapshotter polls the log size once a second and snapshots once it
+// crosses the configured threshold, bounding recovery time and disk use.
+func (e *Engine) snapshotter() {
 	defer e.bgWG.Done()
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(time.Second)
 	defer tick.Stop()
 	for {
 		select {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -320,12 +322,11 @@ func TestSnapshotterRunsInBackground(t *testing.T) {
 	part := twoLevel(t)
 	dir := t.TempDir()
 	e, err := NewEngine(Config{
-		Partition:        part,
-		WallInterval:     8,
-		Durability:       DurabilityWAL,
-		DataDir:          dir,
-		SnapshotBytes:    1, // every poll finds the log over threshold
-		SnapshotInterval: time.Millisecond,
+		Partition:     part,
+		WallInterval:  8,
+		Durability:    DurabilityWAL,
+		DataDir:       dir,
+		SnapshotBytes: 1, // every poll (once a second) finds the log over threshold
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -413,10 +414,7 @@ func TestLogHoldsCommittedWritesOnly(t *testing.T) {
 	}
 
 	// A reaper force-abort of a transaction holding a pending write.
-	r, err := e.BeginWithTimeout(0, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := beginWithTimeout(t, e, 0, time.Millisecond)
 	write(t, r, gr(0, 5), "reaped")
 	if n := e.ReapExpired(time.Now().Add(time.Hour)); n != 1 {
 		t.Fatalf("ReapExpired = %d, want 1", n)
@@ -470,20 +468,25 @@ func TestLogHoldsCommittedWritesOnly(t *testing.T) {
 	}
 }
 
-// TestReplayHonoursLegacyAbortAndPruneRecords boots on a log shaped the
-// way earlier builds wrote it, with Abort and Prune records among the
-// writes. Replay must apply them, not read them as a torn tail: that
-// would truncate every acknowledged commit after the first one.
-func TestReplayHonoursLegacyAbortAndPruneRecords(t *testing.T) {
-	part := twoLevel(t)
+// TestReplayRefusesLegacyRecordKinds boots on a log an earlier build
+// wrote, with a Prune record (kind 4) between two acknowledged commits.
+// Recovery must fail naming the kind and offset and leave the log as it
+// was: read as a torn tail, the frame would truncate the second commit.
+func TestReplayRefusesLegacyRecordKinds(t *testing.T) {
 	dir := t.TempDir()
 	var log []byte
 	for _, rec := range []wal.Record{
-		{Kind: wal.KindWrite, Txn: 10, Seg: 0, Key: 1, Value: []byte("aborted")},
-		{Kind: wal.KindAbort, Txn: 10, Seg: 0, Key: 1},
 		{Kind: wal.KindWrite, Txn: 20, Seg: 0, Key: 2, Value: []byte("first")},
 		{Kind: wal.KindCommit, Txn: 20},
-		{Kind: wal.KindPrune, Watermark: 20},
+	} {
+		log = wal.AppendFrame(log, &rec)
+	}
+	at := len(log)
+	prune := []byte{4, 0, 0, 0, 0, 0, 0, 0, 20} // kind, watermark
+	log = binary.BigEndian.AppendUint32(log, uint32(len(prune)))
+	log = binary.BigEndian.AppendUint32(log, crc32.Checksum(prune, crc32.MakeTable(crc32.Castagnoli)))
+	log = append(log, prune...)
+	for _, rec := range []wal.Record{
 		{Kind: wal.KindWrite, Txn: 30, Seg: 0, Key: 3, Value: []byte("second")},
 		{Kind: wal.KindCommit, Txn: 30},
 	} {
@@ -494,22 +497,15 @@ func TestReplayHonoursLegacyAbortAndPruneRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := durableEngine(t, part, dir)
-	defer e.Close()
-	st, _ := e.DurabilityStats()
-	if st.Recovery.TornTail || st.Recovery.ReplayedRecords != 7 || st.Recovery.ReplayedBytes != int64(len(log)) {
-		t.Fatalf("recovery = %+v, want all 7 records (%d bytes) replayed, no torn tail", st.Recovery, len(log))
+	e, err := NewEngine(Config{Partition: twoLevel(t), Durability: DurabilityWAL, DataDir: dir})
+	if want := fmt.Sprintf("retired kind 4 at offset %d", at); err == nil || !strings.Contains(err.Error(), want) {
+		if e != nil {
+			e.Close()
+		}
+		t.Fatalf("recovery over a legacy Prune record: err %v, want one naming %q", err, want)
 	}
 	if fi, err := os.Stat(walPath); err != nil || fi.Size() != int64(len(log)) {
-		t.Fatalf("log after boot: %v, err %v; want its %d bytes untouched", fi, err, len(log))
-	}
-	if v, ok := readLatest(t, e, 0, gr(0, 1)); ok {
-		t.Fatalf("aborted write recovered: %q", v)
-	}
-	for k, want := range map[int]string{2: "first", 3: "second"} {
-		if v, ok := readLatest(t, e, 0, gr(0, k)); !ok || v != want {
-			t.Fatalf("key %d: got (%q, %v), want committed %q", k, v, ok, want)
-		}
+		t.Fatalf("log after the refused boot: %v, err %v; want its %d bytes untouched", fi, err, len(log))
 	}
 }
 

@@ -47,14 +47,14 @@
 // freezes time-wall release, and stops garbage collection. The engine
 // therefore carries a liveness layer the paper leaves implicit:
 //
-//   - Config.TxnTimeout gives every transaction a deadline (per-transaction
-//     overrides via BeginWithTimeout). A Protocol B read blocked on a
-//     pending version wakes on deadline expiry and aborts with
-//     cc.ReasonTimedOut instead of waiting forever.
-//   - A background reaper (see reaper.go) force-aborts transactions still
-//     active past their deadline — releasing their pending versions,
-//     activity-table entries, and wall-floor acquisitions — which restores
-//     wall release and GC progress after a client crash.
+//   - Config.TxnTimeout gives every transaction a deadline. A Protocol B
+//     read blocked on a pending version wakes on deadline expiry and
+//     aborts with cc.ReasonTimedOut instead of waiting forever.
+//   - A background reaper (see reaper.go) scans every TxnTimeout/4 and
+//     force-aborts transactions still active past their deadline —
+//     releasing their pending versions, activity-table entries, and
+//     wall-floor acquisitions — which restores wall release and GC
+//     progress after a client crash.
 //   - Close is a real shutdown: it stops the reaper, wakes every blocked
 //     waiter with cc.ErrEngineClosed, and fails subsequent Begin/Read/Write.
 package core
@@ -112,18 +112,13 @@ type Config struct {
 	GCEveryCommits int64
 	// Recorder observes the produced schedule; nil means no recording.
 	Recorder cc.Recorder
-	// TxnTimeout is the wall-clock deadline applied to every transaction
-	// (BeginWithTimeout overrides it per transaction). A blocked Protocol B
-	// read wakes on expiry and aborts with cc.ReasonTimedOut; the
-	// background reaper force-aborts transactions that stay active past
-	// their deadline, restoring wall and GC progress after client crashes.
-	// Zero disables deadlines (and the reaper, unless ReapInterval is set).
+	// TxnTimeout is the wall-clock deadline applied to every transaction.
+	// A blocked Protocol B read wakes on expiry and aborts with
+	// cc.ReasonTimedOut; the background reaper, scanning every
+	// TxnTimeout/4 (at least 1ms), force-aborts transactions that stay
+	// active past their deadline, restoring wall and GC progress after
+	// client crashes. Zero disables deadlines and the reaper.
 	TxnTimeout time.Duration
-	// ReapInterval is the reaper's scan period. Defaults to TxnTimeout/4
-	// (at least 1ms) when TxnTimeout is set. Setting ReapInterval alone
-	// starts the reaper for engines that only use per-transaction
-	// deadlines.
-	ReapInterval time.Duration
 	// Durability selects the persistence backend (durability.go):
 	// DurabilityNone (default) is memory-only; DurabilityWAL logs every
 	// commit to a write-ahead log under DataDir before acknowledging it
@@ -137,18 +132,11 @@ type Config struct {
 	// (vfs.OS). Tests inject vfs.Faulty to simulate storage faults and
 	// enumerate crash points (DESIGN.md §11).
 	FS vfs.FS
-	// WALFlushInterval is a fixed group-commit window: how long the log
-	// holds a flush batch open from its first commit marker. 0 (default)
-	// lets the log decide per batch (wal.Options.FlushInterval).
-	WALFlushInterval time.Duration
-	// SnapshotBytes is the log size past which the background snapshotter
-	// checkpoints the store and truncates the log. Defaults to 8 MiB;
-	// negative disables automatic snapshots (Snapshot can still be called
-	// explicitly).
+	// SnapshotBytes is the log size past which the background snapshotter,
+	// polling once a second, checkpoints the store and truncates the log.
+	// Defaults to 8 MiB; negative disables automatic snapshots (Snapshot
+	// can still be called explicitly).
 	SnapshotBytes int64
-	// SnapshotInterval is how often the snapshotter polls the log size.
-	// Defaults to 1s.
-	SnapshotInterval time.Duration
 	// Obs attaches an observability plane (DESIGN.md §13): the engine
 	// registers its counters and metric families on the plane's registry
 	// and records trace events into its ring. The engine counts either
@@ -260,25 +248,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	if interval := reapInterval(cfg); interval > 0 {
+	if cfg.TxnTimeout > 0 {
 		e.bgWG.Add(1)
-		go e.reaper(interval)
+		go e.reaper(max(cfg.TxnTimeout/4, time.Millisecond))
 	}
 	return e, nil
-}
-
-func reapInterval(cfg Config) time.Duration {
-	if cfg.ReapInterval > 0 {
-		return cfg.ReapInterval
-	}
-	if cfg.TxnTimeout <= 0 {
-		return 0
-	}
-	interval := cfg.TxnTimeout / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	return interval
 }
 
 // Name implements cc.Engine.

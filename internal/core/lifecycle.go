@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"hdd/internal/cc"
 	"hdd/internal/schema"
@@ -18,24 +17,18 @@ import (
 // Begin implements cc.Engine: it starts an update transaction of the given
 // class, with the engine's configured transaction timeout.
 func (e *Engine) Begin(class schema.ClassID) (cc.Txn, error) {
-	return e.BeginWithTimeout(class, e.txnTimeout)
-}
-
-// BeginWithTimeout starts an update transaction with a per-transaction
-// deadline overriding Config.TxnTimeout; timeout <= 0 means no deadline.
-func (e *Engine) BeginWithTimeout(class schema.ClassID, timeout time.Duration) (cc.Txn, error) {
-	t, _, err := e.begin(class, timeout, false)
+	t, _, err := e.begin(class, false)
 	return t, err
 }
 
 // TryBegin is Begin for a caller that must not wait: it reports ok=false,
 // having done nothing, while a checkpoint holds or awaits the class gate.
 func (e *Engine) TryBegin(class schema.ClassID) (t cc.Txn, ok bool, err error) {
-	return e.begin(class, e.txnTimeout, true)
+	return e.begin(class, true)
 }
 
-// begin is BeginWithTimeout, or with try set TryBegin.
-func (e *Engine) begin(class schema.ClassID, timeout time.Duration, try bool) (cc.Txn, bool, error) {
+// begin is Begin, or with try set TryBegin.
+func (e *Engine) begin(class schema.ClassID, try bool) (cc.Txn, bool, error) {
 	if class < 0 || int(class) >= e.part.NumClasses() {
 		return nil, true, fmt.Errorf("core: unknown class %d", class)
 	}
@@ -59,7 +52,7 @@ func (e *Engine) begin(class schema.ClassID, timeout time.Duration, try bool) (c
 	init := e.act.BeginTxn(int(class), e.clock)
 	e.countBegin(class, init)
 	e.rec.RecordBegin(init, class, false)
-	t := &updateTxn{eng: e, init: init, class: class, deadline: deadlineFor(timeout)}
+	t := &updateTxn{eng: e, init: init, class: class, deadline: deadlineFor(e.txnTimeout)}
 	e.live.register(init, t)
 	return t, true, nil
 }

@@ -11,20 +11,29 @@ import (
 )
 
 // newTimeoutEngine builds an engine over the two-level partition with the
-// given transaction timeout and a fast reaper.
+// given transaction timeout; its reaper scans every timeout/4.
 func newTimeoutEngine(t testing.TB, timeout time.Duration) *Engine {
 	t.Helper()
-	e, err := NewEngine(Config{
-		Partition:    twoLevel(t),
-		WallInterval: 4,
-		TxnTimeout:   timeout,
-		ReapInterval: 2 * time.Millisecond,
-	})
+	e, err := NewEngine(Config{Partition: twoLevel(t), WallInterval: 4, TxnTimeout: timeout})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = e.Close() })
 	return e
+}
+
+// beginWithTimeout begins an update transaction of class whose deadline is
+// timeout from now, as Begin would under Config.TxnTimeout = timeout.
+// Nothing else may begin a transaction on e meanwhile.
+func beginWithTimeout(t testing.TB, e *Engine, class schema.ClassID, timeout time.Duration) cc.Txn {
+	t.Helper()
+	defer func(d time.Duration) { e.txnTimeout = d }(e.txnTimeout)
+	e.txnTimeout = timeout
+	txn, err := e.Begin(class)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return txn
 }
 
 // pump commits n transactions: class-0 writes versioning g0 and class-1
@@ -173,10 +182,7 @@ func TestBlockedReadTimesOut(t *testing.T) {
 	}
 	write(t, writer, gr(0, 1), "pending")
 
-	reader, err := e.BeginWithTimeout(0, 25*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reader := beginWithTimeout(t, e, 0, 25*time.Millisecond)
 	start := time.Now()
 	_, rerr := reader.Read(gr(0, 1))
 	if cc.AbortReason(rerr) != cc.ReasonTimedOut {
@@ -199,26 +205,21 @@ func TestBlockedReadTimesOut(t *testing.T) {
 // pending version's resolve channel, so a patient blocked reader retries
 // and completes against the previous committed version.
 func TestReaperUnblocksWaitingReaders(t *testing.T) {
-	e := newTimeoutEngine(t, time.Minute) // engine default: effectively no deadline
+	// The stuck writer gets the engine's short deadline; the others one
+	// the test outlives.
+	e := newTimeoutEngine(t, 20*time.Millisecond)
 
-	seed, err := e.Begin(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seed := beginWithTimeout(t, e, 0, time.Minute)
 	write(t, seed, gr(0, 1), "committed")
 	mustCommit(t, seed)
 
-	// The stuck writer gets a short per-transaction deadline.
-	writer, err := e.BeginWithTimeout(0, 20*time.Millisecond)
+	writer, err := e.Begin(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	write(t, writer, gr(0, 1), "stuck")
 
-	reader, err := e.Begin(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reader := beginWithTimeout(t, e, 0, time.Minute)
 	got, err := reader.Read(gr(0, 1)) // blocks until the reaper kills writer
 	if err != nil {
 		t.Fatalf("read after reap: %v", err)
@@ -305,10 +306,7 @@ func TestReapExpiredManual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := e.BeginWithTimeout(1, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	short := beginWithTimeout(t, e, 1, 10*time.Millisecond)
 	if n := e.ActiveTxns(); n != 2 {
 		t.Fatalf("ActiveTxns = %d", n)
 	}

@@ -40,12 +40,7 @@ func BenchmarkWALCommit(b *testing.B) {
 	}
 	modes := []mode{
 		{"none", func(string) Config { return base() }},
-		{"group", walCfg}, // FlushInterval 0: flush ASAP, batch by backpressure
-		{"group-1ms", func(dir string) Config {
-			cfg := walCfg(dir)
-			cfg.WALFlushInterval = time.Millisecond // group-commit window
-			return cfg
-		}},
+		{"group", walCfg},
 	}
 	for _, m := range modes {
 		for _, committers := range []int{1, 8} {

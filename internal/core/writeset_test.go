@@ -160,15 +160,9 @@ func TestReapForceAbortsWithOnDemandCancel(t *testing.T) {
 	}
 	write(t, writer, gr(0, 1), "pending")
 
-	idle, err := e.BeginWithTimeout(0, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idle := beginWithTimeout(t, e, 0, time.Hour)
 	write(t, idle, gr(0, 2), "idle")
-	reader, err := e.BeginWithTimeout(0, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reader := beginWithTimeout(t, e, 0, time.Hour)
 	got := blockedRead(t, e, reader, gr(0, 1))
 	if n := e.ReapExpired(time.Now().Add(2 * time.Hour)); n != 2 {
 		t.Fatalf("ReapExpired = %d, want 2", n)

@@ -52,7 +52,9 @@ type Options struct {
 	// DataDir enables the durability layer (snapshot + WAL) for engines
 	// that have one; empty runs memory-only.
 	DataDir string
-	// WALFlushInterval is a fixed group-commit window; 0 decides per batch.
+	// WALFlushInterval named the removed fixed group-commit window; Build
+	// refuses a non-zero value. It stays declared only because the
+	// separate bench module still sets it (to 0).
 	WALFlushInterval time.Duration
 	// SnapshotBytes is the WAL size that triggers a background snapshot;
 	// negative disables automatic snapshots.
@@ -94,7 +96,6 @@ var entries = []Entry{
 		if o.DataDir != "" {
 			cfg.Durability = core.DurabilityWAL
 			cfg.DataDir = o.DataDir
-			cfg.WALFlushInterval = o.WALFlushInterval
 			cfg.SnapshotBytes = o.SnapshotBytes
 			cfg.FS = o.FS
 		}
@@ -152,12 +153,16 @@ func Lookup(name string) (Entry, bool) {
 
 // Build constructs the named engine. An unknown name errors listing every
 // registered name; a DataDir against an engine without a durability layer
-// errors rather than silently running memory-only.
+// errors rather than silently running memory-only, as does a non-zero
+// WALFlushInterval.
 func Build(name string, opts Options) (cc.Engine, error) {
 	e, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("enginereg: unknown engine %q (registered: %s)",
 			name, strings.Join(Names(), ", "))
+	}
+	if opts.WALFlushInterval != 0 {
+		return nil, fmt.Errorf("enginereg: the fixed group-commit window is gone; WALFlushInterval must be 0")
 	}
 	if opts.DataDir != "" && !e.Durable {
 		return nil, fmt.Errorf("enginereg: engine %s has no durability layer; -data-dir requires one of: %s",

@@ -3,6 +3,7 @@ package enginereg
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"hdd/internal/cc"
 	"hdd/internal/schema"
@@ -117,6 +118,19 @@ func TestDataDirRequiresDurableEngine(t *testing.T) {
 	_, err = Build("2pl", Options{Partition: part, DataDir: t.TempDir()})
 	if err == nil || !strings.Contains(err.Error(), "durability") {
 		t.Fatalf("Build(2PL, DataDir) = %v, want durability error", err)
+	}
+}
+
+// TestFlushIntervalRefused: the fixed group-commit window is gone, so a
+// non-zero WALFlushInterval is an error, not silently ignored.
+func TestFlushIntervalRefused(t *testing.T) {
+	part, err := ChainPartition(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Build("hdd", Options{Partition: part, DataDir: t.TempDir(), WALFlushInterval: time.Millisecond})
+	if err == nil || !strings.Contains(err.Error(), "WALFlushInterval") {
+		t.Fatalf("Build(HDD, WALFlushInterval) = %v, want a WALFlushInterval error", err)
 	}
 }
 

@@ -4,13 +4,11 @@ package fault
 // surface. fault.Engine structurally implements every optional capability
 // interface and reports — via cc.CapabilityReporter — exactly the set the
 // inner engine backs, so cc.CapabilitiesOf and the cc.As* helpers see
-// through the wrapper. Begin-family capabilities hand out fault-injected
+// through the wrapper. BeginReadOnlyFor hands out fault-injected
 // transactions like Begin/BeginReadOnly do; a capability the inner engine
 // lacks fails with cc.ErrNotSupported instead of panicking.
 
 import (
-	"time"
-
 	"hdd/internal/cc"
 	"hdd/internal/schema"
 )
@@ -18,7 +16,6 @@ import (
 var (
 	_ cc.CapabilityReporter     = (*Engine)(nil)
 	_ cc.ForceAborter           = (*Engine)(nil)
-	_ cc.TimeoutBeginner        = (*Engine)(nil)
 	_ cc.ScopedReadOnlyBeginner = (*Engine)(nil)
 	_ cc.ActiveTxnCounter       = (*Engine)(nil)
 	_ cc.DurabilityIntrospector = (*Engine)(nil)
@@ -39,20 +36,6 @@ func (f *Engine) ForceAbort(id cc.TxnID) bool {
 		return a.ForceAbort(id)
 	}
 	return false
-}
-
-// BeginWithTimeout implements cc.TimeoutBeginner, injecting faults into the
-// returned transaction.
-func (f *Engine) BeginWithTimeout(class schema.ClassID, timeout time.Duration) (cc.Txn, error) {
-	b, ok := cc.AsTimeoutBeginner(f.inner)
-	if !ok {
-		return nil, cc.NotSupported(f.Name(), "BeginWithTimeout")
-	}
-	t, err := b.BeginWithTimeout(class, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return f.wrapTxn(t), nil
 }
 
 // BeginReadOnlyFor implements cc.ScopedReadOnlyBeginner, injecting faults

@@ -3,7 +3,6 @@ package fault
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"hdd/internal/cc"
 	"hdd/internal/twopl"
@@ -12,7 +11,7 @@ import (
 // TestCapabilityPassthrough: wrapping *core.Engine must not hide its
 // extended surface — the wrapper reports the inner engine's capability set
 // and delegates every capability, injecting faults into transactions the
-// Begin-family capabilities hand out.
+// scoped read-only begin hands out.
 func TestCapabilityPassthrough(t *testing.T) {
 	e := testEngine(t)
 	f := Wrap(e, Config{Seed: 1})
@@ -27,8 +26,7 @@ func TestCapabilityPassthrough(t *testing.T) {
 	if outer != inner&^cc.CapWaitFreeReadOnly {
 		t.Fatalf("capabilities through the wrapper: inner %v, outer %v, want inner minus %v", inner, outer, cc.CapWaitFreeReadOnly)
 	}
-	want := cc.CapForceAbort | cc.CapTimeoutBegin | cc.CapScopedReadOnly |
-		cc.CapActiveTxns
+	want := cc.CapForceAbort | cc.CapScopedReadOnly | cc.CapActiveTxns
 	if !outer.Has(want) {
 		t.Fatalf("capabilities = %v, want at least %v", outer, want)
 	}
@@ -37,19 +35,11 @@ func TestCapabilityPassthrough(t *testing.T) {
 		t.Fatalf("memory-only engine reports durability capabilities: %v", outer)
 	}
 
-	// BeginWithTimeout through the wrapper hands out a fault-injected txn.
-	b, ok := cc.AsTimeoutBeginner(f)
-	if !ok {
-		t.Fatal("AsTimeoutBeginner(wrapper) = false with a capable inner engine")
-	}
-	txn, err := b.BeginWithTimeout(0, time.Minute)
+	txn, err := f.Begin(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, ok := txn.(*Txn)
-	if !ok {
-		t.Fatalf("BeginWithTimeout returned %T, want a fault-wrapped *Txn", txn)
-	}
+	ft := txn.(*Txn)
 
 	// ForceAbort through the wrapper reaches the inner engine's reap path.
 	fa, ok := cc.AsForceAborter(f)
@@ -89,12 +79,12 @@ func TestCapabilityPassthrough(t *testing.T) {
 func TestCapabilityFaultsApplyToExtendedBegins(t *testing.T) {
 	e := testEngine(t)
 	f := Wrap(e, Config{Seed: 7, CrashProb: 1})
-	txn, err := f.BeginWithTimeout(0, time.Minute)
+	txn, err := f.BeginReadOnlyFor(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := txn.Write(g(0, 1), []byte("v")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("write = %v, want ErrCrashed", err)
+	if _, err := txn.Read(g(0, 1)); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("read = %v, want ErrCrashed", err)
 	}
 	// The abandoned inner transaction is the reaper's problem, as always.
 	if n := e.ActiveTxns(); n != 1 {
@@ -117,17 +107,14 @@ func TestCapabilityVetoOnBareEngine(t *testing.T) {
 	if _, ok := cc.AsForceAborter(f); ok {
 		t.Fatal("AsForceAborter = true for a bare inner engine")
 	}
-	if _, ok := cc.AsTimeoutBeginner(f); ok {
-		t.Fatal("AsTimeoutBeginner = true for a bare inner engine")
+	if _, ok := cc.AsScopedReadOnlyBeginner(f); ok {
+		t.Fatal("AsScopedReadOnlyBeginner = true for a bare inner engine")
 	}
 	if _, ok := cc.AsDurabilityIntrospector(f); ok {
 		t.Fatal("AsDurabilityIntrospector = true for a bare inner engine")
 	}
 	if fa := f.ForceAbort(1); fa {
 		t.Fatal("ForceAbort on a bare inner engine reported success")
-	}
-	if _, err := f.BeginWithTimeout(0, time.Second); !errors.Is(err, cc.ErrNotSupported) {
-		t.Fatalf("BeginWithTimeout = %v, want ErrNotSupported", err)
 	}
 	if _, err := f.BeginReadOnlyFor(0); !errors.Is(err, cc.ErrNotSupported) {
 		t.Fatalf("BeginReadOnlyFor = %v, want ErrNotSupported", err)

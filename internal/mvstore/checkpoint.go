@@ -56,8 +56,8 @@ func (s *Store) WriteCheckpoint(w io.Writer) (vclock.Time, error) {
 
 // ReadCheckpoint streams a checkpoint through wal.Replay into a new Store
 // and its high-water mark. At the offset Replay reports it refuses a torn
-// frame; no closing record, or one not the largest timestamp; a record after
-// it; a non-Write before it; records out of (segment, key, ts) order.
+// frame or a retired record kind; no closing record, or one not the largest
+// timestamp; a record after it; records out of (segment, key, ts) order.
 func ReadCheckpoint(r io.Reader) (*Store, vclock.Time, error) {
 	s := New()
 	var high, last vclock.Time
@@ -85,8 +85,6 @@ func ReadCheckpoint(r io.Reader) (*Store, vclock.Time, error) {
 			closed = true
 			publish()
 			return nil
-		case rec.Kind != wal.KindWrite:
-			return fmt.Errorf("a %v record before the closing record", rec.Kind)
 		case vs != nil && cmp.Or(granuleCmp(next, g), cmp.Compare(rec.Txn, last)) <= 0:
 			return fmt.Errorf("%v@%d does not follow %v@%d", next, rec.Txn, g, last)
 		case next != g:

@@ -2,6 +2,9 @@ package mvstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -309,13 +312,20 @@ func TestCheckpointRefusesRecordAfterClosing(t *testing.T) {
 	refused(t, append(head, frames(write(0, 2, 6, "b"))...), len(head), "follows the closing record")
 }
 
+// rawFrame frames payload as the log does, whatever its record kind.
+func rawFrame(payload ...byte) []byte {
+	p := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	p = binary.BigEndian.AppendUint32(p, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(p, payload...)
+}
+
 func TestCheckpointRefusesOtherKinds(t *testing.T) {
 	head := frames(write(0, 1, 5, "a"))
-	for _, r := range []wal.Record{
-		{Kind: wal.KindAbort, Txn: 5, Key: 1},
-		{Kind: wal.KindPrune, Watermark: 5},
+	for _, r := range [][]byte{
+		rawFrame(3, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), // Abort: txn, seg, key
+		rawFrame(4, 0, 0, 0, 0, 0, 0, 0, 5),                                     // Prune: watermark
 	} {
-		refused(t, append(append([]byte(nil), head...), frames(r, closing(5))...), len(head), "record before the closing record")
+		refused(t, append(append(append([]byte(nil), head...), r...), frames(closing(5))...), len(head), fmt.Sprintf("retired kind %d", r[8]))
 	}
 }
 

@@ -43,7 +43,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	// it, a wrong high-water mark, and no closing record at all.
 	f.Add(frames(write(0, 7, 10, "a"), write(0, 8, 11, "b"), write(0, 7, 20, "c"), closing(20)))
 	f.Add(frames(write(0, 7, 10, "a"), closing(10), write(0, 8, 11, "b")))
-	f.Add(frames(write(0, 7, 10, "a"), wal.Record{Kind: wal.KindPrune, Watermark: 10}, closing(10)))
+	f.Add(append(append(frames(write(0, 7, 10, "a")), rawFrame(4, 0, 0, 0, 0, 0, 0, 0, 10)...), frames(closing(10))...))
 	f.Add(frames(write(0, 7, 10, "a"), closing(11)))
 	f.Add(frames(write(0, 7, 10, "a")))
 

@@ -89,12 +89,15 @@ type Controller struct {
 	regs   int64
 }
 
-// NewController builds a controller for segment seg with the given inbox
-// depth and starts its goroutine.
-func NewController(seg schema.SegmentID, depth int) *Controller {
+// inboxDepth is each controller's channel depth.
+const inboxDepth = 128
+
+// NewController builds a controller for segment seg and starts its
+// goroutine.
+func NewController(seg schema.SegmentID) *Controller {
 	c := &Controller{
 		seg:    seg,
-		inbox:  make(chan request, depth),
+		inbox:  make(chan request, inboxDepth),
 		chains: make(map[uint64]*chain),
 	}
 	go c.run()

@@ -3,6 +3,7 @@ package segctl
 import (
 	"bytes"
 	"fmt"
+	"sync"
 
 	"hdd/internal/activity"
 	"hdd/internal/alink"
@@ -19,8 +20,6 @@ type Config struct {
 	Clock *vclock.Clock
 	// WallInterval paces time-wall releases (§5.2). Defaults to 256.
 	WallInterval vclock.Time
-	// InboxDepth is each controller's channel depth. Defaults to 128.
-	InboxDepth int
 	// Recorder observes the schedule; nil means no recording.
 	Recorder cc.Recorder
 }
@@ -37,6 +36,8 @@ type Engine struct {
 	ctls  []*Controller
 	rec   cc.Recorder
 	ctr   cc.Counters
+
+	closeOnce sync.Once
 }
 
 var _ cc.Engine = (*Engine)(nil)
@@ -51,9 +52,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if cfg.WallInterval <= 0 {
 		cfg.WallInterval = 256
-	}
-	if cfg.InboxDepth <= 0 {
-		cfg.InboxDepth = 128
 	}
 	if cfg.Recorder == nil {
 		cfg.Recorder = cc.NopRecorder{}
@@ -70,7 +68,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		rec:   cfg.Recorder,
 	}
 	for i := range e.ctls {
-		e.ctls[i] = NewController(schema.SegmentID(i), cfg.InboxDepth)
+		e.ctls[i] = NewController(schema.SegmentID(i))
 	}
 	return e, nil
 }
@@ -78,11 +76,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 // Name implements cc.Engine.
 func (e *Engine) Name() string { return "HDD-msg" }
 
-// Close implements cc.Engine: it stops every controller.
+// Close implements cc.Engine: it stops every controller. Close is
+// idempotent.
 func (e *Engine) Close() error {
-	for _, c := range e.ctls {
-		c.Stop()
-	}
+	e.closeOnce.Do(func() {
+		for _, c := range e.ctls {
+			c.Stop()
+		}
+	})
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"hdd/internal/cc"
 	"hdd/internal/core"
@@ -325,7 +326,7 @@ func TestDifferentialWithCoreEngine(t *testing.T) {
 }
 
 func TestControllerGCAndStats(t *testing.T) {
-	c := NewController(0, 8)
+	c := NewController(0)
 	defer c.Stop()
 	g := gr(0, 1)
 	for i := 1; i <= 10; i++ {
@@ -351,5 +352,28 @@ func TestControllerGCAndStats(t *testing.T) {
 func TestEngineValidation(t *testing.T) {
 	if _, err := NewEngine(Config{}); err == nil {
 		t.Fatal("missing partition accepted")
+	}
+}
+
+// TestCloseIsIdempotent: a second Close returns, as HDD's does; it used
+// to send to controllers whose loops had already returned, and wait for
+// replies that never came.
+func TestCloseIsIdempotent(t *testing.T) {
+	e, err := NewEngine(Config{Partition: branching(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		e.Close()
+		done <- e.Close()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("second Close: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a second Close did not return within 2 s")
 	}
 }

@@ -20,9 +20,8 @@ func TestRunSurvivesFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, err := core.NewEngine(core.Config{
-		Partition:    b.Partition(),
-		TxnTimeout:   15 * time.Millisecond,
-		ReapInterval: 2 * time.Millisecond,
+		Partition:  b.Partition(),
+		TxnTimeout: 15 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -400,44 +400,3 @@ func TestOpenLoopCommitWaitsOneFlush(t *testing.T) {
 	}
 	t.Logf("mean latency %v, flush %v, %d commits in %d flushes, %d started beside another", mean, flush, n, len(fl), overlapped)
 }
-
-// TestGroupCommitFixedWindow: a positive FlushInterval still holds every
-// batch for the whole interval from its first commit marker, and the byte
-// threshold and Sync still cut it short.
-func TestGroupCommitFixedWindow(t *testing.T) {
-	const window = 40 * time.Millisecond
-	open := func(flushBytes int) *Log {
-		l, err := Open(filepath.Join(t.TempDir(), "wal.log"), -1,
-			Options{FlushInterval: window, FlushBytes: flushBytes, NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		return l
-	}
-	start := time.Now()
-	if err := open(0).Commit(commitRecord(1))(); err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took < window {
-		t.Errorf("lone commit acknowledged after %v, want the whole %v window", took, window)
-	}
-	start = time.Now()
-	if err := open(8).Commit(commitRecord(1))(); err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took > window/2 {
-		t.Errorf("commit past FlushBytes acknowledged after %v, want the %v window cut short", took, window)
-	}
-	l := open(0)
-	if err := l.Append(&Record{Kind: KindWrite, Txn: 1, Seg: 0, Key: 1, Value: []byte("v")}); err != nil {
-		t.Fatal(err)
-	}
-	start = time.Now()
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took > window/2 {
-		t.Errorf("Sync after an Append returned after %v, want the %v window cut short", took, window)
-	}
-}

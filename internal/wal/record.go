@@ -33,6 +33,9 @@
 // prefix so the next append starts on a clean boundary. A torn tail can
 // only lose records whose commit batch never reported durable, so no
 // acknowledged commit is ever dropped.
+//
+// A CRC-valid frame of a retired kind is no torn tail: Replay refuses the
+// log with an error naming the kind and offset, and nothing is truncated.
 package wal
 
 import (
@@ -58,15 +61,13 @@ const (
 	// engine acknowledges a commit only after the marker's flush batch is
 	// durable.
 	KindCommit Kind = 2
-	// KindAbort logs the removal of one pending version. The engine no
-	// longer writes it; replay still honours it (dropping the buffered
-	// write), so a log written by an earlier build recovers.
-	KindAbort Kind = 3
-	// KindPrune logs a GC pass at a watermark. The engine no longer writes
-	// it; replay still honours it (re-running GC), so a log written by an
-	// earlier build recovers.
-	KindPrune Kind = 4
 )
+
+// retired reports whether k is a kind earlier builds wrote and this one
+// cannot replay: 3 logged the removal of a pending version (Abort), 4 a
+// GC pass (Prune). A log holding one is refused, not truncated there,
+// which would drop every acknowledged commit after it.
+func retired(k Kind) bool { return k == 3 || k == 4 }
 
 // String renders a record kind for diagnostics.
 func (k Kind) String() string {
@@ -75,10 +76,6 @@ func (k Kind) String() string {
 		return "Write"
 	case KindCommit:
 		return "Commit"
-	case KindAbort:
-		return "Abort"
-	case KindPrune:
-		return "Prune"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -87,16 +84,14 @@ func (k Kind) String() string {
 // Txn are meaningful only for the kinds that carry them.
 type Record struct {
 	Kind Kind
-	// Txn is the writing transaction's initiation timestamp (Write,
-	// Commit, Abort) — the identity the engine gives every version.
+	// Txn is the writing transaction's initiation timestamp — the
+	// identity the engine gives every version.
 	Txn vclock.Time
-	// Seg and Key name the granule (Write, Abort).
+	// Seg and Key name the granule (Write).
 	Seg schema.SegmentID
 	Key uint64
 	// Value is the written value (Write).
 	Value []byte
-	// Watermark is the GC watermark (Prune).
-	Watermark vclock.Time
 }
 
 // frameHeader is the per-record framing overhead: length + CRC.
@@ -122,12 +117,6 @@ func AppendRecord(dst []byte, r *Record) []byte {
 		dst = append(dst, r.Value...)
 	case KindCommit:
 		dst = binary.BigEndian.AppendUint64(dst, uint64(r.Txn))
-	case KindAbort:
-		dst = binary.BigEndian.AppendUint64(dst, uint64(r.Txn))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(r.Seg))
-		dst = binary.BigEndian.AppendUint64(dst, r.Key)
-	case KindPrune:
-		dst = binary.BigEndian.AppendUint64(dst, uint64(r.Watermark))
 	default:
 		panic(fmt.Sprintf("wal: encoding unknown record kind %d", r.Kind))
 	}
@@ -186,28 +175,6 @@ func DecodeRecord(p []byte) (Record, error) {
 		r.Txn = vclock.Time(u64())
 		if len(body) != 0 {
 			return Record{}, fmt.Errorf("wal: %d trailing bytes after Commit record", len(body))
-		}
-	case KindAbort:
-		if err := need(20); err != nil {
-			return Record{}, err
-		}
-		r.Txn = vclock.Time(u64())
-		seg := u32()
-		r.Key = u64()
-		if seg > math.MaxInt32 {
-			return Record{}, fmt.Errorf("wal: segment %d out of range", seg)
-		}
-		r.Seg = schema.SegmentID(seg)
-		if len(body) != 0 {
-			return Record{}, fmt.Errorf("wal: %d trailing bytes after Abort record", len(body))
-		}
-	case KindPrune:
-		if err := need(8); err != nil {
-			return Record{}, err
-		}
-		r.Watermark = vclock.Time(u64())
-		if len(body) != 0 {
-			return Record{}, fmt.Errorf("wal: %d trailing bytes after Prune record", len(body))
 		}
 	default:
 		return Record{}, fmt.Errorf("wal: unknown record kind %d", p[0])

@@ -12,11 +12,10 @@ const forever = time.Duration(math.MaxInt64)
 // that decision and reads no clock: Log feeds it events under Log.mu with
 // time.Now(), the device model in model_test.go with simulated time.
 type sched struct {
-	interval time.Duration // Options.FlushInterval
-	closing  bool          // Close: nothing more comes; flush what waits, hold nothing
+	closing bool // Close: nothing more comes; flush what waits, hold nothing
 
 	waiters          int       // commit markers in the open batch
-	sync, full       bool      // a Sync wants it now; it reached FlushBytes
+	sync, full       bool      // a Sync wants it now; it reached flushBytes
 	began, prev, end time.Time // the hold on it: began, last looked, bound
 
 	due             int // committers acknowledged at ackAt and not back since
@@ -46,7 +45,7 @@ const strayGain, strayMax = 1.0 / 128, 1.0 / 16
 func (s *sched) pending() bool { return s.waiters > 0 || s.sync || s.full }
 
 // append: a record (a commit marker if marker) joined the open batch at
-// now, full if it reached FlushBytes. Kick the flusher if it reports true.
+// now, full if it reached flushBytes. Kick the flusher if it reports true.
 func (s *sched) append(now time.Time, marker, full bool) bool {
 	s.full = s.full || full
 	if marker {
@@ -100,19 +99,16 @@ func (s *sched) outcome(now time.Time) HoldOutcome {
 }
 
 // holdLeft reports how much longer to hold the open batch (<= 0: none); a
-// Sync, the byte threshold or Close ends any hold, FlushInterval's too;
-// stray markers mean nobody worth holding for (strayMax). Those due are
-// expected within w: the return estimate padded with its deviation, less
-// the time since the ack; the padding declines holds for committers
-// slower than a flush, whose estimate sits at its cap (DESIGN.md §10.3).
+// Sync, the byte threshold or Close ends any hold; stray markers mean
+// nobody worth holding for (strayMax). Those due are expected within w:
+// the return estimate padded with its deviation, less the time since the
+// ack; the padding declines holds for committers slower than a flush,
+// whose estimate sits at its cap (DESIGN.md §10.3).
 // After the first look a marker came since prev, so w is at most now-prev
 // per marker due: early returns must not end a hold.
 func (s *sched) holdLeft(now time.Time) time.Duration {
 	if s.full || s.sync || s.closing {
 		return 0
-	}
-	if s.interval > 0 {
-		return s.interval
 	}
 	if s.stray > strayMax {
 		return 0

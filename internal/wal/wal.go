@@ -36,9 +36,8 @@ import (
 // (strayMax): those counted due are then not the ones arriving, and holds
 // mostly run to their bound. An unheld batch starts beside the flushes in
 // flight unless the youngest is half a flush old or either was held for a
-// cohort; then records pile into the next batch (backpressure).
-// FlushInterval > 0 holds each batch a fixed time instead; FlushBytes and
-// Sync end either wait.
+// cohort; then records pile into the next batch (backpressure). A Sync,
+// or a batch past flushBytes, ends a hold at once.
 //
 // Ack order vs flush order: a waiter is only released once its batch and
 // every batch before it are durable. The engine enqueues a transaction's
@@ -51,20 +50,13 @@ var ErrClosed = errors.New("wal: log closed")
 // maxInFlight bounds the flushes whose fsync runs at once.
 const maxInFlight = 8
 
+// flushBytes flushes a batch early once this many bytes are pending,
+// bounding buffered memory under write bursts.
+const flushBytes = 256 << 10
+
 // Options tunes a Log. The zero value is a usable default, in which a
 // lone committer pays exactly one fsync per commit.
 type Options struct {
-	// FlushInterval is a fixed group-commit window: how long the flusher
-	// waits after a batch's first commit marker before flushing it. 0 (the
-	// default) holds a batch only while committers due back are worth
-	// waiting for (holdWorth), and then for at most one flush time.
-	FlushInterval time.Duration
-	// FlushBytes flushes a batch early once this many bytes are pending,
-	// bounding buffered memory under write bursts. Defaults to 256 KiB.
-	FlushBytes int
-	// NoSync skips fsync entirely (write-only durability, for tests and
-	// for measuring the non-sync cost of logging).
-	NoSync bool
 	// FS is the filesystem the log writes through; nil means the real one
 	// (vfs.OS). Tests substitute a fault injector to exercise the
 	// fail-stop contract.
@@ -79,7 +71,7 @@ type Options struct {
 // Flush describes one successful write+fsync to Options.OnFlush.
 type Flush struct {
 	Records  int64         // records written
-	Sync     time.Duration // the fsync alone; zero under NoSync
+	Sync     time.Duration // the fsync alone
 	Waiters  int           // commit markers the batch acknowledges
 	Held     time.Duration // how long the flusher held the batch open
 	Hold     HoldOutcome
@@ -92,18 +84,8 @@ type HoldOutcome uint8
 const (
 	HoldNone    HoldOutcome = iota // flushed at once: nobody worth waiting for
 	HoldReady                      // ended before its bound: the committers due are back
-	HoldExpired                    // ran to its bound, or through its FlushInterval
+	HoldExpired                    // ran to its bound
 )
-
-func (o Options) withDefaults() Options {
-	if o.FlushBytes <= 0 {
-		o.FlushBytes = 256 << 10
-	}
-	if o.FS == nil {
-		o.FS = vfs.OS{}
-	}
-	return o
-}
 
 // Stats are the Log's cumulative counters, all monotone.
 type Stats struct {
@@ -173,7 +155,9 @@ type slot struct {
 // reported — so a torn tail never precedes fresh records. validSize < 0
 // skips the truncation.
 func Open(path string, validSize int64, opts Options) (*Log, error) {
-	opts = opts.withDefaults()
+	if opts.FS == nil {
+		opts.FS = vfs.OS{}
+	}
 	f, err := opts.FS.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: opening log: %w", err)
@@ -197,7 +181,6 @@ func Open(path string, validSize int64, opts Options) (*Log, error) {
 		syncq:  make(chan *slot, maxInFlight),
 		kick:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
-		s:      sched{interval: opts.FlushInterval},
 	}
 	l.resolved.L = &l.mu
 	for i := range l.syncf {
@@ -259,7 +242,7 @@ func (l *Log) append(r *Record, want bool) (func() error, error) {
 		l.next = func() error { return l.wait(seq) }
 	}
 	wait := l.next // Append discards it
-	kick := l.s.append(time.Now(), want, len(l.buf) >= l.opts.FlushBytes)
+	kick := l.s.append(time.Now(), want, len(l.buf) >= flushBytes)
 	l.mu.Unlock()
 	if kick {
 		l.wake()
@@ -467,7 +450,7 @@ func (l *Log) flushOnce(now time.Time) {
 		err = l.write(buf)
 	}
 	l.spare = buf[:0] // only the flusher touches spare
-	if err != nil || l.opts.NoSync {
+	if err != nil {
 		l.complete(s, err)
 		return
 	}
@@ -552,8 +535,9 @@ func (l *Log) poison(seq uint64, err error) {
 // file to before appending (Open does it). torn reports whether trailing
 // bytes were discarded: a severed final frame, an implausible length, a
 // CRC mismatch, or an undecodable record all end replay cleanly there.
-// err is non-nil only for apply errors and reader failures other than
-// EOF; corruption is never an error, because a crash can manufacture it.
+// err is non-nil for apply errors, reader failures other than EOF, and a
+// frame of a retired kind, which stops replay at valid; corruption is
+// never an error, because a crash can manufacture it.
 func Replay(r io.Reader, apply func(Record) error) (valid int64, records int64, torn bool, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var header [frameHeader]byte
@@ -586,6 +570,9 @@ func Replay(r io.Reader, apply func(Record) error) (valid int64, records int64, 
 		}
 		if crc32.Checksum(payload, crcTable) != sum {
 			return valid, records, true, nil
+		}
+		if n > 0 && retired(Kind(payload[0])) {
+			return valid, records, false, fmt.Errorf("wal: record of retired kind %d at offset %d", payload[0], valid)
 		}
 		rec, derr := DecodeRecord(payload)
 		if derr != nil {

@@ -2,11 +2,15 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,10 +25,13 @@ func sampleRecords() []Record {
 		{Kind: KindWrite, Txn: 7, Seg: 3, Key: 42, Value: []byte("hello")},
 		{Kind: KindWrite, Txn: 7, Seg: 0, Key: 0, Value: nil},
 		{Kind: KindCommit, Txn: 7},
-		{Kind: KindAbort, Txn: 9, Seg: 1, Key: 5},
-		{Kind: KindPrune, Watermark: 6},
 	}
 }
+
+// noSync makes every fsync the log issues return at once: slowSyncFS with
+// no delay wraps each file OpenFile hands out, so the syncers' read-only
+// descriptors too.
+func noSync() Options { return Options{FS: &slowSyncFS{FS: vfs.OS{}}} }
 
 func TestRecordRoundTrip(t *testing.T) {
 	for _, r := range sampleRecords() {
@@ -112,7 +119,7 @@ func replayFile(t *testing.T, path string) (recs []Record, valid int64, torn boo
 
 func TestLogAppendReplay(t *testing.T) {
 	want := sampleRecords()
-	path := appendAll(t, want, Options{NoSync: true})
+	path := appendAll(t, want, noSync())
 	got, valid, torn := replayFile(t, path)
 	if torn {
 		t.Error("clean log reported torn")
@@ -131,7 +138,7 @@ func TestLogAppendReplay(t *testing.T) {
 
 func TestTornTailTruncatesCleanly(t *testing.T) {
 	want := sampleRecords()
-	path := appendAll(t, want, Options{NoSync: true})
+	path := appendAll(t, want, noSync())
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +165,7 @@ func TestTornTailTruncatesCleanly(t *testing.T) {
 		}
 		// Re-open at the valid offset and confirm the truncated file
 		// replays clean with the same records.
-		l, err := Open(path, valid, Options{NoSync: true})
+		l, err := Open(path, valid, noSync())
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
@@ -194,7 +201,7 @@ func containsBoundary(stream []byte, cut int) bool {
 
 func TestCorruptCRCEndsReplay(t *testing.T) {
 	want := sampleRecords()
-	path := appendAll(t, want, Options{NoSync: true})
+	path := appendAll(t, want, noSync())
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -223,9 +230,11 @@ func TestCorruptCRCEndsReplay(t *testing.T) {
 	}
 }
 
+// TestGroupCommitBatches: concurrent commits over a slow fsync share
+// flushes — those arriving while one is in flight pile into the next.
 func TestGroupCommitBatches(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	l, err := Open(path, -1, Options{FlushInterval: 5 * time.Millisecond, NoSync: true})
+	l, err := Open(path, -1, Options{FS: &slowSyncFS{FS: vfs.OS{}, d: holdSync}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +351,7 @@ func TestResetDoesNotTearLogHead(t *testing.T) {
 	// with the truncate: a zero-filled hole at the head of the log would
 	// decode as a torn tail at offset 0 and discard everything after it.
 	path := filepath.Join(t.TempDir(), "wal")
-	l, err := Open(path, -1, Options{NoSync: true})
+	l, err := Open(path, -1, noSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +366,7 @@ func TestResetDoesNotTearLogHead(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					l.Append(&Record{Kind: KindPrune, Watermark: 1})
+					l.Append(&Record{Kind: KindWrite, Txn: 1, Key: 1, Value: []byte("v")})
 				}
 			}
 		}()
@@ -377,7 +386,7 @@ func TestResetDoesNotTearLogHead(t *testing.T) {
 		t.Fatal("log torn after Reset raced concurrent appends")
 	}
 	for _, r := range recs {
-		if r.Kind != KindPrune || r.Watermark != 1 {
+		if r.Kind != KindWrite || r.Txn != 1 || r.Key != 1 || string(r.Value) != "v" {
 			t.Fatalf("corrupt record survived Reset race: %+v", r)
 		}
 	}
@@ -385,7 +394,7 @@ func TestResetDoesNotTearLogHead(t *testing.T) {
 
 func TestResetTruncates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	l, err := Open(path, -1, Options{NoSync: true})
+	l, err := Open(path, -1, noSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,14 +428,14 @@ func TestResetTruncates(t *testing.T) {
 
 func TestClosedLogDropsAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	l, err := Open(path, -1, Options{NoSync: true})
+	l, err := Open(path, -1, noSync())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(&Record{Kind: KindPrune, Watermark: 1}); err != ErrClosed {
+	if err := l.Append(&Record{Kind: KindWrite, Txn: 1, Key: 1}); err != ErrClosed {
 		t.Errorf("Append after Close: err = %v, want ErrClosed", err)
 	}
 	if err := l.Commit(&Record{Kind: KindCommit, Txn: 1})(); err != ErrClosed {
@@ -439,7 +448,7 @@ func TestClosedLogDropsAppends(t *testing.T) {
 
 func TestOpenTruncatesTornTail(t *testing.T) {
 	want := sampleRecords()
-	path := appendAll(t, want, Options{NoSync: true})
+	path := appendAll(t, want, noSync())
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -453,7 +462,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 	if !torn {
 		t.Fatal("torn tail not detected")
 	}
-	l, err := Open(path, valid, Options{NoSync: true})
+	l, err := Open(path, valid, noSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,5 +541,27 @@ func TestCommitAllocsUnderOverlap(t *testing.T) {
 	}
 	if perFlush > 1.25 {
 		t.Errorf("%.2f allocations per flush, want the one shared wait function", perFlush)
+	}
+}
+
+// TestReplayRefusesRetiredKinds: a CRC-valid frame of kind 3 or 4 is
+// refused with its kind and offset, not read as a torn tail, which would
+// truncate every commit after it.
+func TestReplayRefusesRetiredKinds(t *testing.T) {
+	for _, kind := range []byte{3, 4} {
+		head := AppendFrame(nil, &Record{Kind: KindWrite, Txn: 1, Key: 1, Value: []byte("v")})
+		head = AppendFrame(head, &Record{Kind: KindCommit, Txn: 1})
+		p := append([]byte{kind}, make([]byte, 8)...)
+		log := binary.BigEndian.AppendUint32(append([]byte(nil), head...), uint32(len(p)))
+		log = binary.BigEndian.AppendUint32(log, crc32.Checksum(p, crcTable))
+		log = AppendFrame(append(log, p...), &Record{Kind: KindCommit, Txn: 2})
+		valid, n, torn, err := Replay(bytes.NewReader(log), func(Record) error { return nil })
+		want := fmt.Sprintf("retired kind %d at offset %d", kind, len(head))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("kind %d: Replay error %v, want one naming %q", kind, err, want)
+		}
+		if torn || valid != int64(len(head)) || n != 2 {
+			t.Errorf("kind %d: valid %d, records %d, torn %v; want %d, 2, false", kind, valid, n, torn, len(head))
+		}
 	}
 }
