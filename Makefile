@@ -21,11 +21,14 @@ allocs:
 build:
 	$(GO) build ./...
 
-# Non-test Go lines, the size trend ROADMAP.md tracks: the root module
-# without examples/ and bench/, then bench/ on its own.
+# The size trend ROADMAP.md tracks: non-test Go lines of the root module
+# without examples/ and bench/, then of bench/ on its own; then the bytes
+# of the two long documents and of the committed evidence under results/.
 loc:
 	@echo "root module without examples/ and bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './examples/*' ! -path './bench/*' | xargs cat | wc -l)"
 	@echo "bench/: $$(find ./bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "DESIGN.md: $$(wc -c < DESIGN.md) bytes; EXPERIMENTS.md: $$(wc -c < EXPERIMENTS.md) bytes"
+	@echo "results/: $$(find results -type f -exec cat {} + | wc -c) bytes in $$(find results -type f | wc -l) files"
 
 vet:
 	$(GO) vet ./...

@@ -151,7 +151,7 @@ func TestEmptyValueSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := hdd.Config{Partition: part, Durability: hdd.DurabilityWAL, DataDir: t.TempDir()}
+	cfg := hdd.Config{Partition: part, DataDir: t.TempDir()}
 	empty, never := hdd.GranuleID{Segment: 0, Key: 1}, hdd.GranuleID{Segment: 0, Key: 2}
 	eng, err := hdd.NewEngine(cfg)
 	if err != nil {

@@ -1,13 +1,13 @@
 // Operations: the §7 operational features end to end — version garbage
-// collection, then checkpoint and recovery — after the inventory workload
-// has run.
+// collection, then a snapshot and recovery from the data directory — after
+// the inventory workload has run on a durable engine.
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 	"sync"
 
 	"hdd"
@@ -21,15 +21,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	dir, err := os.MkdirTemp("", "hdd-operations-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
 	eng, err := core.NewEngine(core.Config{
 		Partition:      inv.Partition(),
 		WallInterval:   200,
 		GCEveryCommits: 64,
+		DataDir:        dir,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer eng.Close()
 
 	// Churn: 4 concurrent clients.
 	var wg sync.WaitGroup
@@ -59,34 +64,35 @@ func main() {
 
 	// 1. Garbage collection: the automatic cycles already ran; force one
 	//    more and report.
-	before := eng.Store().TotalVersions()
 	pruned := eng.ForceGC()
 	fmt.Printf("GC: %d automatic cycles; %d versions retained, %d pruned by the final cycle\n",
 		eng.GCRuns(), eng.Store().TotalVersions(), pruned)
-	_ = before
 
-	// 2. Checkpoint, then recover into a fresh engine and verify it serves
-	//    the same inventory levels.
-	var buf bytes.Buffer
-	if err := eng.WriteCheckpoint(&buf); err != nil {
+	// 2. Snapshot into the data directory, close, reopen it, and verify
+	//    the recovered engine serves the same inventory levels. Nothing is
+	//    in flight, so a forced wall covers every commit.
+	eng.Walls().Force()
+	want := levelSum(eng)
+	if err := eng.Snapshot(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("checkpoint written: %d bytes\n", buf.Len())
+	st := eng.Stats()
+	if err := eng.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("snapshot taken, engine closed")
 
-	restored, err := core.NewEngineFromCheckpoint(core.Config{Partition: inv.Partition()}, &buf)
+	restored, err := core.NewEngine(core.Config{Partition: inv.Partition(), DataDir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer restored.Close()
-	// Nothing is in flight, so a forced wall covers every commit.
-	eng.Walls().Force()
-	want, got := levelSum(eng), levelSum(restored)
+	got := levelSum(restored)
 	if got != want {
 		log.Fatalf("recovered levels sum to %d, want %d", got, want)
 	}
-	fmt.Printf("recovered engine serves the checkpointed levels: sum %d == %d ✓\n", got, want)
+	fmt.Printf("reopened engine serves the snapshotted levels: sum %d == %d ✓\n", got, want)
 
-	st := eng.Stats()
 	fmt.Printf("totals: %d commits, %d aborted attempts, %d read registrations\n",
 		st.Commits, st.Aborts, st.ReadRegistrations)
 }

@@ -60,9 +60,6 @@ type (
 	Time = vclock.Time
 	// Config parameterizes the HDD engine.
 	Config = core.Config
-	// DurabilityMode selects the engine's persistence backend
-	// (Config.Durability).
-	DurabilityMode = core.DurabilityMode
 	// Engine is the HDD concurrency-control engine.
 	Engine = core.Engine
 	// Txn is one transaction (update or read-only). A value Read returns
@@ -101,15 +98,6 @@ const (
 
 // NoClass marks read-only transactions, which belong to no update class.
 const NoClass = schema.NoClass
-
-// Durability modes for Config.Durability.
-const (
-	// DurabilityNone keeps the engine memory-only (the default).
-	DurabilityNone = core.DurabilityNone
-	// DurabilityWAL persists commits to a write-ahead log under
-	// Config.DataDir and recovers snapshot+log on startup.
-	DurabilityWAL = core.DurabilityWAL
-)
 
 // ErrEngineClosed is returned by Begin/Read/Write — and by blocked reads
 // that were woken — after Engine.Close. It is not an abort: retrying

@@ -160,8 +160,8 @@ func TestCrossEngineInventorySerializable(t *testing.T) {
 	}
 }
 
-// TestSoak runs the full inventory mix against HDD for several seconds
-// with GC and checkpoints interleaved, then verifies
+// TestSoak runs the full inventory mix against a durable HDD engine for
+// several seconds with GC and snapshots interleaved, then verifies
 // application-level conservation and serializability. Skipped under
 // -short.
 func TestSoak(t *testing.T) {
@@ -176,10 +176,12 @@ func TestSoak(t *testing.T) {
 	eng, err := core.NewEngine(core.Config{
 		Partition: inv.Partition(), Recorder: rec,
 		WallInterval: 128, GCEveryCommits: 200,
+		DataDir: t.TempDir(), SnapshotBytes: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 
 	var wg sync.WaitGroup
 	for c := 0; c < 6; c++ {
@@ -205,14 +207,13 @@ func TestSoak(t *testing.T) {
 			}
 		}(c)
 	}
-	// Periodic operational interference: checkpoints.
+	// Periodic operational interference: snapshots.
 	opsDone := make(chan struct{})
 	go func() {
 		defer close(opsDone)
 		for i := 0; i < 5; i++ {
-			var sink countingWriter
-			if err := eng.WriteCheckpoint(&sink); err != nil {
-				t.Errorf("checkpoint: %v", err)
+			if err := eng.Snapshot(); err != nil {
+				t.Errorf("snapshot: %v", err)
 				return
 			}
 		}
@@ -258,14 +259,6 @@ func TestSoak(t *testing.T) {
 	if eng.GCRuns() == 0 {
 		t.Fatal("GC never ran during soak")
 	}
-}
-
-// countingWriter discards checkpoint bytes while counting them.
-type countingWriter struct{ n int64 }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
 }
 
 func runRetry(t *testing.T, eng cc.Engine, class schema.ClassID, fn func(cc.Txn, *rand.Rand) error, r *rand.Rand) {

@@ -170,10 +170,6 @@ type Counters struct {
 	RejectedWrites metrics.Counter
 	// Deadlocks counts deadlock-victim aborts (2PL engines).
 	Deadlocks metrics.Counter
-	// WallWaits counts read-only transactions that had to wait for a
-	// wall / snapshot to become available (engines that never wait keep
-	// this zero).
-	WallWaits metrics.Counter
 	// ReapedTxns counts stuck transactions force-aborted by the engine's
 	// background reaper (deadline enforcement for abandoned clients).
 	ReapedTxns metrics.Counter
@@ -194,7 +190,6 @@ type Stats struct {
 	BlockedReads, BlockedWrites   int64
 	RejectedReads, RejectedWrites int64
 	Deadlocks                     int64
-	WallWaits                     int64
 	ReapedTxns                    int64
 	TimedOutReads                 int64
 	DurabilityFailures            int64
@@ -214,7 +209,6 @@ func (c *Counters) Snapshot() Stats {
 		RejectedReads:      c.RejectedReads.Load(),
 		RejectedWrites:     c.RejectedWrites.Load(),
 		Deadlocks:          c.Deadlocks.Load(),
-		WallWaits:          c.WallWaits.Load(),
 		ReapedTxns:         c.ReapedTxns.Load(),
 		TimedOutReads:      c.TimedOutReads.Load(),
 		DurabilityFailures: c.DurabilityFailures.Load(),
@@ -235,7 +229,6 @@ func (s Stats) Sub(o Stats) Stats {
 		RejectedReads:      s.RejectedReads - o.RejectedReads,
 		RejectedWrites:     s.RejectedWrites - o.RejectedWrites,
 		Deadlocks:          s.Deadlocks - o.Deadlocks,
-		WallWaits:          s.WallWaits - o.WallWaits,
 		ReapedTxns:         s.ReapedTxns - o.ReapedTxns,
 		TimedOutReads:      s.TimedOutReads - o.TimedOutReads,
 		DurabilityFailures: s.DurabilityFailures - o.DurabilityFailures,

@@ -3,7 +3,7 @@ package core
 // The HDD engine implements every optional backend capability of the
 // service stack's contract (internal/cc, DESIGN.md §12). The assertions
 // here are the compile-time half of that claim; DurabilityState is the
-// engine-neutral flattening of DurabilityStats the server and client
+// engine-neutral report of the durability layer the server and client
 // consume without importing core.
 
 import "hdd/internal/cc"
@@ -27,8 +27,8 @@ func (e *Engine) WaitFreeReadOnly() {}
 // enabled at all for this instance. The counter names are the wire-stable
 // vocabulary the server's Stats opcode exposes; booleans are 0/1.
 func (e *Engine) DurabilityState() (cc.DurabilityState, bool) {
-	ds, ok := e.DurabilityStats()
-	if !ok {
+	d := e.dur
+	if d == nil {
 		return cc.DurabilityState{}, false
 	}
 	b2i := func(b bool) int64 {
@@ -37,23 +37,26 @@ func (e *Engine) DurabilityState() (cc.DurabilityState, bool) {
 		}
 		return 0
 	}
-	return cc.DurabilityState{
-		Degraded: ds.Degraded,
-		Cause:    ds.DegradedCause,
+	w := d.log.Stats()
+	ds := cc.DurabilityState{
 		Counters: []cc.StatKV{
-			{Name: "wal_records", Value: ds.WAL.Records},
-			{Name: "wal_flush_batches", Value: ds.WAL.Batches},
-			{Name: "wal_flushed_bytes", Value: ds.WAL.FlushedBytes},
-			{Name: "wal_syncs", Value: ds.WAL.Syncs},
-			{Name: "wal_commit_waits", Value: ds.WAL.CommitWaits},
-			{Name: "wal_log_bytes", Value: ds.LogBytes},
-			{Name: "wal_snapshots", Value: ds.Snapshots},
-			{Name: "wal_snapshot_errs", Value: ds.SnapshotErrs},
-			{Name: "wal_replayed_records", Value: ds.Recovery.ReplayedRecords},
-			{Name: "wal_recovery_ns", Value: int64(ds.Recovery.Duration)},
-			{Name: "wal_snapshot_loaded", Value: b2i(ds.Recovery.SnapshotLoaded)},
-			{Name: "wal_torn_tail", Value: b2i(ds.Recovery.TornTail)},
-			{Name: "wal_high_water", Value: int64(ds.Recovery.HighWater)},
+			{Name: "wal_records", Value: w.Records},
+			{Name: "wal_flush_batches", Value: w.Batches},
+			{Name: "wal_flushed_bytes", Value: w.FlushedBytes},
+			{Name: "wal_syncs", Value: w.Syncs},
+			{Name: "wal_commit_waits", Value: w.CommitWaits},
+			{Name: "wal_log_bytes", Value: d.log.Size()},
+			{Name: "wal_snapshots", Value: d.snapshots.Load()},
+			{Name: "wal_snapshot_errs", Value: d.snapshotErrs.Load()},
+			{Name: "wal_replayed_records", Value: d.rec.ReplayedRecords},
+			{Name: "wal_recovery_ns", Value: int64(d.rec.Duration)},
+			{Name: "wal_snapshot_loaded", Value: b2i(d.rec.SnapshotLoaded)},
+			{Name: "wal_torn_tail", Value: b2i(d.rec.TornTail)},
+			{Name: "wal_high_water", Value: int64(d.rec.HighWater)},
 		},
-	}, true
+	}
+	if err := d.degradedErr(); err != nil {
+		ds.Degraded, ds.Cause = true, err.Error()
+	}
+	return ds, true
 }

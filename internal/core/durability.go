@@ -29,33 +29,19 @@ import (
 	"hdd/internal/wal"
 )
 
-// DurabilityMode selects the engine's persistence backend.
-type DurabilityMode uint8
-
-const (
-	// DurabilityNone (default) keeps the engine memory-only; a crash
-	// loses everything, as in the original reproduction.
-	DurabilityNone DurabilityMode = iota
-	// DurabilityWAL persists every commit to a write-ahead log under
-	// Config.DataDir before acknowledging it, recovers snapshot+log on
-	// startup, and snapshots in the background to truncate the log.
-	DurabilityWAL
-)
-
 // File names under Config.DataDir.
 const (
 	snapshotFile = "snapshot"
 	walFile      = "wal.log"
 )
 
-// RecoveryStats describes what startup recovery found and did.
-type RecoveryStats struct {
+// recoveryStats describes what startup recovery found and did.
+type recoveryStats struct {
 	// SnapshotLoaded reports whether a snapshot file was present.
 	SnapshotLoaded bool
-	// ReplayedRecords and ReplayedBytes measure the WAL tail applied on
-	// top of the snapshot.
+	// ReplayedRecords counts the WAL-tail records applied on top of the
+	// snapshot.
 	ReplayedRecords int64
-	ReplayedBytes   int64
 	// TornTail reports whether the log ended in a partial record (the
 	// normal signature of a crash mid-flush); the tail was truncated.
 	TornTail bool
@@ -66,29 +52,14 @@ type RecoveryStats struct {
 	Duration time.Duration
 }
 
-// DurabilityStats is the durability layer's counter snapshot, exposed
-// through the server's Stats opcode.
-type DurabilityStats struct {
-	WAL          wal.Stats
-	LogBytes     int64
-	Snapshots    int64
-	SnapshotErrs int64
-	Recovery     RecoveryStats
-	// Degraded reports the fail-stop state: a storage failure poisoned the
-	// log and the engine is read-only (DESIGN.md §11). DegradedCause is the
-	// poisoning error's text, empty while healthy.
-	Degraded      bool
-	DegradedCause string
-}
-
-// durability is the engine's durability state; nil when DurabilityNone.
+// durability is the engine's durability state; nil without a DataDir.
 type durability struct {
 	log     *wal.Log
 	dataDir string
 	fs      vfs.FS
 
 	snapshotBytes int64
-	rec           RecoveryStats
+	rec           recoveryStats
 
 	// snapMu serializes Snapshot calls (the background snapshotter vs an
 	// explicit server-shutdown snapshot).
@@ -180,13 +151,10 @@ func (e *Engine) commitDurabilityErr(id vclock.Time, err error) error {
 	return fmt.Errorf("core: commit %d applied in memory but not durable: %w", id, e.dur.degradedErr())
 }
 
-// initDurability runs recovery and opens the WAL for appending.
-// Called from NewEngine after the kernel is assembled, before any
-// transaction can begin.
+// initDurability runs recovery over cfg.DataDir and opens the WAL for
+// appending. Called from NewEngine after the kernel is assembled, before
+// any transaction can begin.
 func (e *Engine) initDurability(cfg Config) error {
-	if cfg.DataDir == "" {
-		return fmt.Errorf("core: Durability WAL requires Config.DataDir")
-	}
 	fs := cfg.FS
 	if fs == nil {
 		fs = vfs.OS{}
@@ -240,7 +208,6 @@ func (e *Engine) initDurability(cfg Config) error {
 		}
 		valid = v
 		d.rec.ReplayedRecords = n
-		d.rec.ReplayedBytes = v
 		d.rec.TornTail = torn
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("core: opening wal: %w", err)
@@ -335,12 +302,36 @@ func (e *Engine) replayWAL(r io.Reader, high *vclock.Time) (valid, records int64
 	})
 }
 
-// Snapshot quiesces update processing (taking every class gate, exactly
-// like WriteCheckpoint), writes the store to the snapshot file
+// classGate is one RWMutex per class. An update transaction of class c
+// holds gate[c] shared for its lifetime; Snapshot takes every class
+// exclusively (lockAll), which waits for the in-flight update transactions
+// to finish and holds off new ones until unlockAll. Read-only transactions
+// never touch it.
+type classGate []sync.RWMutex
+
+// lockAll acquires every class exclusively, in ascending order.
+func (g classGate) lockAll() {
+	for i := range g {
+		g[i].Lock()
+	}
+}
+
+func (g classGate) unlockAll() {
+	for i := len(g) - 1; i >= 0; i-- {
+		g[i].Unlock()
+	}
+}
+
+// Snapshot is the engine's one checkpoint. It quiesces update processing
+// (taking every class gate), writes the store to the snapshot file
 // atomically (tmp + fsync + rename), and truncates the WAL. Read-only
-// transactions keep running throughout. It is the log-bounding duty of
-// §7.3, run by the background snapshotter past Config.SnapshotBytes and
-// by the server on shutdown.
+// transactions keep running throughout: the store serializes the
+// committed versions of each chain's published array, immutable once
+// committed, so the snapshotter and the wait-free readers share memory
+// without synchronizing, and the quiesced gates make the chains mutually
+// consistent. It is the log-bounding duty of §7.3, run by the background
+// snapshotter past Config.SnapshotBytes and by the server on shutdown;
+// recovery is NewEngine over the same DataDir.
 func (e *Engine) Snapshot() error {
 	if e.dur == nil {
 		return fmt.Errorf("core: durability is not enabled")
@@ -434,30 +425,10 @@ func (e *Engine) snapshotter() {
 				return
 			}
 			if e.dur.log.Size() >= e.dur.snapshotBytes {
-				// Errors are counted (DurabilityStats.SnapshotErrs) and the
+				// Errors are counted (wal_snapshot_errs) and the
 				// next tick retries; the log keeps growing but stays correct.
 				e.Snapshot()
 			}
 		}
 	}
-}
-
-// DurabilityStats returns the durability layer's counters; ok is false
-// when the engine runs with DurabilityNone.
-func (e *Engine) DurabilityStats() (DurabilityStats, bool) {
-	if e.dur == nil {
-		return DurabilityStats{}, false
-	}
-	s := DurabilityStats{
-		WAL:          e.dur.log.Stats(),
-		LogBytes:     e.dur.log.Size(),
-		Snapshots:    e.dur.snapshots.Load(),
-		SnapshotErrs: e.dur.snapshotErrs.Load(),
-		Recovery:     e.dur.rec,
-	}
-	if err := e.dur.degradedErr(); err != nil {
-		s.Degraded = true
-		s.DegradedCause = err.Error()
-	}
-	return s, true
 }

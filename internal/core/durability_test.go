@@ -7,11 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"hdd/internal/cc"
+	"hdd/internal/mvstore"
 	"hdd/internal/schema"
 	"hdd/internal/vclock"
 	"hdd/internal/wal"
@@ -24,7 +27,6 @@ func durableEngine(t *testing.T, part *schema.Partition, dir string) *Engine {
 	e, err := NewEngine(Config{
 		Partition:     part,
 		WallInterval:  8,
-		Durability:    DurabilityWAL,
 		DataDir:       dir,
 		SnapshotBytes: -1,
 	})
@@ -69,14 +71,10 @@ func TestDurableCommitSurvivesReopen(t *testing.T) {
 
 	e2 := durableEngine(t, part, dir)
 	defer e2.Close()
-	st, ok := e2.DurabilityStats()
-	if !ok {
-		t.Fatal("DurabilityStats not available on WAL engine")
-	}
-	if st.Recovery.SnapshotLoaded {
+	if e2.dur.rec.SnapshotLoaded {
 		t.Error("snapshot reported loaded; none was written")
 	}
-	if st.Recovery.ReplayedRecords == 0 {
+	if e2.dur.rec.ReplayedRecords == 0 {
 		t.Error("no records replayed on reopen")
 	}
 	for i := 0; i < 10; i++ {
@@ -129,15 +127,20 @@ func TestSnapshotTruncatesLogAndRecovers(t *testing.T) {
 		write(t, txn, gr(0, i), "snap")
 		mustCommit(t, txn)
 	}
+	derived, err := e.Begin(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(t, derived, gr(1, 1), read(t, derived, gr(0, 0))+"-derived")
+	mustCommit(t, derived)
 	if err := e.Snapshot(); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	st, _ := e.DurabilityStats()
-	if st.LogBytes != 0 {
-		t.Errorf("log not truncated after snapshot: %d bytes", st.LogBytes)
+	if n := e.dur.log.Size(); n != 0 {
+		t.Errorf("log not truncated after snapshot: %d bytes", n)
 	}
-	if st.Snapshots != 1 {
-		t.Errorf("Snapshots = %d, want 1", st.Snapshots)
+	if n := e.dur.snapshots.Load(); n != 1 {
+		t.Errorf("snapshots = %d, want 1", n)
 	}
 	// More commits after the snapshot land in the fresh log.
 	txn, err := e.Begin(0)
@@ -152,8 +155,7 @@ func TestSnapshotTruncatesLogAndRecovers(t *testing.T) {
 
 	e2 := durableEngine(t, part, dir)
 	defer e2.Close()
-	st2, _ := e2.DurabilityStats()
-	if !st2.Recovery.SnapshotLoaded {
+	if !e2.dur.rec.SnapshotLoaded {
 		t.Error("snapshot not loaded on reopen")
 	}
 	for i := 0; i < 5; i++ {
@@ -163,6 +165,154 @@ func TestSnapshotTruncatesLogAndRecovers(t *testing.T) {
 	}
 	if v, ok := readLatest(t, e2, 0, gr(0, 99)); !ok || v != "tail" {
 		t.Fatalf("post-snapshot key: got (%q, %v)", v, ok)
+	}
+	if v, ok := readLatest(t, e2, 1, gr(1, 1)); !ok || v != "snap-derived" {
+		t.Fatalf("class 1's root from snapshot: got (%q, %v)", v, ok)
+	}
+	// Protocol C sees the recovered state at once: recovery forces a wall.
+	ro, err := e2.BeginReadOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := read(t, ro, gr(0, 0)); got != "snap" {
+		t.Fatalf("Protocol C read after recovery = %q, want snap", got)
+	}
+	mustCommit(t, ro)
+}
+
+// TestSnapshotDuringLoad: snapshots taken while updates churn hold a
+// consistent state (the gate drains in-flight transactions first). Each
+// transaction writes one value to a pair of granules; the snapshot file
+// alone, opened as a data directory, must hold only committed versions
+// and show every pair equal to a Protocol C reader. So must the full
+// directory, snapshot plus log, once the churn stops.
+func TestSnapshotDuringLoad(t *testing.T) {
+	const pairs = 8
+	part := twoLevel(t)
+	dir := t.TempDir()
+	e := durableEngine(t, part, dir)
+	consistent := func(label, dir string) {
+		t.Helper()
+		r := durableEngine(t, part, dir)
+		defer r.Close()
+		for k := 0; k < 2*pairs; k++ {
+			for _, v := range r.Store().Versions(gr(0, k)) {
+				if v.State != mvstore.Committed {
+					t.Fatalf("%s: pending version %v@%d", label, gr(0, k), v.TS)
+				}
+			}
+		}
+		ro, err := r.BeginReadOnly()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < pairs; k++ {
+			if a, b := read(t, ro, gr(0, k)), read(t, ro, gr(0, k+pairs)); a != b {
+				t.Fatalf("%s: pair %d reads %q and %q", label, k, a, b)
+			}
+		}
+		mustCommit(t, ro)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	stopChurn := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopChurn()
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k, v := (c*31+i)%pairs, []byte(fmt.Sprintf("c%d-%d", c, i))
+				tx, err := e.Begin(0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if tx.Write(gr(0, k), v) != nil || tx.Write(gr(0, k+pairs), v) != nil {
+					_ = tx.Abort()
+					continue
+				}
+				_ = tx.Commit()
+			}
+		}(c)
+	}
+	for k := 0; k < 5; k++ {
+		n := e.Stats().Commits
+		waitFor(t, 10*time.Second, func() bool { return e.Stats().Commits >= n+20 }, "the churn to commit between snapshots")
+		if err := e.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		only := t.TempDir()
+		if err := os.WriteFile(filepath.Join(only, snapshotFile), snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		consistent(fmt.Sprintf("snapshot %d", k), only)
+	}
+	stopChurn()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	consistent("snapshot and log", dir)
+}
+
+// TestDurableWriteRefusesOversizedValue: a commit logs each written value
+// as one record, so a durable engine refuses a longer value at Write,
+// naming its size, and installs nothing; the transaction stays usable,
+// the engine keeps committing and closes. A value of exactly
+// wal.MaxValue bytes commits, snapshots and recovers.
+func TestDurableWriteRefusesOversizedValue(t *testing.T) {
+	part := twoLevel(t)
+	dir := t.TempDir()
+	e := durableEngine(t, part, dir)
+	tx, err := e.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := wal.MaxValue + 1
+	if err := tx.Write(gr(0, 1), make([]byte, n)); err == nil || cc.IsAbort(err) || !strings.Contains(err.Error(), strconv.Itoa(n)) {
+		t.Fatalf("write of %d bytes: err = %v, want a refusal naming its size", n, err)
+	}
+	if vs := e.Store().Versions(gr(0, 1)); len(vs) != 0 {
+		t.Fatalf("the refused write installed %+v", vs)
+	}
+	write(t, tx, gr(0, 1), "small")
+	mustCommit(t, tx)
+	big := strings.Repeat("b", wal.MaxValue)
+	tx, err = e.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(t, tx, gr(0, 2), big)
+	mustCommit(t, tx)
+	if err := e.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- e.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung")
+	}
+	e2 := durableEngine(t, part, dir)
+	defer e2.Close()
+	if v, ok := readLatest(t, e2, 0, gr(0, 1)); !ok || v != "small" {
+		t.Fatalf("recovered %v: got (%q, %v)", gr(0, 1), v, ok)
+	}
+	if v, ok := readLatest(t, e2, 0, gr(0, 2)); !ok || v != big {
+		t.Fatalf("recovered %v: %d bytes, found %v; want %d", gr(0, 2), len(v), ok, len(big))
 	}
 }
 
@@ -179,7 +329,6 @@ func TestSnapshotRacingGCRecoversCleanly(t *testing.T) {
 	e, err := NewEngine(Config{
 		Partition:      part,
 		WallInterval:   4,
-		Durability:     DurabilityWAL,
 		DataDir:        dir,
 		SnapshotBytes:  -1,
 		GCEveryCommits: 1,
@@ -255,8 +404,7 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 
 	e2 := durableEngine(t, part, dir)
 	defer e2.Close()
-	st, _ := e2.DurabilityStats()
-	if !st.Recovery.TornTail {
+	if !e2.dur.rec.TornTail {
 		t.Error("torn tail not reported")
 	}
 	if v, ok := readLatest(t, e2, 0, gr(0, 1)); !ok || v != "before-crash" {
@@ -273,8 +421,7 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	e2.Close()
 	e3 := durableEngine(t, part, dir)
 	defer e3.Close()
-	st3, _ := e3.DurabilityStats()
-	if st3.Recovery.TornTail {
+	if e3.dur.rec.TornTail {
 		t.Error("tear reported again after truncation")
 	}
 	if v, ok := readLatest(t, e3, 0, gr(0, 2)); !ok || v != "after-tear" {
@@ -301,9 +448,8 @@ func TestClockRestartsAboveRecoveredHighWater(t *testing.T) {
 	}
 	e2 := durableEngine(t, part, dir)
 	defer e2.Close()
-	st, _ := e2.DurabilityStats()
-	if st.Recovery.HighWater < last {
-		t.Errorf("recovered high water %d below last committed txn %d", st.Recovery.HighWater, last)
+	if hw := e2.dur.rec.HighWater; hw < last {
+		t.Errorf("recovered high water %d below last committed txn %d", hw, last)
 	}
 	txn, err := e2.Begin(0)
 	if err != nil {
@@ -324,7 +470,6 @@ func TestSnapshotterRunsInBackground(t *testing.T) {
 	e, err := NewEngine(Config{
 		Partition:     part,
 		WallInterval:  8,
-		Durability:    DurabilityWAL,
 		DataDir:       dir,
 		SnapshotBytes: 1, // every poll (once a second) finds the log over threshold
 	})
@@ -340,8 +485,7 @@ func TestSnapshotterRunsInBackground(t *testing.T) {
 	mustCommit(t, txn)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st, _ := e.DurabilityStats()
-		if st.Snapshots > 0 {
+		if e.dur.snapshots.Load() > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -366,7 +510,6 @@ func TestLogHoldsCommittedWritesOnly(t *testing.T) {
 		Partition:      part,
 		WallInterval:   4,
 		GCEveryCommits: 1,
-		Durability:     DurabilityWAL,
 		DataDir:        dir,
 		SnapshotBytes:  -1,
 	})
@@ -497,7 +640,7 @@ func TestReplayRefusesLegacyRecordKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e, err := NewEngine(Config{Partition: twoLevel(t), Durability: DurabilityWAL, DataDir: dir})
+	e, err := NewEngine(Config{Partition: twoLevel(t), DataDir: dir})
 	if want := fmt.Sprintf("retired kind 4 at offset %d", at); err == nil || !strings.Contains(err.Error(), want) {
 		if e != nil {
 			e.Close()
@@ -506,17 +649,5 @@ func TestReplayRefusesLegacyRecordKinds(t *testing.T) {
 	}
 	if fi, err := os.Stat(walPath); err != nil || fi.Size() != int64(len(log)) {
 		t.Fatalf("log after the refused boot: %v, err %v; want its %d bytes untouched", fi, err, len(log))
-	}
-}
-
-func TestNewEngineFromCheckpointRejectsWAL(t *testing.T) {
-	part := twoLevel(t)
-	_, err := NewEngineFromCheckpoint(Config{
-		Partition:  part,
-		Durability: DurabilityWAL,
-		DataDir:    t.TempDir(),
-	}, strings.NewReader(""))
-	if err == nil {
-		t.Fatal("NewEngineFromCheckpoint accepted a WAL config")
 	}
 }

@@ -27,8 +27,9 @@
 // C, or a fictitious class's thresholds on a critical path. lifecycle.go
 // holds the two begin paths, gc.go garbage collection, registry.go the
 // striped in-flight registry, reaper.go the stuck-transaction reaper and
-// checkpoint.go the class gate. DESIGN.md §8 maps every lock and atomic in
-// these files and states the ordering rules between them.
+// durability.go the log, recovery, Snapshot and the class gate. DESIGN.md
+// §8 maps every lock and atomic in these files and states the ordering
+// rules between them.
 //
 // # Allocation
 //
@@ -101,9 +102,6 @@ type Config struct {
 	// RootProtocol selects Protocol B's intra-root variant; defaults to
 	// RootMVTO.
 	RootProtocol RootProtocol
-	// Clock is the logical clock; a fresh one is created if nil. Sharing a
-	// clock lets experiments coordinate several engines.
-	Clock *vclock.Clock
 	// WallInterval is the pacing of time-wall releases in logical ticks
 	// (§5.2 "at certain intervals"). Defaults to 256.
 	WallInterval vclock.Time
@@ -119,13 +117,9 @@ type Config struct {
 	// active past their deadline, restoring wall and GC progress after
 	// client crashes. Zero disables deadlines and the reaper.
 	TxnTimeout time.Duration
-	// Durability selects the persistence backend (durability.go):
-	// DurabilityNone (default) is memory-only; DurabilityWAL logs every
-	// commit to a write-ahead log under DataDir before acknowledging it
-	// and recovers snapshot+log on startup.
-	Durability DurabilityMode
-	// DataDir is the durable state directory (snapshot + wal.log).
-	// Required when Durability is DurabilityWAL.
+	// DataDir makes the engine durable (durability.go): every commit is
+	// logged to a write-ahead log there before it is acknowledged, and
+	// NewEngine recovers snapshot+log from it. Empty means memory-only.
 	DataDir string
 	// FS is the filesystem all durability I/O (WAL, snapshots, recovery,
 	// directory syncs) goes through; nil means the real filesystem
@@ -169,7 +163,7 @@ type Engine struct {
 	beginSample []atomic.Uint64
 
 	// gate is held shared by each update transaction of its class and
-	// exclusively by a checkpoint; see checkpoint.go.
+	// exclusively by Snapshot; see durability.go.
 	gate classGate
 
 	rootProto RootProtocol
@@ -203,9 +197,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Partition == nil {
 		return nil, fmt.Errorf("core: Config.Partition is required")
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.NewClock()
-	}
 	if cfg.WallInterval <= 0 {
 		cfg.WallInterval = 256
 	}
@@ -218,13 +209,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 	n := cfg.Partition.NumClasses()
 	act := activity.NewSet(n)
 	links := alink.New(cfg.Partition, act)
+	clock := vclock.NewClock()
 	e := &Engine{
 		part:        cfg.Partition,
-		clock:       cfg.Clock,
+		clock:       clock,
 		store:       mvstore.New(),
 		act:         act,
 		links:       links,
-		walls:       alink.NewWallManager(links, cfg.Clock, cfg.WallInterval, start),
+		walls:       alink.NewWallManager(links, clock, cfg.WallInterval, start),
 		rec:         cfg.Recorder,
 		rootProto:   cfg.RootProtocol,
 		gcEvery:     cfg.GCEveryCommits,
@@ -241,7 +233,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.ring = cfg.Obs.Events
 		e.register(cfg.Obs.Reg)
 	}
-	if cfg.Durability == DurabilityWAL {
+	if cfg.DataDir != "" {
 		// Recovery runs to completion before NewEngine returns: no
 		// transaction can begin against a half-recovered store.
 		if err := e.initDurability(cfg); err != nil {

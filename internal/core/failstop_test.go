@@ -24,7 +24,6 @@ func faultyEngine(t *testing.T, part *schema.Partition, dir string, fs vfs.FS) *
 	e, err := NewEngine(Config{
 		Partition:     part,
 		WallInterval:  8,
-		Durability:    DurabilityWAL,
 		DataDir:       dir,
 		SnapshotBytes: -1,
 		FS:            fs,
@@ -102,9 +101,9 @@ func TestFsyncFailurePoisonsEngine(t *testing.T) {
 	if st := e.Stats(); st.DurabilityFailures == 0 {
 		t.Fatal("Stats().DurabilityFailures = 0 on a poisoned engine")
 	}
-	ds, ok := e.DurabilityStats()
-	if !ok || !ds.Degraded || ds.DegradedCause == "" {
-		t.Fatalf("DurabilityStats degraded = (%v, %q), want flag and cause", ds.Degraded, ds.DegradedCause)
+	ds, ok := e.DurabilityState()
+	if !ok || !ds.Degraded || ds.Cause == "" {
+		t.Fatalf("DurabilityState degraded = (%v, %q), want flag and cause", ds.Degraded, ds.Cause)
 	}
 
 	// Snapshotting a poisoned log would launder the loss into the durable
@@ -183,9 +182,8 @@ func TestSnapshotFileFailureIsRetryableNotFailStop(t *testing.T) {
 	if ok, _ := e.Degraded(); ok {
 		t.Fatal("snapshot-file failure must not poison the engine")
 	}
-	ds, _ := e.DurabilityStats()
-	if ds.SnapshotErrs != 1 {
-		t.Fatalf("SnapshotErrs = %d, want 1", ds.SnapshotErrs)
+	if n := e.dur.snapshotErrs.Load(); n != 1 {
+		t.Fatalf("snapshotErrs = %d, want 1", n)
 	}
 	// Commits keep working and the next snapshot attempt succeeds.
 	txn2, err := e.Begin(0)
@@ -264,9 +262,9 @@ func TestSnapshotLogOverlapReplaysOnce(t *testing.T) {
 
 	e2 := durableEngine(t, part, dir)
 	defer e2.Close()
-	st, _ := e2.DurabilityStats()
-	if !st.Recovery.SnapshotLoaded || st.Recovery.ReplayedRecords == 0 {
-		t.Fatalf("recovery = %+v, want the snapshot loaded and the log replayed over it", st.Recovery)
+	rec := e2.dur.rec
+	if !rec.SnapshotLoaded || rec.ReplayedRecords == 0 {
+		t.Fatalf("recovery = %+v, want the snapshot loaded and the log replayed over it", rec)
 	}
 	for g, want := range acked {
 		vers := e2.store.Versions(g)
@@ -280,15 +278,15 @@ func TestSnapshotLogOverlapReplaysOnce(t *testing.T) {
 			}
 		}
 	}
-	if st.Recovery.HighWater < last || e2.Clock().Now() < st.Recovery.HighWater {
-		t.Fatalf("high water %d, clock %d; last acknowledged commit %d", st.Recovery.HighWater, e2.Clock().Now(), last)
+	if rec.HighWater < last || e2.Clock().Now() < rec.HighWater {
+		t.Fatalf("high water %d, clock %d; last acknowledged commit %d", rec.HighWater, e2.Clock().Now(), last)
 	}
 	txn, err := e2.Begin(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer txn.Abort()
-	if txn.ID() <= st.Recovery.HighWater {
-		t.Fatalf("first transaction after recovery at %d, not above the high water %d", txn.ID(), st.Recovery.HighWater)
+	if txn.ID() <= rec.HighWater {
+		t.Fatalf("first transaction after recovery at %d, not above the high water %d", txn.ID(), rec.HighWater)
 	}
 }

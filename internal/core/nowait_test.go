@@ -6,26 +6,26 @@ package core
 
 import (
 	"errors"
-	"io"
 	"testing"
 	"time"
 
 	"hdd/internal/cc"
 )
 
-// TestTryBeginWhileCheckpointPending: with a checkpoint waiting for the
+// TestTryBeginWhileCheckpointPending: with a snapshot waiting for the
 // class gate, TryBegin reports "would wait" instead of queueing behind it
-// (a blocking Begin here would wait for a checkpoint that waits for the
-// open transaction's commit). Once the commit lets the checkpoint run,
+// (a blocking Begin here would wait for a snapshot that waits for the
+// open transaction's commit). Once the commit lets the snapshot run,
 // TryBegin succeeds again.
 func TestTryBeginWhileCheckpointPending(t *testing.T) {
-	e := newEngine(t, twoLevel(t), nil)
+	e := durableEngine(t, twoLevel(t), t.TempDir())
+	defer e.Close()
 	open, err := e.Begin(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- e.WriteCheckpoint(io.Discard) }()
+	go func() { done <- e.Snapshot() }()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		txn, ok, err := e.TryBegin(0)
@@ -38,9 +38,9 @@ func TestTryBeginWhileCheckpointPending(t *testing.T) {
 			}
 			break
 		}
-		txn.Abort() // the checkpoint is not waiting yet
+		txn.Abort() // the snapshot is not waiting yet
 		if time.Now().After(deadline) {
-			t.Fatal("TryBegin never saw the pending checkpoint")
+			t.Fatal("TryBegin never saw the pending snapshot")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -53,7 +53,7 @@ func TestTryBeginWhileCheckpointPending(t *testing.T) {
 	}
 	txn, ok, err := e.TryBegin(0)
 	if !ok || err != nil {
-		t.Fatalf("TryBegin after the checkpoint = (%v, %v)", ok, err)
+		t.Fatalf("TryBegin after the snapshot = (%v, %v)", ok, err)
 	}
 	mustCommit(t, txn)
 	if _, ok, err := e.TryBegin(7); !ok || err == nil {

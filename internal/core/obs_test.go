@@ -181,7 +181,6 @@ func TestEngineObsDurable(t *testing.T) {
 	e, err := NewEngine(Config{
 		Partition:     part,
 		WallInterval:  8,
-		Durability:    DurabilityWAL,
 		DataDir:       t.TempDir(),
 		SnapshotBytes: -1,
 		Obs:           plane,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"io"
 	"testing"
 	"time"
 
@@ -262,27 +261,32 @@ func TestAbandonedReadOnlyTxnReaped(t *testing.T) {
 }
 
 // TestReaperUnblocksCheckpoint: an abandoned update transaction holds its
-// class's gate share, so a checkpoint, which takes every class gate
+// class's gate share, so a snapshot, which takes every class gate
 // exclusively, waits behind it; reaping the transaction lets the
-// checkpoint through.
+// snapshot through.
 func TestReaperUnblocksCheckpoint(t *testing.T) {
-	e := newTimeoutEngine(t, 25*time.Millisecond)
+	e, err := NewEngine(Config{Partition: twoLevel(t), WallInterval: 4, TxnTimeout: 25 * time.Millisecond,
+		DataDir: t.TempDir(), SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
 
 	txn, err := e.Begin(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	write(t, txn, gr(0, 7), "abandoned")
-	// Client vanishes; the checkpoint must eventually get in.
+	// Client vanishes; the snapshot must eventually get in.
 	done := make(chan error, 1)
-	go func() { done <- e.WriteCheckpoint(io.Discard) }()
+	go func() { done <- e.Snapshot() }()
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("checkpoint after reap: %v", err)
+			t.Fatalf("snapshot after reap: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("checkpoint still blocked on the abandoned transaction")
+		t.Fatal("snapshot still blocked on the abandoned transaction")
 	}
 	if got := e.Stats().ReapedTxns; got != 1 {
 		t.Fatalf("ReapedTxns = %d", got)

@@ -92,7 +92,6 @@ func tortureEngine(part *schema.Partition, dir string, fs vfs.FS) (*Engine, erro
 		Partition:      part,
 		WallInterval:   8,
 		GCEveryCommits: 3, // GC runs mid-workload
-		Durability:     DurabilityWAL,
 		DataDir:        dir,
 		SnapshotBytes:  -1, // snapshots only where the workload asks
 		FS:             fs,
@@ -106,7 +105,6 @@ func verifyReboot(t *testing.T, part *schema.Partition, dir string, res tortureR
 	e2, err := NewEngine(Config{
 		Partition:     part,
 		WallInterval:  8,
-		Durability:    DurabilityWAL,
 		DataDir:       dir,
 		SnapshotBytes: -1,
 	})
@@ -114,10 +112,9 @@ func verifyReboot(t *testing.T, part *schema.Partition, dir string, res tortureR
 		t.Fatalf("%s: reboot failed: %v", label, err)
 	}
 	defer e2.Close()
-	st, _ := e2.DurabilityStats()
 	// I3: the clock restarted above the recovered high-water mark.
-	if now := e2.Clock().Now(); now < st.Recovery.HighWater {
-		t.Fatalf("%s: clock %d below recovered high water %d", label, now, st.Recovery.HighWater)
+	if now, hw := e2.Clock().Now(), e2.dur.rec.HighWater; now < hw {
+		t.Fatalf("%s: clock %d below recovered high water %d", label, now, hw)
 	}
 	for k := 0; k < tortureGranules; k++ {
 		g := gr(0, k)

@@ -330,6 +330,12 @@ func (t *updateTxn) Write(g schema.GranuleID, value []byte) error {
 	if err := e.closedErr(); err != nil {
 		return err
 	}
+	// Commit logs the value as one record: a longer one would fail the
+	// log. Refused before anything is installed; the transaction stays
+	// open.
+	if e.dur != nil && len(value) > wal.MaxValue {
+		return fmt.Errorf("core: value of %d bytes exceeds the %d one log record carries", len(value), wal.MaxValue)
+	}
 	t.mu.Lock()
 	if t.done {
 		err := doneErr(t.deadErr)

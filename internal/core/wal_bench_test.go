@@ -33,7 +33,6 @@ func BenchmarkWALCommit(b *testing.B) {
 	}
 	walCfg := func(dir string) Config {
 		cfg := base()
-		cfg.Durability = DurabilityWAL
 		cfg.DataDir = dir
 		cfg.SnapshotBytes = -1 // measure the log, not snapshot cycles
 		return cfg
@@ -143,10 +142,11 @@ func benchCommit(b *testing.B, cfg Config, committers int, think, gap time.Durat
 	}
 	wg.Wait()
 	b.StopTimer()
-	if st, ok := e.DurabilityStats(); ok {
-		b.ReportMetric(float64(st.WAL.Syncs), "syncs")
-		if st.WAL.Batches > 0 {
-			b.ReportMetric(float64(st.WAL.Records)/float64(st.WAL.Batches), "records/batch")
+	if e.dur != nil {
+		st := e.dur.log.Stats()
+		b.ReportMetric(float64(st.Syncs), "syncs")
+		if st.Batches > 0 {
+			b.ReportMetric(float64(st.Records)/float64(st.Batches), "records/batch")
 		}
 		if think+gap > 0 {
 			var all []time.Duration
@@ -154,7 +154,7 @@ func benchCommit(b *testing.B, cfg Config, committers int, think, gap time.Durat
 				all = append(all, a...)
 			}
 			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-			b.ReportMetric(float64(b.N)/float64(st.WAL.Syncs), "commits/sync")
+			b.ReportMetric(float64(b.N)/float64(st.Syncs), "commits/sync")
 			b.ReportMetric(float64(all[len(all)/2].Microseconds()), "p50-ack-µs")
 			b.ReportMetric(float64(all[len(all)*95/100].Microseconds()), "p95-ack-µs")
 		}

@@ -37,8 +37,6 @@ type Options struct {
 	// partition-aware engines (HDD, HDD-msg, SDD-1); the classical
 	// baselines ignore it.
 	Partition *schema.Partition
-	// Clock is the shared logical clock; nil gives each engine a fresh one.
-	Clock *vclock.Clock
 	// Recorder observes the produced schedule; nil means no recording.
 	Recorder cc.Recorder
 	// WallInterval paces HDD time-wall releases in logical ticks.
@@ -84,45 +82,39 @@ type Entry struct {
 // against (§1.2, §6).
 var entries = []Entry{
 	{Name: "HDD", Durable: true, Build: func(o Options) (cc.Engine, error) {
-		cfg := core.Config{
+		return core.NewEngine(core.Config{
 			Partition:      o.Partition,
-			Clock:          o.Clock,
 			Recorder:       o.Recorder,
 			WallInterval:   o.WallInterval,
 			GCEveryCommits: o.GCEveryCommits,
 			TxnTimeout:     o.TxnTimeout,
+			DataDir:        o.DataDir,
+			SnapshotBytes:  o.SnapshotBytes,
+			FS:             o.FS,
 			Obs:            o.Obs,
-		}
-		if o.DataDir != "" {
-			cfg.Durability = core.DurabilityWAL
-			cfg.DataDir = o.DataDir
-			cfg.SnapshotBytes = o.SnapshotBytes
-			cfg.FS = o.FS
-		}
-		return core.NewEngine(cfg)
+		})
 	}},
 	{Name: "HDD-msg", Build: func(o Options) (cc.Engine, error) {
 		return segctl.NewEngine(segctl.Config{
 			Partition:    o.Partition,
-			Clock:        o.Clock,
 			Recorder:     o.Recorder,
 			WallInterval: o.WallInterval,
 		})
 	}},
 	{Name: "SDD-1", Build: func(o Options) (cc.Engine, error) {
-		return sdd1.NewEngine(sdd1.Config{Partition: o.Partition, Clock: o.Clock, Recorder: o.Recorder})
+		return sdd1.NewEngine(sdd1.Config{Partition: o.Partition, Recorder: o.Recorder})
 	}},
 	{Name: "MV2PL", Build: func(o Options) (cc.Engine, error) {
-		return twopl.NewEngine(twopl.Config{Variant: twopl.MultiVersion, Clock: o.Clock, Recorder: o.Recorder}), nil
+		return twopl.NewEngine(twopl.Config{Variant: twopl.MultiVersion, Recorder: o.Recorder}), nil
 	}},
 	{Name: "2PL", Build: func(o Options) (cc.Engine, error) {
-		return twopl.NewEngine(twopl.Config{Variant: twopl.Strict, Clock: o.Clock, Recorder: o.Recorder}), nil
+		return twopl.NewEngine(twopl.Config{Variant: twopl.Strict, Recorder: o.Recorder}), nil
 	}},
 	{Name: "TO", Build: func(o Options) (cc.Engine, error) {
-		return tso.NewBasic(tso.BasicConfig{Clock: o.Clock, Recorder: o.Recorder}), nil
+		return tso.NewBasic(tso.BasicConfig{Recorder: o.Recorder}), nil
 	}},
 	{Name: "MVTO", Build: func(o Options) (cc.Engine, error) {
-		return tso.NewMVTO(tso.MVTOConfig{Clock: o.Clock, Recorder: o.Recorder}), nil
+		return tso.NewMVTO(tso.MVTOConfig{Recorder: o.Recorder}), nil
 	}},
 }
 

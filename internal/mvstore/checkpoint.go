@@ -18,11 +18,9 @@ import (
 // whose Txn is the largest timestamp written (0 for an empty store). Read
 // timestamps and commit instants (CommitAt) are not captured: a recovered
 // store starts a fresh timestamp epoch above the checkpoint's high-water mark.
-// A value must fit one frame: maxValue bytes, wal.MaxRecord less the fields.
-var maxValue = wal.MaxRecord - len(wal.AppendRecord(nil, &wal.Record{Kind: wal.KindWrite}))
 
 // WriteCheckpoint serializes all committed versions to w and returns the
-// highest timestamp written, or an error for a value over maxValue bytes.
+// highest timestamp written, or an error for a value over wal.MaxValue bytes.
 // It reads each chain's published array without a lock (committed versions
 // are immutable); engines quiesce writers first, so chains are consistent.
 func (s *Store) WriteCheckpoint(w io.Writer) (vclock.Time, error) {
@@ -35,8 +33,8 @@ func (s *Store) WriteCheckpoint(w io.Writer) (vclock.Time, error) {
 		vs := c.view()
 		for i := range vs {
 			if v := &vs[i]; v.committed() {
-				if len(v.value) > maxValue {
-					return 0, fmt.Errorf("mvstore: checkpoint: %v@%d holds %d bytes, over the %d a frame carries", c.g, v.ts, len(v.value), maxValue)
+				if len(v.value) > wal.MaxValue {
+					return 0, fmt.Errorf("mvstore: checkpoint: %v@%d holds %d bytes, over the %d a frame carries", c.g, v.ts, len(v.value), wal.MaxValue)
 				}
 				high = max(high, v.ts)
 				frame = wal.AppendFrame(frame[:0], &wal.Record{

@@ -180,14 +180,14 @@ func TestCheckpointLargeValues(t *testing.T) {
 }
 
 // A value longer than a frame carries is an error naming the granule and
-// its size, not a panic; maxValue bytes still fit.
+// its size, not a panic; wal.MaxValue bytes still fit.
 func TestCheckpointOversizedValueRefused(t *testing.T) {
-	for _, n := range []int{maxValue, maxValue + 1, wal.MaxRecord} {
+	for _, n := range []int{wal.MaxValue, wal.MaxValue + 1, wal.MaxRecord} {
 		s := New()
 		_ = s.InstallPending(g(0, 1), 5, make([]byte, n))
 		s.Commit(g(0, 1), 5)
 		_, err := s.WriteCheckpoint(io.Discard)
-		if n <= maxValue {
+		if n <= wal.MaxValue {
 			if err != nil {
 				t.Fatalf("%d-byte value: %v", n, err)
 			}

@@ -44,8 +44,6 @@ type Config struct {
 	Partition *schema.Partition
 	// Flavor selects the sabotaged technique.
 	Flavor Flavor
-	// Clock is the shared logical clock; a fresh one is created if nil.
-	Clock *vclock.Clock
 	// Recorder observes the produced schedule; nil means no recording.
 	Recorder cc.Recorder
 }
@@ -68,16 +66,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Partition == nil {
 		return nil, fmt.Errorf("naive: Config.Partition is required")
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.NewClock()
-	}
 	if cfg.Recorder == nil {
 		cfg.Recorder = cc.NopRecorder{}
 	}
 	return &Engine{
 		part:   cfg.Partition,
 		flavor: cfg.Flavor,
-		clock:  cfg.Clock,
+		clock:  vclock.NewClock(),
 		store:  mvstore.New(),
 		locks:  twopl.NewManager(),
 		rec:    cfg.Recorder,

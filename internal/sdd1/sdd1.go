@@ -40,8 +40,6 @@ type Config struct {
 	// transaction analysis HDD uses, giving an apples-to-apples
 	// comparison). Required.
 	Partition *schema.Partition
-	// Clock is the shared logical clock; a fresh one is created if nil.
-	Clock *vclock.Clock
 	// Recorder observes the produced schedule; nil means no recording.
 	Recorder cc.Recorder
 }
@@ -67,16 +65,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Partition == nil {
 		return nil, fmt.Errorf("sdd1: Config.Partition is required")
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.NewClock()
-	}
 	if cfg.Recorder == nil {
 		cfg.Recorder = cc.NopRecorder{}
 	}
 	n := cfg.Partition.NumClasses()
 	return &Engine{
 		part:  cfg.Partition,
-		clock: cfg.Clock,
+		clock: vclock.NewClock(),
 		store: mvstore.New(),
 		act:   activity.NewSet(n),
 		rec:   cfg.Recorder,
@@ -92,9 +87,6 @@ func (e *Engine) Close() error { return nil }
 
 // Stats implements cc.Engine.
 func (e *Engine) Stats() cc.Stats { return e.ctr.Snapshot() }
-
-// Clock returns the engine's logical clock.
-func (e *Engine) Clock() *vclock.Clock { return e.clock }
 
 // Begin implements cc.Engine: admit the transaction to its class pipe.
 // Admission blocks while an earlier transaction of the same class is still

@@ -64,11 +64,10 @@ type response struct {
 
 // version mirrors mvstore's version for the actor-owned chains.
 type version struct {
-	ts       vclock.Time
-	value    []byte
-	commit   bool
-	readTS   vclock.Time
-	commitTS vclock.Time
+	ts     vclock.Time
+	value  []byte
+	commit bool
+	readTS vclock.Time
 }
 
 // chain is one granule's history plus parked Protocol B readers.
@@ -246,7 +245,6 @@ func (c *Controller) finish(req request, commit bool) {
 		if i >= 0 && ch.versions[i].ts == req.ts && !ch.versions[i].commit {
 			if commit {
 				ch.versions[i].commit = true
-				ch.versions[i].commitTS = req.bound
 			} else {
 				ch.versions = append(ch.versions[:i], ch.versions[i+1:]...)
 			}
@@ -321,9 +319,9 @@ func (c *Controller) UpdatePending(g schema.GranuleID, ts vclock.Time, value []b
 	c.call(request{kind: reqUpdate, g: g, ts: ts, value: value})
 }
 
-// Commit flips the transaction's pending versions at commit instant at.
-func (c *Controller) Commit(granules []schema.GranuleID, ts, at vclock.Time) {
-	c.call(request{kind: reqCommit, granules: granules, ts: ts, bound: at})
+// Commit flips the transaction's pending versions.
+func (c *Controller) Commit(granules []schema.GranuleID, ts vclock.Time) {
+	c.call(request{kind: reqCommit, granules: granules, ts: ts})
 }
 
 // Abort discards the transaction's pending versions.

@@ -16,8 +16,6 @@ import (
 type Config struct {
 	// Partition is the validated TST-legal decomposition. Required.
 	Partition *schema.Partition
-	// Clock is the logical clock; a fresh one is created if nil.
-	Clock *vclock.Clock
 	// WallInterval paces time-wall releases (§5.2). Defaults to 256.
 	WallInterval vclock.Time
 	// Recorder observes the schedule; nil means no recording.
@@ -47,9 +45,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Partition == nil {
 		return nil, fmt.Errorf("segctl: Config.Partition is required")
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.NewClock()
-	}
 	if cfg.WallInterval <= 0 {
 		cfg.WallInterval = 256
 	}
@@ -58,12 +53,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	act := activity.NewSet(cfg.Partition.NumClasses())
 	links := alink.New(cfg.Partition, act)
+	clock := vclock.NewClock()
 	e := &Engine{
 		part:  cfg.Partition,
-		clock: cfg.Clock,
+		clock: clock,
 		act:   act,
 		links: links,
-		walls: alink.NewWallManager(links, cfg.Clock, cfg.WallInterval, cfg.Partition.LowestClasses()[0]),
+		walls: alink.NewWallManager(links, clock, cfg.WallInterval, cfg.Partition.LowestClasses()[0]),
 		ctls:  make([]*Controller, cfg.Partition.NumSegments()),
 		rec:   cfg.Recorder,
 	}
@@ -229,7 +225,7 @@ func (t *txn) Commit() error {
 	e := t.eng
 	if len(t.writes) > 0 {
 		root := e.part.Class(t.class).Writes
-		e.controller(root).Commit(t.granules(), t.init, e.clock.Now())
+		e.controller(root).Commit(t.granules(), t.init)
 	}
 	at := e.act.FinishTxn(int(t.class), t.init, e.clock, false)
 	e.ctr.Commits.Add(1)

@@ -334,7 +334,7 @@ func TestControllerGCAndStats(t *testing.T) {
 		if err := c.InstallChecked(g, ts, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
-		c.Commit([]schema.GranuleID{g}, ts, ts+1)
+		c.Commit([]schema.GranuleID{g}, ts)
 	}
 	n, _ := c.Stats()
 	if n != 10 {

@@ -26,7 +26,6 @@ func TestDegradedModeOverTheWire(t *testing.T) {
 	srv, addr := startServer(t, 2, core.Config{
 		WallInterval:  2,
 		TxnTimeout:    10 * time.Second,
-		Durability:    core.DurabilityWAL,
 		DataDir:       dir,
 		SnapshotBytes: -1,
 		FS:            fs,
@@ -110,7 +109,6 @@ func TestDegradedModeOverTheWire(t *testing.T) {
 	_, addr2 := startServer(t, 2, core.Config{
 		WallInterval:  2,
 		TxnTimeout:    10 * time.Second,
-		Durability:    core.DurabilityWAL,
 		DataDir:       dir,
 		SnapshotBytes: -1,
 	}, server.Options{})

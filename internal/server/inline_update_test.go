@@ -8,7 +8,6 @@ package server_test
 
 import (
 	"context"
-	"io"
 	"sync"
 	"testing"
 	"time"
@@ -96,14 +95,14 @@ func TestInlineUpdateReadFallsBackToFIFO(t *testing.T) {
 	}
 }
 
-// TestInlineBeginBesideCheckpoint: a checkpoint is waiting for the class
+// TestInlineBeginBesideCheckpoint: a snapshot is waiting for the class
 // gate that an open transaction holds. A begin of that class arriving on
-// the same connection would wait for the checkpoint, which waits for the
+// the same connection would wait for the snapshot, which waits for the
 // open transaction's commit queued behind the begin: the begin must leave
-// the session goroutine. Then the same under load, with checkpoints taken
+// the session goroutine. Then the same under load, with snapshots taken
 // in a loop while clients share one connection.
 func TestInlineBeginBesideCheckpoint(t *testing.T) {
-	srv, addr := startServer(t, 2, core.Config{TxnTimeout: 10 * time.Second}, server.Options{})
+	srv, addr := startServer(t, 2, core.Config{TxnTimeout: 10 * time.Second, DataDir: t.TempDir(), SnapshotBytes: -1}, server.Options{})
 	eng := srv.Engine().(*core.Engine)
 	c := v2dial(t, addr)
 	c.send(&wire.Request{Op: wire.OpBegin, Tag: 1, Class: 0})
@@ -113,8 +112,8 @@ func TestInlineBeginBesideCheckpoint(t *testing.T) {
 	}
 
 	checkpointed := make(chan error, 1)
-	go func() { checkpointed <- eng.WriteCheckpoint(io.Discard) }()
-	waitFor(t, 5*time.Second, func() bool { // until the checkpoint waits for the gate
+	go func() { checkpointed <- eng.Snapshot() }()
+	waitFor(t, 5*time.Second, func() bool { // until the snapshot waits for the gate
 		txn, ok, err := eng.TryBegin(0)
 		if ok && err == nil {
 			txn.Abort()
@@ -143,7 +142,7 @@ func TestInlineBeginBesideCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("the checkpoint never finished")
+		t.Fatal("the snapshot never finished")
 	}
 	if n := serverStat(t, c, "inline_requests"); n != inline+2 {
 		t.Fatalf("inline_requests %d -> %d, want the write and the commit only", inline, n)
@@ -154,7 +153,7 @@ func TestInlineBeginBesideCheckpoint(t *testing.T) {
 	}
 
 	// Under load: four clients' transactions share one connection while
-	// checkpoints come and go.
+	// snapshots come and go.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	shared := dial(t, addr, client.WithConns(1))
@@ -188,7 +187,7 @@ func TestInlineBeginBesideCheckpoint(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 50 && ctx.Err() == nil; i++ {
-		if err := eng.WriteCheckpoint(io.Discard); err != nil {
+		if err := eng.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(time.Millisecond)
@@ -197,10 +196,10 @@ func TestInlineBeginBesideCheckpoint(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatalf("a transaction beside the checkpoints: %v", err)
+		t.Fatalf("a transaction beside the snapshots: %v", err)
 	}
 	if ctx.Err() != nil {
-		t.Fatal("the load beside the checkpoints did not finish in time")
+		t.Fatal("the load beside the snapshots did not finish in time")
 	}
 }
 
@@ -211,7 +210,6 @@ func TestInlineCommitDurabilityFailed(t *testing.T) {
 	fs.Inject(vfs.Fault{Op: vfs.OpSync, Nth: 4})
 	_, addr := startServer(t, 2, core.Config{
 		TxnTimeout:    10 * time.Second,
-		Durability:    core.DurabilityWAL,
 		DataDir:       t.TempDir(),
 		SnapshotBytes: -1,
 		FS:            fs,

@@ -177,7 +177,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		WallInterval:   4,
 		TxnTimeout:     10 * time.Second,
 		GCEveryCommits: 8,
-		Durability:     core.DurabilityWAL,
 		DataDir:        t.TempDir(),
 		SnapshotBytes:  -1,
 		Obs:            plane,
@@ -300,7 +299,6 @@ func TestHealthzDegraded(t *testing.T) {
 	srv, addr := startServer(t, 2, core.Config{
 		WallInterval:  2,
 		TxnTimeout:    10 * time.Second,
-		Durability:    core.DurabilityWAL,
 		DataDir:       t.TempDir(),
 		SnapshotBytes: -1,
 		FS:            fs,

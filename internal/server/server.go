@@ -468,7 +468,6 @@ func (s *Server) statEntries() []wire.StatEntry {
 		{Name: "blocked_writes", Value: es.BlockedWrites},
 		{Name: "rejected_reads", Value: es.RejectedReads},
 		{Name: "rejected_writes", Value: es.RejectedWrites},
-		{Name: "wall_waits", Value: es.WallWaits},
 		{Name: "reaped_txns", Value: es.ReapedTxns},
 		{Name: "timed_out_reads", Value: es.TimedOutReads},
 		{Name: "durability_failures", Value: es.DurabilityFailures},

@@ -25,7 +25,7 @@ func BenchmarkUpdateTxnRoundTrips(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg := core.Config{WallInterval: 64, GCEveryCommits: 64, TxnTimeout: 10 * time.Second}
 			if durable {
-				cfg.Durability, cfg.DataDir, cfg.SnapshotBytes = core.DurabilityWAL, b.TempDir(), -1
+				cfg.DataDir, cfg.SnapshotBytes = b.TempDir(), -1
 			}
 			_, addr := startServer(b, 2, cfg, server.Options{})
 			c, err := client.Dial(addr)

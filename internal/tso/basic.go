@@ -41,8 +41,6 @@ type prewrite struct {
 
 // BasicConfig parameterizes a basic-TO engine.
 type BasicConfig struct {
-	// Clock is the shared logical clock; a fresh one is created if nil.
-	Clock *vclock.Clock
 	// Recorder observes the produced schedule; nil means no recording.
 	Recorder cc.Recorder
 }
@@ -63,13 +61,10 @@ var _ cc.Engine = (*Basic)(nil)
 
 // NewBasic builds a basic-TO engine.
 func NewBasic(cfg BasicConfig) *Basic {
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.NewClock()
-	}
 	if cfg.Recorder == nil {
 		cfg.Recorder = cc.NopRecorder{}
 	}
-	return &Basic{clock: cfg.Clock, rec: cfg.Recorder, granules: make(map[schema.GranuleID]*granule)}
+	return &Basic{clock: vclock.NewClock(), rec: cfg.Recorder, granules: make(map[schema.GranuleID]*granule)}
 }
 
 // Name implements cc.Engine.

@@ -12,8 +12,6 @@ import (
 
 // MVTOConfig parameterizes an MVTO engine.
 type MVTOConfig struct {
-	// Clock is the shared logical clock; a fresh one is created if nil.
-	Clock *vclock.Clock
 	// Recorder observes the produced schedule; nil means no recording.
 	Recorder cc.Recorder
 }
@@ -34,13 +32,10 @@ var _ cc.Engine = (*MVTO)(nil)
 
 // NewMVTO builds an MVTO engine.
 func NewMVTO(cfg MVTOConfig) *MVTO {
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.NewClock()
-	}
 	if cfg.Recorder == nil {
 		cfg.Recorder = cc.NopRecorder{}
 	}
-	return &MVTO{clock: cfg.Clock, store: mvstore.New(), rec: cfg.Recorder}
+	return &MVTO{clock: vclock.NewClock(), store: mvstore.New(), rec: cfg.Recorder}
 }
 
 // Name implements cc.Engine.

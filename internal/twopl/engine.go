@@ -30,8 +30,6 @@ const (
 type Config struct {
 	// Variant selects Strict or MultiVersion. Defaults to Strict.
 	Variant Variant
-	// Clock is the shared logical clock; a fresh one is created if nil.
-	Clock *vclock.Clock
 	// Recorder observes the produced schedule; nil means no recording.
 	Recorder cc.Recorder
 }
@@ -58,15 +56,12 @@ var _ cc.Engine = (*Engine)(nil)
 
 // NewEngine builds a locking engine.
 func NewEngine(cfg Config) *Engine {
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.NewClock()
-	}
 	if cfg.Recorder == nil {
 		cfg.Recorder = cc.NopRecorder{}
 	}
 	return &Engine{
 		variant: cfg.Variant,
-		clock:   cfg.Clock,
+		clock:   vclock.NewClock(),
 		store:   mvstore.New(),
 		locks:   NewManager(),
 		rec:     cfg.Recorder,
@@ -86,9 +81,6 @@ func (e *Engine) Close() error { return nil }
 
 // Stats implements cc.Engine.
 func (e *Engine) Stats() cc.Stats { return e.ctr.Snapshot() }
-
-// Clock returns the engine's logical clock.
-func (e *Engine) Clock() *vclock.Clock { return e.clock }
 
 // Begin implements cc.Engine. The class is recorded for the schedule but
 // plays no role in synchronization.

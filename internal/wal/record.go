@@ -102,6 +102,12 @@ const frameHeader = 8
 // the server's; values are capped well below it by the wire protocol.
 const MaxRecord = 1 << 20
 
+// MaxValue is the longest value one Write record carries: MaxRecord less
+// the record's fixed fields (kind, txn, segment, key, value length). A
+// durable engine refuses a longer write, and a checkpoint holding one is
+// an error.
+const MaxValue = MaxRecord - (1 + 8 + 4 + 8 + 4)
+
 // crcTable is the Castagnoli table every frame's checksum uses.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 

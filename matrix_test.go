@@ -16,10 +16,15 @@ func soakVariant(t *testing.T, gc int64, ops, reports bool, seed int64) bool {
 		t.Fatal(err)
 	}
 	rec := sched.NewRecorder()
-	eng, err := core.NewEngine(core.Config{Partition: inv.Partition(), Recorder: rec, WallInterval: 128, GCEveryCommits: gc})
+	cfg := core.Config{Partition: inv.Partition(), Recorder: rec, WallInterval: 128, GCEveryCommits: gc}
+	if ops {
+		cfg.DataDir, cfg.SnapshotBytes = t.TempDir(), -1
+	}
+	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	var wg sync.WaitGroup
 	for c := 0; c < 6; c++ {
 		wg.Add(1)
@@ -51,8 +56,9 @@ func soakVariant(t *testing.T, gc int64, ops, reports bool, seed int64) bool {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				var sink countingWriter
-				_ = eng.WriteCheckpoint(&sink)
+				if err := eng.Snapshot(); err != nil {
+					t.Errorf("snapshot: %v", err)
+				}
 			}
 		}()
 	}
@@ -62,7 +68,8 @@ func soakVariant(t *testing.T, gc int64, ops, reports bool, seed int64) bool {
 
 // TestSerializabilityMatrix runs the inventory soak under every
 // combination of the operational features that historically interacted
-// with the concurrency machinery (GC, checkpoints, read-only reports) and requires a serializable schedule from each. The
+// with the concurrency machinery (GC, snapshots of a durable engine,
+// read-only reports) and requires a serializable schedule from each. The
 // "full" and "no-ops" rows are regression tests for three distinct bugs:
 // the begin barrier (late initiation registration shrinking thresholds),
 // the finish barrier (commit ticks landing late and inflating thresholds),
