@@ -146,7 +146,6 @@ experiments:
 	$(GO) run ./cmd/hddbench -exp all
 
 examples:
-	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/inventory
 	$(GO) run ./examples/reporting
 	$(GO) run ./examples/decompose

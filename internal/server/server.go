@@ -281,16 +281,6 @@ func (s *Server) Engine() cc.Engine { return s.eng }
 // (what OpHello reports).
 func (s *Server) Capabilities() cc.Capability { return s.caps }
 
-// ListenAndServe listens on addr ("host:port") and serves until Shutdown
-// or Close.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 // Serve accepts connections on l until the listener fails or the server
 // shuts down, spawning one session goroutine per connection. It returns
 // nil on shutdown. Serve may be called on several listeners concurrently.
